@@ -277,8 +277,18 @@ def _check_triple(rec: VerificationRecord) -> str | None:
     return None
 
 
-def _check_prop1(rec: VerificationRecord) -> str | None:
+def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
+    """The record's (y, z), which must be plain ints with 4 <= y < z."""
     y, z = rec.get("y"), rec.get("z")
+    # an exact type test, because bool is an int subclass
+    if type(y) is not int or type(z) is not int or not 4 <= y < z:
+        raise RecordFormatError(f"{rec.kind} needs integers 4 <= y < z, "
+                                f"got y={y!r}, z={z!r}")
+    return y, z
+
+
+def _check_prop1(rec: VerificationRecord) -> str | None:
+    y, z = _pair_indices(rec)
     d = gcd_shifted(y, z)
     if d != _dec_int(rec.get("gcd")):
         return f"gcd({y},{z}) recomputes to {d}"
@@ -288,7 +298,7 @@ def _check_prop1(rec: VerificationRecord) -> str | None:
 
 
 def _check_norm(rec: VerificationRecord) -> str | None:
-    y, z = rec.get("y"), rec.get("z")
+    y, z = _pair_indices(rec)
     w = norm_witness(y, z)
     if w.d != _dec_int(rec.get("d")):
         return f"gcd recomputes to {w.d}"

@@ -240,6 +240,9 @@ ONE_K = FieldElement((1, 0, 0, 0, 0, 0))
 EPS = FieldElement((0, 1, 0, 0, 0, 0))
 # alpha = eps + 1/eps, expanded in the power basis
 ALPHA_K = FieldElement((1, -1, 3, -2, 1, -1))
+# integer eps-coordinates of alpha and alpha**2, for CubicElement.to_field
+_ALPHA_EPS = tuple(c.numerator for c in ALPHA_K.coords)
+_ALPHA_SQ_EPS = tuple(c.numerator for c in (ALPHA_K * ALPHA_K).coords)
 
 
 def embed_alpha() -> FieldElement:
@@ -248,34 +251,54 @@ def embed_alpha() -> FieldElement:
 
 
 def norm6(u: FieldElement) -> Fraction:
-    """Field norm down to Q: determinant of multiplication by u."""
-    cols = []
-    cur = u
-    for _ in range(6):
-        cols.append(cur.coords)
-        cur = cur * EPS
-    return _det([[cols[j][i] for j in range(6)] for i in range(6)])
+    """Field norm down to Q: determinant of multiplication by u.
+
+    Denominators are cleared first.  The rows are the integer coordinates
+    of u, eps*u, ..., eps**5*u (the transpose of the multiplication matrix,
+    with the same determinant), taken by fraction-free elimination.
+    """
+    den, row = _clear_denominators(u.coords)
+    rows = [row]
+    for _ in range(5):
+        top = row[5]
+        row = [top * _P_TAIL[0]] + [row[j - 1] + top * _P_TAIL[j]
+                                    for j in range(1, 6)]
+        rows.append(row)
+    return Fraction(_bareiss_det(rows), den ** 6)
 
 
-def _det(m) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in m]
+def _clear_denominators(coords) -> tuple[int, list[int]]:
+    """(den, nums) with den the lcm of the denominators and
+    coords[i] == nums[i] / den."""
+    den = lcm(*(c.denominator for c in coords))
+    return den, [c.numerator * (den // c.denominator) for c in coords]
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Gauss-Bareiss elimination
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2).
+
+    Each step divides by the previous pivot, and that division is exact,
+    so every entry stays an integer.  A zero pivot is swapped for a lower
+    row; m is overwritten.
+    """
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        rk = m[k]
+        pk = rk[k]
+        for ri in m[k + 1:]:
+            rik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - rik * rk[j]) // prev
+        prev = pk
+    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +388,11 @@ class CubicElement:
         return out
 
     def to_field(self) -> FieldElement:
-        c0, c1, c2 = self.coords
-        return (FieldElement.from_rational(c0) + ALPHA_K * c1
-                + (ALPHA_K * ALPHA_K) * c2)
+        den, (c0, c1, c2) = _clear_denominators(self.coords)
+        nums = [c1 * a + c2 * a2 for a, a2 in zip(_ALPHA_EPS, _ALPHA_SQ_EPS)]
+        nums[0] += c0
+        field = FieldElement(tuple(nums))
+        return field if den == 1 else field / den
 
     def __repr__(self):
         return f"CubicElement({', '.join(str(c) for c in self.coords)})"
@@ -386,13 +411,18 @@ ALPHA_C = CubicElement((0, 1, 0))
 
 def norm3(t: CubicElement) -> Fraction:
     """Norm of Q(alpha) down to Q; for integer coordinates this is an
-    integer, and norm6 of the same element is its square."""
-    cols = []
-    cur = t
-    for _ in range(3):
-        cols.append(cur.coords)
-        cur = cur * ALPHA_C
-    return _det([[cols[j][i] for j in range(3)] for i in range(3)])
+    integer, and norm6 of the same element is its square.
+
+    The 3x3 integer determinant has the coordinates of t, alpha*t and
+    alpha**2*t as rows, after denominators are cleared.
+    """
+    den, (a0, a1, a2) = _clear_denominators(t.coords)
+    # one multiplication by alpha sends (x0, x1, x2) to (x2, x0+x2, x1+x2)
+    b0, b1, b2 = a2, a0 + a2, a1 + a2
+    c0, c1, c2 = b2, b0 + b2, b1 + b2
+    det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+           + a2 * (b0 * c1 - b1 * c0))
+    return Fraction(det, den ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +876,7 @@ def _cubic_nonsquare_witness(t: CubicElement,
     Skips q = 2 (no Legendre symbol), q = 11 (divides the discriminant) and
     primes dividing a coordinate denominator.
     """
-    den = lcm(*(c.denominator for c in t.coords))
-    nums = [c.numerator * (den // c.denominator) for c in t.coords]
+    den, nums = _clear_denominators(t.coords)
     for q in _prime_iter(prime_bound):
         if q == 11 or den % q == 0:
             continue

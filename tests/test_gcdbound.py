@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from triboverify import cli, gcdbound
 from triboverify.gcdbound import (FactorBoundsReport, GcdWitness,
                                   IntegrityError, alpha_power_cubic,
                                   factor_bounds, factor_sweep, gcd_shifted,
@@ -49,6 +50,14 @@ def test_norm_witness_eta_construction():
     assert w.eta == eta
     assert norm3(eta) == w.norm3_value
     assert norm6(eta.to_field()) == Fraction(w.norm3_value) ** 2
+
+
+def test_degree6_cross_check_fires(monkeypatch):
+    true_norm6 = gcdbound.norm6
+    monkeypatch.setattr(gcdbound, "norm6", lambda u: true_norm6(u) + 1)
+    with pytest.raises(IntegrityError, match="degree-6"):
+        norm_witness(6, 7)
+    assert cli.run(["verify", "norms", "--z-max", "8"]) == 1
 
 
 def test_prop1_small_pairs():

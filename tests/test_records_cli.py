@@ -176,6 +176,24 @@ def test_cli_check_records_flags_forgery(tmp_path, capsys):
     assert "FAIL" in out
 
 
+_PAIR_LINES = {
+    "norm": ('{"schema":1,"kind":"norm","y":6,"z":7,"d":"6",'
+             '"norm3":"-216","divides":true,"tight":true}'),
+    "prop1": '{"schema":1,"kind":"prop1","y":6,"z":7,"gcd":"6","bound_ok":true}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_LINES))
+@pytest.mark.parametrize("bad", ['"y":"6"', '"y":3', '"y":true',
+                                 '"y":7', '"y":6.0'])
+def test_cli_check_records_rejects_bad_pair_indices(tmp_path, capsys,
+                                                    kind, bad):
+    path = tmp_path / "r.jsonl"
+    path.write_text(_PAIR_LINES[kind].replace('"y":6', bad) + "\n")
+    assert run(["check-records", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_verdict_lines(capsys):
     assert run(["verify", "constants"]) == 0
     out = capsys.readouterr().out

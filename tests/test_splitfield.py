@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triboverify.splitfield import (ALPHA_C, ALPHA_K, EPS, ONE_K, ZERO_K,
                                     CubicElement, FieldElement,
@@ -78,19 +80,85 @@ def test_known_norms():
     assert norm6(a.to_field()) == Fraction(1, 1936)
 
 
-def test_norm_multiplicative_sampled():
-    rng = random.Random(3)
-    for _ in range(15):
-        u, v = _rand_elt(rng), _rand_elt(rng)
-        assert norm6(u * v) == norm6(u) * norm6(v)
+def _det(m) -> Fraction:
+    """Determinant by Fraction Gaussian elimination: the oracle for the
+    integer norm kernels."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
 
 
-def test_norm6_is_norm3_squared_sampled():
-    rng = random.Random(11)
-    for _ in range(15):
-        t = CubicElement([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                          for _ in range(3)])
-        assert norm6(t.to_field()) == norm3(t) ** 2
+def _oracle_norm(element, generator) -> Fraction:
+    """Determinant of multiplication by element, the columns built by
+    repeated Fraction multiplication by the field generator."""
+    cols = []
+    cur = element
+    for _ in range(len(element.coords)):
+        cols.append(cur.coords)
+        cur = cur * generator
+    n = len(cols)
+    return _det([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+# coordinates: zero often (so pivots vanish), big integers, small fractions
+_coord = st.one_of(st.just(Fraction(0)),
+                   st.integers(-10 ** 12, 10 ** 12).map(Fraction),
+                   st.fractions(-100, 100, max_denominator=30))
+_cubic = st.tuples(_coord, _coord, _coord).map(CubicElement)
+_field = st.tuples(*[_coord] * 6).map(FieldElement)
+_props = settings(deadline=None)
+
+
+@_props
+@given(_cubic)
+@example(CubicElement((0, 0, 0)))
+@example(CubicElement((0, 0, Fraction(-3, 7))))
+def test_norm3_matches_fraction_oracle(t):
+    assert norm3(t) == _oracle_norm(t, ALPHA_C)
+
+
+@_props
+@given(_field)
+@example(ZERO_K)
+@example(EPS)
+@example(FieldElement((0, 0, 0, 0, 0, Fraction(5, 2))))
+def test_norm6_matches_fraction_oracle(u):
+    assert norm6(u) == _oracle_norm(u, EPS)
+
+
+@_props
+@given(_field, _field)
+def test_norm_multiplicative_sampled(u, v):
+    assert norm6(u * v) == norm6(u) * norm6(v)
+
+
+@_props
+@given(_cubic)
+def test_norm6_is_norm3_squared_sampled(t):
+    assert norm6(t.to_field()) == norm3(t) ** 2
+
+
+@_props
+@given(_cubic)
+def test_to_field_matches_fraction_route(t):
+    c0, c1, c2 = t.coords
+    assert t.to_field() == (FieldElement.from_rational(c0) + ALPHA_K * c1
+                            + (ALPHA_K * ALPHA_K) * c2)
 
 
 def _close(enc, value, slack=mpmath.mpf(2) ** -100) -> bool:
