@@ -194,9 +194,9 @@ def cmp_alpha_power(p: int, q: int, n: int,
     bits = precision_bits
     while True:
         enc = alpha_power(p, bits)
-        if enc.hi < target:
+        if enc.definitely_lt(target):
             return Cmp.LESS
-        if enc.lo > target:
+        if enc.definitely_gt(target):
             return Cmp.GREATER
         bits *= 2
         if bits > max_precision_bits:

@@ -269,14 +269,21 @@ def decay_report(x: int, y: int, z: int, order_max: int = 6,
         raise ValueError("need order_max >= 2 to compare consecutive errors")
     errors = tuple(expansion_error(x, y, z, t, precision_bits)
                    for t in range(order_max + 1))
+    decreasing, ratio_ok = decay_verdicts(x, errors[1:], precision_bits)
+    return DecayReport(x, y, z, order_max, errors, decreasing, ratio_ok)
+
+
+def decay_verdicts(x: int, errors, precision_bits: int | None = None
+                   ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Verdicts on each pair of consecutive errors: decreasing[i]
+    certifies errors[i+1] < errors[i], ratio_ok[i] certifies
+    errors[i+1]/errors[i] <= 2*alpha^(-x/12) in 12th powers."""
     bits = precision_bits or DEFAULT_PRECISION
     bound = alpha_power(-x, bits) * 4096
     decreasing = []
     ratio_ok = []
-    for t in range(1, order_max):
-        nxt, cur = errors[t + 1], errors[t]
+    for cur, nxt in zip(errors, errors[1:]):
         decreasing.append(nxt.definitely_lt(cur.lo))
         rhs = bound * _pow12(cur)
         ratio_ok.append(_pow12(nxt).definitely_lt(rhs.lo))
-    return DecayReport(x, y, z, order_max, errors,
-                       tuple(decreasing), tuple(ratio_ok))
+    return tuple(decreasing), tuple(ratio_ok)

@@ -43,8 +43,8 @@ _pow_cubic_cache: list[tuple[int, int, int]] = [(1, 0, 0), (0, 1, 0)]
 _pow_cubic_lock = threading.Lock()
 
 
-def alpha_power_cubic(k: int) -> CubicElement:
-    """alpha**k with integer coordinates in the basis 1, alpha, alpha**2.
+def _alpha_power_coords(k: int) -> tuple[int, int, int]:
+    """The integer coordinates of alpha**k in the basis 1, alpha, alpha**2.
 
     One multiplication by alpha sends (c0, c1, c2) to (c2, c0+c2, c1+c2).
     """
@@ -54,7 +54,12 @@ def alpha_power_cubic(k: int) -> CubicElement:
         while len(_pow_cubic_cache) <= k:
             c0, c1, c2 = _pow_cubic_cache[-1]
             _pow_cubic_cache.append((c2, c0 + c2, c1 + c2))
-        return CubicElement(_pow_cubic_cache[k])
+        return _pow_cubic_cache[k]
+
+
+def alpha_power_cubic(k: int) -> CubicElement:
+    """alpha**k with integer coordinates in the basis 1, alpha, alpha**2."""
+    return CubicElement(_alpha_power_coords(k))
 
 
 def _shifted(n: int) -> int:
@@ -105,8 +110,10 @@ def norm_witness(y: int, z: int) -> GcdWitness:
     """
     d = gcd_shifted(y, z)
     lam = z - y
-    eta = alpha_power_cubic(lam) * _shifted(y) - CubicElement.from_rational(
-        _shifted(z))
+    # alpha**lam * (T_y - 1) - (T_z - 1), built from integer coordinates
+    c0, c1, c2 = _alpha_power_coords(lam)
+    ty = _shifted(y)
+    eta = CubicElement((c0 * ty - _shifted(z), c1 * ty, c2 * ty))
     n3 = norm3(eta)
     if n3.denominator != 1:
         raise IntegrityError(f"norm of integral element not integral: {n3}")

@@ -34,7 +34,8 @@ from typing import Any, Iterable
 
 from .constants import verify_growth, verify_numeric_window
 from .enclosure import Enclosure
-from .expansion import DecayReport, expansion_error
+from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
+                        expansion_error)
 from .gcdbound import GcdWitness, gcd_shifted, norm_witness, prop1_holds
 from .splitfield import (CubicElement, FieldElement, SquareCertificate,
                          _legendre, field_identity_report)
@@ -121,7 +122,10 @@ def _enc_int(n: int) -> str:
 def _dec_int(s: Any) -> int:
     if not isinstance(s, str):
         raise RecordFormatError(f"expected decimal string, got {s!r}")
-    return int(s, 10)
+    try:
+        return int(s, 10)
+    except ValueError:
+        raise RecordFormatError(f"bad decimal string {s!r}") from None
 
 
 def _enc_rat(q: Fraction) -> str:
@@ -131,7 +135,10 @@ def _enc_rat(q: Fraction) -> str:
 def _dec_rat(s: Any) -> Fraction:
     if not isinstance(s, str):
         raise RecordFormatError(f"expected rational string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise RecordFormatError(f"bad rational string {s!r}") from None
 
 
 def _enc_coords(coords) -> list[str]:
@@ -368,14 +375,51 @@ def _check_field(rec: VerificationRecord) -> str | None:
     return None
 
 
-def _check_expansion(rec: VerificationRecord) -> str | None:
+def _expansion_fields(rec: VerificationRecord
+                      ) -> tuple[int, int, int, int, Enclosure]:
+    """The record's x, y, z, t and error interval, after the type and range
+    checks: plain ints with 5 <= x < y < z, x + y > z, 0 <= t <= MAX_ORDER,
+    err_lo <= err_hi, and flags that are null below order 2, bools from
+    order 2 on."""
     x, y, z, t = (rec.get(k) for k in ("x", "y", "z", "t"))
-    recorded = Enclosure(_dec_rat(rec.get("err_lo")),
-                         _dec_rat(rec.get("err_hi")))
+    # an exact type test, because bool is an int subclass
+    if (any(type(v) is not int for v in (x, y, z, t))
+            or not (5 <= x < y < z and x + y > z and 0 <= t <= MAX_ORDER)):
+        raise RecordFormatError(
+            f"expansion needs integers 5 <= x < y < z with x + y > z and "
+            f"0 <= t <= {MAX_ORDER}, got x={x!r}, y={y!r}, z={z!r}, t={t!r}")
+    lo, hi = _dec_rat(rec.get("err_lo")), _dec_rat(rec.get("err_hi"))
+    if lo > hi:
+        raise RecordFormatError(f"expansion error interval [{lo}, {hi}] "
+                                "is inverted")
+    flags = (rec.get("decreasing"), rec.get("ratio_ok"))
+    if t < 2 and flags != (None, None):
+        raise RecordFormatError(f"expansion flags must be null at t={t}, "
+                                f"got {flags!r}")
+    if t >= 2 and any(type(f) is not bool for f in flags):
+        raise RecordFormatError(f"expansion flags must be bools at t={t}, "
+                                f"got {flags!r}")
+    return x, y, z, t, Enclosure(lo, hi)
+
+
+def _check_expansion(rec: VerificationRecord) -> str | None:
+    x, y, z, t, recorded = _expansion_fields(rec)
+    # what expansion_error guarantees of every interval it returns
+    if not (recorded.is_positive()
+            and recorded.width() * 4096 <= recorded.lo):
+        return ("recorded error interval is not positive with relative "
+                "width at most 2^-12")
     fresh = expansion_error(x, y, z, t)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
                 "misses the recorded interval")
+    if t >= 2:
+        prev = expansion_error(x, y, z, t - 1)
+        (decreasing,), (ratio_ok,) = decay_verdicts(x, (prev, fresh))
+        if decreasing != rec.get("decreasing"):
+            return f"decreasing verdict recomputes to {decreasing}"
+        if ratio_ok != rec.get("ratio_ok"):
+            return f"ratio verdict recomputes to {ratio_ok}"
     return None
 
 

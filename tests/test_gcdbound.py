@@ -10,7 +10,7 @@ from triboverify.gcdbound import (FactorBoundsReport, GcdWitness,
                                   factor_bounds, factor_sweep, gcd_shifted,
                                   norm_sweep, norm_witness, prop1_holds,
                                   sweep)
-from triboverify.splitfield import ALPHA_C, norm3, norm6
+from triboverify.splitfield import ALPHA_C, CubicElement, norm3, norm6
 from triboverify.tribonacci import trib
 
 
@@ -30,6 +30,14 @@ def test_gcd_shifted_values():
         gcd_shifted(5, 5)
     with pytest.raises(ValueError):
         gcd_shifted(3, 6)
+
+
+def test_norm_witness_eta_is_the_field_expression():
+    for z in range(5, 41):
+        for y in range(4, z):
+            expected = (alpha_power_cubic(z - y) * (trib(y) - 1)
+                        - CubicElement.from_rational(trib(z) - 1))
+            assert norm_witness(y, z).eta == expected, (y, z)
 
 
 def test_norm_witness_frozen_values():

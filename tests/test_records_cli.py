@@ -7,9 +7,11 @@ import json
 import pytest
 
 from triboverify.cli import RunConfig, UsageError, load_config, run
+from triboverify.expansion import decay_report
 from triboverify.gcdbound import norm_witness
 from triboverify.records import (RecordFormatError, VerificationRecord,
                                  check_record, emit_records,
+                                 expansion_records,
                                  membership_triple_record, norm_record,
                                  prop1_record, read_records,
                                  search_summary_record)
@@ -198,3 +200,71 @@ def test_cli_verdict_lines(capsys):
     assert run(["verify", "constants"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.fixture(scope="module")
+def expansion_lines():
+    """Genuine expansion records at (20, 25, 30), orders 0..2, as dicts."""
+    report = decay_report(20, 25, 30, 2)
+    return [json.loads(rec.to_line()) for rec in expansion_records(report)]
+
+
+def _check_edited(tmp_path, record: dict, **edits) -> int:
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps({**record, **edits},
+                               separators=(",", ":")) + "\n")
+    return run(["check-records", str(path)])
+
+
+def test_cli_check_records_accepts_genuine_expansion(tmp_path, capsys,
+                                                    expansion_lines):
+    for record in expansion_lines:
+        assert _check_edited(tmp_path, record) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("t, edits", [
+    (2, {"x": "20"}),
+    (2, {"y": True}),
+    (2, {"z": 30.0}),
+    (2, {"t": 99}),
+    (2, {"t": -1}),
+    (2, {"x": 4}),
+    (2, {"z": 45}),
+    (2, {"y": 20}),
+    (1, {"decreasing": True}),
+    (0, {"ratio_ok": False}),
+    (2, {"decreasing": None}),
+    (2, {"ratio_ok": 1}),
+    (2, {"err_lo": "1/0"}),
+    (2, {"err_hi": "abc"}),
+    (2, {"err_lo": 1}),
+])
+def test_cli_check_records_rejects_bad_expansion_fields(
+        tmp_path, capsys, expansion_lines, t, edits):
+    assert _check_edited(tmp_path, expansion_lines[t], **edits) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_check_records_rejects_inverted_expansion_interval(
+        tmp_path, capsys, expansion_lines):
+    record = expansion_lines[2]
+    assert _check_edited(tmp_path, record, err_lo=record["err_hi"],
+                         err_hi=record["err_lo"]) == 2
+    assert "inverted" in capsys.readouterr().err
+
+
+def test_cli_check_records_flags_forged_expansion_interval(
+        tmp_path, capsys, expansion_lines):
+    assert _check_edited(tmp_path, expansion_lines[2],
+                         err_lo="0", err_hi="1") == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["decreasing", "ratio_ok"])
+def test_cli_check_records_flags_forged_expansion_verdict(
+        tmp_path, capsys, expansion_lines, flag):
+    record = expansion_lines[2]
+    assert record[flag] is True
+    assert _check_edited(tmp_path, record, **{flag: False}) == 1
+    assert "verdict" in capsys.readouterr().out
