@@ -423,14 +423,53 @@ def _check_expansion(rec: VerificationRecord) -> str | None:
     return None
 
 
+# Largest sizes a search-summary record may ask check-records to re-run;
+# search(1000) and brute_force(10**6) each take about 1.3 s on a shared
+# 2-core VM with Python 3.11.
+SEARCH_Z_MAX_CAP = 1000
+BRUTE_W_MAX_CAP = 10 ** 6
+
+
+def _search_summary_fields(rec: VerificationRecord
+                           ) -> tuple[str, int, bool | None, int]:
+    """The record's mode, size (z_max or w_max), prune flag and count, after
+    the type and range checks: mode search with a plain-int z_max in
+    [7, SEARCH_Z_MAX_CAP], a bool prune flag and a null w_max, or mode brute
+    with a plain-int w_max in [3, BRUTE_W_MAX_CAP] and a null z_max and
+    prune flag; count is a plain int >= 0."""
+    mode, z_max, w_max, prune, count = (
+        rec.get(k) for k in ("mode", "z_max", "w_max", "use_gcd_prune",
+                             "count"))
+    # exact type tests, because bool is an int subclass
+    if mode == "search":
+        ok = (type(z_max) is int and 7 <= z_max <= SEARCH_Z_MAX_CAP
+              and type(prune) is bool and w_max is None)
+        size = z_max
+    elif mode == "brute":
+        ok = (type(w_max) is int and 3 <= w_max <= BRUTE_W_MAX_CAP
+              and z_max is None and prune is None)
+        size = w_max
+    else:
+        ok = False
+    if not ok or type(count) is not int or count < 0:
+        raise RecordFormatError(
+            f"search-summary needs mode search with integer 7 <= z_max <= "
+            f"{SEARCH_Z_MAX_CAP}, a bool use_gcd_prune and null w_max, or "
+            f"mode brute with integer 3 <= w_max <= {BRUTE_W_MAX_CAP} and "
+            f"null z_max and use_gcd_prune, and an integer count >= 0; got "
+            f"mode={mode!r}, z_max={z_max!r}, w_max={w_max!r}, "
+            f"use_gcd_prune={prune!r}, count={count!r}")
+    return mode, size, prune, count
+
+
 def _check_search_summary(rec: VerificationRecord) -> str | None:
     from .triples import brute_force, search
-    mode = rec.get("mode")
+    mode, size, prune, count = _search_summary_fields(rec)
     if mode == "search":
-        found = search(rec.get("z_max"), bool(rec.get("use_gcd_prune")))
+        found = search(size, prune)
     else:
-        found = brute_force(rec.get("w_max"))
-    if len(found) != rec.get("count"):
+        found = brute_force(size)
+    if len(found) != count:
         return f"{mode} recomputes {len(found)} candidates"
     return None
 

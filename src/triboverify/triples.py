@@ -9,21 +9,38 @@ the real sequence, to agree on emptiness):
 * ``brute_force`` enumerates u directly, reads candidate v, w off divisors
   shifted into the sequence, and checks membership of v*w + 1.
 
-Index enumeration is cut down by two certified facts: (T_z-1) divides
-(T_x-1)(T_y-1), and a nonzero multiple is at least its modulus, which forces
-x + y > z through the growth bounds.  The optional gcd prune additionally
-bounds x from below by z/4 - 2.
+For each pair y < z, ``search`` starts x at the largest of three lower
+bounds and never tests an index below it:
+
+* x >= max(5, z - y + 1): (T_z-1) divides (T_x-1)(T_y-1), a nonzero
+  multiple is at least its modulus, and the growth bounds turn that into
+  x + y > z.
+* with the optional gcd prune and z >= 12, x >= ceil(z/4) - 2.
+* with the reduced modulus m = (T_z-1) / gcd(T_y-1, T_z-1),
+  (T_z-1) | (T_x-1)(T_y-1) holds exactly when m | (T_x-1); a positive
+  multiple of m is at least m, so x starts at the first index with
+  T_x - 1 >= m, found by bisection.
+
+Each x left in the range is then tested by m | (T_x-1), and every survivor
+still goes through ``uvw_from_xyz`` and its exact checks.  ``brute_force``
+reads the sequence once into a sorted list and takes each u's partner values
+as one slice of it.
 
 Both entry points accept an alternative sequence table so that structural
 properties (agreement of the two strategies, behavior on planted solutions)
-can be exercised against synthetic data.
+can be exercised against synthetic data.  Bisection and slicing assume that
+the table's values are non-decreasing from index 5 on, as the real sequence
+is; an alternative table must be too.  ``brute_force`` also needs the values
+above 2 to be distinct (in the real sequence only 0 and 1 repeat): a
+repeated value yields a partner twice, which ``verify_triple`` refuses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .tribonacci import TribTable, default_table
 
@@ -107,16 +124,29 @@ def verify_triple(u: int, v: int, w: int,
     return x, y, z
 
 
-def _search_one_z(z: int, use_gcd_prune: bool,
+def _x_range(y: int, z: int, use_gcd_prune: bool,
+             tm: list[int]) -> tuple[range, int]:
+    """The indices x that ``search`` tests against the pair y < z, and the
+    reduced modulus m that T_x - 1 must be a multiple of; tm[n] = T_n - 1.
+
+    The range starts at the largest of max(5, z - y + 1), the gcd prune's
+    floor (when on) and the first x with T_x - 1 >= m, and ends below y.
+    """
+    lo = max(5, z - y + 1)
+    if use_gcd_prune and z >= 12:
+        lo = max(lo, -(-z // 4) - 2)
+    m = tm[z] // gcd(tm[y], tm[z])
+    return range(bisect_left(tm, m, lo, y), y), m
+
+
+def _search_one_z(z: int, use_gcd_prune: bool, tm: list[int],
                   t: TribTable) -> list[TripleCandidate]:
     out = []
-    tz = t.value(z) - 1
-    for y in range(6, z):
-        ty = t.value(y) - 1
-        for x in range(5, y):
-            if not admissible(x, y, z, use_gcd_prune):
-                continue
-            if (t.value(x) - 1) * ty % tz:
+    # for y <= (z + 1) / 2 no x < y has x + y > z
+    for y in range(max(6, (z + 3) // 2), z):
+        xs, m = _x_range(y, z, use_gcd_prune, tm)
+        for x in xs:
+            if tm[x] % m:
                 continue
             uvw = uvw_from_xyz(x, y, z, t)
             if uvw is not None:
@@ -135,13 +165,14 @@ def search(z_max: int, use_gcd_prune: bool = False,
     if z_max < 7:
         return []
     t = table or default_table()
+    tm = [t.value(n) - 1 for n in range(z_max + 1)]
     zs = range(7, z_max + 1)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             chunks = list(ex.map(
-                lambda z: _search_one_z(z, use_gcd_prune, t), zs))
+                lambda z: _search_one_z(z, use_gcd_prune, tm, t), zs))
     else:
-        chunks = [_search_one_z(z, use_gcd_prune, t) for z in zs]
+        chunks = [_search_one_z(z, use_gcd_prune, tm, t) for z in zs]
     out = []
     for chunk in chunks:
         out.extend(chunk)
@@ -153,21 +184,20 @@ def brute_force(w_max: int,
     """All triples with w <= w_max, found from the value side.
 
     For each u, candidate partners are (T - 1)/u over sequence values
-    T <= u*w_max + 1 with u | T - 1; pairs of partners v < w survive when
-    v*w + 1 is in the sequence.  Results are ordered by (z, y, x) to align
-    with ``search``.
+    u*u + 1 < T <= u*w_max + 1 with u | T - 1; pairs of partners v < w
+    survive when v*w + 1 is in the sequence.  Results are ordered by
+    (z, y, x) to align with ``search``.
     """
     if w_max < 3:
         return []
     t = table or default_table()
+    vals = [v for _, v in t.values_upto((w_max - 2) * w_max + 1)]
     out = []
     for u in range(1, w_max - 1):
-        partners = []
-        for _, val in t.values_upto(u * w_max + 1):
-            if val <= u * u + 1:
-                continue
-            if (val - 1) % u == 0:
-                partners.append((val - 1) // u)
+        partners = [(val - 1) // u
+                    for val in vals[bisect_right(vals, u * u + 1):
+                                    bisect_right(vals, u * w_max + 1)]
+                    if (val - 1) % u == 0]
         for i, v in enumerate(partners):
             for w in partners[i + 1:]:
                 if w > w_max:

@@ -268,3 +268,58 @@ def test_cli_check_records_flags_forged_expansion_verdict(
     assert record[flag] is True
     assert _check_edited(tmp_path, record, **{flag: False}) == 1
     assert "verdict" in capsys.readouterr().out
+
+
+_SUMMARY_LINES = {
+    "search": ('{"schema":1,"kind":"search-summary","mode":"search",'
+               '"z_max":12,"w_max":null,"use_gcd_prune":true,"count":0}'),
+    "brute": ('{"schema":1,"kind":"search-summary","mode":"brute",'
+              '"z_max":null,"w_max":50,"use_gcd_prune":null,"count":0}'),
+}
+
+
+def test_cli_check_records_accepts_genuine_search_summaries(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    emit_records(path, [
+        search_summary_record("search", 0, z_max=12, use_gcd_prune=True),
+        search_summary_record("search", 0, z_max=7, use_gcd_prune=False),
+        search_summary_record("brute", 0, w_max=50),
+        search_summary_record("brute", 0, w_max=3)])
+    assert path.read_text().splitlines()[::2] == [_SUMMARY_LINES["search"],
+                                                  _SUMMARY_LINES["brute"]]
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, edits", [
+    ("search", {"z_max": None}),
+    ("brute", {"w_max": "50"}),
+    ("search", {"mode": "junk"}),
+    ("brute", {"mode": "junk"}),
+    ("search", {"z_max": 3}),
+    ("search", {"z_max": 10 ** 9}),
+    ("brute", {"w_max": 10 ** 12}),
+    ("brute", {"w_max": 2}),
+    ("search", {"z_max": True}),
+    ("search", {"z_max": 12.0}),
+    ("search", {"use_gcd_prune": None}),
+    ("search", {"use_gcd_prune": 1}),
+    ("search", {"w_max": 50}),
+    ("brute", {"z_max": 12}),
+    ("brute", {"use_gcd_prune": False}),
+    ("search", {"count": -1}),
+    ("brute", {"count": "0"}),
+    ("brute", {"count": False}),
+])
+def test_cli_check_records_rejects_bad_search_summary_fields(
+        tmp_path, capsys, mode, edits):
+    record = json.loads(_SUMMARY_LINES[mode])
+    assert _check_edited(tmp_path, record, **edits) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", sorted(_SUMMARY_LINES))
+def test_cli_check_records_flags_forged_search_count(tmp_path, capsys, mode):
+    record = json.loads(_SUMMARY_LINES[mode])
+    assert _check_edited(tmp_path, record, count=1) == 1
+    assert "recomputes 0 candidates" in capsys.readouterr().out

@@ -1,29 +1,44 @@
 """Triple search: index inversion, value-side brute force, and their
 agreement, including on synthetic tables with planted solutions."""
 
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triboverify import triples
 from triboverify.triples import (TripleCandidate, admissible, brute_force,
                                  search, uvw_from_xyz, verify_triple)
 from triboverify.tribonacci import trib
 
 
-class FakeTable:
+class ListTable:
+    """A sequence table over a fixed list of values."""
+
+    def __init__(self, vals):
+        self.vals = vals
+
+    def value(self, n):
+        return self.vals[n]
+
+    def values_upto(self, bound):
+        return [(n, v) for n, v in enumerate(self.vals) if v <= bound]
+
+    def first_index(self, value):
+        for n, v in enumerate(self.vals):
+            if v == value:
+                return n
+        return None
+
+
+class FakeTable(ListTable):
     """Fake sequence with a planted triple (1, 2, 3) at indices (5, 6, 7)."""
 
     VALS = [0, 0, 1, 1, 2, 3, 4, 7, 13, 24, 44, 81, 149]
 
-    def value(self, n):
-        return self.VALS[n]
-
-    def values_upto(self, bound):
-        return [(n, v) for n, v in enumerate(self.VALS) if v <= bound]
-
-    def first_index(self, value):
-        for n, v in enumerate(self.VALS):
-            if v == value:
-                return n
-        return None
+    def __init__(self):
+        super().__init__(self.VALS)
 
 
 def test_inversion_rejects_known_index_triples():
@@ -111,3 +126,136 @@ def test_divisibility_shortcut_is_sound():
                 if (trib(x) - 1) * (trib(y) - 1) % tz == 0:
                     # divisibility alone does not make a triple
                     assert uvw_from_xyz(x, y, z) is None
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-pair index loop and the per-u value scan that ``search``
+# and ``brute_force`` replace with loop bounds
+# ---------------------------------------------------------------------------
+
+def _oracle_search(z_max, use_gcd_prune, t):
+    out = []
+    for z in range(7, z_max + 1):
+        tz = t.value(z) - 1
+        for y in range(6, z):
+            ty = t.value(y) - 1
+            for x in range(5, y):
+                if not admissible(x, y, z, use_gcd_prune):
+                    continue
+                if (t.value(x) - 1) * ty % tz:
+                    continue
+                uvw = uvw_from_xyz(x, y, z, t)
+                if uvw is not None:
+                    out.append(TripleCandidate(x, y, z, *uvw))
+    return out
+
+
+def _oracle_brute_force(w_max, t):
+    if w_max < 3:
+        return []
+    out = []
+    for u in range(1, w_max - 1):
+        partners = []
+        for _, val in t.values_upto(u * w_max + 1):
+            if val <= u * u + 1:
+                continue
+            if (val - 1) % u == 0:
+                partners.append((val - 1) // u)
+        for i, v in enumerate(partners):
+            for w in partners[i + 1:]:
+                if w > w_max:
+                    break
+                if t.first_index(v * w + 1) is None:
+                    continue
+                xyz = verify_triple(u, v, w, t)
+                if xyz is not None:
+                    out.append(TripleCandidate(*xyz, u, v, w))
+    out.sort(key=lambda c: (c.z, c.y, c.x, c.u))
+    return out
+
+
+_props = settings(deadline=None, max_examples=60)
+
+_planted = st.lists(st.integers(1, 40), min_size=3, max_size=3,
+                    unique=True).map(sorted)
+
+
+@st.composite
+def synthetic_tables(draw, distinct=False):
+    """0, 0, 1, 1 and then non-decreasing values >= 2 (increasing when
+    distinct): either a geometric run b**k + 1, where T_z - 1 divides
+    (T_x - 1)(T_y - 1) whenever x + y >= z, so survivors and triples abound,
+    or a positive linear recurrence; both with the values uv+1, uw+1, vw+1
+    of up to three planted triples mixed in."""
+    length = draw(st.integers(8, 32))
+    if draw(st.booleans()):
+        b, k0 = draw(st.integers(2, 5)), draw(st.integers(0, 3))
+        seq = [b ** k + 1 for k in range(k0, k0 + length)]
+    else:
+        c0, c1, c2 = (draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                      draw(st.integers(1, 2)))
+        seq = draw(st.lists(st.integers(2, 9), min_size=3, max_size=3))
+        while len(seq) < length:
+            seq.append(c0 * seq[-3] + c1 * seq[-2] + c2 * seq[-1])
+    for u, v, w in draw(st.lists(_planted, max_size=3)):
+        seq += [u * v + 1, u * w + 1, v * w + 1]
+    return ListTable([0, 0, 1, 1] + sorted(set(seq) if distinct else seq))
+
+
+@_props
+@given(synthetic_tables(), st.booleans())
+def test_search_matches_oracle_on_synthetic_tables(table, prune):
+    z_max = len(table.vals) - 1
+    assert (search(z_max, prune, table=table)
+            == _oracle_search(z_max, prune, table))
+
+
+# a value taken twice gives a partner twice, which verify_triple refuses
+@_props
+@given(synthetic_tables(distinct=True), st.integers(3, 200))
+def test_brute_force_matches_oracle_on_synthetic_tables(table, w_max):
+    assert brute_force(w_max, table=table) == _oracle_brute_force(w_max,
+                                                                  table)
+
+
+def test_searches_match_oracles_on_fake_table():
+    ft = FakeTable()
+    for z_max in range(7, len(ft.VALS)):
+        for prune in (False, True):
+            assert (search(z_max, prune, table=ft)
+                    == _oracle_search(z_max, prune, ft))
+    for w_max in range(3, 60):
+        assert brute_force(w_max, table=ft) == _oracle_brute_force(w_max, ft)
+
+
+def test_synthetic_tables_reach_the_survivor_path():
+    # on the real sequence no index triple up to z = 120 passes the filter
+    # and the divisibility test, so only synthetic tables like this one
+    # carry the oracle comparisons into uvw_from_xyz
+    table = ListTable([0, 0, 1, 1] + [2 ** k + 1 for k in range(1, 20)])
+    found = search(20, table=table)
+    assert len(found) > 10 and found == _oracle_search(20, False, table)
+    assert brute_force(300, table=table) == _oracle_brute_force(300, table)
+    assert brute_force(300, table=table)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10 ** 30), st.integers(1, 10 ** 30),
+       st.integers(1, 10 ** 30), st.booleans())
+def test_reduced_modulus_decides_divisibility(a, b, d, divisor_of_product):
+    c = gcd(a * b, d) if divisor_of_product else d
+    assert (a * b % c == 0) == (a % (c // gcd(b, c)) == 0)
+
+
+def test_x_range_is_exactly_the_admissible_divisible_indices():
+    tm = [trib(n) - 1 for n in range(61)]
+    for z in range(6, 61):
+        for y in range(4, z):
+            for prune in (False, True):
+                xs, m = triples._x_range(y, z, prune, tm)
+                allowed = {x for x in range(y) if admissible(x, y, z, prune)}
+                divisible = {x for x in allowed
+                             if tm[x] * tm[y] % tm[z] == 0}
+                assert set(xs) <= allowed
+                assert divisible <= set(xs)
+                assert {x for x in xs if tm[x] % m == 0} == divisible
