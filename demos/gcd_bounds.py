@@ -10,8 +10,8 @@ Run:  python3 demos/gcd_bounds.py [z_max]
 
 import sys
 
-from triboverify.gcdbound import (factor_bounds, gcd_shifted, norm_witness,
-                                  sweep)
+from triboverify.gcdbound import (factor_bounds, gcd_shifted, index_pairs,
+                                  norm_witness, sweep)
 
 
 def main() -> None:
@@ -48,7 +48,7 @@ def main() -> None:
     print(f"  verdict: {'all bounds hold' if rep.all_ok else 'FAILED'}")
 
     print(f"\nlargest gcd over the range: "
-          f"{max(gcd_shifted(y, z) for z in range(5, z_max + 1) for y in range(4, z))}")
+          f"{max(gcd_shifted(y, z) for y, z in index_pairs(z_max))}")
 
 
 if __name__ == "__main__":

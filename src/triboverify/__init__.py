@@ -13,8 +13,10 @@ from .expansion import (DecayReport, ExpansionParams, ExpansionTerm,
                         decay_report, expansion_error, expansion_terms)
 from .gcdbound import (FactorBoundsReport, GcdWitness, IntegrityError,
                        SweepReport, alpha_power_cubic, factor_bounds,
-                       factor_sweep, gcd_shifted, norm_sweep, norm_witness,
-                       prop1_holds, sweep)
+                       factor_sweep, gcd_shifted, in_regime, index_pairs,
+                       norm_sweep, norm_witness, norm_witnesses,
+                       prop1_holds, prop1_results, regime_pairs,
+                       regime_sample, sweep)
 from .records import (RecordFormatError, VerificationRecord, check_record,
                       emit_records, read_records)
 from .splitfield import (ALPHA_C, ALPHA_K, EPS, CubicElement, FieldElement,
@@ -43,10 +45,12 @@ __all__ = [
     "cmp_alpha_power", "constants", "decay_report", "default_table",
     "embed_alpha", "embed_field", "emit_records", "expansion_error",
     "expansion_terms", "factor_bounds", "factor_sweep", "fast_path_refutes",
-    "field_identity_report", "floor_log_alpha", "gcd_shifted",
-    "index_window", "is_root_of_unity", "is_square_in_K", "is_tribonacci",
-    "monomial", "norm3", "norm6", "norm_sweep", "norm_witness",
-    "prop1_holds", "read_records", "round_down", "round_up", "search",
+    "field_identity_report", "floor_log_alpha", "gcd_shifted", "in_regime",
+    "index_pairs", "index_window", "is_root_of_unity", "is_square_in_K",
+    "is_tribonacci", "monomial", "norm3", "norm6", "norm_sweep",
+    "norm_witness", "norm_witnesses", "prop1_holds", "prop1_results",
+    "read_records", "regime_pairs", "regime_sample", "round_down",
+    "round_up", "search",
     "sqrt_minus_11", "sqrt_split", "sweep", "trib", "trib_fast",
     "uvw_from_xyz", "verify_growth", "verify_numeric_window",
     "verify_triple",

@@ -25,15 +25,15 @@ from .constants import (DEFAULT_PRECISION, MAX_PRECISION, verify_growth,
                         verify_numeric_window)
 from .enclosure import PrecisionFailure
 from .expansion import decay_report
-from .gcdbound import (IntegrityError, factor_bounds, gcd_shifted,
-                       norm_witness, prop1_holds)
-from .records import (RecordFormatError, check_record, constants_record,
-                      emit_records, expansion_records, field_record,
-                      growth_record, lemma2_record, norm_record,
-                      prop1_record, read_records, search_summary_record,
-                      triple_record)
-from .splitfield import (ALPHA_C, DEFAULT_DENOMINATOR_BOUND,
-                         DEFAULT_WITNESS_PRIME_BOUND, CubicElement,
+from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
+                       prop1_results, regime_sample)
+from .records import (LEMMA2_CASES, RecordFormatError, check_record,
+                      constants_record, emit_records, expansion_records,
+                      field_record, growth_record, lemma2_record,
+                      norm_record, prop1_record, read_records,
+                      search_summary_record, triple_record)
+from .splitfield import (DEFAULT_DENOMINATOR_BOUND,
+                         DEFAULT_WITNESS_PRIME_BOUND,
                          InconclusiveSquareTest, field_identity_report,
                          is_square_in_K)
 from .tribonacci import default_table, is_tribonacci
@@ -44,27 +44,25 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
+_INT_FIELDS = ("precision_bits", "max_precision_bits",
+               "witness_prime_bound", "denominator_bound")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     precision_bits: int = DEFAULT_PRECISION
     max_precision_bits: int = MAX_PRECISION
     witness_prime_bound: int = DEFAULT_WITNESS_PRIME_BOUND
     denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
-    jobs: int = 1
     out: str | None = None
 
     def validate(self) -> "RunConfig":
-        for name in ("precision_bits", "max_precision_bits",
-                     "witness_prime_bound", "denominator_bound", "jobs"):
+        for name in _INT_FIELDS:
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
         if self.precision_bits > self.max_precision_bits:
             raise UsageError("precision_bits exceeds max_precision_bits")
         return self
-
-
-_INT_FIELDS = ("precision_bits", "max_precision_bits",
-               "witness_prime_bound", "denominator_bound", "jobs")
 
 
 def load_config(args: argparse.Namespace, environ=None) -> RunConfig:
@@ -96,7 +94,6 @@ def _config_parent() -> argparse.ArgumentParser:
     p.add_argument("--witness-prime-bound", type=int,
                    dest="witness_prime_bound")
     p.add_argument("--denominator-bound", type=int, dest="denominator_bound")
-    p.add_argument("--jobs", type=int, dest="jobs")
     p.add_argument("--out", dest="out", help="write JSONL records here")
     return p
 
@@ -207,7 +204,7 @@ def _cmd_member(args, config: RunConfig) -> int:
 def _cmd_search(args, config: RunConfig) -> int:
     if args.z_max < 7:
         raise UsageError("--z-max must be >= 7")
-    found = search(args.z_max, args.use_gcd_prune, jobs=config.jobs)
+    found = search(args.z_max, args.use_gcd_prune)
     records = [search_summary_record("search", len(found),
                                      z_max=args.z_max,
                                      use_gcd_prune=args.use_gcd_prune)]
@@ -244,41 +241,30 @@ def _battery_prop1(z_max: int, config: RunConfig):
         raise UsageError("--z-max must be >= 5")
     records = []
     failures = 0
-    pairs = 0
-    for z in range(5, z_max + 1):
-        for y in range(4, z):
-            d = gcd_shifted(y, z)
-            ok = prop1_holds(y, z, config.precision_bits,
-                             config.max_precision_bits)
-            records.append(prop1_record(y, z, d, ok))
-            pairs += 1
-            failures += not ok
+    for y, z, d, ok in prop1_results(z_max, config.precision_bits,
+                                     config.max_precision_bits):
+        records.append(prop1_record(y, z, d, ok))
+        failures += not ok
     _verdict(f"prop1 z <= {z_max}", failures == 0,
-             f"pairs={pairs} failures={failures}")
+             f"pairs={len(records)} failures={failures}")
     return (0 if failures == 0 else 1), records
 
 
 def _battery_norms(z_max: int, samples: int, config: RunConfig):
     if z_max < 6:
         raise UsageError("--z-max must be >= 6")
+    if samples < 0:
+        raise UsageError("--samples must be >= 0")
     records = []
-    tight = []
-    pairs = 0
-    for z in range(6, z_max + 1):
-        for y in range(5, z):
-            w = norm_witness(y, z)
-            records.append(norm_record(w))
-            if w.tight:
-                tight.append((y, z))
-            pairs += 1
+    tight = 0
+    for w in norm_witnesses(z_max):
+        records.append(norm_record(w))
+        tight += w.tight
     _verdict(f"norms z <= {z_max}", True,
-             f"pairs={pairs} tight={len(tight)}")
+             f"pairs={len(records)} tight={tight}")
 
-    regime = [(y, z) for z in range(5, z_max + 1) for y in range(4, z)
-              if 4 * y > 3 * z + 8]
-    if samples and regime:
-        step = max(1, len(regime) // samples)
-        picked = regime[::step][:samples]
+    picked = regime_sample(z_max, samples)
+    if picked:
         bad = 0
         for y, z in picked:
             rep = factor_bounds(y, z, config.precision_bits,
@@ -316,16 +302,9 @@ def _battery_field(config: RunConfig):
 
 
 def _battery_lemma2(config: RunConfig):
-    a_coeff = CubicElement((-1, -2, 3)).inv()
-    cases = (
-        ("a", a_coeff, False),
-        ("alpha*a", ALPHA_C * a_coeff, False),
-        ("alpha^2", ALPHA_C * ALPHA_C, True),
-        ("-11", CubicElement((-11, 0, 0)), True),
-    )
     records = []
     code = 0
-    for label, element, expected in cases:
+    for label, (element, expected) in LEMMA2_CASES.items():
         cert = is_square_in_K(element, config.precision_bits,
                               config.max_precision_bits,
                               config.witness_prime_bound,
@@ -358,8 +337,8 @@ def _battery_expansion(x: int, y: int, z: int, t_max: int,
 
 
 def _battery_search(z_max: int, w_max: int, config: RunConfig):
-    found = search(z_max, False, jobs=config.jobs)
-    found_pruned = search(z_max, True, jobs=config.jobs)
+    found = search(z_max, False)
+    found_pruned = search(z_max, True)
     agree = found == found_pruned
     _verdict(f"search z <= {z_max}", agree and not found,
              f"count={len(found)} prune-agreement={agree}")

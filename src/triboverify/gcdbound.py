@@ -14,15 +14,21 @@ below 1.3*alpha**(z/4) and each complex one below 0.6*alpha**z, giving
 chain d <= T_y - 1 < alpha**(3*z/4) is already enough.
 
 ``norm_witness`` certifies the exact divisibility and norm inequality for a
-pair, ``factor_bounds`` certifies the embedding bounds, ``prop1_holds``
-checks the headline inequality itself, and ``sweep`` runs everything over a
-range of pairs.
+pair, ``factor_bounds`` certifies the embedding bounds, and ``prop1_holds``
+checks the headline inequality itself.
+
+Each battery's pairs and per-pair work are defined once: ``index_pairs``
+enumerates the pairs in (z, y) order, ``in_regime`` is the test
+4*y > 3*z + 8, and ``regime_sample`` picks evenly spaced regime pairs.  The
+generators ``prop1_results`` (plain (y, z, d, ok) tuples) and
+``norm_witnesses`` (``GcdWitness`` objects) yield one result per pair as it
+is computed; the command line builds its records from them.  ``sweep``,
+``norm_sweep`` and ``factor_sweep`` collect the same pieces into reports.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -161,7 +167,7 @@ def factor_bounds(y: int, z: int,
     """Certify the embedding bounds for eta in the regime 4*y > 3*z + 8."""
     if not 4 <= y < z:
         raise ValueError("need 4 <= y < z")
-    if not 4 * y > 3 * z + 8:
+    if not in_regime(y, z):
         raise ValueError(f"pair ({y},{z}) outside the regime 4y > 3z + 8")
     ty, tz = _shifted(y), _shifted(z)
     lam = z - y
@@ -203,6 +209,47 @@ def _complex_pow(base: ComplexEnclosure, e: int,
     return out
 
 
+def index_pairs(z_max: int, y_min: int = 4):
+    """Every pair y_min <= y < z <= z_max, in (z, y) order."""
+    for z in range(y_min + 1, z_max + 1):
+        for y in range(y_min, z):
+            yield y, z
+
+
+def in_regime(y: int, z: int) -> bool:
+    """4*y > 3*z + 8: the pairs whose embedding bounds are certified."""
+    return 4 * y > 3 * z + 8
+
+
+def regime_pairs(z_max: int) -> list[tuple[int, int]]:
+    """The pairs 4 <= y < z <= z_max in the regime, in (z, y) order."""
+    return [(y, z) for y, z in index_pairs(z_max) if in_regime(y, z)]
+
+
+def regime_sample(z_max: int, samples: int) -> list[tuple[int, int]]:
+    """At most ``samples`` evenly spaced regime pairs: every step-th pair
+    from the first, step = max(1, len(regime) // samples)."""
+    if samples <= 0:
+        return []
+    regime = regime_pairs(z_max)
+    return regime[::max(1, len(regime) // samples)][:samples]
+
+
+def prop1_results(z_max: int, precision_bits: int = DEFAULT_PRECISION,
+                  max_precision_bits: int = MAX_PRECISION):
+    """Yield (y, z, d, ok) for every pair 4 <= y < z <= z_max, where d is
+    gcd(T_y - 1, T_z - 1) and ok the verdict of ``prop1_holds``."""
+    for y, z in index_pairs(z_max):
+        yield (y, z, gcd_shifted(y, z),
+               prop1_holds(y, z, precision_bits, max_precision_bits))
+
+
+def norm_witnesses(z_max: int):
+    """Yield ``norm_witness(y, z)`` for every pair 5 <= y < z <= z_max."""
+    for y, z in index_pairs(z_max, 5):
+        yield norm_witness(y, z)
+
+
 @dataclass(frozen=True)
 class SweepReport:
     z_max: int
@@ -220,43 +267,28 @@ class SweepReport:
                     or self.deep_failures)
 
 
-def _regime_split(z_max: int):
-    low, high = [], []
-    for z in range(5, z_max + 1):
-        for y in range(4, z):
-            (high if 4 * y > 3 * z + 8 else low).append((y, z))
-    return low, high
-
-
-def sweep(z_max: int, deep_samples: int = 200, jobs: int = 1,
+def sweep(z_max: int, deep_samples: int = 200,
           precision_bits: int = DEFAULT_PRECISION,
           max_precision_bits: int = MAX_PRECISION) -> SweepReport:
     """Run the full gcd-bound verification over all pairs 4 <= y < z <= z_max.
 
     Every pair gets the headline inequality check.  Pairs with
     4*y <= 3*z + 8 additionally get the short chain
-    d <= T_y - 1 < alpha**(3*z/4) verified.  From the remaining pairs an
-    evenly spaced sample of ``deep_samples`` receives the exact norm witness
-    and the embedding bounds.
+    d <= T_y - 1 < alpha**(3*z/4) verified.  The ``regime_sample`` of
+    ``deep_samples`` pairs from the remaining ones receives the exact norm
+    witness and the embedding bounds.
     """
     if z_max < 5:
         raise ValueError("z_max must be >= 5")
-    low, high = _regime_split(z_max)
-    pairs = sorted(low + high, key=lambda p: (p[1], p[0]))
-
-    def check_prop1(p):
-        return p, prop1_holds(p[0], p[1], precision_bits, max_precision_bits)
-
+    pairs_checked = 0
     prop1_failures = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(check_prop1, pairs, chunksize=64))
-    else:
-        results = map(check_prop1, pairs)
-    for p, ok in results:
+    for y, z, _, ok in prop1_results(z_max, precision_bits,
+                                     max_precision_bits):
+        pairs_checked += 1
         if not ok:
-            prop1_failures.append(p)
+            prop1_failures.append((y, z))
 
+    low = [(y, z) for y, z in index_pairs(z_max) if not in_regime(y, z)]
     chain_failures = []
     for y, z in low:
         d = gcd_shifted(y, z)
@@ -268,13 +300,7 @@ def sweep(z_max: int, deep_samples: int = 200, jobs: int = 1,
         if not ok:
             chain_failures.append((y, z))
 
-    if deep_samples <= 0 or not high:
-        sample = []
-    elif deep_samples >= len(high):
-        sample = list(high)
-    else:
-        step = len(high) / deep_samples
-        sample = [high[int(i * step)] for i in range(deep_samples)]
+    sample = regime_sample(z_max, deep_samples)
     deep_failures = []
     tight = []
     for y, z in sample:
@@ -284,7 +310,7 @@ def sweep(z_max: int, deep_samples: int = 200, jobs: int = 1,
         fb = factor_bounds(y, z, precision_bits, max_precision_bits)
         if not fb.ok:
             deep_failures.append((y, z))
-    return SweepReport(z_max, len(pairs), tuple(prop1_failures),
+    return SweepReport(z_max, pairs_checked, tuple(prop1_failures),
                        len(low), tuple(chain_failures),
                        len(sample), tuple(deep_failures), tuple(tight))
 
@@ -296,22 +322,12 @@ class NormSweepReport:
     tight_pairs: tuple[tuple[int, int], ...]
 
 
-def norm_sweep(z_max: int, jobs: int = 1) -> NormSweepReport:
+def norm_sweep(z_max: int) -> NormSweepReport:
     """Exact norm certificates for every pair 5 <= y < z <= z_max."""
     if z_max < 6:
         raise ValueError("z_max must be >= 6")
-    pairs = [(y, z) for z in range(6, z_max + 1) for y in range(5, z)]
-
-    def work(p):
-        return norm_witness(p[0], p[1])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            ws = list(ex.map(work, pairs, chunksize=16))
-    else:
-        ws = [work(p) for p in pairs]
-    tight = tuple((w.y, w.z) for w in ws if w.tight)
-    return NormSweepReport(z_max, tuple(ws), tight)
+    ws = tuple(norm_witnesses(z_max))
+    return NormSweepReport(z_max, ws, tuple((w.y, w.z) for w in ws if w.tight))
 
 
 @dataclass(frozen=True)
@@ -324,20 +340,11 @@ class FactorSweepReport:
         return all(r.ok for r in self.reports)
 
 
-def factor_sweep(z_max: int, jobs: int = 1,
+def factor_sweep(z_max: int,
                  precision_bits: int = DEFAULT_PRECISION,
                  max_precision_bits: int = MAX_PRECISION) -> FactorSweepReport:
     """Embedding bounds for every pair in the regime 4*y > 3*z + 8 with
     z <= z_max."""
-    pairs = [(y, z) for z in range(5, z_max + 1) for y in range(4, z)
-             if 4 * y > 3 * z + 8]
-
-    def work(p):
-        return factor_bounds(p[0], p[1], precision_bits, max_precision_bits)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rs = list(ex.map(work, pairs, chunksize=16))
-    else:
-        rs = [work(p) for p in pairs]
-    return FactorSweepReport(z_max, tuple(rs))
+    return FactorSweepReport(z_max, tuple(
+        factor_bounds(y, z, precision_bits, max_precision_bits)
+        for y, z in regime_pairs(z_max)))

@@ -18,7 +18,7 @@ Arbitrary-size integers (the values u, v, w, gcds, norms) travel as decimal
 strings; small structural integers (indices, counts, precision) are plain
 JSON numbers; exact rationals are "p" or "p/q" strings.  Serialization uses
 compact separators and never formats a float, so identical inputs give
-byte-identical files regardless of job count.
+byte-identical files.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.
@@ -37,8 +37,8 @@ from .enclosure import Enclosure
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
 from .gcdbound import GcdWitness, gcd_shifted, norm_witness, prop1_holds
-from .splitfield import (CubicElement, FieldElement, SquareCertificate,
-                         _legendre, field_identity_report)
+from .splitfield import (ALPHA_C, CubicElement, FieldElement,
+                         SquareCertificate, _legendre, field_identity_report)
 from .tribonacci import TribTable, default_table
 
 SCHEMA_VERSION = 1
@@ -184,6 +184,19 @@ def norm_record(witness: GcdWitness) -> VerificationRecord:
         ("tight", bool(witness.tight))))
 
 
+_A_COEFF = CubicElement((-1, -2, 3)).inv()
+
+# The elements a lemma2 record may name, by label, with the squareness
+# verdict expected of each: a and alpha*a are not squares in K, and the two
+# controls are.
+LEMMA2_CASES = {
+    "a": (_A_COEFF, False),
+    "alpha*a": (ALPHA_C * _A_COEFF, False),
+    "alpha^2": (ALPHA_C * ALPHA_C, True),
+    "-11": (CubicElement((-11, 0, 0)), True),
+}
+
+
 def lemma2_record(label: str,
                   cert: SquareCertificate) -> VerificationRecord:
     root = None
@@ -319,9 +332,15 @@ def _check_norm(rec: VerificationRecord) -> str | None:
 
 
 def _check_lemma2(rec: VerificationRecord) -> str | None:
+    label = rec.get("element")
+    if not isinstance(label, str) or label not in LEMMA2_CASES:
+        raise RecordFormatError(f"lemma2 element must be one of "
+                                f"{', '.join(LEMMA2_CASES)}, got {label!r}")
     coords = [_dec_rat(c) for c in rec.get("coords")]
     if len(coords) != 3:
         return "element coords must have length 3"
+    if CubicElement(coords) != LEMMA2_CASES[label][0]:
+        return f"coords are not those of the element {label}"
     element = CubicElement(coords).to_field()
     if rec.get("square"):
         root_coords = rec.get("root")
@@ -352,8 +371,29 @@ def _check_lemma2(rec: VerificationRecord) -> str | None:
     return None
 
 
+# Largest sizes a record may ask check-records to re-run, timed on a shared
+# 2-core VM with Python 3.11: search(1000) and brute_force(10**6) each take
+# about 1.3 s, verify_numeric_window(4096) about 0.3 s (16384 bits take
+# about 5 s) and verify_growth(10**4) about 0.3 s.
+SEARCH_Z_MAX_CAP = 1000
+BRUTE_W_MAX_CAP = 10 ** 6
+CONSTANTS_PRECISION_CAP = 4096
+GROWTH_N_MAX_CAP = 10 ** 4
+
+
+def _bounded_int(rec: VerificationRecord, key: str, lo: int, hi: int) -> int:
+    """The record's field ``key``, which must be a plain int in [lo, hi]."""
+    value = rec.get(key)
+    # an exact type test, because bool is an int subclass
+    if type(value) is not int or not lo <= value <= hi:
+        raise RecordFormatError(f"{rec.kind} needs an integer "
+                                f"{lo} <= {key} <= {hi}, got {value!r}")
+    return value
+
+
 def _check_constants(rec: VerificationRecord) -> str | None:
-    report = verify_numeric_window(rec.get("precision_bits"))
+    report = verify_numeric_window(
+        _bounded_int(rec, "precision_bits", 1, CONSTANTS_PRECISION_CAP))
     fresh = constants_record(report)
     if fresh.payload != rec.payload:
         return f"window recomputation disagrees: {fresh.to_line()}"
@@ -361,7 +401,7 @@ def _check_constants(rec: VerificationRecord) -> str | None:
 
 
 def _check_growth(rec: VerificationRecord) -> str | None:
-    report = verify_growth(rec.get("n_max"))
+    report = verify_growth(_bounded_int(rec, "n_max", 2, GROWTH_N_MAX_CAP))
     fresh = growth_record(report)
     if fresh.payload != rec.payload:
         return f"growth recomputation disagrees: {fresh.to_line()}"
@@ -421,13 +461,6 @@ def _check_expansion(rec: VerificationRecord) -> str | None:
         if ratio_ok != rec.get("ratio_ok"):
             return f"ratio verdict recomputes to {ratio_ok}"
     return None
-
-
-# Largest sizes a search-summary record may ask check-records to re-run;
-# search(1000) and brute_force(10**6) each take about 1.3 s on a shared
-# 2-core VM with Python 3.11.
-SEARCH_Z_MAX_CAP = 1000
-BRUTE_W_MAX_CAP = 10 ** 6
 
 
 def _search_summary_fields(rec: VerificationRecord

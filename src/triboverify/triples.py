@@ -23,22 +23,19 @@ bounds and never tests an index below it:
 
 Each x left in the range is then tested by m | (T_x-1), and every survivor
 still goes through ``uvw_from_xyz`` and its exact checks.  ``brute_force``
-reads the sequence once into a sorted list and takes each u's partner values
-as one slice of it.
+reads the sequence once into a sorted list of distinct values and takes each
+u's partner values as one slice of it.
 
 Both entry points accept an alternative sequence table so that structural
 properties (agreement of the two strategies, behavior on planted solutions)
 can be exercised against synthetic data.  Bisection and slicing assume that
 the table's values are non-decreasing from index 5 on, as the real sequence
-is; an alternative table must be too.  ``brute_force`` also needs the values
-above 2 to be distinct (in the real sequence only 0 and 1 repeat): a
-repeated value yields a partner twice, which ``verify_triple`` refuses.
+is; an alternative table must be too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -139,24 +136,8 @@ def _x_range(y: int, z: int, use_gcd_prune: bool,
     return range(bisect_left(tm, m, lo, y), y), m
 
 
-def _search_one_z(z: int, use_gcd_prune: bool, tm: list[int],
-                  t: TribTable) -> list[TripleCandidate]:
-    out = []
-    # for y <= (z + 1) / 2 no x < y has x + y > z
-    for y in range(max(6, (z + 3) // 2), z):
-        xs, m = _x_range(y, z, use_gcd_prune, tm)
-        for x in xs:
-            if tm[x] % m:
-                continue
-            uvw = uvw_from_xyz(x, y, z, t)
-            if uvw is not None:
-                out.append(TripleCandidate(x, y, z, *uvw))
-    return out
-
-
 def search(z_max: int, use_gcd_prune: bool = False,
-           table: TribTable | None = None,
-           jobs: int = 1) -> list[TripleCandidate]:
+           table: TribTable | None = None) -> list[TripleCandidate]:
     """All candidates with z <= z_max, ordered by (z, y, x).
 
     For the real sequence this comes back empty; the route to that emptiness
@@ -166,16 +147,17 @@ def search(z_max: int, use_gcd_prune: bool = False,
         return []
     t = table or default_table()
     tm = [t.value(n) - 1 for n in range(z_max + 1)]
-    zs = range(7, z_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(
-                lambda z: _search_one_z(z, use_gcd_prune, tm, t), zs))
-    else:
-        chunks = [_search_one_z(z, use_gcd_prune, tm, t) for z in zs]
     out = []
-    for chunk in chunks:
-        out.extend(chunk)
+    for z in range(7, z_max + 1):
+        # for y <= (z + 1) / 2 no x < y has x + y > z
+        for y in range(max(6, (z + 3) // 2), z):
+            xs, m = _x_range(y, z, use_gcd_prune, tm)
+            for x in xs:
+                if tm[x] % m:
+                    continue
+                uvw = uvw_from_xyz(x, y, z, t)
+                if uvw is not None:
+                    out.append(TripleCandidate(x, y, z, *uvw))
     return out
 
 
@@ -191,7 +173,9 @@ def brute_force(w_max: int,
     if w_max < 3:
         return []
     t = table or default_table()
-    vals = [v for _, v in t.values_upto((w_max - 2) * w_max + 1)]
+    # a repeated value would yield the same partner twice
+    vals = list(dict.fromkeys(
+        v for _, v in t.values_upto((w_max - 2) * w_max + 1)))
     out = []
     for u in range(1, w_max - 1):
         partners = [(val - 1) // u

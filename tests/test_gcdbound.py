@@ -8,8 +8,10 @@ from triboverify import cli, gcdbound
 from triboverify.gcdbound import (FactorBoundsReport, GcdWitness,
                                   IntegrityError, alpha_power_cubic,
                                   factor_bounds, factor_sweep, gcd_shifted,
-                                  norm_sweep, norm_witness, prop1_holds,
-                                  sweep)
+                                  in_regime, index_pairs, norm_sweep,
+                                  norm_witness, norm_witnesses,
+                                  prop1_holds, prop1_results, regime_pairs,
+                                  regime_sample, sweep)
 from triboverify.splitfield import ALPHA_C, CubicElement, norm3, norm6
 from triboverify.tribonacci import trib
 
@@ -112,13 +114,53 @@ def test_norm_sweep_tight_pairs():
         norm_sweep(5)
 
 
-def test_norm_sweep_jobs_deterministic():
-    assert norm_sweep(20, jobs=1) == norm_sweep(20, jobs=4)
-
-
 def test_factor_sweep_all_ok():
     rep = factor_sweep(30)
     assert rep.all_ok
     want = [(y, z) for z in range(5, 31) for y in range(4, z)
             if 4 * y > 3 * z + 8]
     assert [(r.y, r.z) for r in rep.reports] == want
+
+
+def test_index_pairs_order_and_regime():
+    assert list(index_pairs(7)) == [(4, 5), (4, 6), (5, 6), (4, 7), (5, 7),
+                                    (6, 7)]
+    assert list(index_pairs(7, 5)) == [(5, 6), (5, 7), (6, 7)]
+    assert list(index_pairs(4)) == []
+    assert in_regime(18, 20) and not in_regime(17, 20)   # 68 against 68
+    assert regime_pairs(30) == [(y, z) for z in range(5, 31)
+                                for y in range(4, z) if 4 * y > 3 * z + 8]
+
+
+def test_regime_sample_is_evenly_spaced():
+    regime = regime_pairs(60)
+    for samples in (1, 7, 25, len(regime) - 1, len(regime), 10 ** 6):
+        step = max(1, len(regime) // samples)
+        picked = regime_sample(60, samples)
+        assert picked == regime[::step][:samples]
+        assert len(picked) == min(samples, len(regime))
+    assert regime_sample(60, 0) == regime_sample(60, -3) == []
+    assert regime_sample(6, 5) == []
+
+
+def test_sweep_deep_checks_the_regime_sample(monkeypatch):
+    seen = []
+    true_factor_bounds = gcdbound.factor_bounds
+
+    def recording(y, z, *args):
+        seen.append((y, z))
+        return true_factor_bounds(y, z, *args)
+
+    monkeypatch.setattr(gcdbound, "factor_bounds", recording)
+    assert sweep(40, deep_samples=9).deep_checked == 9
+    assert seen == regime_sample(40, 9)
+
+
+def test_prop1_results_and_norm_witnesses_yield_every_pair():
+    results = list(prop1_results(25))
+    assert [(y, z) for y, z, _, _ in results] == list(index_pairs(25))
+    assert all(d == gcd_shifted(y, z) and ok is prop1_holds(y, z)
+               for y, z, d, ok in results)
+    ws = list(norm_witnesses(20))
+    assert ws == [norm_witness(y, z) for y, z in index_pairs(20, 5)]
+    assert norm_sweep(20).witnesses == tuple(ws)

@@ -1,20 +1,24 @@
 """Record format: byte-stable lines, round trips, independent re-checking;
-CLI: exit codes, env/flag config, deterministic output across jobs."""
+CLI: exit codes, env/flag config, frozen record bytes."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
 
 from triboverify.cli import RunConfig, UsageError, load_config, run
+from triboverify.constants import verify_growth, verify_numeric_window
 from triboverify.expansion import decay_report
 from triboverify.gcdbound import norm_witness
-from triboverify.records import (RecordFormatError, VerificationRecord,
-                                 check_record, emit_records,
-                                 expansion_records,
-                                 membership_triple_record, norm_record,
-                                 prop1_record, read_records,
+from triboverify.records import (LEMMA2_CASES, RecordFormatError,
+                                 VerificationRecord, check_record,
+                                 constants_record, emit_records,
+                                 expansion_records, growth_record,
+                                 lemma2_record, membership_triple_record,
+                                 norm_record, prop1_record, read_records,
                                  search_summary_record)
+from triboverify.splitfield import is_square_in_K
 
 
 def test_membership_record_bytes():
@@ -110,24 +114,24 @@ def test_emit_and_read(tmp_path):
 
 
 def test_load_config_env_and_flags():
-    ns = argparse.Namespace(precision_bits=None, jobs=None)
+    ns = argparse.Namespace(precision_bits=None, witness_prime_bound=None)
     config = load_config(ns, environ={"TRIBOVERIFY_PRECISION_BITS": "256"})
     assert config.precision_bits == 256
 
-    ns = argparse.Namespace(precision_bits=512, jobs=None)
+    ns = argparse.Namespace(precision_bits=512, witness_prime_bound=None)
     config = load_config(ns, environ={"TRIBOVERIFY_PRECISION_BITS": "256"})
     assert config.precision_bits == 512   # flag wins
 
     with pytest.raises(UsageError):
         load_config(argparse.Namespace(),
-                    environ={"TRIBOVERIFY_JOBS": "banana"})
+                    environ={"TRIBOVERIFY_WITNESS_PRIME_BOUND": "banana"})
     with pytest.raises(UsageError):
         load_config(argparse.Namespace(precision_bits=-8), environ={})
 
 
 def test_run_config_validation():
     with pytest.raises(UsageError):
-        RunConfig(jobs=0).validate()
+        RunConfig(witness_prime_bound=0).validate()
     with pytest.raises(UsageError):
         RunConfig(precision_bits=64, max_precision_bits=32).validate()
 
@@ -156,16 +160,30 @@ def test_cli_member_output(capsys):
     assert out == ["81 10", "3 -", "0 0"]
 
 
-def test_cli_records_deterministic_across_jobs(tmp_path, capsys):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert run(["verify", "norms", "--z-max", "20", "--out", str(a)]) == 0
-    assert run(["verify", "norms", "--z-max", "20", "--jobs", "4",
-                "--out", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+# sha256 of the record files written before the sweeps moved into the
+# library's pair generators
+_FROZEN_RECORD_SHA256 = {
+    "prop1": "25566188c861a750b96284914725dffaf66eafc8d094efaaaefb60a05fb07c35",
+    "norms": "849f9f19885d093aca7a7ffefd790c1f8b32094710991021470c582b156f88de",
+}
 
-    assert run(["check-records", str(a)]) == 0
-    capsys.readouterr()
+
+def test_cli_records_deterministic_across_jobs(tmp_path, capsys):
+    for check, z_max in (("prop1", "40"), ("norms", "30")):
+        path = tmp_path / f"{check}.jsonl"
+        assert run(["verify", check, "--z-max", z_max,
+                    "--out", str(path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _FROZEN_RECORD_SHA256[check]
+
+        assert run(["check-records", str(path)]) == 0
+        capsys.readouterr()
+
+
+def test_cli_rejects_jobs_flag(capsys):
+    assert run(["verify", "prop1", "--z-max", "9", "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_cli_check_records_flags_forgery(tmp_path, capsys):
@@ -323,3 +341,74 @@ def test_cli_check_records_flags_forged_search_count(tmp_path, capsys, mode):
     record = json.loads(_SUMMARY_LINES[mode])
     assert _check_edited(tmp_path, record, count=1) == 1
     assert "recomputes 0 candidates" in capsys.readouterr().out
+
+
+
+@pytest.fixture(scope="module")
+def sized_lines():
+    """Genuine growth and constants records, as dicts."""
+    return {
+        "growth": json.loads(growth_record(verify_growth(20)).to_line()),
+        "constants": json.loads(
+            constants_record(verify_numeric_window(96)).to_line()),
+    }
+
+
+def test_cli_check_records_accepts_genuine_growth_and_constants(
+        tmp_path, capsys, sized_lines):
+    for record in sized_lines.values():
+        assert _check_edited(tmp_path, record) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, edits", [
+    ("growth", {"n_max": "5"}),
+    ("growth", {"n_max": True}),
+    ("growth", {"n_max": 10 ** 9}),
+    ("growth", {"n_max": 1}),
+    ("growth", {"n_max": 20.0}),
+    ("growth", {"n_max": None}),
+    ("constants", {"precision_bits": "96"}),
+    ("constants", {"precision_bits": True}),
+    ("constants", {"precision_bits": 0}),
+    ("constants", {"precision_bits": 4097}),
+    ("constants", {"precision_bits": 96.0}),
+])
+def test_cli_check_records_rejects_bad_growth_and_constants_fields(
+        tmp_path, capsys, sized_lines, kind, edits):
+    assert _check_edited(tmp_path, sized_lines[kind], **edits) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def lemma2_lines():
+    """Genuine lemma2 records for every labelled element, as dicts."""
+    return {label: json.loads(lemma2_record(
+                label, is_square_in_K(element)).to_line())
+            for label, (element, _) in LEMMA2_CASES.items()}
+
+
+def test_cli_check_records_accepts_genuine_lemma2(tmp_path, capsys,
+                                                 lemma2_lines):
+    for record in lemma2_lines.values():
+        assert _check_edited(tmp_path, record) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("label", ["junk", None, ["a"]])
+def test_cli_check_records_rejects_unknown_lemma2_label(
+        tmp_path, capsys, lemma2_lines, label):
+    # a square with a valid root, under a label that names no element
+    record = lemma2_lines["alpha^2"]
+    assert _check_edited(tmp_path, record, element=label,
+                         coords=["1", "0", "0"],
+                         root=["1", "0", "0", "0", "0", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_check_records_ties_lemma2_label_to_its_element(
+        tmp_path, capsys, lemma2_lines):
+    # the genuine certificate for alpha^2, relabelled as the element a
+    assert _check_edited(tmp_path, lemma2_lines["alpha^2"],
+                         element="a") == 1
+    assert "not those of the element a" in capsys.readouterr().out

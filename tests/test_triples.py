@@ -82,10 +82,6 @@ def test_search_prune_does_not_change_answer():
     assert search(60) == search(60, use_gcd_prune=True) == []
 
 
-def test_search_jobs_deterministic():
-    assert search(40, jobs=4) == search(40)
-
-
 def test_brute_force_empty_on_real_sequence():
     assert brute_force(3) == []
     assert brute_force(100) == []
@@ -259,3 +255,25 @@ def test_x_range_is_exactly_the_admissible_divisible_indices():
                 assert set(xs) <= allowed
                 assert divisible <= set(xs)
                 assert {x for x in xs if tm[x] % m == 0} == divisible
+
+
+def test_brute_force_returns_each_triple_once_despite_repeated_values():
+    # FakeTable with its value 3 taken twice (indices 5 and 6)
+    table = ListTable(FakeTable.VALS[:6] + [3] + FakeTable.VALS[6:])
+    ft = FakeTable()
+    for w_max in range(3, 60):
+        got = [(c.u, c.v, c.w) for c in brute_force(w_max, table=table)]
+        want = [(c.u, c.v, c.w) for c in brute_force(w_max, table=ft)]
+        assert got == want
+        assert len(set(got)) == len(got)
+    assert [(c.x, c.y, c.z, c.u, c.v, c.w)
+            for c in brute_force(3, table=table)] == [(5, 7, 8, 1, 2, 3)]
+
+
+@_props
+@given(synthetic_tables(), st.integers(3, 200))
+def test_brute_force_ignores_repeated_values(table, w_max):
+    # each distinct value keeps its first index, so the order is unchanged
+    distinct = ListTable([0, 0, 1, 1] + list(dict.fromkeys(table.vals[4:])))
+    assert ([(c.u, c.v, c.w) for c in brute_force(w_max, table=table)]
+            == [(c.u, c.v, c.w) for c in brute_force(w_max, table=distinct)])
