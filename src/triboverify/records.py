@@ -1,25 +1,16 @@
 """Persistent verification records: one JSON object per line.
 
 Every record starts with "schema" (always 1) and "kind", then the payload
-keys for its kind in a fixed order:
+keys for its kind in the order that ``_FIELDS`` lists, which also fixes each
+field's wire type, range and spelling.  Arbitrary-size integers (the values
+u, v, w, gcds, norms) travel as decimal strings; small structural integers
+(indices, counts, precision) are plain JSON numbers; exact rationals are "p"
+or "p/q" strings.  Serialization uses compact separators and never formats a
+float, so identical inputs give byte-identical files, and ``from_line``
+accepts exactly the lines that ``to_line`` writes.
 
-    triple          u, v, w, x, y, z, ok
-    prop1           y, z, gcd, bound_ok
-    norm            y, z, d, norm3, divides, tight
-    lemma2          element, coords, square, root, witness_self,
-                    witness_twisted
-    constants       precision_bits, ok, checks
-    growth          n_max, checked, ok, failures
-    field           ok, checks
-    expansion       x, y, z, t, err_lo, err_hi, decreasing, ratio_ok
-    search-summary  mode, z_max, w_max, use_gcd_prune, count
-
-Arbitrary-size integers (the values u, v, w, gcds, norms) travel as decimal
-strings; small structural integers (indices, counts, precision) are plain
-JSON numbers; exact rationals are "p" or "p/q" strings.  Serialization uses
-compact separators and never formats a float, so identical inputs give
-byte-identical files.
-
+A record's payload holds decoded values (ints, Fractions, tuples, bools);
+``to_line`` and ``from_line`` are the only code that knows the wire format.
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.
 """
@@ -29,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt
 from typing import Any, Iterable
 
 from .constants import verify_growth, verify_numeric_window
@@ -37,31 +28,161 @@ from .enclosure import Enclosure
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
 from .gcdbound import GcdWitness, gcd_shifted, norm_witness, prop1_holds
-from .splitfield import (ALPHA_C, CubicElement, FieldElement,
-                         SquareCertificate, _legendre, field_identity_report)
+from .splitfield import (ALPHA_C, DEFAULT_WITNESS_PRIME_BOUND, CubicElement,
+                         FieldElement, SquareCertificate, _clear_denominators,
+                         _legendre, field_identity_report)
 from .tribonacci import TribTable, default_table
 
 SCHEMA_VERSION = 1
 
-_PAYLOAD_KEYS = {
-    "triple": ("u", "v", "w", "x", "y", "z", "ok"),
-    "prop1": ("y", "z", "gcd", "bound_ok"),
-    "norm": ("y", "z", "d", "norm3", "divides", "tight"),
-    "lemma2": ("element", "coords", "square", "root", "witness_self",
-               "witness_twisted"),
-    "constants": ("precision_bits", "ok", "checks"),
-    "growth": ("n_max", "checked", "ok", "failures"),
-    "field": ("ok", "checks"),
-    "expansion": ("x", "y", "z", "t", "err_lo", "err_hi", "decreasing",
-                  "ratio_ok"),
-    "search-summary": ("mode", "z_max", "w_max", "use_gcd_prune", "count"),
-}
-
-RECORD_KINDS = tuple(_PAYLOAD_KEYS)
-
 
 class RecordFormatError(ValueError):
     """A line failed to parse as a well-formed record."""
+
+
+# ---------------------------------------------------------------------------
+# field codecs: (decode, encode) pairs; decode takes a parsed JSON value and
+# returns the payload value or raises RecordFormatError, encode returns the
+# value's JSON text
+# ---------------------------------------------------------------------------
+
+def _codec(test, what: str, encode=str):
+    """Values that pass ``test``, unchanged."""
+    def decode(v):
+        if not test(v):
+            raise RecordFormatError(f"needs {what}, got {v!r}")
+        return v
+    return decode, encode
+
+
+def _int(lo: int, hi: float = float("inf")):
+    # an exact type test, because bool is an int subclass
+    return _codec(lambda v: type(v) is int and lo <= v <= hi,
+                  f"an integer {lo} <= n <= {hi}")
+
+
+def _one_of(*options: str):
+    return _codec(lambda v: type(v) is str and v in options,
+                  f"one of {', '.join(options)}", json.dumps)
+
+
+def _exact_str(parse):
+    """A string that ``parse`` reads and ``str`` writes back unchanged."""
+    def decode(v):
+        try:
+            value = parse(v) if type(v) is str else None
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or str(value) != v:
+            raise RecordFormatError(f"needs a string in the spelling str "
+                                    f"writes, got {v!r}")
+        return value
+    return decode, lambda value: f'"{value}"'
+
+
+def _parse_rational(v: str) -> Fraction:
+    num, slash, den = v.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+def _nullable(codec):
+    decode, encode = codec
+    return ((lambda v: None if v is None else decode(v)),
+            (lambda v: "null" if v is None else encode(v)))
+
+
+def _list(*codecs):
+    """A list of exactly len(codecs) items, decoded to a tuple."""
+    def decode(v):
+        if type(v) is not list or len(v) != len(codecs):
+            raise RecordFormatError(f"needs a list of {len(codecs)} items, "
+                                    f"got {v!r}")
+        return tuple(dec(x) for (dec, _), x in zip(codecs, v))
+    return decode, lambda v: "[" + ",".join(
+        enc(x) for (_, enc), x in zip(codecs, v)) + "]"
+
+
+def _list_of(codec):
+    """A list of any length, decoded to a tuple."""
+    dec, enc = codec
+
+    def decode(v):
+        if type(v) is not list:
+            raise RecordFormatError(f"needs a list, got {v!r}")
+        return tuple(dec(x) for x in v)
+    return decode, lambda v: "[" + ",".join(enc(x) for x in v) + "]"
+
+
+_A_COEFF = CubicElement((-1, -2, 3)).inv()
+
+# The elements a lemma2 record may name, by label, with the squareness
+# verdict expected of each: a and alpha*a are not squares in K, and the two
+# controls are.
+LEMMA2_CASES = {
+    "a": (_A_COEFF, False),
+    "alpha*a": (ALPHA_C * _A_COEFF, False),
+    "alpha^2": (ALPHA_C * ALPHA_C, True),
+    "-11": (CubicElement((-11, 0, 0)), True),
+}
+
+# Largest sizes a record may ask check-records to re-run, timed on a shared
+# 2-core VM with Python 3.11: search(1000) and brute_force(10**6) each take
+# about 1.3 s, verify_numeric_window(4096) about 0.3 s (16384 bits take
+# about 5 s) and verify_growth(10**4) about 0.3 s.
+SEARCH_Z_MAX_CAP = 1000
+BRUTE_W_MAX_CAP = 10 ** 6
+CONSTANTS_PRECISION_CAP = 4096
+GROWTH_N_MAX_CAP = 10 ** 4
+
+_BOOL = _codec(lambda v: type(v) is bool, "true or false",
+               lambda v: "true" if v else "false")
+_FLAG = _nullable(_BOOL)
+_DECIMAL = _exact_str(int)
+_RATIONAL = _exact_str(_parse_rational)
+_INDEX = _int(0)
+_FIRST_INDEX = _nullable(_INDEX)
+_PAIR_INDEX = _int(4)
+_CHECKS = _codec(lambda v: type(v) is dict
+                 and all(type(b) is bool for b in v.values()),
+                 "an object of booleans",
+                 lambda v: json.dumps(v, separators=(",", ":")))
+# (q, r): a witness prime q with a root r of the cubic mod q
+_WITNESS = _nullable(_list(_int(3, DEFAULT_WITNESS_PRIME_BOUND),
+                           _int(0, DEFAULT_WITNESS_PRIME_BOUND)))
+
+_FIELDS = {
+    "triple": (("u", _DECIMAL), ("v", _DECIMAL), ("w", _DECIMAL),
+               ("x", _FIRST_INDEX), ("y", _FIRST_INDEX),
+               ("z", _FIRST_INDEX), ("ok", _BOOL)),
+    "prop1": (("y", _PAIR_INDEX), ("z", _PAIR_INDEX), ("gcd", _DECIMAL),
+              ("bound_ok", _BOOL)),
+    "norm": (("y", _PAIR_INDEX), ("z", _PAIR_INDEX), ("d", _DECIMAL),
+             ("norm3", _DECIMAL), ("divides", _BOOL), ("tight", _BOOL)),
+    "lemma2": (("element", _one_of(*LEMMA2_CASES)),
+               ("coords", _list(*[_RATIONAL] * 3)), ("square", _BOOL),
+               ("root", _nullable(_list(*[_RATIONAL] * 6))),
+               ("witness_self", _WITNESS), ("witness_twisted", _WITNESS)),
+    "constants": (("precision_bits", _int(1, CONSTANTS_PRECISION_CAP)),
+                  ("ok", _BOOL), ("checks", _CHECKS)),
+    "growth": (("n_max", _int(2, GROWTH_N_MAX_CAP)), ("checked", _INDEX),
+               ("ok", _BOOL),
+               ("failures",
+                _list_of(_list(_INDEX, _one_of("lower", "upper"))))),
+    "field": (("ok", _BOOL), ("checks", _CHECKS)),
+    "expansion": (("x", _int(5)), ("y", _int(5)), ("z", _int(5)),
+                  ("t", _int(0, MAX_ORDER)), ("err_lo", _RATIONAL),
+                  ("err_hi", _RATIONAL), ("decreasing", _FLAG),
+                  ("ratio_ok", _FLAG)),
+    "search-summary": (("mode", _one_of("search", "brute")),
+                       ("z_max", _nullable(_int(7, SEARCH_Z_MAX_CAP))),
+                       ("w_max", _nullable(_int(3, BRUTE_W_MAX_CAP))),
+                       ("use_gcd_prune", _FLAG), ("count", _INDEX)),
+}
+
+_KEYS = {kind: tuple(key for key, _ in fields)
+         for kind, fields in _FIELDS.items()}
+
+RECORD_KINDS = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -72,7 +193,7 @@ class VerificationRecord:
     payload: tuple[tuple[str, Any], ...]
 
     def __post_init__(self):
-        expected = _PAYLOAD_KEYS.get(self.kind)
+        expected = _KEYS.get(self.kind)
         if expected is None:
             raise RecordFormatError(f"unknown record kind {self.kind!r}")
         keys = tuple(k for k, _ in self.payload)
@@ -87,62 +208,39 @@ class VerificationRecord:
         raise KeyError(key)
 
     def to_line(self) -> str:
-        data: dict[str, Any] = {"schema": SCHEMA_VERSION, "kind": self.kind}
-        data.update(self.payload)
-        return json.dumps(data, separators=(",", ":"))
+        parts = [f'{{"schema":{SCHEMA_VERSION},"kind":"{self.kind}"']
+        for (key, value), (_, (_, encode)) in zip(self.payload,
+                                                  _FIELDS[self.kind]):
+            parts.append(f'"{key}":{encode(value)}')
+        return ",".join(parts) + "}"
 
     @classmethod
     def from_line(cls, line: str) -> "VerificationRecord":
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordFormatError(f"bad JSON: {exc}") from exc
-        if not isinstance(data, dict):
+        except (ValueError, RecursionError) as exc:
+            raise RecordFormatError(f"bad JSON: {exc}") from None
+        if type(data) is not dict:
             raise RecordFormatError("record line is not an object")
-        keys = list(data)
-        if keys[:2] != ["schema", "kind"]:
-            raise RecordFormatError("record must start with schema, kind")
-        if data["schema"] != SCHEMA_VERSION:
-            raise RecordFormatError(f"unsupported schema {data['schema']!r}")
-        kind = data["kind"]
-        if kind not in _PAYLOAD_KEYS:
+        schema, kind = data.get("schema"), data.get("kind")
+        if schema != SCHEMA_VERSION:
+            raise RecordFormatError(f"unsupported schema {schema!r}")
+        if type(kind) is not str or kind not in _FIELDS:
             raise RecordFormatError(f"unknown record kind {kind!r}")
-        payload = tuple((k, data[k]) for k in keys[2:])
-        return cls(kind, payload)
-
-
-# ---------------------------------------------------------------------------
-# encoding helpers
-# ---------------------------------------------------------------------------
-
-def _enc_int(n: int) -> str:
-    return str(int(n))
-
-
-def _dec_int(s: Any) -> int:
-    if not isinstance(s, str):
-        raise RecordFormatError(f"expected decimal string, got {s!r}")
-    try:
-        return int(s, 10)
-    except ValueError:
-        raise RecordFormatError(f"bad decimal string {s!r}") from None
-
-
-def _enc_rat(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
-def _dec_rat(s: Any) -> Fraction:
-    if not isinstance(s, str):
-        raise RecordFormatError(f"expected rational string, got {s!r}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise RecordFormatError(f"bad rational string {s!r}") from None
-
-
-def _enc_coords(coords) -> list[str]:
-    return [_enc_rat(c) for c in coords]
+        payload = []
+        for key, (decode, _) in _FIELDS[kind]:
+            try:
+                payload.append((key, decode(data.get(key))))
+            except RecordFormatError as exc:
+                raise RecordFormatError(f"{kind} {key}: {exc}") from None
+        rec = cls(kind, tuple(payload))
+        # rejects what the decoded values cannot show: key order, missing or
+        # extra keys, spacing, escapes, a schema of 1.0, an integer spelt -0
+        canonical = rec.to_line()
+        if canonical != line:
+            raise RecordFormatError(f"line is not in the form to_line "
+                                    f"writes: {canonical}")
+        return rec
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +250,8 @@ def _enc_coords(coords) -> list[str]:
 def triple_record(u: int, v: int, w: int, x: int | None, y: int | None,
                   z: int | None, ok: bool) -> VerificationRecord:
     return VerificationRecord("triple", (
-        ("u", _enc_int(u)), ("v", _enc_int(v)), ("w", _enc_int(w)),
-        ("x", x), ("y", y), ("z", z), ("ok", bool(ok))))
+        ("u", u), ("v", v), ("w", w), ("x", x), ("y", y), ("z", z),
+        ("ok", bool(ok))))
 
 
 def membership_triple_record(u: int, v: int, w: int,
@@ -172,44 +270,25 @@ def membership_triple_record(u: int, v: int, w: int,
 def prop1_record(y: int, z: int, gcd_value: int,
                  bound_ok: bool) -> VerificationRecord:
     return VerificationRecord("prop1", (
-        ("y", y), ("z", z), ("gcd", _enc_int(gcd_value)),
-        ("bound_ok", bool(bound_ok))))
+        ("y", y), ("z", z), ("gcd", gcd_value), ("bound_ok", bool(bound_ok))))
 
 
 def norm_record(witness: GcdWitness) -> VerificationRecord:
     return VerificationRecord("norm", (
-        ("y", witness.y), ("z", witness.z), ("d", _enc_int(witness.d)),
-        ("norm3", _enc_int(witness.norm3_value)),
+        ("y", witness.y), ("z", witness.z), ("d", witness.d),
+        ("norm3", witness.norm3_value),
         ("divides", witness.norm3_value % witness.d ** 3 == 0),
         ("tight", bool(witness.tight))))
 
 
-_A_COEFF = CubicElement((-1, -2, 3)).inv()
-
-# The elements a lemma2 record may name, by label, with the squareness
-# verdict expected of each: a and alpha*a are not squares in K, and the two
-# controls are.
-LEMMA2_CASES = {
-    "a": (_A_COEFF, False),
-    "alpha*a": (ALPHA_C * _A_COEFF, False),
-    "alpha^2": (ALPHA_C * ALPHA_C, True),
-    "-11": (CubicElement((-11, 0, 0)), True),
-}
-
-
 def lemma2_record(label: str,
                   cert: SquareCertificate) -> VerificationRecord:
-    root = None
-    if cert.root is not None:
-        root = _enc_coords(cert.root.coords)
     return VerificationRecord("lemma2", (
-        ("element", label),
-        ("coords", _enc_coords(cert.element.coords)),
+        ("element", label), ("coords", cert.element.coords),
         ("square", bool(cert.verdict)),
-        ("root", root),
-        ("witness_self", list(cert.witness_self) if cert.witness_self else None),
-        ("witness_twisted",
-         list(cert.witness_twisted) if cert.witness_twisted else None)))
+        ("root", cert.root.coords if cert.root is not None else None),
+        ("witness_self", cert.witness_self),
+        ("witness_twisted", cert.witness_twisted)))
 
 
 def constants_record(report) -> VerificationRecord:
@@ -222,8 +301,7 @@ def constants_record(report) -> VerificationRecord:
 def growth_record(report) -> VerificationRecord:
     return VerificationRecord("growth", (
         ("n_max", report.n_max), ("checked", report.checked),
-        ("ok", report.all_ok),
-        ("failures", [[n, side] for n, side in report.failures])))
+        ("ok", report.all_ok), ("failures", tuple(report.failures))))
 
 
 def field_record(checks: dict[str, bool]) -> VerificationRecord:
@@ -243,7 +321,7 @@ def expansion_records(report: DecayReport) -> list[VerificationRecord]:
             ratio_ok = report.ratio_ok[t - 2]
         out.append(VerificationRecord("expansion", (
             ("x", report.x), ("y", report.y), ("z", report.z), ("t", t),
-            ("err_lo", _enc_rat(err.lo)), ("err_hi", _enc_rat(err.hi)),
+            ("err_lo", err.lo), ("err_hi", err.hi),
             ("decreasing", decreasing), ("ratio_ok", ratio_ok))))
     return out
 
@@ -273,44 +351,45 @@ def emit_records(path, records: Iterable[VerificationRecord]) -> None:
 
 def read_records(path) -> list[VerificationRecord]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                out.append(VerificationRecord.from_line(line))
-            except RecordFormatError as exc:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    out.append(VerificationRecord.from_line(line))
+            except (UnicodeDecodeError, RecordFormatError) as exc:
                 raise RecordFormatError(f"line {lineno}: {exc}") from exc
     return out
 
 
 # ---------------------------------------------------------------------------
-# independent re-validation
+# independent re-validation: from_line has checked each field's type and
+# range, so a checker holds only its cross-field rules and recomputation
 # ---------------------------------------------------------------------------
 
-def _check_triple(rec: VerificationRecord) -> str | None:
-    u, v, w = (_dec_int(rec.get(k)) for k in ("u", "v", "w"))
-    fresh = membership_triple_record(u, v, w)
-    if fresh.payload != rec.payload:
-        return f"membership recomputation disagrees: {fresh.to_line()}"
-    return None
+def _recomputed(build):
+    """A checker that rebuilds the whole record from scratch with ``build``
+    and compares."""
+    def check(rec: VerificationRecord) -> str | None:
+        fresh = build(rec)
+        if fresh.payload != rec.payload:
+            return f"recomputation disagrees: {fresh.to_line()}"
+        return None
+    return check
 
 
 def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
-    """The record's (y, z), which must be plain ints with 4 <= y < z."""
+    """The record's (y, z), which must satisfy y < z."""
     y, z = rec.get("y"), rec.get("z")
-    # an exact type test, because bool is an int subclass
-    if type(y) is not int or type(z) is not int or not 4 <= y < z:
-        raise RecordFormatError(f"{rec.kind} needs integers 4 <= y < z, "
-                                f"got y={y!r}, z={z!r}")
+    if not y < z:
+        raise RecordFormatError(f"{rec.kind} needs y < z, got y={y}, z={z}")
     return y, z
 
 
 def _check_prop1(rec: VerificationRecord) -> str | None:
     y, z = _pair_indices(rec)
     d = gcd_shifted(y, z)
-    if d != _dec_int(rec.get("gcd")):
+    if d != rec.get("gcd"):
         return f"gcd({y},{z}) recomputes to {d}"
     if prop1_holds(y, z) != rec.get("bound_ok"):
         return "bound verdict disagrees"
@@ -320,9 +399,9 @@ def _check_prop1(rec: VerificationRecord) -> str | None:
 def _check_norm(rec: VerificationRecord) -> str | None:
     y, z = _pair_indices(rec)
     w = norm_witness(y, z)
-    if w.d != _dec_int(rec.get("d")):
+    if w.d != rec.get("d"):
         return f"gcd recomputes to {w.d}"
-    if w.norm3_value != _dec_int(rec.get("norm3")):
+    if w.norm3_value != rec.get("norm3"):
         return f"norm recomputes to {w.norm3_value}"
     if rec.get("divides") is not True:
         return "divides must hold in any witness"
@@ -331,119 +410,57 @@ def _check_norm(rec: VerificationRecord) -> str | None:
     return None
 
 
+def _is_odd_prime(q: int) -> bool:
+    return q % 2 == 1 and all(q % p for p in range(3, isqrt(q) + 1, 2))
+
+
 def _check_lemma2(rec: VerificationRecord) -> str | None:
-    label = rec.get("element")
-    if not isinstance(label, str) or label not in LEMMA2_CASES:
-        raise RecordFormatError(f"lemma2 element must be one of "
-                                f"{', '.join(LEMMA2_CASES)}, got {label!r}")
-    coords = [_dec_rat(c) for c in rec.get("coords")]
-    if len(coords) != 3:
-        return "element coords must have length 3"
-    if CubicElement(coords) != LEMMA2_CASES[label][0]:
+    label, coords, square, root, *witnesses = (v for _, v in rec.payload)
+    element, expected = LEMMA2_CASES[label]
+    if CubicElement(coords) != element:
         return f"coords are not those of the element {label}"
-    element = CubicElement(coords).to_field()
-    if rec.get("square"):
-        root_coords = rec.get("root")
-        if root_coords is None:
-            return "positive verdict requires a root"
-        root = FieldElement([_dec_rat(c) for c in root_coords])
-        if root * root != element:
+    if square != expected:
+        return f"the element {label} has square={expected}"
+    if square:
+        if root is None or witnesses != [None, None]:
+            return "a square verdict carries a root and no witnesses"
+        if FieldElement(root) * FieldElement(root) != element.to_field():
             return "root does not square back to the element"
         return None
-    for key, twist in (("witness_self", 1), ("witness_twisted", -11)):
-        pair = rec.get(key)
+    if root is not None:
+        return "a non-square verdict carries no root"
+    for key, twist, pair in zip(("witness_self", "witness_twisted"),
+                                (1, -11), witnesses):
         if pair is None:
             return f"negative verdict requires {key}"
-        q, r = int(pair[0]), int(pair[1])
-        if q in (2, 11):
-            return f"{key} uses an excluded prime {q}"
+        q, r = pair
+        if q == 11 or not _is_odd_prime(q) or r >= q:
+            return (f"{key}: ({q},{r}) needs a prime q other than 2 and 11 "
+                    "and 0 <= r < q")
         if (r * r * r - r * r - r - 1) % q:
             return f"{key}: {r} is not a root of the cubic mod {q}"
-        target = CubicElement(coords) * twist
-        den = lcm(*(c.denominator for c in target.coords))
+        den, nums = _clear_denominators((element * twist).coords)
         if den % q == 0:
             return f"{key}: prime {q} meets a denominator"
-        nums = [c.numerator * (den // c.denominator) for c in target.coords]
-        val = (nums[0] + r * (nums[1] + r * nums[2])) % q
-        val = val * pow(den, -1, q) % q
+        val = (nums[0] + r * (nums[1] + r * nums[2])) * pow(den, -1, q) % q
         if val == 0 or _legendre(val, q) != -1:
             return f"{key}: residue check fails at ({q},{r})"
     return None
 
 
-# Largest sizes a record may ask check-records to re-run, timed on a shared
-# 2-core VM with Python 3.11: search(1000) and brute_force(10**6) each take
-# about 1.3 s, verify_numeric_window(4096) about 0.3 s (16384 bits take
-# about 5 s) and verify_growth(10**4) about 0.3 s.
-SEARCH_Z_MAX_CAP = 1000
-BRUTE_W_MAX_CAP = 10 ** 6
-CONSTANTS_PRECISION_CAP = 4096
-GROWTH_N_MAX_CAP = 10 ** 4
-
-
-def _bounded_int(rec: VerificationRecord, key: str, lo: int, hi: int) -> int:
-    """The record's field ``key``, which must be a plain int in [lo, hi]."""
-    value = rec.get(key)
-    # an exact type test, because bool is an int subclass
-    if type(value) is not int or not lo <= value <= hi:
-        raise RecordFormatError(f"{rec.kind} needs an integer "
-                                f"{lo} <= {key} <= {hi}, got {value!r}")
-    return value
-
-
-def _check_constants(rec: VerificationRecord) -> str | None:
-    report = verify_numeric_window(
-        _bounded_int(rec, "precision_bits", 1, CONSTANTS_PRECISION_CAP))
-    fresh = constants_record(report)
-    if fresh.payload != rec.payload:
-        return f"window recomputation disagrees: {fresh.to_line()}"
-    return None
-
-
-def _check_growth(rec: VerificationRecord) -> str | None:
-    report = verify_growth(_bounded_int(rec, "n_max", 2, GROWTH_N_MAX_CAP))
-    fresh = growth_record(report)
-    if fresh.payload != rec.payload:
-        return f"growth recomputation disagrees: {fresh.to_line()}"
-    return None
-
-
-def _check_field(rec: VerificationRecord) -> str | None:
-    fresh = field_record(field_identity_report())
-    if fresh.payload != rec.payload:
-        return f"identity recomputation disagrees: {fresh.to_line()}"
-    return None
-
-
-def _expansion_fields(rec: VerificationRecord
-                      ) -> tuple[int, int, int, int, Enclosure]:
-    """The record's x, y, z, t and error interval, after the type and range
-    checks: plain ints with 5 <= x < y < z, x + y > z, 0 <= t <= MAX_ORDER,
-    err_lo <= err_hi, and flags that are null below order 2, bools from
-    order 2 on."""
-    x, y, z, t = (rec.get(k) for k in ("x", "y", "z", "t"))
-    # an exact type test, because bool is an int subclass
-    if (any(type(v) is not int for v in (x, y, z, t))
-            or not (5 <= x < y < z and x + y > z and 0 <= t <= MAX_ORDER)):
-        raise RecordFormatError(
-            f"expansion needs integers 5 <= x < y < z with x + y > z and "
-            f"0 <= t <= {MAX_ORDER}, got x={x!r}, y={y!r}, z={z!r}, t={t!r}")
-    lo, hi = _dec_rat(rec.get("err_lo")), _dec_rat(rec.get("err_hi"))
+def _check_expansion(rec: VerificationRecord) -> str | None:
+    x, y, z, t, lo, hi, decreasing, ratio_ok = (v for _, v in rec.payload)
+    if not (x < y < z and x + y > z):
+        raise RecordFormatError(f"expansion needs x < y < z with x + y > z, "
+                                f"got x={x}, y={y}, z={z}")
     if lo > hi:
         raise RecordFormatError(f"expansion error interval [{lo}, {hi}] "
                                 "is inverted")
-    flags = (rec.get("decreasing"), rec.get("ratio_ok"))
-    if t < 2 and flags != (None, None):
-        raise RecordFormatError(f"expansion flags must be null at t={t}, "
-                                f"got {flags!r}")
-    if t >= 2 and any(type(f) is not bool for f in flags):
-        raise RecordFormatError(f"expansion flags must be bools at t={t}, "
-                                f"got {flags!r}")
-    return x, y, z, t, Enclosure(lo, hi)
-
-
-def _check_expansion(rec: VerificationRecord) -> str | None:
-    x, y, z, t, recorded = _expansion_fields(rec)
+    if (decreasing is None, ratio_ok is None) != (t < 2, t < 2):
+        raise RecordFormatError(f"expansion flags must be null exactly "
+                                f"below order 2, got {decreasing!r}, "
+                                f"{ratio_ok!r} at t={t}")
+    recorded = Enclosure(lo, hi)
     # what expansion_error guarantees of every interval it returns
     if not (recorded.is_positive()
             and recorded.width() * 4096 <= recorded.lo):
@@ -455,66 +472,45 @@ def _check_expansion(rec: VerificationRecord) -> str | None:
                 "misses the recorded interval")
     if t >= 2:
         prev = expansion_error(x, y, z, t - 1)
-        (decreasing,), (ratio_ok,) = decay_verdicts(x, (prev, fresh))
-        if decreasing != rec.get("decreasing"):
-            return f"decreasing verdict recomputes to {decreasing}"
-        if ratio_ok != rec.get("ratio_ok"):
-            return f"ratio verdict recomputes to {ratio_ok}"
+        (fresh_decreasing,), (fresh_ratio_ok,) = decay_verdicts(
+            x, (prev, fresh))
+        if fresh_decreasing != decreasing:
+            return f"decreasing verdict recomputes to {fresh_decreasing}"
+        if fresh_ratio_ok != ratio_ok:
+            return f"ratio verdict recomputes to {fresh_ratio_ok}"
     return None
-
-
-def _search_summary_fields(rec: VerificationRecord
-                           ) -> tuple[str, int, bool | None, int]:
-    """The record's mode, size (z_max or w_max), prune flag and count, after
-    the type and range checks: mode search with a plain-int z_max in
-    [7, SEARCH_Z_MAX_CAP], a bool prune flag and a null w_max, or mode brute
-    with a plain-int w_max in [3, BRUTE_W_MAX_CAP] and a null z_max and
-    prune flag; count is a plain int >= 0."""
-    mode, z_max, w_max, prune, count = (
-        rec.get(k) for k in ("mode", "z_max", "w_max", "use_gcd_prune",
-                             "count"))
-    # exact type tests, because bool is an int subclass
-    if mode == "search":
-        ok = (type(z_max) is int and 7 <= z_max <= SEARCH_Z_MAX_CAP
-              and type(prune) is bool and w_max is None)
-        size = z_max
-    elif mode == "brute":
-        ok = (type(w_max) is int and 3 <= w_max <= BRUTE_W_MAX_CAP
-              and z_max is None and prune is None)
-        size = w_max
-    else:
-        ok = False
-    if not ok or type(count) is not int or count < 0:
-        raise RecordFormatError(
-            f"search-summary needs mode search with integer 7 <= z_max <= "
-            f"{SEARCH_Z_MAX_CAP}, a bool use_gcd_prune and null w_max, or "
-            f"mode brute with integer 3 <= w_max <= {BRUTE_W_MAX_CAP} and "
-            f"null z_max and use_gcd_prune, and an integer count >= 0; got "
-            f"mode={mode!r}, z_max={z_max!r}, w_max={w_max!r}, "
-            f"use_gcd_prune={prune!r}, count={count!r}")
-    return mode, size, prune, count
 
 
 def _check_search_summary(rec: VerificationRecord) -> str | None:
     from .triples import brute_force, search
-    mode, size, prune, count = _search_summary_fields(rec)
+    mode, z_max, w_max, prune, count = (v for _, v in rec.payload)
     if mode == "search":
-        found = search(size, prune)
+        used, unused = (z_max, prune), (w_max,)
     else:
-        found = brute_force(size)
+        used, unused = (w_max,), (z_max, prune)
+    if None in used or unused != (None,) * len(unused):
+        raise RecordFormatError(
+            "search-summary needs z_max and use_gcd_prune, and a null w_max, "
+            "in mode search, and the reverse in mode brute; got "
+            f"mode={mode}, z_max={z_max!r}, w_max={w_max!r}, "
+            f"use_gcd_prune={prune!r}")
+    found = search(z_max, prune) if mode == "search" else brute_force(w_max)
     if len(found) != count:
         return f"{mode} recomputes {len(found)} candidates"
     return None
 
 
 _CHECKERS = {
-    "triple": _check_triple,
+    "triple": _recomputed(lambda rec: membership_triple_record(
+        rec.get("u"), rec.get("v"), rec.get("w"))),
     "prop1": _check_prop1,
     "norm": _check_norm,
     "lemma2": _check_lemma2,
-    "constants": _check_constants,
-    "growth": _check_growth,
-    "field": _check_field,
+    "constants": _recomputed(lambda rec: constants_record(
+        verify_numeric_window(rec.get("precision_bits")))),
+    "growth": _recomputed(lambda rec: growth_record(
+        verify_growth(rec.get("n_max")))),
+    "field": _recomputed(lambda rec: field_record(field_identity_report())),
     "expansion": _check_expansion,
     "search-summary": _check_search_summary,
 }

@@ -2,10 +2,18 @@
 CLI: exit codes, env/flag config, frozen record bytes."""
 
 import argparse
+import functools
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from triboverify.cli import RunConfig, UsageError, load_config, run
 from triboverify.constants import verify_growth, verify_numeric_window
@@ -14,11 +22,12 @@ from triboverify.gcdbound import norm_witness
 from triboverify.records import (LEMMA2_CASES, RecordFormatError,
                                  VerificationRecord, check_record,
                                  constants_record, emit_records,
-                                 expansion_records, growth_record,
+                                 expansion_records, field_record,
+                                 growth_record,
                                  lemma2_record, membership_triple_record,
                                  norm_record, prop1_record, read_records,
                                  search_summary_record)
-from triboverify.splitfield import is_square_in_K
+from triboverify.splitfield import field_identity_report, is_square_in_K
 
 
 def test_membership_record_bytes():
@@ -412,3 +421,159 @@ def test_cli_check_records_ties_lemma2_label_to_its_element(
     assert _check_edited(tmp_path, lemma2_lines["alpha^2"],
                          element="a") == 1
     assert "not those of the element a" in capsys.readouterr().out
+
+
+def test_cli_check_records_rejects_out_of_range_witness_prime(
+        tmp_path, capsys, lemma2_lines):
+    assert _check_edited(tmp_path, lemma2_lines["a"],
+                         witness_self=[1000003, 3]) == 2
+    assert "witness_self" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label, edits", [
+    # 49 and 91 are composite: Euler's criterion proves nothing mod them
+    ("alpha^2", {"square": False, "root": None, "witness_self": [49, 17],
+                 "witness_twisted": [49, 17]}),
+    ("a", {"witness_self": [91, 59]}),
+    ("a", {"witness_self": [11, 3]}),
+    ("a", {"witness_self": [7, 10]}),
+    ("a", {"square": True}),
+    ("a", {"root": ["1", "0", "0", "0", "0", "0"]}),
+    ("alpha^2", {"witness_self": [7, 3]}),
+])
+def test_cli_check_records_flags_unsound_lemma2_certificate(
+        tmp_path, capsys, lemma2_lines, label, edits):
+    assert _check_edited(tmp_path, lemma2_lines[label], **edits) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@functools.cache
+def _genuine_lines() -> tuple[str, ...]:
+    """A small genuine line of every kind, and both search-summary modes."""
+    recs = [membership_triple_record(1, 3, 6), prop1_record(6, 7, 6, True),
+            norm_record(norm_witness(6, 7)),
+            lemma2_record("a", is_square_in_K(LEMMA2_CASES["a"][0])),
+            constants_record(verify_numeric_window(64)),
+            growth_record(verify_growth(12)),
+            field_record(field_identity_report()),
+            expansion_records(decay_report(20, 25, 30, 2))[2],
+            search_summary_record("search", 0, z_max=9, use_gcd_prune=True),
+            search_summary_record("brute", 0, w_max=40)]
+    return tuple(rec.to_line() for rec in recs)
+
+
+def _genuine_line(kind: str) -> str:
+    return next(line for line in _genuine_lines()
+                if line.startswith(f'{{"schema":1,"kind":"{kind}"'))
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    ("prop1", '"bound_ok":true', '"bound_ok":1'),
+    ("prop1", '"gcd":"6"', '"gcd":" 6"'),
+    ("prop1", '"gcd":"6"', '"gcd":"0_6"'),
+    ("prop1", '"gcd":"6"', '"gcd":"1' + "0" * 5000 + '"'),
+    ("prop1", '"z":7', '"z":1' + "0" * 5000),
+    ("prop1", '"kind":"prop1"', '"kind":["prop1"]'),
+    ("prop1", '"schema":1', '"schema":true'),
+    ("prop1", '"schema":1', '"schema":1.0'),
+    ("prop1", '"schema":1', '"schema":"1"'),
+    ("prop1", '"y":6', '"y":6,"y":6'),
+    ("prop1", '"y":6,"z":7', '"z":7,"y":6'),
+    ("prop1", ',"bound_ok":true', ''),
+    ("prop1", '"bound_ok":true', '"bound_ok":true,"extra":null'),
+    ("prop1", '"y":6', '"y": 6'),
+    ("norm", '"tight":true', '"tight":1'),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7.9,3.2]'),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7,3,99]'),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7]'),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":["x",3]'),
+    ("lemma2", '"root":null', '"root":5'),
+    ("lemma2", '"coords":["1/22","9/22","-2/11"]', '"coords":5'),
+    ("lemma2", '"1/22"', '"2/44"'),
+    ("lemma2", '"1/22"', '"1/0"'),
+    ("lemma2", '"1/22"', '"1e9999"'),
+])
+def test_cli_check_records_rejects_malformed_field(tmp_path, capsys, kind,
+                                                   old, new):
+    genuine = _genuine_line(kind)
+    assert old in genuine
+    path = tmp_path / "r.jsonl"
+    path.write_text(genuine + "\n" + genuine.replace(old, new, 1) + "\n")
+    assert run(["check-records", str(path)]) == 2
+    assert "error: line 2:" in capsys.readouterr().err
+
+
+def test_cli_check_records_rejects_non_utf8_line(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    line = _PAIR_LINES["prop1"].encode()
+    path.write_bytes(line + b"\n" + line.replace(b'"6"', b'"\xff"') + b"\n")
+    assert run(["check-records", str(path)]) == 2
+    assert "error: line 2:" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def cli(*args) -> int:
+        return subprocess.run([sys.executable, "-m", "triboverify.cli",
+                               *args], env=env, capture_output=True,
+                              timeout=120).returncode
+
+    assert cli("verify", "prop1", "--z-max", "0") == 2
+    path = tmp_path / "r.jsonl"
+    path.write_text(_PAIR_LINES["prop1"].replace('"gcd":"6"', '"gcd":"12"')
+                    + "\n")
+    assert cli("check-records", str(path)) == 1
+
+
+# small values only: each check must re-run in well under a second
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 64)
+    | st.floats(allow_nan=True) | st.text(max_size=4)
+    | st.sampled_from(["6", "06", " 6", "+6", "6/1", "2/4", "-0", "1e3",
+                       "lower", "search", "brute", "a", "alpha^2"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner,
+                                     max_size=2)),
+    max_leaves=4)
+
+_RESPELLINGS = ["0{}", "{}.0", "{}e0", "+{}", " {}", "{}_0", "-{}", "{}0",
+                "{} "]
+
+
+@st.composite
+def _mutated_lines(draw) -> str:
+    line = draw(st.sampled_from(_genuine_lines()))
+    how = draw(st.sampled_from(["replace", "drop", "swap", "respell"]))
+    if how == "respell":
+        spots = list(re.finditer(r"\d+", line))
+        m = draw(st.sampled_from(spots))
+        new = draw(st.sampled_from(_RESPELLINGS)).format(m.group())
+        return line[:m.start()] + new + line[m.end():]
+    items = list(json.loads(line).items())
+    i = draw(st.integers(0, len(items) - 1))
+    if how == "replace":
+        items[i] = (items[i][0], draw(_JSON_VALUES))
+    elif how == "drop":
+        del items[i]
+    else:
+        j = draw(st.integers(0, len(items) - 1))
+        items[i], items[j] = items[j], items[i]
+    return json.dumps(dict(items), separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=_mutated_lines())
+def test_fuzz_check_records_mutated_genuine_lines(tmp_path, capsys, line):
+    try:
+        rec = VerificationRecord.from_line(line)
+    except RecordFormatError:
+        pass
+    else:
+        assert rec.to_line() == line
+    path = tmp_path / "r.jsonl"
+    path.write_text(line + "\n")
+    assert run(["check-records", str(path)]) in (0, 1, 2, 3)
+    capsys.readouterr()
