@@ -27,11 +27,12 @@ from .enclosure import PrecisionFailure
 from .expansion import decay_report
 from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
                        prop1_results, regime_sample)
-from .records import (LEMMA2_CASES, RecordFormatError, check_record,
-                      constants_record, emit_records, expansion_records,
-                      field_record, growth_record, lemma2_record,
-                      norm_record, prop1_record, read_records,
-                      search_summary_record, triple_record)
+from .records import (EXPANSION_INDEX_CAP, LEMMA2_CASES, PAIR_Z_MAX_CAP,
+                      RecordFormatError, check_record, constants_record,
+                      emit_records, expansion_records, field_record,
+                      growth_record, lemma2_record, norm_record,
+                      prop1_record, read_records, search_summary_record,
+                      triple_record)
 from .splitfield import (DEFAULT_DENOMINATOR_BOUND,
                          DEFAULT_WITNESS_PRIME_BOUND,
                          InconclusiveSquareTest, field_identity_report,
@@ -237,8 +238,8 @@ def _cmd_brute(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _battery_prop1(z_max: int, config: RunConfig):
-    if z_max < 5:
-        raise UsageError("--z-max must be >= 5")
+    if not 5 <= z_max <= PAIR_Z_MAX_CAP:
+        raise UsageError(f"--z-max must lie in 5..{PAIR_Z_MAX_CAP}")
     records = []
     failures = 0
     for y, z, d, ok in prop1_results(z_max, config.precision_bits,
@@ -251,8 +252,8 @@ def _battery_prop1(z_max: int, config: RunConfig):
 
 
 def _battery_norms(z_max: int, samples: int, config: RunConfig):
-    if z_max < 6:
-        raise UsageError("--z-max must be >= 6")
+    if not 6 <= z_max <= PAIR_Z_MAX_CAP:
+        raise UsageError(f"--z-max must lie in 6..{PAIR_Z_MAX_CAP}")
     if samples < 0:
         raise UsageError("--samples must be >= 0")
     records = []
@@ -321,11 +322,13 @@ def _battery_lemma2(config: RunConfig):
 
 def _battery_expansion(x: int, y: int, z: int, t_max: int,
                        config: RunConfig):
-    if not (5 <= x < y < z and x + y > z):
-        raise UsageError("need 5 <= x < y < z with x + y > z")
+    if not (5 <= x < y < z <= EXPANSION_INDEX_CAP and x + y > z):
+        raise UsageError(f"need 5 <= x < y < z <= {EXPANSION_INDEX_CAP} "
+                         "with x + y > z")
     if not 2 <= t_max <= 8:
         raise UsageError("--t-max must lie in 2..8")
-    report = decay_report(x, y, z, t_max, config.precision_bits)
+    report = decay_report(x, y, z, t_max, config.precision_bits,
+                          config.max_precision_bits)
     for t, err in enumerate(report.errors):
         print(f"expansion ({x},{y},{z}) t={t}: "
               f"error ~ {float(err.mid()):.6e}")
@@ -416,7 +419,8 @@ def _cmd_check_records(args, config: RunConfig) -> int:
         raise UsageError(f"cannot read {args.path}: {exc}")
     bad = 0
     for i, rec in enumerate(records, 1):
-        ok, message = check_record(rec)
+        ok, message = check_record(rec, config.precision_bits,
+                                   config.max_precision_bits)
         if not ok:
             bad += 1
             print(f"record {i} ({rec.kind}): {message}")

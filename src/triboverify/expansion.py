@@ -17,9 +17,21 @@ order turns the product into a finite sum of monomials
 with exact rational q, A componentwise <= 0 and B, C componentwise >= 0.
 Since |beta| = |gamma| = alpha^(-1/2) and x <= y <= z, a monomial's
 magnitude is at most alpha^((sum A - (sum B + sum C)/2) * x); monomials
-where that ceiling drops below alpha^(-(order+1)*x) are discarded.  Each
-discarded monomial pairs with its image under swapping B with C, so the
-kept sum stays real.
+where that ceiling drops below alpha^(-(order+1)*x) are discarded.  The cut
+is monotone in the order, so each order keeps the previous order's
+monomials plus a new shell.
+
+Because c1 = conj(b1) and gamma = conj(beta), a monomial is
+q * R(pa, A.v) * P(pb, B.v) * conj(P(pc, C.v)) with the real table
+R(p, m) = a1^p alpha^m and the complex table P(p, m) = b1^p beta^m.  The
+evaluation groups the kept monomials at v by (pb, B.v, pc, C.v) and sums
+their exact q by (pa, A.v) inside each group, so interval work is spent
+only on the two small tables and on one real product per group entry.
+Swapping B with C maps the kept set onto itself with equal q, so every
+group has a mirror (pc, C.v, pb, B.v) with identical exact inner sums.
+This is checked exactly, and the pair then adds up to the real number
+2 * Re(P_b * conj(P_c)) * (inner sum); the kept sum is real by
+construction rather than by an interval straddling the real axis.
 
 The error of the truncation is not estimated a priori: it is the measured
 gap |u - truncation|, both sides evaluated in certified interval
@@ -31,22 +43,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 from .constants import DEFAULT_PRECISION, MAX_PRECISION, alpha_power, constants
 from .enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
 from .tribonacci import trib
 
 MAX_ORDER = 8
+# Every q is dyadic with a denominator dividing 4^(k1+k2+k3), and
+# k1 + k2 + k3 <= order + 1, so q * Q_SCALE is an integer at every order.
+Q_SCALE = 4 ** (MAX_ORDER + 1)
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One kept monomial: coeff * alpha^(a_vec.v) beta^(b_vec.v)
-    gamma^(c_vec.v) with v = (x, y, z).  The coefficient has the exact
-    rational and the a1/b1/c1 powers already folded in."""
+class ExpansionTerm(NamedTuple):
+    """One kept monomial: q * a1^pa b1^pb c1^pc * alpha^(a_vec.v)
+    beta^(b_vec.v) gamma^(c_vec.v) with v = (x, y, z), where pb = sum
+    b_vec, pc = sum c_vec and pa = -sum a_vec - pb - pc.  q is exact."""
 
-    coeff: ComplexEnclosure
+    q: Fraction
     a_vec: tuple[int, int, int]
     b_vec: tuple[int, int, int]
     c_vec: tuple[int, int, int]
@@ -54,15 +70,15 @@ class ExpansionTerm:
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """The base quantities a1 = -1/a, b1 = b/a, c1 = conj(b1), the
-    truncation order, and every kept term.  Terms are index-free: the
-    integer vectors get dotted with (x, y, z) at evaluation time."""
+    """The truncation order, every kept term, and the powers a1^p and b1^p
+    (a1 = -1/a, b1 = b/a) for p = 0..order+1, enclosed at the working
+    precision.  Terms are index-free: the integer vectors get dotted with
+    (x, y, z) at evaluation time."""
 
-    a1: Enclosure
-    b1: ComplexEnclosure
-    c1: ComplexEnclosure
     order: int
     terms: tuple[ExpansionTerm, ...]
+    a1_pows: tuple[Enclosure, ...]
+    b1_pows: tuple[ComplexEnclosure, ...]
 
 
 def _half_binom(k: int, negative: bool = False) -> Fraction:
@@ -74,82 +90,70 @@ def _half_binom(k: int, negative: bool = False) -> Fraction:
     return out
 
 
-def _splits(k: int):
-    """All (na, nb, nc) with na + nb + nc = k."""
-    for nb in range(k + 1):
-        for nc in range(k + 1 - nb):
-            yield k - nb - nc, nb, nc
+def _splits(k: int, mixed: int):
+    """All (na, nb, nc) with na + nb + nc = k and nb + nc = mixed."""
+    return [(k - mixed, nb, mixed - nb) for nb in range(mixed + 1)]
+
+
+def _multinomial(k: int, s: tuple[int, int, int]) -> int:
+    return factorial(k) // (factorial(s[0]) * factorial(s[1])
+                            * factorial(s[2]))
 
 
 @lru_cache(maxsize=None)
-def _symbolic_terms(order: int) -> tuple:
-    """Exact kept-term data (q, A, B, C), ordered by generation.
+def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
+    """Exact kept terms: those of order - 1, then the new shell.
 
-    Outer powers (k1, k2, k3) each run to the truncation order; a monomial
-    survives when 2*(k1+k2+k3) + (sum B + sum C) <= 2*order + 2, the
-    integer form of the magnitude-ceiling cut.
+    Outer powers (k1, k2, k3) each run to the truncation order; with m the
+    mixed count sum B + sum C, a monomial survives when
+    2*(k1+k2+k3) + m <= 2*order + 2, the integer form of the
+    magnitude-ceiling cut.  Order - 1 kept exactly the monomials with every
+    k below the order and 2*(k1+k2+k3) + m <= 2*order, so the shell is
+    the rest.
     """
-    out = []
-    limit = 2 * order + 2
+    out = list(_symbolic_terms(order - 1)) if order else []
     for k1 in range(order + 1):
-        if 2 * k1 > limit:
-            break
-        q1 = _half_binom(k1)
-        for k2 in range(order + 1):
-            if 2 * (k1 + k2) > limit:
-                break
-            q2 = q1 * _half_binom(k2)
-            for k3 in range(order + 1):
-                if 2 * (k1 + k2 + k3) > limit:
-                    break
-                q3 = q2 * _half_binom(k3, negative=True)
-                base = 2 * (k1 + k2 + k3)
-                for s1 in _splits(k1):
-                    for s2 in _splits(k2):
-                        for s3 in _splits(k3):
-                            mixed = (s1[1] + s1[2] + s2[1] + s2[2]
-                                     + s3[1] + s3[2])
-                            if base + mixed > limit:
-                                continue
-                            q = q3
-                            for k, s in ((k1, s1), (k2, s2), (k3, s3)):
-                                q *= (factorial(k) // (factorial(s[0])
-                                      * factorial(s[1]) * factorial(s[2])))
-                            out.append((q,
-                                        (-k1, -k2, -k3),
-                                        (s1[1], s2[1], s3[1]),
-                                        (s1[2], s2[2], s3[2])))
+        for k2 in range(min(order, order + 1 - k1) + 1):
+            for k3 in range(min(order, order + 1 - k1 - k2) + 1):
+                room = 2 * (order + 1 - k1 - k2 - k3)
+                least = 0 if order in (k1, k2, k3) else room - 1
+                q = (_half_binom(k1) * _half_binom(k2)
+                     * _half_binom(k3, negative=True))
+                for m1, m2, m3 in product(range(k1 + 1), range(k2 + 1),
+                                          range(k3 + 1)):
+                    if not least <= m1 + m2 + m3 <= room:
+                        continue
+                    for s1, s2, s3 in product(_splits(k1, m1),
+                                              _splits(k2, m2),
+                                              _splits(k3, m3)):
+                        out.append(ExpansionTerm(
+                            q * (_multinomial(k1, s1) * _multinomial(k2, s2)
+                                 * _multinomial(k3, s3)),
+                            (-k1, -k2, -k3),
+                            (s1[1], s2[1], s3[1]),
+                            (s1[2], s2[2], s3[2])))
     return tuple(out)
 
 
 @lru_cache(maxsize=64)
 def expansion_terms(order: int,
                     precision_bits: int = DEFAULT_PRECISION) -> ExpansionParams:
-    """All kept terms at the given truncation order, coefficients enclosed
-    at the given working precision."""
+    """All kept terms at the given truncation order, with the a1 and b1
+    powers they need enclosed at the given working precision."""
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must lie in 0..{MAX_ORDER}")
     cs = constants(precision_bits)
     work = precision_bits + 32
     a1 = -cs.a.inv().rounded(work)
     b1 = (cs.b / cs.a).rounded(work)
-    c1 = b1.conj()
-
-    max_pow = order + 2
+    # pa, pb and pc never exceed k1 + k2 + k3 <= order + 1
     a1_pows = [Enclosure.point(1)]
     b1_pows = [ComplexEnclosure.point(1)]
-    for _ in range(max_pow):
+    for _ in range(order + 1):
         a1_pows.append((a1_pows[-1] * a1).rounded(work))
         b1_pows.append((b1_pows[-1] * b1).rounded(work))
-
-    terms = []
-    for q, avec, bvec, cvec in _symbolic_terms(order):
-        pb = sum(bvec)
-        pc = sum(cvec)
-        pa = -sum(avec) - pb - pc
-        coeff = b1_pows[pb] * b1_pows[pc].conj() * (a1_pows[pa] * q)
-        terms.append(ExpansionTerm(coeff.rounded(work), avec, bvec, cvec))
-    return ExpansionParams(a1, b1, c1, order, tuple(terms))
+    return ExpansionParams(order, _symbolic_terms(order), tuple(a1_pows),
+                           tuple(b1_pows))
 
 
 def _cpow(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
@@ -164,53 +168,87 @@ def _cpow(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
     return out
 
 
-def _dot(vec: tuple[int, int, int], v: tuple[int, int, int]) -> int:
-    return vec[0] * v[0] + vec[1] * v[1] + vec[2] * v[2]
+def _grouped(terms, v: tuple[int, int, int]) -> dict:
+    """The terms at v grouped by (pb, B.v, pc, C.v); each group maps
+    (pa, A.v) to the exact sum of its q, scaled by Q_SCALE to an integer."""
+    x, y, z = v
+    groups: dict = {}
+    for q, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms:
+        pb, pc = b0 + b1 + b2, c0 + c1 + c2
+        key = (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z)
+        inner = groups.get(key)
+        if inner is None:
+            inner = groups[key] = {}
+        key = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
+        inner[key] = (inner.get(key, 0)
+                      + q.numerator * (Q_SCALE // q.denominator))
+    return groups
 
 
 def _truncation_value(x: int, y: int, z: int, order: int,
                       bits: int) -> Enclosure:
     """Enclosure of sqrt(a) * alpha^((x+y-z)/2) * (kept-term sum).
 
-    The sum is real by conjugate pairing; its rectangle must straddle the
-    real axis, and the real part is returned.
+    Raises ArithmeticError unless every group of terms has a mirror with
+    the same exact inner sums, which is what makes the sum real.
     """
     params = expansion_terms(order, bits)
     work = bits + 32
-    v = (x, y, z)
     cs = constants(bits)
+    groups = _grouped(params.terms, (x, y, z))
+    real_tab: dict[tuple[int, int], Enclosure] = {}
+    cplx_tab: dict[tuple[int, int], ComplexEnclosure] = {}
     beta_pows: dict[int, ComplexEnclosure] = {}
 
-    def beta_pow(m: int) -> ComplexEnclosure:
-        if m not in beta_pows:
-            beta_pows[m] = _cpow(cs.beta, m, work)
-        return beta_pows[m]
+    def real(p: int, m: int) -> Enclosure:
+        """R(p, m) = a1^p alpha^m."""
+        if (p, m) not in real_tab:
+            real_tab[p, m] = (params.a1_pows[p]
+                              * alpha_power(m, bits)).rounded(work)
+        return real_tab[p, m]
 
-    total = ComplexEnclosure.point(0)
-    for term in params.terms:
-        val = ComplexEnclosure.real(alpha_power(_dot(term.a_vec, v), bits))
-        val = (val * term.coeff).rounded(work)
-        mb = _dot(term.b_vec, v)
-        if mb:
-            val = (val * beta_pow(mb)).rounded(work)
-        mc = _dot(term.c_vec, v)
-        if mc:
-            val = (val * beta_pow(mc).conj()).rounded(work)
-        total = total + val
+    def cplx(p: int, m: int) -> ComplexEnclosure:
+        """P(p, m) = b1^p beta^m."""
+        if (p, m) not in cplx_tab:
+            if m not in beta_pows:
+                beta_pows[m] = _cpow(cs.beta, m, work)
+            cplx_tab[p, m] = (params.b1_pows[p] * beta_pows[m]).rounded(work)
+        return cplx_tab[p, m]
 
-    if not total.im.contains_zero():
-        raise ArithmeticError("kept-term sum failed to be real")
+    total = Enclosure.point(0)
+    for key, inner in groups.items():
+        pb, mb, pc, mc = key
+        mirror = (pc, mc, pb, mb)
+        if groups.get(mirror) != inner:
+            raise ArithmeticError(
+                f"kept-term sum failed to be real: group {key} has no "
+                "mirror with the same exact coefficients")
+        if mirror < key:
+            continue  # added with its mirror
+        inner_sum = sum(real(pa, ma) * n for (pa, ma), n in inner.items())
+        p_b = cplx(pb, mb)
+        if mirror == key:
+            re_part = p_b.abs2()
+        else:
+            p_c = cplx(pc, mc)
+            re_part = p_b.re * p_c.re + p_b.im * p_c.im
+            re_part = re_part + re_part
+        total = total + (re_part.rounded(work)
+                         * inner_sum.rounded(work)).rounded(work)
+
     prefactor = cs.a.sqrt(work) * alpha_power(x + y - z, bits).sqrt(work)
-    return (total.re * prefactor).rounded(work)
+    return (total * prefactor * Fraction(1, Q_SCALE)).rounded(work)
 
 
 def expansion_error(x: int, y: int, z: int, order: int,
-                    precision_bits: int | None = None) -> Enclosure:
+                    precision_bits: int | None = None,
+                    max_precision_bits: int = MAX_PRECISION) -> Enclosure:
     """Measured gap |u - truncation| with u = sqrt((T_x-1)(T_y-1)/(T_z-1))
     as a real number.
 
     Precision is raised until the gap is bounded away from zero with
-    relative width below 2^-12, so consecutive orders can be compared.
+    relative width below 2^-12, so consecutive orders can be compared;
+    reaching max_precision_bits first raises PrecisionFailure.
     """
     if not (5 <= x < y < z and x + y > z):
         raise ValueError("need 5 <= x < y < z with x + y > z")
@@ -223,11 +261,11 @@ def expansion_error(x: int, y: int, z: int, order: int,
         gap = (u_real - _truncation_value(x, y, z, order, bits)).abs()
         if gap.is_positive() and (gap.hi - gap.lo) * 4096 <= gap.lo:
             return gap
-        if bits >= MAX_PRECISION:
+        if bits >= max_precision_bits:
             raise PrecisionFailure(
                 f"truncation gap at order {order} not resolved "
                 f"within {bits} bits")
-        bits = min(2 * bits, MAX_PRECISION)
+        bits = min(2 * bits, max_precision_bits)
 
 
 def _pow12(e: Enclosure) -> Enclosure:
@@ -262,12 +300,14 @@ class DecayReport:
 
 
 def decay_report(x: int, y: int, z: int, order_max: int = 6,
-                 precision_bits: int | None = None) -> DecayReport:
+                 precision_bits: int | None = None,
+                 max_precision_bits: int = MAX_PRECISION) -> DecayReport:
     """Errors at every order up to order_max and decay verdicts over the
     orders 1..order_max."""
     if order_max < 2:
         raise ValueError("need order_max >= 2 to compare consecutive errors")
-    errors = tuple(expansion_error(x, y, z, t, precision_bits)
+    errors = tuple(expansion_error(x, y, z, t, precision_bits,
+                                   max_precision_bits)
                    for t in range(order_max + 1))
     decreasing, ratio_ok = decay_verdicts(x, errors[1:], precision_bits)
     return DecayReport(x, y, z, order_max, errors, decreasing, ratio_ok)
@@ -277,7 +317,12 @@ def decay_verdicts(x: int, errors, precision_bits: int | None = None
                    ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """Verdicts on each pair of consecutive errors: decreasing[i]
     certifies errors[i+1] < errors[i], ratio_ok[i] certifies
-    errors[i+1]/errors[i] <= 2*alpha^(-x/12) in 12th powers."""
+    errors[i+1]/errors[i] <= 2*alpha^(-x/12) in 12th powers.
+
+    Nothing here refines, so no precision cap applies: alpha^(-x) is
+    enclosed once at precision_bits, and a verdict the enclosures leave
+    open is False.
+    """
     bits = precision_bits or DEFAULT_PRECISION
     bound = alpha_power(-x, bits) * 4096
     decreasing = []

@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Any, Iterable
 
-from .constants import verify_growth, verify_numeric_window
+from .constants import (DEFAULT_PRECISION, MAX_PRECISION, verify_growth,
+                        verify_numeric_window)
 from .enclosure import Enclosure
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
@@ -128,11 +129,16 @@ LEMMA2_CASES = {
 # Largest sizes a record may ask check-records to re-run, timed on a shared
 # 2-core VM with Python 3.11: search(1000) and brute_force(10**6) each take
 # about 1.3 s, verify_numeric_window(4096) about 0.3 s (16384 bits take
-# about 5 s) and verify_growth(10**4) about 0.3 s.
+# about 5 s) and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair
+# with z <= 2000 checks in at most about 0.1 s in a fresh process (z = 10**4
+# took 1.5 s), and an expansion record at order 8 with z <= 100 in about
+# 0.5 s (z = 150 took 0.7 s).  The CLI refuses to write records past these.
 SEARCH_Z_MAX_CAP = 1000
 BRUTE_W_MAX_CAP = 10 ** 6
 CONSTANTS_PRECISION_CAP = 4096
 GROWTH_N_MAX_CAP = 10 ** 4
+PAIR_Z_MAX_CAP = 2000
+EXPANSION_INDEX_CAP = 100
 
 _BOOL = _codec(lambda v: type(v) is bool, "true or false",
                lambda v: "true" if v else "false")
@@ -141,7 +147,8 @@ _DECIMAL = _exact_str(int)
 _RATIONAL = _exact_str(_parse_rational)
 _INDEX = _int(0)
 _FIRST_INDEX = _nullable(_INDEX)
-_PAIR_INDEX = _int(4)
+_PAIR_INDEX = _int(4, PAIR_Z_MAX_CAP)
+_EXPANSION_INDEX = _int(5, EXPANSION_INDEX_CAP)
 _CHECKS = _codec(lambda v: type(v) is dict
                  and all(type(b) is bool for b in v.values()),
                  "an object of booleans",
@@ -169,7 +176,8 @@ _FIELDS = {
                ("failures",
                 _list_of(_list(_INDEX, _one_of("lower", "upper"))))),
     "field": (("ok", _BOOL), ("checks", _CHECKS)),
-    "expansion": (("x", _int(5)), ("y", _int(5)), ("z", _int(5)),
+    "expansion": (("x", _EXPANSION_INDEX), ("y", _EXPANSION_INDEX),
+                  ("z", _EXPANSION_INDEX),
                   ("t", _int(0, MAX_ORDER)), ("err_lo", _RATIONAL),
                   ("err_hi", _RATIONAL), ("decreasing", _FLAG),
                   ("ratio_ok", _FLAG)),
@@ -364,14 +372,17 @@ def read_records(path) -> list[VerificationRecord]:
 
 # ---------------------------------------------------------------------------
 # independent re-validation: from_line has checked each field's type and
-# range, so a checker holds only its cross-field rules and recomputation
+# range, so a checker holds only its cross-field rules and recomputation.
+# Every checker takes the record plus the starting precision and the cap of
+# its adaptive recomputation.
 # ---------------------------------------------------------------------------
 
 def _recomputed(build):
     """A checker that rebuilds the whole record from scratch with ``build``
     and compares."""
-    def check(rec: VerificationRecord) -> str | None:
-        fresh = build(rec)
+    def check(rec: VerificationRecord, bits: int,
+              max_bits: int) -> str | None:
+        fresh = build(rec, bits, max_bits)
         if fresh.payload != rec.payload:
             return f"recomputation disagrees: {fresh.to_line()}"
         return None
@@ -386,17 +397,19 @@ def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
     return y, z
 
 
-def _check_prop1(rec: VerificationRecord) -> str | None:
+def _check_prop1(rec: VerificationRecord, bits: int,
+                 max_bits: int) -> str | None:
     y, z = _pair_indices(rec)
     d = gcd_shifted(y, z)
     if d != rec.get("gcd"):
         return f"gcd({y},{z}) recomputes to {d}"
-    if prop1_holds(y, z) != rec.get("bound_ok"):
+    if prop1_holds(y, z, bits, max_bits) != rec.get("bound_ok"):
         return "bound verdict disagrees"
     return None
 
 
-def _check_norm(rec: VerificationRecord) -> str | None:
+def _check_norm(rec: VerificationRecord, bits: int,
+                max_bits: int) -> str | None:
     y, z = _pair_indices(rec)
     w = norm_witness(y, z)
     if w.d != rec.get("d"):
@@ -414,7 +427,8 @@ def _is_odd_prime(q: int) -> bool:
     return q % 2 == 1 and all(q % p for p in range(3, isqrt(q) + 1, 2))
 
 
-def _check_lemma2(rec: VerificationRecord) -> str | None:
+def _check_lemma2(rec: VerificationRecord, bits: int,
+                  max_bits: int) -> str | None:
     label, coords, square, root, *witnesses = (v for _, v in rec.payload)
     element, expected = LEMMA2_CASES[label]
     if CubicElement(coords) != element:
@@ -448,7 +462,8 @@ def _check_lemma2(rec: VerificationRecord) -> str | None:
     return None
 
 
-def _check_expansion(rec: VerificationRecord) -> str | None:
+def _check_expansion(rec: VerificationRecord, bits: int,
+                     max_bits: int) -> str | None:
     x, y, z, t, lo, hi, decreasing, ratio_ok = (v for _, v in rec.payload)
     if not (x < y < z and x + y > z):
         raise RecordFormatError(f"expansion needs x < y < z with x + y > z, "
@@ -466,14 +481,14 @@ def _check_expansion(rec: VerificationRecord) -> str | None:
             and recorded.width() * 4096 <= recorded.lo):
         return ("recorded error interval is not positive with relative "
                 "width at most 2^-12")
-    fresh = expansion_error(x, y, z, t)
+    fresh = expansion_error(x, y, z, t, bits, max_bits)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
                 "misses the recorded interval")
     if t >= 2:
-        prev = expansion_error(x, y, z, t - 1)
+        prev = expansion_error(x, y, z, t - 1, bits, max_bits)
         (fresh_decreasing,), (fresh_ratio_ok,) = decay_verdicts(
-            x, (prev, fresh))
+            x, (prev, fresh), bits)
         if fresh_decreasing != decreasing:
             return f"decreasing verdict recomputes to {fresh_decreasing}"
         if fresh_ratio_ok != ratio_ok:
@@ -481,7 +496,8 @@ def _check_expansion(rec: VerificationRecord) -> str | None:
     return None
 
 
-def _check_search_summary(rec: VerificationRecord) -> str | None:
+def _check_search_summary(rec: VerificationRecord, bits: int,
+                          max_bits: int) -> str | None:
     from .triples import brute_force, search
     mode, z_max, w_max, prune, count = (v for _, v in rec.payload)
     if mode == "search":
@@ -501,25 +517,30 @@ def _check_search_summary(rec: VerificationRecord) -> str | None:
 
 
 _CHECKERS = {
-    "triple": _recomputed(lambda rec: membership_triple_record(
+    "triple": _recomputed(lambda rec, *_: membership_triple_record(
         rec.get("u"), rec.get("v"), rec.get("w"))),
     "prop1": _check_prop1,
     "norm": _check_norm,
     "lemma2": _check_lemma2,
-    "constants": _recomputed(lambda rec: constants_record(
+    "constants": _recomputed(lambda rec, *_: constants_record(
         verify_numeric_window(rec.get("precision_bits")))),
-    "growth": _recomputed(lambda rec: growth_record(
-        verify_growth(rec.get("n_max")))),
-    "field": _recomputed(lambda rec: field_record(field_identity_report())),
+    "growth": _recomputed(lambda rec, bits, max_bits: growth_record(
+        verify_growth(rec.get("n_max"), bits, max_bits))),
+    "field": _recomputed(
+        lambda rec, *_: field_record(field_identity_report())),
     "expansion": _check_expansion,
     "search-summary": _check_search_summary,
 }
 
 
-def check_record(rec: VerificationRecord) -> tuple[bool, str]:
+def check_record(rec: VerificationRecord,
+                 precision_bits: int = DEFAULT_PRECISION,
+                 max_precision_bits: int = MAX_PRECISION) -> tuple[bool, str]:
     """Re-derive the record's claim from scratch; (True, "ok") when the
-    recomputation agrees."""
-    problem = _CHECKERS[rec.kind](rec)
+    recomputation agrees.  Adaptive recomputations start at precision_bits,
+    and one that reaches max_precision_bits undecided raises
+    PrecisionFailure."""
+    problem = _CHECKERS[rec.kind](rec, precision_bits, max_precision_bits)
     if problem is None:
         return True, "ok"
     return False, problem

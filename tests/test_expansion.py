@@ -1,13 +1,21 @@
 """Truncated series for the square-root quantity driving the linear forms:
 term bookkeeping, measured truncation error, decay certificates."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from triboverify.expansion import (DecayReport, decay_report, expansion_error,
-                                   expansion_terms, _symbolic_terms)
+from triboverify import expansion
+from triboverify.constants import DEFAULT_PRECISION, alpha_power, constants
+from triboverify.enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
+from triboverify.expansion import (MAX_ORDER, Q_SCALE, DecayReport, _cpow,
+                                   _symbolic_terms, _truncation_value,
+                                   decay_report, expansion_error,
+                                   expansion_terms)
 from triboverify.tribonacci import trib
 
 mpmath.mp.prec = 240
@@ -27,7 +35,8 @@ LADDER = (6.011008621086651e-4, 4.013854719694171e-9, 5.578197707866363e-14,
           8.656047128622318e-33, 1.9589822763975985e-37,
           4.547093136313194e-42)
 
-TERM_COUNTS = {0: 1, 1: 13, 2: 62, 3: 176, 4: 439, 8: 8651}
+TERM_COUNTS = {0: 1, 1: 13, 2: 62, 3: 176, 4: 439, 5: 1061, 6: 2252,
+               7: 4474, 8: 8651}
 
 
 def test_term_counts():
@@ -53,18 +62,121 @@ def test_sign_structure():
 
 
 def test_conjugate_pairing():
-    terms = set(_symbolic_terms(3))
-    for q, a_vec, b_vec, c_vec in terms:
-        assert (q, a_vec, c_vec, b_vec) in terms
+    # at every order, swapping B and C maps the kept set onto itself with
+    # equal exact q
+    for order in range(MAX_ORDER + 1):
+        terms = _symbolic_terms(order)
+        kept = set(terms)
+        assert len(kept) == len(terms)
+        for q, a_vec, b_vec, c_vec in terms:
+            assert (q, a_vec, c_vec, b_vec) in kept
+
+
+def test_scaled_coefficients_are_integers():
+    for q, *_ in _symbolic_terms(MAX_ORDER):
+        assert (q * Q_SCALE).denominator == 1
+
+
+def test_each_order_extends_the_last():
+    for order in range(1, MAX_ORDER + 1):
+        prev = _symbolic_terms(order - 1)
+        assert _symbolic_terms(order)[:len(prev)] == prev
+
+
+def test_term_without_equal_mirror_is_refused(monkeypatch):
+    # doubling one q with pb != pc leaves its group unlike its mirror, so
+    # the kept sum is not real and no interval check is needed to see it
+    params = expansion_terms(2)
+    i = next(i for i, t in enumerate(params.terms)
+             if sum(t.b_vec) != sum(t.c_vec))
+    terms = list(params.terms)
+    terms[i] = terms[i]._replace(q=2 * terms[i].q)
+    lopsided = replace(params, terms=tuple(terms))
+    monkeypatch.setattr(expansion, "expansion_terms",
+                        lambda order, bits: lopsided)
+    with pytest.raises(ArithmeticError, match="failed to be real"):
+        _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
+
+
+def _coefficient(params, term) -> ComplexEnclosure:
+    """q * a1^pa b1^pb c1^pc rebuilt from the enclosed powers."""
+    q, a_vec, b_vec, c_vec = term
+    pb, pc = sum(b_vec), sum(c_vec)
+    pa = -sum(a_vec) - pb - pc
+    return (params.b1_pows[pb] * params.b1_pows[pc].conj()
+            * (params.a1_pows[pa] * q))
 
 
 def test_materialized_terms_have_enclosed_coefficients():
     params = expansion_terms(2)
     assert params.order == 2
     assert len(params.terms) == TERM_COUNTS[2]
+    assert len(params.a1_pows) == len(params.b1_pows) == 4
+    for a1p, b1p in zip(params.a1_pows, params.b1_pows):
+        assert a1p.width() < Fraction(1, 2 ** 40)
+        assert b1p.re.width() + b1p.im.width() < Fraction(1, 2 ** 40)
     for term in params.terms:
-        w = term.coeff.re.width() + term.coeff.im.width()
+        coeff = _coefficient(params, term)
+        w = coeff.re.width() + coeff.im.width()
         assert w < Fraction(1, 2 ** 40)
+
+
+def _dot(vec, v):
+    return sum(a * b for a, b in zip(vec, v))
+
+
+def _oracle_truncation(x, y, z, order, bits):
+    """The truncation evaluated one monomial at a time: each coefficient
+    enclosed from the powers, times alpha, beta and gamma powers as three
+    rounded complex products, and the real part of the total."""
+    params = expansion_terms(order, bits)
+    work = bits + 32
+    v = (x, y, z)
+    cs = constants(bits)
+    beta_pows = {}
+
+    def beta_pow(m):
+        if m not in beta_pows:
+            beta_pows[m] = _cpow(cs.beta, m, work)
+        return beta_pows[m]
+
+    total = ComplexEnclosure.point(0)
+    for term in params.terms:
+        _, a_vec, b_vec, c_vec = term
+        val = ComplexEnclosure.real(alpha_power(_dot(a_vec, v), bits))
+        val = (val * _coefficient(params, term).rounded(work)).rounded(work)
+        mb = _dot(b_vec, v)
+        if mb:
+            val = (val * beta_pow(mb)).rounded(work)
+        mc = _dot(c_vec, v)
+        if mc:
+            val = (val * beta_pow(mc).conj()).rounded(work)
+        total = total + val
+    assert total.im.contains_zero()
+    prefactor = cs.a.sqrt(work) * alpha_power(x + y - z, bits).sqrt(work)
+    return (total.re * prefactor).rounded(work)
+
+
+@st.composite
+def _admissible(draw):
+    """x < y < z with 5 <= x <= 40 and x + y > z."""
+    x = draw(st.integers(5, 40))
+    y = draw(st.integers(x + 1, 2 * x))
+    z = draw(st.integers(y + 1, x + y - 1))
+    return x, y, z
+
+
+@settings(max_examples=25, deadline=None)
+@given(_admissible(), st.integers(0, 6))
+@example((20, 25, 30), 6)
+@example((5, 6, 10), 6)
+def test_grouped_truncation_matches_oracle(xyz, order):
+    grouped = _truncation_value(*xyz, order, DEFAULT_PRECISION)
+    assert grouped.intersects(_oracle_truncation(*xyz, order,
+                                                 DEFAULT_PRECISION))
+    err = expansion_error(*xyz, order)
+    assert err.is_positive()
+    assert (err.hi - err.lo) * 4096 <= err.lo
 
 
 def test_error_ladder_frozen():
@@ -106,6 +218,20 @@ def test_decay_report():
     assert len(rep.errors) == 7
     assert len(rep.decreasing) == len(rep.ratio_ok) == 5
     assert all(rep.decreasing) and all(rep.ratio_ok)
+
+
+def test_error_precision_doubles_up_to_the_cap(monkeypatch):
+    seen = []
+
+    def unresolved(x, y, z, order, bits):
+        seen.append(bits)
+        assert len(seen) <= 10, "the precision loop ignores its cap"
+        return Enclosure(-1, 1)
+
+    monkeypatch.setattr(expansion, "_truncation_value", unresolved)
+    with pytest.raises(PrecisionFailure):
+        expansion_error(20, 25, 30, 2, 24, 100)
+    assert seen == [24, 48, 96, 100]
 
 
 def test_preconditions():

@@ -19,7 +19,8 @@ from triboverify.cli import RunConfig, UsageError, load_config, run
 from triboverify.constants import verify_growth, verify_numeric_window
 from triboverify.expansion import decay_report
 from triboverify.gcdbound import norm_witness
-from triboverify.records import (LEMMA2_CASES, RecordFormatError,
+from triboverify.records import (EXPANSION_INDEX_CAP, LEMMA2_CASES,
+                                 PAIR_Z_MAX_CAP, RecordFormatError,
                                  VerificationRecord, check_record,
                                  constants_record, emit_records,
                                  expansion_records, field_record,
@@ -223,6 +224,35 @@ def test_cli_check_records_rejects_bad_pair_indices(tmp_path, capsys,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", sorted(_PAIR_LINES))
+@pytest.mark.parametrize("y, z", [(6, PAIR_Z_MAX_CAP + 1),
+                                  (PAIR_Z_MAX_CAP + 1, PAIR_Z_MAX_CAP + 2),
+                                  (6, 10 ** 6)])
+def test_cli_check_records_rejects_pair_indices_over_cap(tmp_path, capsys,
+                                                         kind, y, z):
+    path = tmp_path / "r.jsonl"
+    line = _PAIR_LINES[kind].replace('"y":6,"z":7', f'"y":{y},"z":{z}')
+    path.write_text(line + "\n")
+    assert run(["check-records", str(path)]) == 2
+    assert "error: line 1:" in capsys.readouterr().err
+
+
+def test_cli_check_records_accepts_pair_at_cap(tmp_path, capsys):
+    y, z = PAIR_Z_MAX_CAP - 1, PAIR_Z_MAX_CAP
+    path = tmp_path / "r.jsonl"
+    emit_records(path, [prop1_record(y, z, 1, True),
+                        norm_record(norm_witness(y, z))])
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("check, z_max", [("prop1", PAIR_Z_MAX_CAP + 1),
+                                          ("norms", PAIR_Z_MAX_CAP + 1)])
+def test_cli_verify_refuses_pair_sweep_over_cap(capsys, check, z_max):
+    assert run(["verify", check, "--z-max", str(z_max)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_verdict_lines(capsys):
     assert run(["verify", "constants"]) == 0
     out = capsys.readouterr().out
@@ -295,6 +325,60 @@ def test_cli_check_records_flags_forged_expansion_verdict(
     assert record[flag] is True
     assert _check_edited(tmp_path, record, **{flag: False}) == 1
     assert "verdict" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edits", [
+    {"x": EXPANSION_INDEX_CAP + 1},
+    {"y": EXPANSION_INDEX_CAP + 1},
+    {"z": EXPANSION_INDEX_CAP + 1},
+    {"x": 2000, "y": 2005, "z": 2010},
+])
+def test_cli_check_records_rejects_expansion_indices_over_cap(
+        tmp_path, capsys, expansion_lines, edits):
+    assert _check_edited(tmp_path, expansion_lines[2], **edits) == 2
+    assert "error: line 1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xyz", [(60, 80, EXPANSION_INDEX_CAP + 1),
+                                 (EXPANSION_INDEX_CAP + 1,
+                                  EXPANSION_INDEX_CAP + 2,
+                                  EXPANSION_INDEX_CAP + 3)])
+def test_cli_verify_expansion_refuses_indices_over_cap(capsys, xyz):
+    x, y, z = map(str, xyz)
+    assert run(["verify", "expansion", "--x", x, "--y", y, "--z", z]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_verify_expansion_at_cap_writes_checkable_records(tmp_path,
+                                                              capsys):
+    path = tmp_path / "r.jsonl"
+    z = EXPANSION_INDEX_CAP
+    assert run(["verify", "expansion", "--x", str(z // 2 + 1),
+                "--y", str(z - 1), "--z", str(z), "--t-max", "2",
+                "--out", str(path)]) == 0
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_verify_expansion_honours_precision_cap(capsys):
+    assert run(["verify", "expansion", "--x", "20", "--y", "25", "--z", "30",
+                "--t-max", "4", "--precision-bits", "16",
+                "--max-precision-bits", "32"]) == 3
+    captured = capsys.readouterr()
+    assert "inconclusive:" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_cli_check_records_honours_expansion_precision_cap(
+        tmp_path, capsys, expansion_lines):
+    path = tmp_path / "r.jsonl"
+    path.write_text(json.dumps(expansion_lines[2], separators=(",", ":"))
+                    + "\n")
+    assert run(["check-records", str(path), "--precision-bits", "16",
+                "--max-precision-bits", "32"]) == 3
+    assert "inconclusive:" in capsys.readouterr().err
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
 
 
 _SUMMARY_LINES = {
