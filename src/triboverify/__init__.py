@@ -5,7 +5,7 @@ and a truncation-error decay check, with machine-readable records.
 """
 
 from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
-                        cmp_alpha_power, constants, floor_log_alpha,
+                        beta_power, cmp_alpha_power, constants, floor_log_alpha,
                         verify_growth, verify_numeric_window)
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
                         round_down, round_up, sqrt_split)
@@ -41,7 +41,7 @@ __all__ = [
     "MAX_PRECISION", "PrecisionFailure", "RecordFormatError",
     "SquareCertificate", "SweepReport", "TribTable", "TripleCandidate",
     "VerificationRecord", "admissible", "all_embeddings", "alpha_power",
-    "alpha_power_cubic", "binet_constants", "brute_force", "check_record",
+    "alpha_power_cubic", "beta_power", "binet_constants", "brute_force", "check_record",
     "cmp_alpha_power", "constants", "decay_report", "default_table",
     "embed_alpha", "embed_field", "emit_records", "expansion_error",
     "expansion_terms", "factor_bounds", "factor_sweep", "fast_path_refutes",

@@ -21,13 +21,14 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .constants import (DEFAULT_PRECISION, MAX_PRECISION, verify_growth,
-                        verify_numeric_window)
+from .constants import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
+                        verify_growth, verify_numeric_window)
 from .enclosure import PrecisionFailure
 from .expansion import decay_report
 from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
                        prop1_results, regime_sample)
-from .records import (EXPANSION_INDEX_CAP, LEMMA2_CASES, PAIR_Z_MAX_CAP,
+from .records import (CONSTANTS_PRECISION_CAP, EXPANSION_INDEX_CAP,
+                      GROWTH_N_MAX_CAP, LEMMA2_CASES, PAIR_Z_MAX_CAP,
                       RecordFormatError, check_record, constants_record,
                       emit_records, expansion_records, field_record,
                       growth_record, lemma2_record, norm_record,
@@ -61,6 +62,8 @@ class RunConfig:
         for name in _INT_FIELDS:
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive")
+        if self.precision_bits < MIN_PRECISION:
+            raise UsageError(f"precision_bits must be >= {MIN_PRECISION}")
         if self.precision_bits > self.max_precision_bits:
             raise UsageError("precision_bits exceeds max_precision_bits")
         return self
@@ -278,6 +281,9 @@ def _battery_norms(z_max: int, samples: int, config: RunConfig):
 
 
 def _battery_constants(config: RunConfig):
+    if config.precision_bits > CONSTANTS_PRECISION_CAP:
+        raise UsageError("verify constants needs --precision-bits <= "
+                         f"{CONSTANTS_PRECISION_CAP}")
     report = verify_numeric_window(config.precision_bits)
     for c in report.checks:
         _verdict(f"constants {c.name}", c.ok, c.detail)
@@ -285,8 +291,8 @@ def _battery_constants(config: RunConfig):
 
 
 def _battery_growth(n_max: int, config: RunConfig):
-    if n_max < 2:
-        raise UsageError("--n-max must be >= 2")
+    if not 2 <= n_max <= GROWTH_N_MAX_CAP:
+        raise UsageError(f"--n-max must lie in 2..{GROWTH_N_MAX_CAP}")
     report = verify_growth(n_max, config.precision_bits,
                            config.max_precision_bits)
     _verdict(f"growth n <= {n_max}", report.all_ok,

@@ -8,11 +8,13 @@ and for the coefficients of the closed form of the sequence:
 
     a = alpha / (alpha**2 + 2*alpha + 3),   b = 1/((beta-alpha)*(beta-gamma)),
 
-with c the conjugate of b.  On top of the enclosures sit certified integer
-comparisons against powers of alpha (``cmp_alpha_power``), a certified
-floor-log (``floor_log_alpha``), and the two checkable numeric claims:
-``verify_numeric_window`` for the decimal windows of the constants and
-``verify_growth`` for alpha**(n-3) <= T_n <= alpha**(n-2).
+with c the conjugate of b.  Powers alpha**p and beta**k are memoised per
+precision (``alpha_power``, ``beta_power``).  On top of the enclosures sit
+certified integer comparisons against powers of alpha
+(``cmp_alpha_power``), a certified floor-log (``floor_log_alpha``), and the
+two checkable numeric claims: ``verify_numeric_window`` for the decimal
+windows of the constants and ``verify_growth`` for
+alpha**(n-3) <= T_n <= alpha**(n-2).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from fractions import Fraction
 from .enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
 
 DEFAULT_PRECISION = 192
+MIN_PRECISION = 8
 MAX_PRECISION = 65536
 
 # float seed for first guesses only; every decision goes through enclosures
@@ -99,7 +102,7 @@ _constants_lock = threading.Lock()
 
 
 def constants(precision_bits: int = DEFAULT_PRECISION) -> RealConstants:
-    if precision_bits < 8:
+    if precision_bits < MIN_PRECISION:
         raise ValueError("precision_bits too small")
     with _constants_lock:
         hit = _constants_cache.get(precision_bits)
@@ -137,7 +140,8 @@ def _build_constants(bits: int) -> RealConstants:
 
 
 class _PowerTable:
-    """alpha**p enclosures, extended on demand, one table per precision."""
+    """alpha**p and beta**k enclosures, extended on demand, one table per
+    precision."""
 
     def __init__(self, bits: int):
         self.bits = bits
@@ -145,6 +149,9 @@ class _PowerTable:
         self.lock = threading.Lock()
         self.pos = [Enclosure.point(1), base.alpha]
         self.neg = [Enclosure.point(1), base.alpha.inv().rounded(bits + 32)]
+        # beta**(2**j), each the rounded square of the last
+        self.beta_squares = [base.beta]
+        self.beta: dict[int, ComplexEnclosure] = {0: ComplexEnclosure.point(1)}
 
     def power(self, p: int) -> Enclosure:
         tab, k = (self.pos, p) if p >= 0 else (self.neg, -p)
@@ -158,19 +165,61 @@ class _PowerTable:
                 tab.append(cur)
             return tab[k]
 
+    def beta_power(self, k: int) -> ComplexEnclosure:
+        """beta**k by square-and-multiply, low bits first: the product over
+        the bits of k below j is beta**(k mod 2**j), so every prefix is
+        itself a memoised power and each new power costs one product."""
+        work = self.bits + 32
+        with self.lock:
+            hit = self.beta.get(k)
+            if hit is not None:
+                return hit
+            squares = self.beta_squares
+            while len(squares) < k.bit_length():
+                squares.append(squares[-1].square().rounded(work))
+            out = self.beta[0]
+            low = 0
+            for j in range(k.bit_length()):
+                if k >> j & 1:
+                    low |= 1 << j
+                    nxt = self.beta.get(low)
+                    if nxt is None:
+                        nxt = self.beta[low] = (out * squares[j]).rounded(work)
+                    out = nxt
+            return out
+
 
 _power_tables: dict[int, _PowerTable] = {}
 _power_lock = threading.Lock()
 
 
-def alpha_power(p: int, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
-    """Enclosure of alpha**p for any integer p."""
+def _power_table(precision_bits: int) -> _PowerTable:
     with _power_lock:
         tab = _power_tables.get(precision_bits)
         if tab is None:
             tab = _PowerTable(precision_bits)
             _power_tables[precision_bits] = tab
-    return tab.power(p)
+    return tab
+
+
+def alpha_power(p: int, precision_bits: int = DEFAULT_PRECISION) -> Enclosure:
+    """Enclosure of alpha**p for any integer p."""
+    return _power_table(precision_bits).power(p)
+
+
+def beta_power(k: int,
+               precision_bits: int = DEFAULT_PRECISION) -> ComplexEnclosure:
+    """Enclosure of beta**k for k >= 0, memoised per precision.
+
+    Built by repeated squaring with every product rounded at
+    precision_bits + 32, never as a chain of k products: multiplying a
+    rectangle by a rotation can widen it by sqrt(2) relative to its value
+    (the wrapping effect), so a chain loses about half a bit per step of k
+    while squaring takes O(log k) products.  Gamma**k is the conjugate.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return _power_table(precision_bits).beta_power(k)
 
 
 def cmp_alpha_power(p: int, q: int, n: int,

@@ -239,15 +239,23 @@ class Enclosure:
     def contains_zero(self) -> bool:
         return self._n0 <= 0 <= self._n1
 
-    def definitely_lt(self, v: Rat) -> bool:
+    def definitely_lt(self, v: "Rat | Enclosure") -> bool:
+        """True only if every value in the interval is < v, or < every
+        value in v when v is an enclosure."""
         if type(v) is int:
             return self._n1 < v * self._d
+        if type(v) is Enclosure:
+            return self._n1 * v._d < v._n0 * self._d
         p, q = _num_den(v)
         return self._n1 * q < p * self._d
 
-    def definitely_gt(self, v: Rat) -> bool:
+    def definitely_gt(self, v: "Rat | Enclosure") -> bool:
+        """True only if every value in the interval is > v, or > every
+        value in v when v is an enclosure."""
         if type(v) is int:
             return self._n0 > v * self._d
+        if type(v) is Enclosure:
+            return self._n0 * v._d > v._n1 * self._d
         p, q = _num_den(v)
         return self._n0 * q > p * self._d
 

@@ -47,7 +47,8 @@ from itertools import product
 from math import factorial
 from typing import NamedTuple
 
-from .constants import DEFAULT_PRECISION, MAX_PRECISION, alpha_power, constants
+from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
+                        beta_power, constants)
 from .enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
 from .tribonacci import trib
 
@@ -156,18 +157,6 @@ def expansion_terms(order: int,
                            tuple(b1_pows))
 
 
-def _cpow(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
-    out = ComplexEnclosure.point(1)
-    sq = base
-    while n:
-        if n & 1:
-            out = (out * sq).rounded(bits)
-        n >>= 1
-        if n:
-            sq = (sq.square()).rounded(bits)
-    return out
-
-
 def _grouped(terms, v: tuple[int, int, int]) -> dict:
     """The terms at v grouped by (pb, B.v, pc, C.v); each group maps
     (pa, A.v) to the exact sum of its q, scaled by Q_SCALE to an integer."""
@@ -198,7 +187,6 @@ def _truncation_value(x: int, y: int, z: int, order: int,
     groups = _grouped(params.terms, (x, y, z))
     real_tab: dict[tuple[int, int], Enclosure] = {}
     cplx_tab: dict[tuple[int, int], ComplexEnclosure] = {}
-    beta_pows: dict[int, ComplexEnclosure] = {}
 
     def real(p: int, m: int) -> Enclosure:
         """R(p, m) = a1^p alpha^m."""
@@ -210,9 +198,8 @@ def _truncation_value(x: int, y: int, z: int, order: int,
     def cplx(p: int, m: int) -> ComplexEnclosure:
         """P(p, m) = b1^p beta^m."""
         if (p, m) not in cplx_tab:
-            if m not in beta_pows:
-                beta_pows[m] = _cpow(cs.beta, m, work)
-            cplx_tab[p, m] = (params.b1_pows[p] * beta_pows[m]).rounded(work)
+            cplx_tab[p, m] = (params.b1_pows[p]
+                              * beta_power(m, bits)).rounded(work)
         return cplx_tab[p, m]
 
     total = Enclosure.point(0)

@@ -15,7 +15,10 @@ chain d <= T_y - 1 < alpha**(3*z/4) is already enough.
 
 ``norm_witness`` certifies the exact divisibility and norm inequality for a
 pair, ``factor_bounds`` certifies the embedding bounds, and ``prop1_holds``
-checks the headline inequality itself.
+checks the headline inequality itself.  ``factor_bounds`` decides the real
+bound in fourth powers, |eta_alpha|**4 < (13/10)**4 * alpha**z, so it takes
+no root of alpha**z, and encloses the complex embedding from the memoised
+beta**lam of ``constants.beta_power``.
 
 Each battery's pairs and per-pair work are defined once: ``index_pairs``
 enumerates the pairs in (z, y) order, ``in_regime`` is the test
@@ -34,8 +37,8 @@ from fractions import Fraction
 from math import gcd
 
 from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
-                        cmp_alpha_power, constants)
-from .enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
+                        beta_power, cmp_alpha_power)
+from .enclosure import Enclosure, PrecisionFailure
 from .splitfield import CubicElement, norm3, norm6
 from .tribonacci import trib
 
@@ -173,40 +176,22 @@ def factor_bounds(y: int, z: int,
     lam = z - y
     bits = precision_bits
     while True:
-        cs = constants(bits)
-        # embedding fixing alpha
-        real_val = alpha_power(lam, bits) * ty - tz
-        real_abs = real_val.abs()
-        bound_r = alpha_power(z, bits).sqrt(bits).sqrt(bits) * Fraction(13, 10)
+        alpha_z = alpha_power(z, bits)
+        # embedding fixing alpha, against 1.3*alpha**(z/4) in fourth powers
+        real_abs = (alpha_power(lam, bits) * ty - tz).abs()
+        real4 = real_abs.square().square()
+        bound_r4 = alpha_z * Fraction(28561, 10000)
         # embedding sending alpha to beta; the gamma one is its conjugate
-        bpow = _complex_pow(cs.beta, lam, bits)
-        cplx_val = bpow * ty - tz
-        cplx_abs = cplx_val.abs(bits)
-        bound_c = alpha_power(z, bits) * Fraction(6, 10)
-        ok_r = real_abs.hi <= bound_r.lo
-        ok_c = cplx_abs.hi <= bound_c.lo
-        if ok_r and ok_c:
+        cplx_abs = (beta_power(lam, bits) * ty - tz).abs(bits)
+        bound_c = alpha_z * Fraction(6, 10)
+        if real4.definitely_lt(bound_r4) and cplx_abs.definitely_lt(bound_c):
             return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, True)
         # distinguish a genuine violation from insufficient precision
-        fail_r = real_abs.lo > bound_r.hi
-        fail_c = cplx_abs.lo > bound_c.hi
-        if fail_r or fail_c:
+        if real4.definitely_gt(bound_r4) or cplx_abs.definitely_gt(bound_c):
             return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, False)
         bits *= 2
         if bits > max_precision_bits:
             raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
-
-
-def _complex_pow(base: ComplexEnclosure, e: int,
-                 bits: int) -> ComplexEnclosure:
-    out = ComplexEnclosure.point(1)
-    b = base
-    while e:
-        if e & 1:
-            out = (out * b).rounded(bits + 32)
-        b = (b * b).rounded(bits + 32)
-        e >>= 1
-    return out
 
 
 def index_pairs(z_max: int, y_min: int = 4):

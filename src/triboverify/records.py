@@ -32,7 +32,7 @@ from .gcdbound import GcdWitness, gcd_shifted, norm_witness, prop1_holds
 from .splitfield import (ALPHA_C, DEFAULT_WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report)
-from .tribonacci import TribTable, default_table
+from .tribonacci import TribTable, default_table, trib_fast
 
 SCHEMA_VERSION = 1
 
@@ -79,6 +79,18 @@ def _exact_str(parse):
                                     f"writes, got {v!r}")
         return value
     return decode, lambda value: f'"{value}"'
+
+
+def _bounded(codec, lo: int, hi: int, what: str):
+    """A value that ``codec`` decodes to lo <= n < hi."""
+    dec, enc = codec
+
+    def decode(v):
+        n = dec(v)
+        if not lo <= n < hi:
+            raise RecordFormatError(f"needs {what}")
+        return n
+    return decode, enc
 
 
 def _parse_rational(v: str) -> Fraction:
@@ -139,6 +151,12 @@ CONSTANTS_PRECISION_CAP = 4096
 GROWTH_N_MAX_CAP = 10 ** 4
 PAIR_Z_MAX_CAP = 2000
 EXPANSION_INDEX_CAP = 100
+# A triple that search can write has v*w + 1 = T_z with z <= SEARCH_Z_MAX_CAP,
+# and one from brute has w <= BRUTE_W_MAX_CAP, so each of u < v < w stays
+# below T_1000.  The cap keeps the sequence table that the checker grows to
+# reach u*v + 1 near index 2000 (a u of 10**2000 took 0.36 s and raised peak
+# RSS by 36 MB).
+TRIPLE_VALUE_CAP = trib_fast(SEARCH_Z_MAX_CAP)
 
 _BOOL = _codec(lambda v: type(v) is bool, "true or false",
                lambda v: "true" if v else "false")
@@ -146,6 +164,9 @@ _FLAG = _nullable(_BOOL)
 _DECIMAL = _exact_str(int)
 _RATIONAL = _exact_str(_parse_rational)
 _INDEX = _int(0)
+_TRIPLE_VALUE = _bounded(_DECIMAL, 1, TRIPLE_VALUE_CAP,
+                         f"a decimal string for an integer "
+                         f"1 <= n < T_{SEARCH_Z_MAX_CAP}")
 _FIRST_INDEX = _nullable(_INDEX)
 _PAIR_INDEX = _int(4, PAIR_Z_MAX_CAP)
 _EXPANSION_INDEX = _int(5, EXPANSION_INDEX_CAP)
@@ -158,7 +179,8 @@ _WITNESS = _nullable(_list(_int(3, DEFAULT_WITNESS_PRIME_BOUND),
                            _int(0, DEFAULT_WITNESS_PRIME_BOUND)))
 
 _FIELDS = {
-    "triple": (("u", _DECIMAL), ("v", _DECIMAL), ("w", _DECIMAL),
+    "triple": (("u", _TRIPLE_VALUE), ("v", _TRIPLE_VALUE),
+               ("w", _TRIPLE_VALUE),
                ("x", _FIRST_INDEX), ("y", _FIRST_INDEX),
                ("z", _FIRST_INDEX), ("ok", _BOOL)),
     "prop1": (("y", _PAIR_INDEX), ("z", _PAIR_INDEX), ("gcd", _DECIMAL),

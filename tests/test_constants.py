@@ -6,9 +6,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from triboverify.constants import (Cmp, alpha_power, cmp_alpha_power,
-                                   constants, floor_log_alpha,
-                                   verify_growth, verify_numeric_window)
+from triboverify.constants import (Cmp, alpha_power, beta_power,
+                                   cmp_alpha_power, constants,
+                                   floor_log_alpha, verify_growth,
+                                   verify_numeric_window)
+from triboverify.enclosure import ComplexEnclosure
 
 mpmath.mp.prec = 300
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
@@ -78,6 +80,58 @@ def test_alpha_power_multiplicativity():
     e2 = alpha_power(16, 160)
     prod = e1 * e2
     assert prod.intersects(alpha_power(25, 160))
+
+
+def _cpow(base: ComplexEnclosure, n: int, bits: int) -> ComplexEnclosure:
+    out = ComplexEnclosure.point(1)
+    sq = base
+    while n:
+        if n & 1:
+            out = (out * sq).rounded(bits)
+        n >>= 1
+        if n:
+            sq = (sq.square()).rounded(bits)
+    return out
+
+
+def _endpoints(c):
+    return c.re.lo, c.re.hi, c.im.lo, c.im.hi
+
+
+@pytest.mark.parametrize("bits, k_max", [(192, 300), (1024, 60)])
+def test_beta_power_matches_square_and_multiply(bits, k_max):
+    # _cpow, square-and-multiply rounded at bits + 32, is the oracle
+    beta = constants(bits).beta
+    for k in range(k_max + 1):
+        assert (_endpoints(beta_power(k, bits))
+                == _endpoints(_cpow(beta, k, bits + 32)))
+
+
+def test_beta_power_against_oracle():
+    disc = mpmath.sqrt((1 - MP_ALPHA) ** 2 - 4 / MP_ALPHA)
+    beta = ((1 - MP_ALPHA) + disc) / 2
+    for k in (0, 1, 2, 7, 100, 1000):
+        enc = beta_power(k, 192)
+        assert _contains_mp(enc.re, (beta ** k).real)
+        assert _contains_mp(enc.im, (beta ** k).imag)
+
+
+def test_beta_power_is_memoised():
+    assert beta_power(77, 192) is beta_power(77, 192)
+    assert beta_power(0, 192) == ComplexEnclosure.point(1)
+    with pytest.raises(ValueError):
+        beta_power(-1, 192)
+
+
+def test_beta_power_relative_width():
+    # |beta**k| = alpha**(-k/2), so width**2 * alpha**k <= 4**-bits says
+    # the relative width stays below 2**-bits; a chain of k products
+    # would lose about half a bit per product
+    bits = 192
+    for k in range(2001):
+        enc = beta_power(k, bits)
+        width = max(enc.re.width(), enc.im.width())
+        assert width * width * alpha_power(k, bits).hi <= Fraction(1, 4 ** bits)
 
 
 def test_cmp_alpha_power_exactness():

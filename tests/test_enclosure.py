@@ -230,6 +230,24 @@ def test_scalar_ops_match_oracle(a, s):
     assert x.definitely_gt(s) == (ox.lo > s)
 
 
+# the factors factor_bounds scales alpha**z by; multiplying by them leaves
+# denominators that are neither dyadic nor reduced
+_bound_factor = st.sampled_from([1, Fraction(6, 10), Fraction(28561, 10000)])
+
+
+@_props
+@given(_pairs, _pairs, _bound_factor)
+def test_enclosure_comparisons_match_oracle(a, b, factor):
+    (x, ox), (y, oy) = a, b
+    y, oy = y * factor, oy * factor
+    assert x.definitely_lt(y) == (ox.hi < oy.lo)
+    assert x.definitely_gt(y) == (ox.lo > oy.hi)
+    # touching endpoints decide neither way
+    t = Enclosure(ox.hi, ox.hi + 1) * 7 / 7
+    assert not x.definitely_lt(t) and not t.definitely_gt(x)
+    assert x.definitely_lt(t + Fraction(1, 10 ** 9))
+
+
 @_props
 @given(_pairs, _bits)
 # 15/21 and 5/7 sit on different grids unless the shared 3 is removed:

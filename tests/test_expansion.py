@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from triboverify import expansion
 from triboverify.constants import DEFAULT_PRECISION, alpha_power, constants
 from triboverify.enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
-from triboverify.expansion import (MAX_ORDER, Q_SCALE, DecayReport, _cpow,
+from triboverify.expansion import (MAX_ORDER, Q_SCALE, DecayReport,
                                    _symbolic_terms, _truncation_value,
                                    decay_report, expansion_error,
                                    expansion_terms)
 from triboverify.tribonacci import trib
+
+from test_constants import _cpow
 
 mpmath.mp.prec = 240
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from triboverify import cli, gcdbound
+from triboverify.constants import alpha_power, constants
+from triboverify.enclosure import ComplexEnclosure, PrecisionFailure
 from triboverify.gcdbound import (FactorBoundsReport, GcdWitness,
                                   IntegrityError, alpha_power_cubic,
                                   factor_bounds, factor_sweep, gcd_shifted,
@@ -84,6 +86,89 @@ def test_factor_bounds_inside_regime():
     assert r.ok
     # the real-embedding magnitude is a genuine positive quantity
     assert r.real_abs.is_positive()
+
+
+def _oracle_complex_pow(base, e, bits):
+    out = ComplexEnclosure.point(1)
+    b = base
+    while e:
+        if e & 1:
+            out = (out * b).rounded(bits + 32)
+        b = (b * b).rounded(bits + 32)
+        e >>= 1
+    return out
+
+
+def _oracle_factor_bounds(y, z, precision_bits=192,
+                          max_precision_bits=65536):
+    """factor_bounds as it was before beta powers were memoised: square
+    roots of alpha**z, a fresh beta power per call, Fraction endpoints."""
+    ty, tz = gcdbound._shifted(y), gcdbound._shifted(z)
+    lam = z - y
+    bits = precision_bits
+    while True:
+        cs = constants(bits)
+        real_val = alpha_power(lam, bits) * ty - tz
+        real_abs = real_val.abs()
+        bound_r = alpha_power(z, bits).sqrt(bits).sqrt(bits) * Fraction(13, 10)
+        bpow = _oracle_complex_pow(cs.beta, lam, bits)
+        cplx_val = bpow * ty - tz
+        cplx_abs = cplx_val.abs(bits)
+        bound_c = alpha_power(z, bits) * Fraction(6, 10)
+        ok_r = real_abs.hi <= bound_r.lo
+        ok_c = cplx_abs.hi <= bound_c.lo
+        if ok_r and ok_c:
+            return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, True)
+        fail_r = real_abs.lo > bound_r.hi
+        fail_c = cplx_abs.lo > bound_c.hi
+        if fail_r or fail_c:
+            return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, False)
+        bits *= 2
+        if bits > max_precision_bits:
+            raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
+
+
+def _same_verdict(y, z, bits):
+    new = factor_bounds(y, z, bits)
+    old = _oracle_factor_bounds(y, z, bits)
+    assert new.ok == old.ok
+    assert new.real_abs.intersects(old.real_abs)
+    assert new.complex_abs.intersects(old.complex_abs)
+    return new.ok
+
+
+@pytest.mark.parametrize("bits, z_max", [(192, 120), (1024, 48)])
+def test_factor_bounds_matches_oracle(bits, z_max):
+    assert all(_same_verdict(y, z, bits) for y, z in regime_pairs(z_max))
+
+
+@pytest.mark.parametrize("scale, shift, ok", [
+    (Fraction(2, 10), Fraction(129, 100), True),
+    (Fraction(2, 10), Fraction(131, 100), False),
+    (Fraction(59, 100), 0, True),
+    (Fraction(61, 100), 0, False),
+])
+def test_factor_bounds_decides_next_to_each_bound(monkeypatch, scale, shift,
+                                                  ok):
+    # forged shifted values with T_y - 1 ~ scale * alpha**y and T_z - 1 ~
+    # alpha**lam (T_y - 1) + shift * alpha**(z/4): the real embedding lands
+    # on shift * alpha**(z/4) against 1.3 * alpha**(z/4), the complex one
+    # on scale * alpha**z against 0.6 * alpha**z
+    y, z = 60, 70
+    alpha = float(constants(192).alpha.mid())
+    ty = round(scale * Fraction(alpha ** y))
+    tz = round(alpha_power(z - y, 192).mid() * ty
+               + shift * Fraction(alpha ** (z / 4)))
+    monkeypatch.setattr(gcdbound, "_shifted", {y: ty, z: tz}.__getitem__)
+    assert _same_verdict(y, z, 192) is ok
+
+
+def test_factor_bounds_escalates_until_decided():
+    # at 8 bits the cancellation in alpha**lam (T_y - 1) - (T_z - 1) leaves
+    # the real embedding undecided: a cap there is inconclusive, not False
+    with pytest.raises(PrecisionFailure):
+        factor_bounds(110, 120, 8, 16)
+    assert _same_verdict(110, 120, 8)
 
 
 def test_factor_bounds_regime_guard():

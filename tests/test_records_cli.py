@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from triboverify.cli import RunConfig, UsageError, load_config, run
 from triboverify.constants import verify_growth, verify_numeric_window
 from triboverify.expansion import decay_report
 from triboverify.gcdbound import norm_witness
-from triboverify.records import (EXPANSION_INDEX_CAP, LEMMA2_CASES,
-                                 PAIR_Z_MAX_CAP, RecordFormatError,
+from triboverify.records import (CONSTANTS_PRECISION_CAP,
+                                 EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP,
+                                 LEMMA2_CASES, PAIR_Z_MAX_CAP,
+                                 TRIPLE_VALUE_CAP, RecordFormatError,
                                  VerificationRecord, check_record,
                                  constants_record, emit_records,
                                  expansion_records, field_record,
@@ -144,6 +147,29 @@ def test_run_config_validation():
         RunConfig(witness_prime_bound=0).validate()
     with pytest.raises(UsageError):
         RunConfig(precision_bits=64, max_precision_bits=32).validate()
+    with pytest.raises(UsageError):
+        RunConfig(precision_bits=7, max_precision_bits=7).validate()
+    RunConfig(precision_bits=8, max_precision_bits=8).validate()
+
+
+def test_cli_refuses_precision_below_floor(tmp_path, capsys, monkeypatch):
+    # constants() needs at least 8 bits; below that every battery that
+    # builds them used to die with a traceback
+    monkeypatch.delenv("TRIBOVERIFY_PRECISION_BITS", raising=False)
+    path = tmp_path / "r.jsonl"
+    emit_records(path, [prop1_record(6, 7, 6, True)])
+    for argv in (["verify", "norms", "--z-max", "20"],
+                 ["check-records", str(path)]):
+        assert run(argv + ["--precision-bits", "7",
+                           "--max-precision-bits", "7"]) == 2
+        assert "precision_bits must be >= 8" in capsys.readouterr().err
+        assert run(argv + ["--precision-bits", "8",
+                           "--max-precision-bits", "8"]) == 0
+        capsys.readouterr()
+
+    monkeypatch.setenv("TRIBOVERIFY_PRECISION_BITS", "4")
+    assert run(["verify", "prop1", "--z-max", "20"]) == 2
+    assert "precision_bits must be >= 8" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
@@ -251,6 +277,50 @@ def test_cli_check_records_accepts_pair_at_cap(tmp_path, capsys):
 def test_cli_verify_refuses_pair_sweep_over_cap(capsys, check, z_max):
     assert run(["verify", check, "--z-max", str(z_max)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "growth", "--n-max", str(GROWTH_N_MAX_CAP + 1)],
+    ["verify", "constants", "--precision-bits",
+     str(CONSTANTS_PRECISION_CAP + 1)],
+])
+def test_cli_verify_refuses_growth_and_constants_over_cap(tmp_path, capsys,
+                                                          argv):
+    path = tmp_path / "r.jsonl"
+    assert run(argv + ["--out", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "growth", "--n-max", str(GROWTH_N_MAX_CAP)],
+    ["verify", "constants", "--precision-bits", str(CONSTANTS_PRECISION_CAP)],
+])
+def test_cli_verify_growth_and_constants_at_cap_write_checkable_records(
+        tmp_path, capsys, argv):
+    path = tmp_path / "r.jsonl"
+    assert run(argv + ["--out", str(path)]) == 0
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_check_records_caps_triple_values(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    emit_records(path, [membership_triple_record(1, 3, 6),
+                        membership_triple_record(1, 2, TRIPLE_VALUE_CAP - 1)])
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
+
+    genuine = membership_triple_record(1, 3, 6).to_line()
+    for old, new in (('"u":"1"', '"u":"1' + "0" * 2000 + '"'),
+                     ('"w":"6"', f'"w":"{TRIPLE_VALUE_CAP}"'),
+                     ('"u":"1"', '"u":"0"'),
+                     ('"u":"1"', '"u":"-1' + "0" * 2000 + '"')):
+        path.write_text(genuine.replace(old, new) + "\n")
+        t0 = time.perf_counter()
+        assert run(["check-records", str(path)]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "error: line 1:" in capsys.readouterr().err
 
 
 def test_cli_verdict_lines(capsys):
