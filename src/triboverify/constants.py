@@ -8,9 +8,11 @@ and for the coefficients of the closed form of the sequence:
 
     a = alpha / (alpha**2 + 2*alpha + 3),   b = 1/((beta-alpha)*(beta-gamma)),
 
-with c the conjugate of b.  Powers alpha**p and beta**k are memoised per
-precision (``alpha_power``, ``beta_power``).  On top of the enclosures sit
-certified integer comparisons against powers of alpha
+with c the conjugate of b.  Every cached constant is dyadic: its endpoints
+sit over a power of two, at about precision + 32 bits, so the exact
+arithmetic built on them stays at that size.  Powers alpha**p and beta**k
+are memoised per precision (``alpha_power``, ``beta_power``).  On top of
+the enclosures sit certified integer comparisons against powers of alpha
 (``cmp_alpha_power``), a certified floor-log (``floor_log_alpha``), and the
 two checkable numeric claims: ``verify_numeric_window`` for the decimal
 windows of the constants and ``verify_growth`` for
@@ -85,7 +87,9 @@ class RealConstants:
     """Enclosures for the three roots and the closed-form coefficients.
 
     gamma and c are componentwise conjugates of beta and b.  Every enclosure
-    has width at most 2**-precision_bits.
+    has width at most 2**-precision_bits and dyadic endpoints at about
+    precision_bits + 32 bits: alpha and beta come out dyadic, and a and b
+    are rounded outward onto that grid.
     """
 
     precision_bits: int
@@ -126,9 +130,11 @@ def _build_constants(bits: int) -> RealConstants:
         im_b = (alpha.inv() - re_b.square()).sqrt(work)
         beta = ComplexEnclosure(re_b, im_b)
         gamma = beta.conj()
-        a = alpha / (alpha.square() + 2 * alpha + 3)
+        # a and b come out over non-dyadic denominators of thousands of
+        # bits; round them onto the grid of alpha and beta
+        a = (alpha / (alpha.square() + 2 * alpha + 3)).rounded(work)
         denom = (beta - alpha) * ComplexEnclosure(Enclosure.point(0), im_b * 2)
-        b = denom.inv()
+        b = denom.inv().rounded(work)
         c = b.conj()
         widths = [alpha.width(), a.width(), re_b.width(), im_b.width(),
                   b.re.width(), b.im.width()]

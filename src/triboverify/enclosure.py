@@ -176,8 +176,7 @@ class Enclosure:
     def __init__(self, lo: Rat, hi: Rat):
         n0, d0 = _num_den(lo)
         n1, d1 = _num_den(hi)
-        if d0 != d1:
-            n0, n1, d0 = n0 * d1, n1 * d0, d0 * d1
+        n0, _, n1, _, d0 = _align(n0, n0, d0, n1, n1, d1)
         if n0 > n1:
             raise ValueError(
                 f"inverted interval [{Fraction(lo)}, {Fraction(hi)}]")

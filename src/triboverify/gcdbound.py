@@ -87,7 +87,13 @@ def prop1_holds(y: int, z: int,
                 max_precision_bits: int = MAX_PRECISION) -> bool:
     """Certified check of gcd(T_y - 1, T_z - 1) < alpha**(3*z/4), decided by
     comparing the fourth power of the gcd against alpha**(3*z)."""
-    d = gcd_shifted(y, z)
+    return _prop1_verdict(z, gcd_shifted(y, z), precision_bits,
+                          max_precision_bits)
+
+
+def _prop1_verdict(z: int, d: int, precision_bits: int,
+                   max_precision_bits: int) -> bool:
+    """d < alpha**(3*z/4), decided as alpha**(3*z) > d**4."""
     return cmp_alpha_power(3 * z, 1, d ** 4, precision_bits,
                            max_precision_bits) == Cmp.GREATER
 
@@ -225,8 +231,9 @@ def prop1_results(z_max: int, precision_bits: int = DEFAULT_PRECISION,
     """Yield (y, z, d, ok) for every pair 4 <= y < z <= z_max, where d is
     gcd(T_y - 1, T_z - 1) and ok the verdict of ``prop1_holds``."""
     for y, z in index_pairs(z_max):
-        yield (y, z, gcd_shifted(y, z),
-               prop1_holds(y, z, precision_bits, max_precision_bits))
+        d = gcd_shifted(y, z)
+        yield y, z, d, _prop1_verdict(z, d, precision_bits,
+                                      max_precision_bits)
 
 
 def norm_witnesses(z_max: int):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 
 from .constants import DEFAULT_PRECISION, MAX_PRECISION, RealConstants, constants
-from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
+from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure, Rat,
                         sqrt_split)
 
 # ascending coefficients of p(x); _P_TAIL rewrites eps**6
@@ -61,14 +61,14 @@ class InconclusiveSquareTest(ArithmeticError):
 # generic dense polynomial helpers, coefficients ascending
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+def _poly_trim(c: list[Rat]) -> list[Rat]:
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _poly_mul(a, b) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a, b) -> list[Rat]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -121,7 +121,7 @@ def _poly_inv_mod(u, m) -> list[Fraction]:
 
 
 def _pad(c, n):
-    return list(c) + [Fraction(0)] * (n - len(c))
+    return list(c) + [0] * (n - len(c))
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +130,24 @@ def _pad(c, n):
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of Q(eps), coordinates in the power basis 1, eps, ..., eps**5."""
+    """Element of Q(eps), coordinates in the power basis 1, eps, ..., eps**5.
 
-    coords: tuple[Fraction, ...]
+    Each coordinate is an ``int`` or a ``Fraction``: integers stay plain
+    ints, anything else becomes a Fraction.  The two compare and hash
+    alike, so equality and hashing go by value.
+    """
+
+    coords: tuple[Rat, ...]
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coords)
+        cs = _rationals(self.coords)
         if len(cs) != 6:
             raise ValueError("need 6 coordinates")
         object.__setattr__(self, "coords", cs)
 
     @classmethod
     def from_rational(cls, v) -> "FieldElement":
-        return cls((Fraction(v), _F0, _F0, _F0, _F0, _F0))
+        return cls((v, 0, 0, 0, 0, 0))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -214,7 +219,9 @@ class FieldElement:
         return f"FieldElement({', '.join(str(c) for c in self.coords)})"
 
 
-_F0 = Fraction(0)
+def _rationals(coords) -> tuple[Rat, ...]:
+    """coords with every value that is not a plain int made a Fraction."""
+    return tuple(c if type(c) is int else Fraction(c) for c in coords)
 
 
 def _coerce6(v):
@@ -225,7 +232,7 @@ def _coerce6(v):
     return None
 
 
-def _reduce6(cs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce6(cs: list[Rat]) -> tuple[Rat, ...]:
     for i in range(len(cs) - 1, 5, -1):
         c = cs[i]
         if c:
@@ -241,8 +248,8 @@ EPS = FieldElement((0, 1, 0, 0, 0, 0))
 # alpha = eps + 1/eps, expanded in the power basis
 ALPHA_K = FieldElement((1, -1, 3, -2, 1, -1))
 # integer eps-coordinates of alpha and alpha**2, for CubicElement.to_field
-_ALPHA_EPS = tuple(c.numerator for c in ALPHA_K.coords)
-_ALPHA_SQ_EPS = tuple(c.numerator for c in (ALPHA_K * ALPHA_K).coords)
+_ALPHA_EPS = ALPHA_K.coords
+_ALPHA_SQ_EPS = (ALPHA_K * ALPHA_K).coords
 
 
 def embed_alpha() -> FieldElement:
@@ -270,6 +277,8 @@ def norm6(u: FieldElement) -> Fraction:
 def _clear_denominators(coords) -> tuple[int, list[int]]:
     """(den, nums) with den the lcm of the denominators and
     coords[i] == nums[i] / den."""
+    if all(type(c) is int for c in coords):
+        return 1, list(coords)
     den = lcm(*(c.denominator for c in coords))
     return den, [c.numerator * (den // c.denominator) for c in coords]
 
@@ -307,19 +316,22 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 @dataclass(frozen=True)
 class CubicElement:
-    """Element of Q(alpha), coordinates in the basis 1, alpha, alpha**2."""
+    """Element of Q(alpha), coordinates in the basis 1, alpha, alpha**2.
 
-    coords: tuple[Fraction, Fraction, Fraction]
+    Coordinates are ``int`` or ``Fraction``, as for ``FieldElement``.
+    """
+
+    coords: tuple[Rat, Rat, Rat]
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coords)
+        cs = _rationals(self.coords)
         if len(cs) != 3:
             raise ValueError("need 3 coordinates")
         object.__setattr__(self, "coords", cs)
 
     @classmethod
     def from_rational(cls, v) -> "CubicElement":
-        return cls((Fraction(v), _F0, _F0))
+        return cls((v, 0, 0))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

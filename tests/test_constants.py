@@ -69,6 +69,31 @@ def test_closed_form_coefficients_against_oracle():
     assert _contains_mp(cs.b.im, b.imag)
 
 
+@pytest.mark.parametrize("p", [96, 192, 1024])
+def test_cached_constants_are_dyadic_tight_and_sound(p):
+    cs = constants(p)
+    with mpmath.workprec(p + 80):
+        alpha = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, MP_ALPHA)
+        disc = mpmath.sqrt((1 - alpha) ** 2 - 4 / alpha)
+        beta = ((1 - alpha) + disc) / 2
+        gamma = ((1 - alpha) - disc) / 2
+        a = 1 / (3 * alpha ** 2 - 2 * alpha - 1)
+        b = 1 / ((beta - alpha) * (beta - gamma))
+        c = 1 / ((gamma - alpha) * (gamma - beta))
+        slack = mpmath.mpf(2) ** -(p + 64)
+        pairs = [(cs.alpha, alpha), (cs.beta.re, beta.real),
+                 (cs.beta.im, beta.imag), (cs.a, a), (cs.b.re, b.real),
+                 (cs.b.im, b.imag), (cs.c.re, c.real), (cs.c.im, c.imag)]
+        for enc, value in pairs:
+            for end in (enc.lo, enc.hi):
+                den = end.denominator
+                assert den & (den - 1) == 0
+                assert abs(end.numerator).bit_length() <= p + 40
+            assert enc.width() <= Fraction(1, 1 << p)
+            assert _contains_mp(enc, value, slack)
+    assert cs.c == cs.b.conj()
+
+
 def test_alpha_power_against_oracle():
     for p in (0, 1, 2, 7, 40, -1, -13, 100):
         enc = alpha_power(p, 192)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from triboverify.constants import constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    round_down, round_up, sqrt_down, sqrt_up,
                                    sqrt_split)
@@ -308,6 +309,25 @@ def test_equality_and_hash_by_value():
     assert c == d and hash(c) == hash(d)
     assert c != Enclosure(Fraction(1, 3), Fraction(6, 7))
     assert len({a, b, c, d}) == 2
+
+
+@_props
+@given(_big, st.integers(0, 160), _big, st.integers(0, 160))
+def test_constructor_keeps_the_larger_dyadic_denominator(n0, k0, n1, k1):
+    lo, hi = sorted((Fraction(n0, 1 << k0), Fraction(n1, 1 << k1)))
+    enc = Enclosure(lo, hi)
+    assert enc._d == max(lo.denominator, hi.denominator)
+    assert (enc.lo, enc.hi) == (lo, hi)
+
+
+def test_dyadic_constants_keep_their_denominators():
+    # the alpha bracket is [a, a + 1] / 2**224 at 192 bits; one endpoint
+    # reduces, and multiplying the two denominators would give 2**447.
+    # beta.re = (1 - alpha) / 2 needs one more bit: one endpoint has an odd
+    # numerator over 2**225
+    cs = constants(192)
+    assert cs.alpha._d <= 1 << 224
+    assert cs.beta.re._d <= 1 << 225
 
 
 @_props

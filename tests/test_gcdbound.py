@@ -249,3 +249,24 @@ def test_prop1_results_and_norm_witnesses_yield_every_pair():
     ws = list(norm_witnesses(20))
     assert ws == [norm_witness(y, z) for y, z in index_pairs(20, 5)]
     assert norm_sweep(20).witnesses == tuple(ws)
+
+
+def test_prop1_results_match_the_checker_route():
+    # prop1_results takes the gcd once per pair; the checker's own route,
+    # prop1_holds, takes it again and must agree on every pair
+    assert list(prop1_results(120)) == [
+        (y, z, gcd_shifted(y, z), prop1_holds(y, z))
+        for y, z in index_pairs(120)]
+
+
+def test_prop1_results_take_each_gcd_once(monkeypatch):
+    calls = []
+    true_gcd_shifted = gcdbound.gcd_shifted
+
+    def counting(y, z):
+        calls.append((y, z))
+        return true_gcd_shifted(y, z)
+
+    monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
+    list(prop1_results(30))
+    assert calls == list(index_pairs(30))

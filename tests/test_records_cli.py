@@ -201,6 +201,10 @@ def test_cli_member_output(capsys):
 _FROZEN_RECORD_SHA256 = {
     "prop1": "25566188c861a750b96284914725dffaf66eafc8d094efaaaefb60a05fb07c35",
     "norms": "849f9f19885d093aca7a7ffefd790c1f8b32094710991021470c582b156f88de",
+    "lemma2": "2158bbf350aeff9b1094464711dca44311857fe04c3947a439295b54d1d40c97",
+    "field": "eb744971af2f013726a821a66696d0222bbcd7ca85fa8093ab9a0b8d4959a832",
+    "constants":
+        "127021f733c9464aaff1912280421e06d1015db2f68bd858ef1c4bc65c033ec8",
 }
 
 
@@ -215,6 +219,19 @@ def test_cli_records_deterministic_across_jobs(tmp_path, capsys):
 
         assert run(["check-records", str(path)]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("check", ["lemma2", "field", "constants"])
+def test_cli_exact_battery_records_frozen(tmp_path, capsys, check):
+    # the records of the batteries built on the splitting field and the
+    # cached constants, at the default precision
+    path = tmp_path / f"{check}.jsonl"
+    assert run(["verify", check, "--out", str(path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _FROZEN_RECORD_SHA256[check]
+    assert run(["check-records", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_rejects_jobs_flag(capsys):

@@ -161,6 +161,62 @@ def test_to_field_matches_fraction_route(t):
                             + (ALPHA_K * ALPHA_K) * c2)
 
 
+# integral elements built twice: from ints and from the equal Fractions
+_int_coord = st.one_of(st.just(0), st.integers(-3, 3),
+                       st.integers(-10 ** 12, 10 ** 12))
+
+
+def _two_builds(cls, n):
+    return st.tuples(*[_int_coord] * n).map(
+        lambda cs: (cls(cs), cls(tuple(Fraction(c) for c in cs))))
+
+
+def _no_floats(u) -> bool:
+    return not any(type(c) is float for c in u.coords)
+
+
+def _same_element(x, fx) -> bool:
+    return x == fx and hash(x) == hash(fx)
+
+
+@_props
+@given(_two_builds(CubicElement, 3), _two_builds(CubicElement, 3))
+@example((ALPHA_C, CubicElement((Fraction(0), Fraction(1), Fraction(0)))),
+         (CubicElement((2, 0, 0)), CubicElement.from_rational(Fraction(2))))
+def test_integral_cubic_builds_agree(a, b):
+    (x, fx), (y, fy) = a, b
+    assert all(type(c) is int for c in x.coords)
+    assert _same_element(x, fx)
+    assert _same_element(x * y, fx * fy)
+    assert all(type(c) is int for c in (x * y).coords)
+    assert _same_element(x.to_field(), fx.to_field())
+    assert norm3(x) == norm3(fx) == _oracle_norm(fx, ALPHA_C)
+    assert norm6(x.to_field()) == _oracle_norm(fx.to_field(), EPS)
+    if not y.is_zero():
+        assert _same_element(y.inv(), fy.inv())
+        assert _same_element(x / y, fx / fy)
+        assert _no_floats(y.inv()) and _no_floats(x / y)
+        assert _no_floats(x / 7)
+
+
+@_props
+@given(_two_builds(FieldElement, 6), _two_builds(FieldElement, 6))
+@example((EPS, FieldElement((0, Fraction(1), 0, 0, 0, 0))),
+         (ONE_K, FieldElement.from_rational(Fraction(1))))
+def test_integral_field_builds_agree(a, b):
+    (u, fu), (v, fv) = a, b
+    assert all(type(c) is int for c in u.coords)
+    assert _same_element(u, fu)
+    assert _same_element(u * v, fu * fv)
+    assert all(type(c) is int for c in (u * v).coords)
+    assert norm6(u) == norm6(fu) == _oracle_norm(fu, EPS)
+    if not v.is_zero():
+        assert _same_element(v.inv(), fv.inv())
+        assert _same_element(u / v, fu / fv)
+        assert _no_floats(v.inv()) and _no_floats(u / v)
+        assert _no_floats(u / 7)
+
+
 def _close(enc, value, slack=mpmath.mpf(2) ** -100) -> bool:
     mid = mpmath.mpf(enc.mid().numerator) / enc.mid().denominator
     return abs(mid - value) < slack
