@@ -140,7 +140,7 @@ def norm_witness(y: int, z: int) -> GcdWitness:
     if abs(n3i) < d ** 3:
         raise IntegrityError(f"|norm| < d^3 at ({y},{z})")
     n6 = norm6(eta.to_field())
-    if n6 != Fraction(n3i) ** 2:
+    if n6 != n3i ** 2:
         raise IntegrityError(f"degree-6 norm disagrees at ({y},{z})")
     return GcdWitness(y, z, lam, d, eta, n3i, abs(n3i) == d ** 3)
 

@@ -1,7 +1,11 @@
 """Exact arithmetic in the splitting field of x**3 - x**2 - x - 1.
 
 The cubic has discriminant -44, so its splitting field K is the degree-6
-field Q(alpha, sqrt(-11)).  We model K as Q(eps) with
+field Q(alpha, sqrt(-11)).  Elements of the cubic field Q(alpha)
+(``CubicElement``) and of K (``FieldElement``) share one power-basis
+arithmetic, ``_Element``; the two classes differ only in ``_TAIL``, the
+tail of the minimal polynomial that reduces their products.  We model K as
+Q(eps) with
 
     p(x) = x**6 - x**5 + 2*x**4 - 3*x**3 + 2*x**2 - x + 1,
 
@@ -27,12 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .constants import DEFAULT_PRECISION, MAX_PRECISION, RealConstants, constants
+from .constants import DEFAULT_PRECISION, MAX_PRECISION, constants
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure, Rat,
                         sqrt_split)
 
-# ascending coefficients of p(x); _P_TAIL rewrites eps**6
-_P_COEFFS = (1, -1, 2, -3, 2, -1, 1)
+# tail of p(x), ascending: eps**6 = -1 + eps - 2*eps**2 + ... + eps**5
 _P_TAIL = (-1, 1, -2, 3, -2, 1)
 
 DEFAULT_WITNESS_PRIME_BOUND = 10 ** 6
@@ -81,9 +84,7 @@ def _poly_divmod(a, b):
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
     inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if len(a) < len(b):
-            break
+    while _poly_trim(a) and len(a) >= len(b):
         k = len(a) - len(b)
         f = a[-1] * inv_lead
         q[k] = f
@@ -125,88 +126,104 @@ def _pad(c, n):
 
 
 # ---------------------------------------------------------------------------
-# the degree-6 field
+# power-basis elements: one arithmetic for Q(alpha) and for Q(eps)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of Q(eps), coordinates in the power basis 1, eps, ..., eps**5.
+class _Element:
+    """Element of a number field Q(x) in the power basis 1, x, ..., x**(n-1)
+    (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
 
-    Each coordinate is an ``int`` or a ``Fraction``: integers stay plain
-    ints, anything else becomes a Fraction.  The two compare and hash
-    alike, so equality and hashing go by value.
+    A subclass is a frozen dataclass with the one field ``coords`` and sets
+    ``_TAIL``, the tail of the monic minimal polynomial of x:
+    x**n == sum(_TAIL[j] * x**j).  Coordinates are ``int`` or ``Fraction``:
+    integers stay plain ints, anything else becomes a Fraction, and the two
+    compare and hash alike.  An element mixes only with rationals and with
+    elements of its own class, so Q(alpha) never meets Q(eps) implicitly.
     """
 
+    _TAIL: tuple[int, ...]
     coords: tuple[Rat, ...]
 
     def __post_init__(self):
-        cs = _rationals(self.coords)
-        if len(cs) != 6:
-            raise ValueError("need 6 coordinates")
+        cs = tuple(c if type(c) is int else Fraction(c) for c in self.coords)
+        if len(cs) != len(self._TAIL):
+            raise ValueError(f"need {len(self._TAIL)} coordinates")
         object.__setattr__(self, "coords", cs)
 
     @classmethod
-    def from_rational(cls, v) -> "FieldElement":
-        return cls((v, 0, 0, 0, 0, 0))
+    def from_rational(cls, v):
+        return cls((v,) + (0,) * (len(cls._TAIL) - 1))
+
+    @classmethod
+    def _coerce(cls, v):
+        if isinstance(v, cls):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return cls.from_rational(v)
+        return None
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
     def __add__(self, other):
-        other = _coerce6(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(tuple(a + b for a, b in
-                                  zip(self.coords, other.coords)))
+        return type(self)(tuple(a + b for a, b in
+                                zip(self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce6(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(tuple(a - b for a, b in
-                                  zip(self.coords, other.coords)))
+        return type(self)(tuple(a - b for a, b in
+                                zip(self.coords, other.coords)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(tuple(-a for a in self.coords))
+        return type(self)(tuple(-a for a in self.coords))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(tuple(a * other for a in self.coords))
-        other = _coerce6(other)
+            return type(self)(tuple(a * other for a in self.coords))
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coords), list(other.coords))
-        return FieldElement(_reduce6(prod))
+        cs = _poly_mul(self.coords, other.coords)
+        # top-down: x**i = sum(tail[j] * x**(i - n + j)), highest i first
+        n = len(self._TAIL)
+        for i in range(len(cs) - 1, n - 1, -1):
+            c = cs.pop()
+            if c:
+                for j, t in enumerate(self._TAIL):
+                    cs[i - n + j] += c * t
+        return type(self)(tuple(cs))
 
     __rmul__ = __mul__
 
-    def inv(self) -> "FieldElement":
+    def inv(self):
         if self.is_zero():
             raise ZeroDivisionError
-        c = _poly_inv_mod(list(self.coords), [Fraction(x) for x in _P_COEFFS])
-        return FieldElement(tuple(_pad(c, 6)[:6]))
+        modulus = [-t for t in self._TAIL] + [1]
+        return type(self)(tuple(_pad(_poly_inv_mod(self.coords, modulus),
+                                     len(self._TAIL))))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return self * Fraction(f.denominator, f.numerator)
-        other = _coerce6(other)
+            return self * (1 / Fraction(other))
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inv()
 
-    def __pow__(self, n: int) -> "FieldElement":
+    def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        out = ONE_K
+        out = self.from_rational(1)
         base = self
         while n:
             if n & 1:
@@ -216,30 +233,27 @@ class FieldElement:
         return out
 
     def __repr__(self):
-        return f"FieldElement({', '.join(str(c) for c in self.coords)})"
+        return (f"{type(self).__name__}"
+                f"({', '.join(str(c) for c in self.coords)})")
 
 
-def _rationals(coords) -> tuple[Rat, ...]:
-    """coords with every value that is not a plain int made a Fraction."""
-    return tuple(c if type(c) is int else Fraction(c) for c in coords)
+# ---------------------------------------------------------------------------
+# the degree-6 field
+# ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, repr=False)
+class FieldElement(_Element):
+    """Element of Q(eps), coordinates in the power basis 1, eps, ..., eps**5.
 
-def _coerce6(v):
-    if isinstance(v, FieldElement):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return FieldElement.from_rational(v)
-    return None
+    The arithmetic is ``_Element``'s; only ``_TAIL``, the tail of p(x),
+    differs from ``CubicElement``.
+    """
 
+    _TAIL = _P_TAIL
+    coords: tuple[Rat, ...]
 
-def _reduce6(cs: list[Rat]) -> tuple[Rat, ...]:
-    for i in range(len(cs) - 1, 5, -1):
-        c = cs[i]
-        if c:
-            for j, pc in enumerate(_P_TAIL):
-                cs[i - 6 + j] += c * pc
-        cs.pop()
-    return tuple(_pad(cs, 6))
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coords[1:])
 
 
 ZERO_K = FieldElement((0, 0, 0, 0, 0, 0))
@@ -257,10 +271,11 @@ def embed_alpha() -> FieldElement:
     return ALPHA_K
 
 
-def norm6(u: FieldElement) -> Fraction:
+def norm6(u: FieldElement) -> Rat:
     """Field norm down to Q: determinant of multiplication by u.
 
-    Denominators are cleared first.  The rows are the integer coordinates
+    An ``int`` for integral u, a ``Fraction`` otherwise.  Denominators are
+    cleared first.  The rows are the integer coordinates
     of u, eps*u, ..., eps**5*u (the transpose of the multiplication matrix,
     with the same determinant), taken by fraction-free elimination.
     """
@@ -271,7 +286,8 @@ def norm6(u: FieldElement) -> Fraction:
         row = [top * _P_TAIL[0]] + [row[j - 1] + top * _P_TAIL[j]
                                     for j in range(1, 6)]
         rows.append(row)
-    return Fraction(_bareiss_det(rows), den ** 6)
+    det = _bareiss_det(rows)
+    return det if den == 1 else Fraction(det, den ** 6)
 
 
 def _clear_denominators(coords) -> tuple[int, list[int]]:
@@ -314,90 +330,16 @@ def _bareiss_det(m: list[list[int]]) -> int:
 # the cubic subfield Q(alpha)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubicElement:
+@dataclass(frozen=True, repr=False)
+class CubicElement(_Element):
     """Element of Q(alpha), coordinates in the basis 1, alpha, alpha**2.
 
-    Coordinates are ``int`` or ``Fraction``, as for ``FieldElement``.
+    The arithmetic is ``_Element``'s; only ``_TAIL`` differs from
+    ``FieldElement``.
     """
 
+    _TAIL = (1, 1, 1)  # alpha**3 = 1 + alpha + alpha**2
     coords: tuple[Rat, Rat, Rat]
-
-    def __post_init__(self):
-        cs = _rationals(self.coords)
-        if len(cs) != 3:
-            raise ValueError("need 3 coordinates")
-        object.__setattr__(self, "coords", cs)
-
-    @classmethod
-    def from_rational(cls, v) -> "CubicElement":
-        return cls((v, 0, 0))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other):
-        other = _coerce3(other)
-        if other is None:
-            return NotImplemented
-        return CubicElement(tuple(a + b for a, b in
-                                  zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce3(other)
-        if other is None:
-            return NotImplemented
-        return CubicElement(tuple(a - b for a, b in
-                                  zip(self.coords, other.coords)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CubicElement(tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CubicElement(tuple(a * other for a in self.coords))
-        other = _coerce3(other)
-        if other is None:
-            return NotImplemented
-        c = _poly_mul(list(self.coords), list(other.coords))
-        c = _pad(c, 5)
-        # alpha**3 = alpha**2 + alpha + 1, alpha**4 = 2*alpha**2 + 2*alpha + 1
-        c0 = c[0] + c[3] + c[4]
-        c1 = c[1] + c[3] + 2 * c[4]
-        c2 = c[2] + c[3] + 2 * c[4]
-        return CubicElement((c0, c1, c2))
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "CubicElement":
-        if self.is_zero():
-            raise ZeroDivisionError
-        f = [Fraction(-1), Fraction(-1), Fraction(-1), Fraction(1)]
-        c = _poly_inv_mod(list(self.coords), f)
-        return CubicElement(tuple(_pad(c, 3)[:3]))
-
-    def __truediv__(self, other):
-        other = _coerce3(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, n: int) -> "CubicElement":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = CubicElement.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def to_field(self) -> FieldElement:
         den, (c0, c1, c2) = _clear_denominators(self.coords)
@@ -406,24 +348,13 @@ class CubicElement:
         field = FieldElement(tuple(nums))
         return field if den == 1 else field / den
 
-    def __repr__(self):
-        return f"CubicElement({', '.join(str(c) for c in self.coords)})"
-
-
-def _coerce3(v):
-    if isinstance(v, CubicElement):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return CubicElement.from_rational(v)
-    return None
-
 
 ALPHA_C = CubicElement((0, 1, 0))
 
 
-def norm3(t: CubicElement) -> Fraction:
-    """Norm of Q(alpha) down to Q; for integer coordinates this is an
-    integer, and norm6 of the same element is its square.
+def norm3(t: CubicElement) -> Rat:
+    """Norm of Q(alpha) down to Q: an ``int`` for integral t, a
+    ``Fraction`` otherwise; norm6 of the same element is its square.
 
     The 3x3 integer determinant has the coordinates of t, alpha*t and
     alpha**2*t as rows, after denominators are cleared.
@@ -434,7 +365,7 @@ def norm3(t: CubicElement) -> Fraction:
     c0, c1, c2 = b2, b0 + b2, b1 + b2
     det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
            + a2 * (b0 * c1 - b1 * c0))
-    return Fraction(det, den ** 3)
+    return det if den == 1 else Fraction(det, den ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +381,18 @@ def rho_enclosure(precision_bits: int = DEFAULT_PRECISION) -> ComplexEnclosure:
     return ComplexEnclosure(cs.alpha * half, im)
 
 
+def _horner(coords, root: ComplexEnclosure, bits: int) -> ComplexEnclosure:
+    """sum(coords[i] * root**i) by Horner's rule, rounded at bits + 32."""
+    acc = ComplexEnclosure.point(0)
+    for c in reversed(coords):
+        acc = (acc * root + c).rounded(bits + 32)
+    return acc
+
+
 def embed_field(u: FieldElement,
                 precision_bits: int = DEFAULT_PRECISION) -> ComplexEnclosure:
     """Numeric value of u under eps -> rho, as a complex rectangle."""
-    rho = rho_enclosure(precision_bits)
-    acc = ComplexEnclosure.point(0)
-    for c in reversed(u.coords):
-        acc = (acc * rho + c).rounded(precision_bits + 32)
-    return acc
+    return _horner(u.coords, rho_enclosure(precision_bits), precision_bits)
 
 
 def all_embeddings(u: FieldElement,
@@ -466,16 +401,13 @@ def all_embeddings(u: FieldElement,
     """Rectangles for u under all six embeddings of the field.
 
     The six images of eps are the roots of x**2 - tau*x + 1 = 0 as tau runs
-    over the three roots of the cubic.
+    over the three roots of the cubic; the first is rho, so the first
+    rectangle is ``embed_field(u)``.
     """
     bits = precision_bits
     cs = constants(bits)
-    eps_images = []
-    half = Fraction(1, 2)
     # tau = alpha: eps**2 - alpha*eps + 1 has the two unit-circle roots
-    im = (4 - cs.alpha.square()).sqrt(bits) * half
-    r = ComplexEnclosure(cs.alpha * half, im)
-    eps_images += [r, r.conj()]
+    r = rho_enclosure(bits)
     # tau = beta: pick the candidate square root of beta**2 - 4 whose square
     # has negative imaginary part, matching Im(beta**2 - 4) < 0
     d = cs.beta.square() - 4
@@ -483,27 +415,18 @@ def all_embeddings(u: FieldElement,
         raise PrecisionFailure("discriminant sign unresolved; raise precision")
     ur, vr = sqrt_split(d, bits)
     w = ComplexEnclosure(ur, -vr)
+    half = Fraction(1, 2)
     r1 = (cs.beta + w) * half
     r2 = (cs.beta - w) * half
-    eps_images += [r1, r2, r1.conj(), r2.conj()]
-
-    out = []
-    for rho in eps_images:
-        acc = ComplexEnclosure.point(0)
-        for c in reversed(u.coords):
-            acc = (acc * rho + c).rounded(bits + 32)
-        out.append(acc)
-    return out
+    return [_horner(u.coords, root, bits)
+            for root in (r, r.conj(), r1, r2, r1.conj(), r2.conj())]
 
 
-def _cubic_embed_real(t: CubicElement, cs: RealConstants) -> Enclosure:
+def _cubic_embed(t: CubicElement, root: Enclosure | ComplexEnclosure
+                 ) -> Enclosure | ComplexEnclosure:
+    """t under alpha -> root, a root of the cubic as either enclosure."""
     c0, c1, c2 = t.coords
-    return cs.alpha.square() * c2 + cs.alpha * c1 + c0
-
-
-def _cubic_embed_beta(t: CubicElement, cs: RealConstants) -> ComplexEnclosure:
-    c0, c1, c2 = t.coords
-    return cs.beta.square() * c2 + cs.beta * c1 + c0
+    return root.square() * c2 + root * c1 + c0
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +589,7 @@ def _cubic_sqrt_reconstruct(t: CubicElement, precision_bits: int,
     need = Fraction(1, 2 * denominator_bound ** 2)
     while True:
         cs = constants(bits)
-        sa = _cubic_embed_real(t, cs)
+        sa = _cubic_embed(t, cs.alpha)
         if sa.is_negative():
             return None  # real embedding negative: no square root in Q(alpha)
         if sa.contains_zero() and not t.is_zero():
@@ -674,7 +597,7 @@ def _cubic_sqrt_reconstruct(t: CubicElement, precision_bits: int,
             if bits > max_precision_bits:
                 raise PrecisionFailure("sign of real embedding unresolved")
             continue
-        sb = _cubic_embed_beta(t, cs)
+        sb = _cubic_embed(t, cs.beta)
         ea = sa.sqrt(bits)
         u, v = sqrt_split(sb, bits)
         # fix the real embedding to the nonnegative square root and try all
@@ -790,18 +713,12 @@ def _pmod(a, m, q):
         for i, c in enumerate(m):
             a[k + i] = (a[k + i] - f * c) % q
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    return _poly_trim(a)
 
 
 def _pgcd(a, b, q):
-    a = [x % q for x in a]
-    b = [x % q for x in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
+    a = _poly_trim([x % q for x in a])
+    b = _poly_trim([x % q for x in b])
     while b:
         a, b = b, _pmod(a, b, q)
     if a:
@@ -833,7 +750,7 @@ def roots_of_cubic_mod(q: int) -> list[int]:
                 if (((r - 1) * r - 1) * r - 1) % q == 0]
     xq = _ppow([0, 1], q, f, q)
     g = _pgcd(f, [(c - d) % q for c, d in
-                  zip(_pad_int(xq, 4), _pad_int([0, 1], 4))], q)
+                  zip(_pad(xq, 4), _pad([0, 1], 4))], q)
     if len(g) <= 1:
         return []
     if len(g) == 2:
@@ -854,10 +771,6 @@ def roots_of_cubic_mod(q: int) -> list[int]:
     return sorted(set(roots))
 
 
-def _pad_int(c, n):
-    return list(c) + [0] * (n - len(c))
-
-
 def _peel_root(g, q) -> int:
     """One root of a fully split squarefree monic polynomial mod q, found by
     splitting with (x+a)**((q-1)/2) - 1 for successive shifts a."""
@@ -869,7 +782,7 @@ def _peel_root(g, q) -> int:
         if val == 0:
             return (q - a) % q
         e = _ppow([a, 1], (q - 1) // 2, h, q)
-        e = _pad_int(list(e), 1)
+        e = _pad(list(e), 1)
         e[0] = (e[0] - 1) % q
         d = _pgcd(h, e, q)
         if 1 < len(d) < len(h):

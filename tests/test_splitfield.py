@@ -191,6 +191,8 @@ def test_integral_cubic_builds_agree(a, b):
     assert all(type(c) is int for c in (x * y).coords)
     assert _same_element(x.to_field(), fx.to_field())
     assert norm3(x) == norm3(fx) == _oracle_norm(fx, ALPHA_C)
+    assert type(norm3(x)) is type(norm3(fx)) is int
+    assert type(norm6(x.to_field())) is type(norm6(fx.to_field())) is int
     assert norm6(x.to_field()) == _oracle_norm(fx.to_field(), EPS)
     if not y.is_zero():
         assert _same_element(y.inv(), fy.inv())
@@ -210,11 +212,71 @@ def test_integral_field_builds_agree(a, b):
     assert _same_element(u * v, fu * fv)
     assert all(type(c) is int for c in (u * v).coords)
     assert norm6(u) == norm6(fu) == _oracle_norm(fu, EPS)
+    assert type(norm6(u)) is type(norm6(fu)) is int
     if not v.is_zero():
         assert _same_element(v.inv(), fv.inv())
         assert _same_element(u / v, fu / fv)
         assert _no_floats(v.inv()) and _no_floats(u / v)
         assert _no_floats(u / 7)
+
+
+def test_norms_are_ints_exactly_for_integral_input():
+    t = CubicElement((3, Fraction(-1), 2))
+    assert type(norm3(t)) is int and norm3(t) == _oracle_norm(t, ALPHA_C)
+    assert type(norm6(t.to_field())) is int
+    assert norm6(t.to_field()) == norm3(t) ** 2
+    half = CubicElement((Fraction(1, 2), 0, 0))
+    assert type(norm3(half)) is Fraction and norm3(half) == Fraction(1, 8)
+    assert type(norm6(half.to_field())) is Fraction
+    assert norm6(half.to_field()) == Fraction(1, 64)
+    # mixed denominators 2 and 3 clear to a common 6
+    t = CubicElement((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3)))
+    assert type(norm3(t)) is Fraction and norm3(t) == _oracle_norm(t, ALPHA_C)
+    assert type(norm6(t.to_field())) is Fraction
+    assert norm6(t.to_field()) == norm3(t) ** 2
+
+
+@_props
+@given(_cubic, _cubic, st.integers(-2, 4))
+@example(ALPHA_C, CubicElement((-1, -2, 3)), -1)
+def test_to_field_is_a_ring_homomorphism(s, t, k):
+    fs, ft = s.to_field(), t.to_field()
+    assert (s + t).to_field() == fs + ft
+    assert (s - t).to_field() == fs - ft
+    assert (-s).to_field() == -fs
+    assert (s * t).to_field() == fs * ft
+    if k >= 0 or not s.is_zero():
+        assert (s ** k).to_field() == fs ** k
+    if not t.is_zero():
+        assert t.inv().to_field() == ft.inv()
+        assert (s / t).to_field() == fs / ft
+
+
+@_props
+@given(_cubic, _field, st.integers(-10 ** 6, 10 ** 6).filter(bool))
+def test_scalar_division_is_multiplication(s, u, n):
+    assert s / n == s * Fraction(1, n)
+    assert u / n == u * Fraction(1, n)
+    assert s / Fraction(n, 7) == s * Fraction(7, n)
+
+
+def test_division_by_zero_raises():
+    for x in (ALPHA_C, EPS):
+        for zero in (0, Fraction(0), type(x).from_rational(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+        with pytest.raises(ZeroDivisionError):
+            type(x).from_rational(0).inv()
+
+
+def test_cubic_and_sextic_elements_do_not_mix():
+    for mixed in (lambda: ALPHA_C + ALPHA_K, lambda: ALPHA_C * EPS,
+                  lambda: EPS - ALPHA_C, lambda: ALPHA_K / ALPHA_C):
+        with pytest.raises(TypeError):
+            mixed()
+    assert ALPHA_C != ALPHA_K
+    assert repr(ALPHA_C) == "CubicElement(0, 1, 0)"
+    assert repr(EPS / 2) == "FieldElement(0, 1/2, 0, 0, 0, 0)"
 
 
 def _close(enc, value, slack=mpmath.mpf(2) ** -100) -> bool:
@@ -237,6 +299,16 @@ def test_all_embeddings_land_on_cubic_roots():
     for e in embs:
         val = e * e * e - e * e - e - 1
         assert val.re.contains_zero() and val.im.contains_zero()
+
+
+@pytest.mark.parametrize("bits", (96, 128, 192))
+def test_all_embeddings_start_with_embed_field(bits):
+    bc = binet_constants()
+    for u in (ALPHA_K, EPS, bc.beta, bc.a):
+        embs = all_embeddings(u, bits)
+        emb = embed_field(u, bits)
+        assert embs[0] == emb
+        assert embs[1] == emb.conj()
 
 
 def test_embedding_respects_products():
