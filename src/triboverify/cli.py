@@ -423,6 +423,9 @@ def _cmd_check_records(args, config: RunConfig) -> int:
         records = read_records(args.path)
     except OSError as exc:
         raise UsageError(f"cannot read {args.path}: {exc}")
+    if not records:
+        # no command writes a file that certifies nothing
+        raise UsageError(f"no records in {args.path}")
     bad = 0
     for i, rec in enumerate(records, 1):
         ok, message = check_record(rec, config.precision_bits,

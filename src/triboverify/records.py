@@ -11,14 +11,26 @@ accepts exactly the lines that ``to_line`` writes.
 
 A record's payload holds decoded values (ints, Fractions, tuples, bools);
 ``to_line`` and ``from_line`` are the only code that knows the wire format.
+``from_line`` reads the flat kinds (triple, prop1, norm, expansion,
+search-summary), whose every value is one token, with one pattern per kind
+compiled from ``_FIELDS``: a match is canonical by construction, and each
+captured token still goes through its field's decode, so every range check
+lives in one place.  Any other line goes through ``json.loads`` and is
+accepted only when ``to_line`` writes it back unchanged.  ``read_records``
+strips only the newline that ``emit_records`` ends each line with, so a
+blank line, a carriage return or any other byte around a record is
+malformed.
+
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from typing import Any, Iterable
@@ -28,7 +40,7 @@ from .constants import (DEFAULT_PRECISION, MAX_PRECISION, verify_growth,
 from .enclosure import Enclosure
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
-from .gcdbound import GcdWitness, gcd_shifted, norm_witness, prop1_holds
+from .gcdbound import GcdWitness, _prop1_verdict, gcd_shifted, norm_witness
 from .splitfield import (ALPHA_C, DEFAULT_WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report)
@@ -42,33 +54,54 @@ class RecordFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# field codecs: (decode, encode) pairs; decode takes a parsed JSON value and
-# returns the payload value or raises RecordFormatError, encode returns the
-# value's JSON text
+# field codecs.  ``decode`` takes a parsed JSON value and returns the payload
+# value or raises RecordFormatError; ``encode`` returns the value's JSON text.
+# A codec whose canonical spelling is a flat token also has ``pattern``, a
+# regex matching exactly that spelling, and ``parse``, which turns the
+# matched text into its JSON value.
 # ---------------------------------------------------------------------------
 
-def _codec(test, what: str, encode=str):
+_Codec = namedtuple("_Codec", "decode encode pattern parse",
+                    defaults=(None, None))
+
+# str of an int: no sign on zero, no leading zero; [0-9], because \d would
+# also match the other Unicode digits, which int() reads
+_INT_PATTERN = "0|-?[1-9][0-9]*"
+
+
+def _unquote(text: str) -> str:
+    return text[1:-1]
+
+
+def _codec(test, what: str, encode=str, pattern=None, parse=None) -> _Codec:
     """Values that pass ``test``, unchanged."""
     def decode(v):
         if not test(v):
             raise RecordFormatError(f"needs {what}, got {v!r}")
         return v
-    return decode, encode
+    return _Codec(decode, encode, pattern, parse)
 
 
-def _int(lo: int, hi: float = float("inf")):
-    # an exact type test, because bool is an int subclass
-    return _codec(lambda v: type(v) is int and lo <= v <= hi,
-                  f"an integer {lo} <= n <= {hi}")
+def _int(lo: int, hi: float = float("inf")) -> _Codec:
+    def decode(v):
+        # an exact type test, because bool is an int subclass
+        if type(v) is int and lo <= v <= hi:
+            return v
+        raise RecordFormatError(f"needs an integer {lo} <= n <= {hi}, "
+                                f"got {v!r}")
+    return _Codec(decode, str, _INT_PATTERN, int)
 
 
-def _one_of(*options: str):
+def _one_of(*options: str) -> _Codec:
     return _codec(lambda v: type(v) is str and v in options,
-                  f"one of {', '.join(options)}", json.dumps)
+                  f"one of {', '.join(options)}", json.dumps,
+                  '"(?:' + "|".join(map(re.escape, options)) + ')"',
+                  _unquote)
 
 
-def _exact_str(parse):
-    """A string that ``parse`` reads and ``str`` writes back unchanged."""
+def _exact_str(parse, pattern: str) -> _Codec:
+    """A string that ``parse`` reads and ``str`` writes back unchanged;
+    ``pattern`` matches that spelling, quotes included."""
     def decode(v):
         try:
             value = parse(v) if type(v) is str else None
@@ -78,19 +111,17 @@ def _exact_str(parse):
             raise RecordFormatError(f"needs a string in the spelling str "
                                     f"writes, got {v!r}")
         return value
-    return decode, lambda value: f'"{value}"'
+    return _Codec(decode, lambda value: f'"{value}"', pattern, _unquote)
 
 
-def _bounded(codec, lo: int, hi: int, what: str):
+def _bounded(codec: _Codec, lo: int, hi: int, what: str) -> _Codec:
     """A value that ``codec`` decodes to lo <= n < hi."""
-    dec, enc = codec
-
     def decode(v):
-        n = dec(v)
+        n = codec.decode(v)
         if not lo <= n < hi:
             raise RecordFormatError(f"needs {what}")
         return n
-    return decode, enc
+    return codec._replace(decode=decode)
 
 
 def _parse_rational(v: str) -> Fraction:
@@ -98,32 +129,34 @@ def _parse_rational(v: str) -> Fraction:
     return Fraction(int(num), int(den) if slash else 1)
 
 
-def _nullable(codec):
-    decode, encode = codec
-    return ((lambda v: None if v is None else decode(v)),
-            (lambda v: "null" if v is None else encode(v)))
+def _nullable(codec: _Codec) -> _Codec:
+    decode, encode, pattern, parse = codec
+    return _Codec((lambda v: None if v is None else decode(v)),
+                  (lambda v: "null" if v is None else encode(v)),
+                  pattern and f"null|{pattern}",
+                  parse and (lambda t: None if t == "null" else parse(t)))
 
 
-def _list(*codecs):
+def _list(*codecs: _Codec) -> _Codec:
     """A list of exactly len(codecs) items, decoded to a tuple."""
     def decode(v):
         if type(v) is not list or len(v) != len(codecs):
             raise RecordFormatError(f"needs a list of {len(codecs)} items, "
                                     f"got {v!r}")
-        return tuple(dec(x) for (dec, _), x in zip(codecs, v))
-    return decode, lambda v: "[" + ",".join(
-        enc(x) for (_, enc), x in zip(codecs, v)) + "]"
+        return tuple(c.decode(x) for c, x in zip(codecs, v))
+    return _Codec(decode, lambda v: "[" + ",".join(
+        c.encode(x) for c, x in zip(codecs, v)) + "]")
 
 
-def _list_of(codec):
+def _list_of(codec: _Codec) -> _Codec:
     """A list of any length, decoded to a tuple."""
-    dec, enc = codec
+    dec, enc = codec.decode, codec.encode
 
     def decode(v):
         if type(v) is not list:
             raise RecordFormatError(f"needs a list, got {v!r}")
         return tuple(dec(x) for x in v)
-    return decode, lambda v: "[" + ",".join(enc(x) for x in v) + "]"
+    return _Codec(decode, lambda v: "[" + ",".join(enc(x) for x in v) + "]")
 
 
 _A_COEFF = CubicElement((-1, -2, 3)).inv()
@@ -159,10 +192,12 @@ EXPANSION_INDEX_CAP = 100
 TRIPLE_VALUE_CAP = trib_fast(SEARCH_Z_MAX_CAP)
 
 _BOOL = _codec(lambda v: type(v) is bool, "true or false",
-               lambda v: "true" if v else "false")
+               lambda v: "true" if v else "false", "true|false",
+               lambda t: t == "true")
 _FLAG = _nullable(_BOOL)
-_DECIMAL = _exact_str(int)
-_RATIONAL = _exact_str(_parse_rational)
+_DECIMAL = _exact_str(int, f'"(?:{_INT_PATTERN})"')
+_RATIONAL = _exact_str(_parse_rational,
+                       f'"(?:{_INT_PATTERN})(?:/[1-9][0-9]*)?"')
 _INDEX = _int(0)
 _TRIPLE_VALUE = _bounded(_DECIMAL, 1, TRIPLE_VALUE_CAP,
                          f"a decimal string for an integer "
@@ -211,66 +246,120 @@ _FIELDS = {
 
 _KEYS = {kind: tuple(key for key, _ in fields)
          for kind, fields in _FIELDS.items()}
+_POSITIONS = {kind: {key: i for i, key in enumerate(keys)}
+              for kind, keys in _KEYS.items()}
 
 RECORD_KINDS = tuple(_FIELDS)
 
+_HEAD = f'{{"schema":{SCHEMA_VERSION},"kind":"'
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    """One certificate, as an ordered (key, value) payload under a kind."""
 
-    kind: str
-    payload: tuple[tuple[str, Any], ...]
+class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
+    """One certificate, as an ordered (key, value) payload under a kind.
 
-    def __post_init__(self):
-        expected = _KEYS.get(self.kind)
+    Immutable; equal and hashed by (kind, payload)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, payload: tuple[tuple[str, Any], ...]):
+        expected = _KEYS.get(kind)
         if expected is None:
-            raise RecordFormatError(f"unknown record kind {self.kind!r}")
-        keys = tuple(k for k, _ in self.payload)
+            raise RecordFormatError(f"unknown record kind {kind!r}")
+        keys = tuple(k for k, _ in payload)
         if keys != expected:
             raise RecordFormatError(
-                f"{self.kind} payload keys {keys} != expected {expected}")
+                f"{kind} payload keys {keys} != expected {expected}")
+        return tuple.__new__(cls, (kind, payload))
 
     def get(self, key: str) -> Any:
-        for k, v in self.payload:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self.payload[_POSITIONS[self.kind][key]][1]
 
     def to_line(self) -> str:
-        parts = [f'{{"schema":{SCHEMA_VERSION},"kind":"{self.kind}"']
-        for (key, value), (_, (_, encode)) in zip(self.payload,
-                                                  _FIELDS[self.kind]):
-            parts.append(f'"{key}":{encode(value)}')
+        parts = [f'{_HEAD}{self.kind}"']
+        for (key, value), (_, codec) in zip(self.payload, _FIELDS[self.kind]):
+            parts.append(f'"{key}":{codec.encode(value)}')
         return ",".join(parts) + "}"
 
     @classmethod
     def from_line(cls, line: str) -> "VerificationRecord":
+        rec = _from_template(line)
+        return rec if rec is not None else _from_json(line)
+
+
+def _build(kind: str, *values) -> VerificationRecord:
+    """The record of a kind with its values in ``_FIELDS`` order, which
+    also supplies the keys, so there are none to check."""
+    return tuple.__new__(VerificationRecord,
+                         (kind, tuple(zip(_KEYS[kind], values))))
+
+
+@functools.cache
+def _template(kind: str):
+    """(fullmatch, readers) for a kind whose every field is a flat token:
+    the pattern matches exactly the lines ``to_line`` writes for that kind,
+    with one group per field, and each reader is the (decode, parse) pair
+    that turns a group into the decoded value.  None for a kind with a list
+    or object field.  Compiled on first use, so that a run which only
+    writes records never pays for it."""
+    fields = _FIELDS[kind]
+    if any(codec.pattern is None for _, codec in fields):
+        return None
+    pattern = re.escape(f'{_HEAD}{kind}"') + "".join(
+        re.escape(f',"{key}":') + f"({codec.pattern})"
+        for key, codec in fields) + "}"
+    return (re.compile(pattern).fullmatch,
+            tuple((codec.decode, codec.parse) for _, codec in fields))
+
+
+def _from_template(line: str) -> VerificationRecord | None:
+    """The record of a line of a flat kind in canonical form, or None.  A
+    match is canonical by construction; a value out of range, or an integer
+    too long for ``int``, is left to ``_from_json`` to report."""
+    # the kind's pattern checks the head, so a slice of any line will do
+    kind = line[len(_HEAD):line.find('"', len(_HEAD))]
+    template = _template(kind) if kind in _FIELDS else None
+    if template is None:
+        return None
+    fullmatch, readers = template
+    m = fullmatch(line)
+    if m is None:
+        return None
+    try:
+        values = [decode(parse(text))
+                  for (decode, parse), text in zip(readers, m.groups())]
+    except ValueError:   # RecordFormatError included
+        return None
+    return _build(kind, *values)
+
+
+def _from_json(line: str) -> VerificationRecord:
+    """Parse any line through ``json.loads`` and accept it only when it is
+    the line ``to_line`` writes for the decoded values."""
+    try:
+        data = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise RecordFormatError(f"bad JSON: {exc}") from None
+    if type(data) is not dict:
+        raise RecordFormatError("record line is not an object")
+    schema, kind = data.get("schema"), data.get("kind")
+    if schema != SCHEMA_VERSION:
+        raise RecordFormatError(f"unsupported schema {schema!r}")
+    if type(kind) is not str or kind not in _FIELDS:
+        raise RecordFormatError(f"unknown record kind {kind!r}")
+    values = []
+    for key, codec in _FIELDS[kind]:
         try:
-            data = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise RecordFormatError(f"bad JSON: {exc}") from None
-        if type(data) is not dict:
-            raise RecordFormatError("record line is not an object")
-        schema, kind = data.get("schema"), data.get("kind")
-        if schema != SCHEMA_VERSION:
-            raise RecordFormatError(f"unsupported schema {schema!r}")
-        if type(kind) is not str or kind not in _FIELDS:
-            raise RecordFormatError(f"unknown record kind {kind!r}")
-        payload = []
-        for key, (decode, _) in _FIELDS[kind]:
-            try:
-                payload.append((key, decode(data.get(key))))
-            except RecordFormatError as exc:
-                raise RecordFormatError(f"{kind} {key}: {exc}") from None
-        rec = cls(kind, tuple(payload))
-        # rejects what the decoded values cannot show: key order, missing or
-        # extra keys, spacing, escapes, a schema of 1.0, an integer spelt -0
-        canonical = rec.to_line()
-        if canonical != line:
-            raise RecordFormatError(f"line is not in the form to_line "
-                                    f"writes: {canonical}")
-        return rec
+            values.append(codec.decode(data.get(key)))
+        except RecordFormatError as exc:
+            raise RecordFormatError(f"{kind} {key}: {exc}") from None
+    rec = _build(kind, *values)
+    # rejects what the decoded values cannot show: key order, missing or
+    # extra keys, spacing, escapes, a schema of 1.0, an integer spelt -0
+    canonical = rec.to_line()
+    if canonical != line:
+        raise RecordFormatError(f"line is not in the form to_line "
+                                f"writes: {canonical}")
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +368,7 @@ class VerificationRecord:
 
 def triple_record(u: int, v: int, w: int, x: int | None, y: int | None,
                   z: int | None, ok: bool) -> VerificationRecord:
-    return VerificationRecord("triple", (
-        ("u", u), ("v", v), ("w", w), ("x", x), ("y", y), ("z", z),
-        ("ok", bool(ok))))
+    return _build("triple", u, v, w, x, y, z, bool(ok))
 
 
 def membership_triple_record(u: int, v: int, w: int,
@@ -299,45 +386,36 @@ def membership_triple_record(u: int, v: int, w: int,
 
 def prop1_record(y: int, z: int, gcd_value: int,
                  bound_ok: bool) -> VerificationRecord:
-    return VerificationRecord("prop1", (
-        ("y", y), ("z", z), ("gcd", gcd_value), ("bound_ok", bool(bound_ok))))
+    return _build("prop1", y, z, gcd_value, bool(bound_ok))
 
 
 def norm_record(witness: GcdWitness) -> VerificationRecord:
-    return VerificationRecord("norm", (
-        ("y", witness.y), ("z", witness.z), ("d", witness.d),
-        ("norm3", witness.norm3_value),
-        ("divides", witness.norm3_value % witness.d ** 3 == 0),
-        ("tight", bool(witness.tight))))
+    return _build("norm", witness.y, witness.z, witness.d,
+                  witness.norm3_value,
+                  witness.norm3_value % witness.d ** 3 == 0,
+                  bool(witness.tight))
 
 
 def lemma2_record(label: str,
                   cert: SquareCertificate) -> VerificationRecord:
-    return VerificationRecord("lemma2", (
-        ("element", label), ("coords", cert.element.coords),
-        ("square", bool(cert.verdict)),
-        ("root", cert.root.coords if cert.root is not None else None),
-        ("witness_self", cert.witness_self),
-        ("witness_twisted", cert.witness_twisted)))
+    return _build("lemma2", label, cert.element.coords, bool(cert.verdict),
+                  cert.root.coords if cert.root is not None else None,
+                  cert.witness_self, cert.witness_twisted)
 
 
 def constants_record(report) -> VerificationRecord:
     checks = {c.name: bool(c.ok) for c in report.checks}
-    return VerificationRecord("constants", (
-        ("precision_bits", report.precision_bits),
-        ("ok", report.all_ok), ("checks", checks)))
+    return _build("constants", report.precision_bits, report.all_ok, checks)
 
 
 def growth_record(report) -> VerificationRecord:
-    return VerificationRecord("growth", (
-        ("n_max", report.n_max), ("checked", report.checked),
-        ("ok", report.all_ok), ("failures", tuple(report.failures))))
+    return _build("growth", report.n_max, report.checked, report.all_ok,
+                  tuple(report.failures))
 
 
 def field_record(checks: dict[str, bool]) -> VerificationRecord:
-    return VerificationRecord("field", (
-        ("ok", all(checks.values())),
-        ("checks", {k: bool(v) for k, v in checks.items()})))
+    return _build("field", all(checks.values()),
+                  {k: bool(v) for k, v in checks.items()})
 
 
 def expansion_records(report: DecayReport) -> list[VerificationRecord]:
@@ -349,10 +427,8 @@ def expansion_records(report: DecayReport) -> list[VerificationRecord]:
         if t >= 2:
             decreasing = report.decreasing[t - 2]
             ratio_ok = report.ratio_ok[t - 2]
-        out.append(VerificationRecord("expansion", (
-            ("x", report.x), ("y", report.y), ("z", report.z), ("t", t),
-            ("err_lo", err.lo), ("err_hi", err.hi),
-            ("decreasing", decreasing), ("ratio_ok", ratio_ok))))
+        out.append(_build("expansion", report.x, report.y, report.z, t,
+                          err.lo, err.hi, decreasing, ratio_ok))
     return out
 
 
@@ -362,9 +438,7 @@ def search_summary_record(mode: str, count: int, z_max: int | None = None,
                           ) -> VerificationRecord:
     if mode not in ("search", "brute"):
         raise ValueError("mode must be 'search' or 'brute'")
-    return VerificationRecord("search-summary", (
-        ("mode", mode), ("z_max", z_max), ("w_max", w_max),
-        ("use_gcd_prune", use_gcd_prune), ("count", count)))
+    return _build("search-summary", mode, z_max, w_max, use_gcd_prune, count)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +458,10 @@ def read_records(path) -> list[VerificationRecord]:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
-                line = raw.decode("utf-8").strip()
-                if line:
-                    out.append(VerificationRecord.from_line(line))
+                # only the newline emit_records writes; any other byte
+                # around a record, or a blank line, is malformed
+                line = raw.decode("utf-8").removesuffix("\n")
+                out.append(VerificationRecord.from_line(line))
             except (UnicodeDecodeError, RecordFormatError) as exc:
                 raise RecordFormatError(f"line {lineno}: {exc}") from exc
     return out
@@ -425,7 +500,7 @@ def _check_prop1(rec: VerificationRecord, bits: int,
     d = gcd_shifted(y, z)
     if d != rec.get("gcd"):
         return f"gcd({y},{z}) recomputes to {d}"
-    if prop1_holds(y, z, bits, max_bits) != rec.get("bound_ok"):
+    if _prop1_verdict(z, d, bits, max_bits) != rec.get("bound_ok"):
         return "bound verdict disagrees"
     return None
 

@@ -11,11 +11,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from triboverify import gcdbound, records
 from triboverify.cli import RunConfig, UsageError, load_config, run
 from triboverify.constants import verify_growth, verify_numeric_window
 from triboverify.expansion import decay_report
@@ -748,3 +750,186 @@ def test_fuzz_check_records_mutated_genuine_lines(tmp_path, capsys, line):
     path.write_text(line + "\n")
     assert run(["check-records", str(path)]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+def test_checking_a_prop1_record_takes_its_gcd_once(monkeypatch):
+    calls = []
+    true_gcd_shifted = gcdbound.gcd_shifted
+
+    def counting(y, z):
+        calls.append((y, z))
+        return true_gcd_shifted(y, z)
+
+    monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
+    monkeypatch.setattr(records, "gcd_shifted", counting)
+    assert check_record(prop1_record(40, 45, true_gcd_shifted(40, 45),
+                                     True)) == (True, "ok")
+    assert calls == [(40, 45)]
+
+
+# read_records strips only the "\n" that emit_records writes
+@pytest.mark.parametrize("text, bad_line", [
+    ("{0}\n\t{0}\n", 2),
+    ("{0}\n{0}\u3000\n", 2),
+    ("{0}\r\n{0}\r\n", 1),
+    ("{0}\n\n{0}\n", 2),
+    ("{0}\n{0}\n\n", 3),
+    ("{0}\n {0}\n", 2),
+])
+def test_cli_check_records_rejects_bytes_around_a_record(tmp_path, capsys,
+                                                        text, bad_line):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(text.format(_PAIR_LINES["prop1"]).encode())
+    assert run(["check-records", str(path)]) == 2
+    assert f"error: line {bad_line}:" in capsys.readouterr().err
+
+
+def test_cli_check_records_rejects_a_file_without_records(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b"")
+    assert run(["check-records", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: no records in {path}\n"
+    path.write_bytes(b"\n \n")
+    assert run(["check-records", str(path)]) == 2
+    assert "error: line 1:" in capsys.readouterr().err
+
+
+def test_record_is_immutable_equal_and_hashable():
+    rec = prop1_record(6, 7, 6, True)
+    for name in ("kind", "payload", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+    again = VerificationRecord.from_line(rec.to_line())
+    assert again == rec and hash(again) == hash(rec)
+    assert hash(rec) == hash(("prop1", rec.payload))
+    assert len({rec, again, prop1_record(6, 7, 6, False)}) == 2
+    assert rec.get("gcd") == 6 and rec.get("bound_ok") is True
+    with pytest.raises(KeyError):
+        rec.get("d")
+
+
+_FLAT_KINDS = ("triple", "prop1", "norm", "expansion", "search-summary")
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+_FLAG = st.none() | st.booleans()
+
+
+def _flat_values(small):
+    """Values for every field of each flat kind, small structural integers
+    drawn from ``small``."""
+    return {
+        "triple": st.tuples(_BIG, _BIG, _BIG, st.none() | small,
+                            st.none() | small, st.none() | small,
+                            st.booleans()),
+        "prop1": st.tuples(small, small, _BIG, st.booleans()),
+        "norm": st.tuples(small, small, _BIG, _BIG, st.booleans(),
+                          st.booleans()),
+        "expansion": st.tuples(small, small, small, st.integers(-1, 9),
+                               st.fractions(), st.fractions(), _FLAG, _FLAG),
+        "search-summary": st.tuples(st.sampled_from(["search", "brute"]),
+                                    st.none() | small, st.none() | small,
+                                    _FLAG, small),
+    }
+
+
+# mostly in range for every cap, or anywhere around the caps
+_FLAT_VALUES = [_flat_values(st.integers(7, 100)),
+                _flat_values(st.integers(-2, 2010))]
+
+
+@st.composite
+def _written_lines(draw) -> str:
+    """A line to_line writes: a genuine one of any kind, or a flat kind's
+    line with drawn values."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_genuine_lines()))
+    kind = draw(st.sampled_from(_FLAT_KINDS))
+    keys = [k for k, _ in VerificationRecord.from_line(
+        _genuine_line(kind)).payload]
+    values = draw(draw(st.sampled_from(_FLAT_VALUES))[kind])
+    return VerificationRecord(kind, tuple(zip(keys, values))).to_line()
+
+
+def _respell(draw, line: str) -> str:
+    m = draw(st.sampled_from(list(re.finditer(r"-?[0-9]+", line))))
+    # "1" and 4400 zeros is past int's default digit limit; int() reads
+    # the Arabic-Indic six as a 6
+    new = draw(st.sampled_from(["0{}", "-{}", "{}.0", "{}e0", "{}0",
+                                "1" + "0" * 4400, "{}\u0666", "\\u0036",
+                                "\\u00{:x}"]))
+    digits = m.group()
+    if new == "\\u00{:x}":      # escape one digit as a \u sequence
+        i = draw(st.integers(0, len(digits) - 1))
+        digits = digits[:i] + f"\\u00{ord(digits[i]):x}" + digits[i + 1:]
+        return line[:m.start()] + digits + line[m.end():]
+    return line[:m.start()] + new.format(digits) + line[m.end():]
+
+
+@st.composite
+def _respelt_lines(draw) -> str:
+    line = draw(_written_lines())
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["number", "space", "swap", "repeat",
+                                    "pad"]))
+        parts = line[1:-1].split(',"')
+        if how == "number" and re.search("[0-9]", line):
+            line = _respell(draw, line)
+        elif how == "space":
+            i = draw(st.integers(0, len(line)))
+            line = line[:i] + " " + line[i:]
+        elif how in ("swap", "repeat") and len(parts) > 1:
+            i = draw(st.integers(1, len(parts) - 1))
+            j = draw(st.integers(0, len(parts) - 1))
+            if how == "swap":
+                parts[i], parts[j] = parts[j], parts[i]
+            else:
+                parts.insert(j + 1, parts[i])
+            line = "{" + ',"'.join(parts) + "}"
+        elif how == "pad":
+            pad = draw(st.sampled_from([" ", "\t", "\r", "\n", "\u3000"]))
+            line = (pad + line) if draw(st.booleans()) else (line + pad)
+    return line
+
+
+def _parsed(parse, line: str):
+    """(record, None) or (None, error message)."""
+    try:
+        return parse(line), None
+    except RecordFormatError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(line=_respelt_lines())
+def test_template_parse_agrees_with_json_route(line):
+    slow = _parsed(records._from_json, line)
+    fast = records._from_template(line)
+    if fast is not None:
+        assert fast == slow[0] and fast.to_line() == line
+    if slow[0] is not None and slow[0].kind in _FLAT_KINDS:
+        assert fast is not None, "a canonical flat line missed its template"
+    # the same record, or the same error, as the JSON route alone
+    assert _parsed(VerificationRecord.from_line, line) == slow
+    if slow[0] is not None:
+        assert slow[0].to_line() == line
+
+
+def test_flat_kinds_parse_without_json(tmp_path, capsys, monkeypatch):
+    # a template that no longer matches sends every line down json.loads;
+    # the results stay right, only the time is lost, so refuse that route
+    path = tmp_path / "all.jsonl"
+    assert run(["verify", "all", "--quick", "--out", str(path)]) == 0
+    capsys.readouterr()
+    with path.open("a", encoding="utf-8") as fh:
+        for u, v, w in ((1, 3, 6), (1, 6, 12), (2, 5, 40)):
+            fh.write(membership_triple_record(u, v, w).to_line() + "\n")
+    true_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        assert not text.startswith(tuple(
+            f'{{"schema":1,"kind":"{kind}"' for kind in _FLAT_KINDS)), text
+        return true_loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(records, "json",
+                        SimpleNamespace(loads=loads, dumps=json.dumps))
+    kinds = [rec.kind for rec in read_records(path)]
+    assert len(kinds) == 6213 and set(_FLAT_KINDS) <= set(kinds)
