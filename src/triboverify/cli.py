@@ -10,8 +10,11 @@ Exit codes: 0 all checks passed (or searches came back empty as expected);
 3 a precision or certificate search hit its configured cap without a
 conclusion.
 
-Configuration resolves flags over environment over defaults; every field
-reads TRIBOVERIFY_<NAME> from the environment.
+The settings are the ``RunConfig`` fields.  Each command takes a flag for
+just the settings it reads (``_BATTERIES`` lists them for the ``verify``
+batteries), and any other settings flag is a usage error.  Configuration
+resolves flags over environment over defaults; every command reads and
+validates all of TRIBOVERIFY_<NAME> from the environment.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
                         verify_growth, verify_numeric_window)
@@ -27,13 +31,13 @@ from .enclosure import PrecisionFailure
 from .expansion import decay_report
 from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
                        prop1_results, regime_sample)
-from .records import (CONSTANTS_PRECISION_CAP, EXPANSION_INDEX_CAP,
-                      GROWTH_N_MAX_CAP, LEMMA2_CASES, PAIR_Z_MAX_CAP,
-                      RecordFormatError, check_record, constants_record,
-                      emit_records, expansion_records, field_record,
-                      growth_record, lemma2_record, norm_record,
-                      prop1_record, read_records, search_summary_record,
-                      triple_record)
+from .records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
+                      EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP, LEMMA2_CASES,
+                      PAIR_Z_MAX_CAP, SEARCH_Z_MAX_CAP, RecordFormatError,
+                      check_record, constants_record, emit_records,
+                      expansion_records, field_record, growth_record,
+                      lemma2_record, norm_record, prop1_record, read_records,
+                      search_summary_record, triple_record)
 from .splitfield import (DEFAULT_DENOMINATOR_BOUND,
                          DEFAULT_WITNESS_PRIME_BOUND,
                          InconclusiveSquareTest, field_identity_report,
@@ -48,6 +52,7 @@ class UsageError(Exception):
 
 _INT_FIELDS = ("precision_bits", "max_precision_bits",
                "witness_prime_bound", "denominator_bound")
+_PRECISION = ("precision_bits", "max_precision_bits")
 
 
 @dataclass(frozen=True)
@@ -90,82 +95,60 @@ def load_config(args: argparse.Namespace, environ=None) -> RunConfig:
     return config.validate()
 
 
-def _config_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--precision-bits", type=int, dest="precision_bits")
-    p.add_argument("--max-precision-bits", type=int,
-                   dest="max_precision_bits")
-    p.add_argument("--witness-prime-bound", type=int,
-                   dest="witness_prime_bound")
-    p.add_argument("--denominator-bound", type=int, dest="denominator_bound")
-    p.add_argument("--out", dest="out", help="write JSONL records here")
+def _leaf(sub, name: str, text: str, settings: tuple[str, ...], **defaults):
+    """A subcommand with one flag per RunConfig field it reads."""
+    p = sub.add_parser(name, help=text)
+    for setting in settings:
+        p.add_argument("--" + setting.replace("_", "-"), dest=setting,
+                       type=int if setting in _INT_FIELDS else str,
+                       help="write JSONL records here"
+                       if setting == "out" else None)
+    p.set_defaults(**defaults)
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = _config_parent()
     parser = argparse.ArgumentParser(
         prog="triboverify",
         description="desk-scale verification of the finiteness argument "
                     "for Tribonacci Diophantine triples")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[cfg], help="print sequence values")
+    p = _leaf(sub, "gen", "print sequence values", (), func=_cmd_gen)
     p.add_argument("--max-index", type=int, required=True)
 
-    p = sub.add_parser("member", parents=[cfg],
-                       help="membership queries with certified index windows")
+    p = _leaf(sub, "member", "membership queries with certified index "
+              "windows", _PRECISION, func=_cmd_member)
     p.add_argument("values", type=int, nargs="+")
 
-    p = sub.add_parser("search", parents=[cfg],
-                       help="index-side triple search")
+    p = _leaf(sub, "search", "index-side triple search", ("out",),
+              func=_cmd_search)
     p.add_argument("--z-max", type=int, required=True)
     p.add_argument("--use-gcd-prune", action="store_true")
 
-    p = sub.add_parser("brute", parents=[cfg],
-                       help="value-side triple search")
+    p = _leaf(sub, "brute", "value-side triple search", ("out",),
+              func=_cmd_brute)
     p.add_argument("--w-max", type=int, required=True)
 
     ver = sub.add_parser("verify", help="certified check batteries")
     vsub = ver.add_subparsers(dest="check", required=True)
+    for name, battery in _BATTERIES.items():
+        if battery.help is None:
+            continue
+        p = _leaf(vsub, name, battery.help, battery.settings + ("out",),
+                  func=_cmd_verify, battery=battery.run)
+        for flag, default in battery.args:
+            p.add_argument(flag, type=int, default=default,
+                           required=default is None)
 
-    p = vsub.add_parser("prop1", parents=[cfg],
-                        help="gcd(T_y-1, T_z-1) < alpha^(3z/4) sweep")
-    p.add_argument("--z-max", type=int, required=True)
-
-    p = vsub.add_parser("norms", parents=[cfg],
-                        help="exact norm certificates plus sampled "
-                             "embedding bounds")
-    p.add_argument("--z-max", type=int, required=True)
-    p.add_argument("--samples", type=int, default=25)
-
-    vsub.add_parser("constants", parents=[cfg],
-                    help="decimal windows for the cubic's constants")
-
-    p = vsub.add_parser("growth", parents=[cfg],
-                        help="two-sided growth bounds for T_n")
-    p.add_argument("--n-max", type=int, required=True)
-
-    vsub.add_parser("field", parents=[cfg],
-                    help="exact splitting-field identities")
-
-    vsub.add_parser("lemma2", parents=[cfg],
-                    help="non-squareness certificates for a and alpha*a")
-
-    p = vsub.add_parser("expansion", parents=[cfg],
-                        help="truncation error decay")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--t-max", type=int, default=6)
-
-    p = vsub.add_parser("all", parents=[cfg],
-                        help="every battery at standard budgets")
+    p = _leaf(vsub, "all", "every battery at standard budgets",
+              tuple(f.name for f in fields(RunConfig)), func=_cmd_verify,
+              battery=_battery_all)
     p.add_argument("--quick", action="store_true",
                    help="reduced sweeps (z <= 100, n <= 500)")
 
-    p = sub.add_parser("check-records", parents=[cfg],
-                       help="re-validate a JSONL record file")
+    p = _leaf(sub, "check-records", "re-validate a JSONL record file",
+              _PRECISION, func=_cmd_check_records)
     p.add_argument("path")
     return parser
 
@@ -178,6 +161,10 @@ def _write(config: RunConfig, records) -> None:
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
     tail = f"  {detail}" if detail else ""
     print(f"{label}: {'PASS' if ok else 'FAIL'}{tail}")
+
+
+def _triple_records(found) -> list:
+    return [triple_record(c.u, c.v, c.w, c.x, c.y, c.z, True) for c in found]
 
 
 # ---------------------------------------------------------------------------
@@ -197,77 +184,73 @@ def _cmd_member(args, config: RunConfig) -> int:
     for value in args.values:
         if value < 0:
             raise UsageError("membership queries take nonnegative values")
-        idx = is_tribonacci(value)
-        if idx is None:
-            print(f"{value} -")
-        else:
-            print(f"{value} {idx}")
+        idx = is_tribonacci(value, config.precision_bits,
+                            config.max_precision_bits)
+        print(f"{value} {'-' if idx is None else idx}")
     return 0
 
 
-def _cmd_search(args, config: RunConfig) -> int:
-    if args.z_max < 7:
-        raise UsageError("--z-max must be >= 7")
-    found = search(args.z_max, args.use_gcd_prune)
-    records = [search_summary_record("search", len(found),
-                                     z_max=args.z_max,
-                                     use_gcd_prune=args.use_gcd_prune)]
-    print(f"search z <= {args.z_max} prune={args.use_gcd_prune}: "
-          f"{len(found)} candidate(s)")
-    for c in found:
-        rec = triple_record(c.u, c.v, c.w, c.x, c.y, c.z, True)
-        records.append(rec)
+def _report_found(config: RunConfig, header: str, summary, found) -> int:
+    print(header)
+    triples = _triple_records(found)
+    for rec in triples:
         print(rec.to_line())
-    _write(config, records)
+    _write(config, [summary] + triples)
     return 1 if found else 0
+
+
+def _cmd_search(args, config: RunConfig) -> int:
+    if not 7 <= args.z_max <= SEARCH_Z_MAX_CAP:
+        raise UsageError(f"--z-max must lie in 7..{SEARCH_Z_MAX_CAP}")
+    found = search(args.z_max, args.use_gcd_prune)
+    summary = search_summary_record("search", len(found), z_max=args.z_max,
+                                    use_gcd_prune=args.use_gcd_prune)
+    return _report_found(config, f"search z <= {args.z_max} prune="
+                         f"{args.use_gcd_prune}: {len(found)} candidate(s)",
+                         summary, found)
 
 
 def _cmd_brute(args, config: RunConfig) -> int:
-    if args.w_max < 3:
-        raise UsageError("--w-max must be >= 3")
+    if not 3 <= args.w_max <= BRUTE_W_MAX_CAP:
+        raise UsageError(f"--w-max must lie in 3..{BRUTE_W_MAX_CAP}")
     found = brute_force(args.w_max)
-    records = [search_summary_record("brute", len(found), w_max=args.w_max)]
-    print(f"brute w <= {args.w_max}: {len(found)} candidate(s)")
-    for c in found:
-        rec = triple_record(c.u, c.v, c.w, c.x, c.y, c.z, True)
-        records.append(rec)
-        print(rec.to_line())
-    _write(config, records)
-    return 1 if found else 0
+    summary = search_summary_record("brute", len(found), w_max=args.w_max)
+    return _report_found(config, f"brute w <= {args.w_max}: "
+                         f"{len(found)} candidate(s)", summary, found)
 
 
 # ---------------------------------------------------------------------------
-# verify batteries; each returns (exit_code, records)
+# verify batteries; each takes (args, config) and returns (exit_code, records)
 # ---------------------------------------------------------------------------
 
-def _battery_prop1(z_max: int, config: RunConfig):
-    if not 5 <= z_max <= PAIR_Z_MAX_CAP:
+def _battery_prop1(args, config: RunConfig):
+    if not 5 <= args.z_max <= PAIR_Z_MAX_CAP:
         raise UsageError(f"--z-max must lie in 5..{PAIR_Z_MAX_CAP}")
     records = []
     failures = 0
-    for y, z, d, ok in prop1_results(z_max, config.precision_bits,
+    for y, z, d, ok in prop1_results(args.z_max, config.precision_bits,
                                      config.max_precision_bits):
         records.append(prop1_record(y, z, d, ok))
         failures += not ok
-    _verdict(f"prop1 z <= {z_max}", failures == 0,
+    _verdict(f"prop1 z <= {args.z_max}", failures == 0,
              f"pairs={len(records)} failures={failures}")
     return (0 if failures == 0 else 1), records
 
 
-def _battery_norms(z_max: int, samples: int, config: RunConfig):
-    if not 6 <= z_max <= PAIR_Z_MAX_CAP:
+def _battery_norms(args, config: RunConfig):
+    if not 6 <= args.z_max <= PAIR_Z_MAX_CAP:
         raise UsageError(f"--z-max must lie in 6..{PAIR_Z_MAX_CAP}")
-    if samples < 0:
+    if args.samples < 0:
         raise UsageError("--samples must be >= 0")
     records = []
     tight = 0
-    for w in norm_witnesses(z_max):
+    for w in norm_witnesses(args.z_max):
         records.append(norm_record(w))
         tight += w.tight
-    _verdict(f"norms z <= {z_max}", True,
+    _verdict(f"norms z <= {args.z_max}", True,
              f"pairs={len(records)} tight={tight}")
 
-    picked = regime_sample(z_max, samples)
+    picked = regime_sample(args.z_max, args.samples)
     if picked:
         bad = 0
         for y, z in picked:
@@ -280,7 +263,7 @@ def _battery_norms(z_max: int, samples: int, config: RunConfig):
     return 0, records
 
 
-def _battery_constants(config: RunConfig):
+def _battery_constants(args, config: RunConfig):
     if config.precision_bits > CONSTANTS_PRECISION_CAP:
         raise UsageError("verify constants needs --precision-bits <= "
                          f"{CONSTANTS_PRECISION_CAP}")
@@ -290,17 +273,17 @@ def _battery_constants(config: RunConfig):
     return (0 if report.all_ok else 1), [constants_record(report)]
 
 
-def _battery_growth(n_max: int, config: RunConfig):
-    if not 2 <= n_max <= GROWTH_N_MAX_CAP:
+def _battery_growth(args, config: RunConfig):
+    if not 2 <= args.n_max <= GROWTH_N_MAX_CAP:
         raise UsageError(f"--n-max must lie in 2..{GROWTH_N_MAX_CAP}")
-    report = verify_growth(n_max, config.precision_bits,
+    report = verify_growth(args.n_max, config.precision_bits,
                            config.max_precision_bits)
-    _verdict(f"growth n <= {n_max}", report.all_ok,
+    _verdict(f"growth n <= {args.n_max}", report.all_ok,
              f"checked={report.checked} failures={len(report.failures)}")
     return (0 if report.all_ok else 1), [growth_record(report)]
 
 
-def _battery_field(config: RunConfig):
+def _battery_field(args, config: RunConfig):
     checks = field_identity_report()
     for name, ok in checks.items():
         _verdict(f"field {name}", ok)
@@ -308,7 +291,7 @@ def _battery_field(config: RunConfig):
     return (0 if ok else 1), [field_record(checks)]
 
 
-def _battery_lemma2(config: RunConfig):
+def _battery_lemma2(args, config: RunConfig):
     records = []
     code = 0
     for label, (element, expected) in LEMMA2_CASES.items():
@@ -326,8 +309,8 @@ def _battery_lemma2(config: RunConfig):
     return code, records
 
 
-def _battery_expansion(x: int, y: int, z: int, t_max: int,
-                       config: RunConfig):
+def _battery_expansion(args, config: RunConfig):
+    x, y, z, t_max = args.x, args.y, args.z, args.t_max
     if not (5 <= x < y < z <= EXPANSION_INDEX_CAP and x + y > z):
         raise UsageError(f"need 5 <= x < y < z <= {EXPANSION_INDEX_CAP} "
                          "with x + y > z")
@@ -345,75 +328,82 @@ def _battery_expansion(x: int, y: int, z: int, t_max: int,
     return (0 if report.all_ok else 1), expansion_records(report)
 
 
-def _battery_search(z_max: int, w_max: int, config: RunConfig):
-    found = search(z_max, False)
-    found_pruned = search(z_max, True)
+def _battery_search(args, config: RunConfig):
+    found = search(args.z_max, False)
+    found_pruned = search(args.z_max, True)
     agree = found == found_pruned
-    _verdict(f"search z <= {z_max}", agree and not found,
+    _verdict(f"search z <= {args.z_max}", agree and not found,
              f"count={len(found)} prune-agreement={agree}")
-    found_brute = brute_force(w_max)
-    _verdict(f"brute w <= {w_max}", not found_brute,
+    found_brute = brute_force(args.w_max)
+    _verdict(f"brute w <= {args.w_max}", not found_brute,
              f"count={len(found_brute)}")
-    records = [search_summary_record("search", len(found), z_max=z_max,
+    records = [search_summary_record("search", len(found), z_max=args.z_max,
                                      use_gcd_prune=False),
                search_summary_record("brute", len(found_brute),
-                                     w_max=w_max)]
-    for c in found + found_brute:
-        records.append(triple_record(c.u, c.v, c.w, c.x, c.y, c.z, True))
+                                     w_max=args.w_max)]
+    records += _triple_records(found + found_brute)
     ok = agree and not found and not found_brute
     return (0 if ok else 1), records
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
-    check = args.check
-    if check == "prop1":
-        code, records = _battery_prop1(args.z_max, config)
-    elif check == "norms":
-        code, records = _battery_norms(args.z_max, args.samples, config)
-    elif check == "constants":
-        code, records = _battery_constants(config)
-    elif check == "growth":
-        code, records = _battery_growth(args.n_max, config)
-    elif check == "field":
-        code, records = _battery_field(config)
-    elif check == "lemma2":
-        code, records = _battery_lemma2(config)
-    elif check == "expansion":
-        code, records = _battery_expansion(args.x, args.y, args.z,
-                                           args.t_max, config)
-    else:
-        return _cmd_verify_all(args, config)
-    _write(config, records)
-    return code
+class _Battery(NamedTuple):
+    run: Callable
+    # None: no ``verify`` subcommand of its own (``search`` and ``brute``
+    # run its sweeps one at a time)
+    help: str | None
+    settings: tuple[str, ...]        # the RunConfig fields it reads
+    args: tuple[tuple[str, int | None], ...] = ()   # (int flag, default)
+    quick: dict = {}                 # its arguments under verify all --quick
+    full: dict = {}                  # ... and under verify all
 
 
-def _cmd_verify_all(args, config: RunConfig) -> int:
-    quick = args.quick
-    budgets = {
-        "growth_n": 500 if quick else 2000,
-        "prop1_z": 100 if quick else 500,
-        "norms_z": 60 if quick else 120,
-        "search_z": 40 if quick else 60,
-        "brute_w": 500 if quick else 2000,
-        "t_max": 4 if quick else 6,
-    }
+_XYZ = {"x": 20, "y": 25, "z": 30}
+
+# in the order verify all runs them
+_BATTERIES = {
+    "constants": _Battery(_battery_constants,
+                          "decimal windows for the cubic's constants",
+                          ("precision_bits",)),
+    "growth": _Battery(_battery_growth, "two-sided growth bounds for T_n",
+                       _PRECISION, (("--n-max", None),),
+                       {"n_max": 500}, {"n_max": 2000}),
+    "field": _Battery(_battery_field, "exact splitting-field identities", ()),
+    "lemma2": _Battery(_battery_lemma2,
+                       "non-squareness certificates for a and alpha*a",
+                       _INT_FIELDS),
+    "prop1": _Battery(_battery_prop1,
+                      "gcd(T_y-1, T_z-1) < alpha^(3z/4) sweep", _PRECISION,
+                      (("--z-max", None),), {"z_max": 100}, {"z_max": 500}),
+    "norms": _Battery(_battery_norms, "exact norm certificates plus sampled "
+                      "embedding bounds", _PRECISION,
+                      (("--z-max", None), ("--samples", 25)),
+                      {"z_max": 60, "samples": 25},
+                      {"z_max": 120, "samples": 25}),
+    "search": _Battery(_battery_search, None, (), (),
+                       {"z_max": 40, "w_max": 500},
+                       {"z_max": 60, "w_max": 2000}),
+    "expansion": _Battery(_battery_expansion, "truncation error decay",
+                          _PRECISION, (("--x", None), ("--y", None),
+                                       ("--z", None), ("--t-max", 6)),
+                          {**_XYZ, "t_max": 4}, {**_XYZ, "t_max": 6}),
+}
+
+
+def _battery_all(args, config: RunConfig):
     code = 0
     records = []
-    for step in (
-        lambda: _battery_constants(config),
-        lambda: _battery_growth(budgets["growth_n"], config),
-        lambda: _battery_field(config),
-        lambda: _battery_lemma2(config),
-        lambda: _battery_prop1(budgets["prop1_z"], config),
-        lambda: _battery_norms(budgets["norms_z"], 25, config),
-        lambda: _battery_search(budgets["search_z"], budgets["brute_w"],
-                                config),
-        lambda: _battery_expansion(20, 25, 30, budgets["t_max"], config),
-    ):
-        step_code, step_records = step()
+    for battery in _BATTERIES.values():
+        budget = battery.quick if args.quick else battery.full
+        step_code, step_records = battery.run(argparse.Namespace(**budget),
+                                              config)
         code = max(code, step_code)
         records.extend(step_records)
     _verdict("verify all", code == 0)
+    return code, records
+
+
+def _cmd_verify(args, config: RunConfig) -> int:
+    code, records = args.battery(args, config)
     _write(config, records)
     return code
 
@@ -442,16 +432,6 @@ def _cmd_check_records(args, config: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "member": _cmd_member,
-    "search": _cmd_search,
-    "brute": _cmd_brute,
-    "verify": _cmd_verify,
-    "check-records": _cmd_check_records,
-}
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -460,7 +440,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = load_config(args)
-        return _COMMANDS[args.command](args, config)
+        return args.func(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 
-from .enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
+from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
+                        precision_ladder)
 
 DEFAULT_PRECISION = 192
 MIN_PRECISION = 8
@@ -246,18 +247,15 @@ def cmp_alpha_power(p: int, q: int, n: int,
     if p == 0:
         return Cmp.LESS  # 1 < n**q
     target = n ** q
-    bits = precision_bits
-    while True:
+    for bits in precision_ladder(precision_bits, max_precision_bits):
         enc = alpha_power(p, bits)
         if enc.definitely_lt(target):
             return Cmp.LESS
         if enc.definitely_gt(target):
             return Cmp.GREATER
-        bits *= 2
-        if bits > max_precision_bits:
-            raise PrecisionFailure(
-                f"cmp_alpha_power({p}, {q}, {n}) unresolved at "
-                f"{max_precision_bits} bits")
+    raise PrecisionFailure(
+        f"cmp_alpha_power({p}, {q}, {n}) unresolved at "
+        f"{max_precision_bits} bits")
 
 
 def floor_log_alpha(n: int, precision_bits: int = DEFAULT_PRECISION,

@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         beta_power, constants)
-from .enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
+from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
+                        precision_ladder)
 from .tribonacci import trib
 
 MAX_ORDER = 8
@@ -242,17 +243,14 @@ def expansion_error(x: int, y: int, z: int, order: int,
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must lie in 0..{MAX_ORDER}")
     ratio = Fraction((trib(x) - 1) * (trib(y) - 1), trib(z) - 1)
-    bits = precision_bits or DEFAULT_PRECISION
-    while True:
+    for bits in precision_ladder(precision_bits or DEFAULT_PRECISION,
+                                 max_precision_bits):
         u_real = Enclosure.point(ratio).sqrt(bits + 32)
         gap = (u_real - _truncation_value(x, y, z, order, bits)).abs()
         if gap.is_positive() and (gap.hi - gap.lo) * 4096 <= gap.lo:
             return gap
-        if bits >= max_precision_bits:
-            raise PrecisionFailure(
-                f"truncation gap at order {order} not resolved "
-                f"within {bits} bits")
-        bits = min(2 * bits, max_precision_bits)
+    raise PrecisionFailure(
+        f"truncation gap at order {order} not resolved within {bits} bits")
 
 
 def _pow12(e: Enclosure) -> Enclosure:

@@ -38,7 +38,7 @@ from math import gcd
 
 from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         beta_power, cmp_alpha_power)
-from .enclosure import Enclosure, PrecisionFailure
+from .enclosure import Enclosure, PrecisionFailure, precision_ladder
 from .splitfield import CubicElement, norm3, norm6
 from .tribonacci import trib
 
@@ -180,8 +180,7 @@ def factor_bounds(y: int, z: int,
         raise ValueError(f"pair ({y},{z}) outside the regime 4y > 3z + 8")
     ty, tz = _shifted(y), _shifted(z)
     lam = z - y
-    bits = precision_bits
-    while True:
+    for bits in precision_ladder(precision_bits, max_precision_bits):
         alpha_z = alpha_power(z, bits)
         # embedding fixing alpha, against 1.3*alpha**(z/4) in fourth powers
         real_abs = (alpha_power(lam, bits) * ty - tz).abs()
@@ -195,9 +194,7 @@ def factor_bounds(y: int, z: int,
         # distinguish a genuine violation from insufficient precision
         if real4.definitely_gt(bound_r4) or cplx_abs.definitely_gt(bound_c):
             return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, False)
-        bits *= 2
-        if bits > max_precision_bits:
-            raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
+    raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
 
 
 def index_pairs(z_max: int, y_min: int = 4):

@@ -33,7 +33,7 @@ from math import lcm
 
 from .constants import DEFAULT_PRECISION, MAX_PRECISION, constants
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure, Rat,
-                        sqrt_split)
+                        precision_ladder, sqrt_split)
 
 # tail of p(x), ascending: eps**6 = -1 + eps - 2*eps**2 + ... + eps**5
 _P_TAIL = (-1, 1, -2, 3, -2, 1)
@@ -484,17 +484,15 @@ def _build_binet() -> BinetConstants:
     beta = (ONE_K - alpha + psi) * half
     gamma = (ONE_K - alpha - psi) * half
     # orient beta to the root with positive imaginary part
-    bits = DEFAULT_PRECISION
-    while True:
+    for bits in precision_ladder(DEFAULT_PRECISION, MAX_PRECISION):
         emb = embed_field(beta, bits)
         if emb.im.is_positive():
             break
         if emb.im.is_negative():
             beta, gamma = gamma, beta
             break
-        bits *= 2
-        if bits > MAX_PRECISION:
-            raise PrecisionFailure("could not orient beta")
+    else:
+        raise PrecisionFailure("could not orient beta")
 
     for root, name in ((beta, "beta"), (gamma, "gamma")):
         _check(root * root * root - root * root - root - ONE_K == ZERO_K,
@@ -583,19 +581,16 @@ def _cubic_sqrt_reconstruct(t: CubicElement, precision_bits: int,
     Returns None when no square root with denominators up to the bound
     exists; exact verification makes false positives impossible.
     """
-    bits = precision_bits
     # enough precision that a true rational coordinate within the bound is
     # recovered by continued-fraction rounding of the midpoint
     need = Fraction(1, 2 * denominator_bound ** 2)
-    while True:
+    for bits in precision_ladder(precision_bits, max_precision_bits):
         cs = constants(bits)
         sa = _cubic_embed(t, cs.alpha)
         if sa.is_negative():
             return None  # real embedding negative: no square root in Q(alpha)
         if sa.contains_zero() and not t.is_zero():
-            bits *= 2
-            if bits > max_precision_bits:
-                raise PrecisionFailure("sign of real embedding unresolved")
+            failure = "sign of real embedding unresolved"
             continue
         sb = _cubic_embed(t, cs.beta)
         ea = sa.sqrt(bits)
@@ -625,9 +620,8 @@ def _cubic_sqrt_reconstruct(t: CubicElement, precision_bits: int,
         widths = [coeff0.width(), coeff1.width(), coeff2.width()]
         if max(widths) <= need:
             return None
-        bits *= 2
-        if bits > max_precision_bits:
-            raise PrecisionFailure("square root reconstruction unresolved")
+        failure = "square root reconstruction unresolved"
+    raise PrecisionFailure(failure)
 
 
 # -- witness primes ---------------------------------------------------------

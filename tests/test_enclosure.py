@@ -5,6 +5,7 @@ The integer-numerator ``Enclosure`` is checked endpoint for endpoint against
 here as the oracle together with its rounding and square-root helpers.
 """
 
+import importlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,10 +15,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from triboverify.constants import constants
+from triboverify import gcdbound, splitfield
+from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
+                                   PrecisionFailure, precision_ladder,
                                    round_down, round_up, sqrt_down, sqrt_up,
                                    sqrt_split)
+from triboverify.splitfield import CubicElement
+
+# the package rebinds the name ``constants`` to the function
+constants_module = importlib.import_module("triboverify.constants")
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +498,74 @@ def test_rounded_keeps_enclosure():
     r = e.rounded(64)
     assert r.encloses(e)
     assert r.lo.denominator <= 1 << 70
+
+
+# ---------------------------------------------------------------------------
+# the precision ladder every adaptive loop climbs
+# ---------------------------------------------------------------------------
+
+def test_precision_ladder_doubles_then_tries_the_cap():
+    assert list(precision_ladder(24, 100)) == [24, 48, 96, 100]
+    assert list(precision_ladder(24, 96)) == [24, 48, 96]
+    assert list(precision_ladder(64, 64)) == [64]
+    assert list(precision_ladder(128, 64)) == [128]
+
+
+def _recording(seen, result):
+    def fn(arg, bits):
+        seen.append(bits)
+        assert len(seen) <= 10, "the precision loop ignores its cap"
+        return result
+    return fn
+
+
+def _record_constants(monkeypatch, seen):
+    real = constants_module.constants
+    monkeypatch.setattr(splitfield, "constants",
+                        lambda bits: seen.append(bits) or real(bits))
+
+
+_WIDE = Enclosure(-10 ** 30, 10 ** 30)
+
+
+def _cmp_alpha_power(monkeypatch, seen):
+    monkeypatch.setattr(constants_module, "alpha_power",
+                        _recording(seen, Enclosure(0, 10 ** 9)))
+    return lambda: cmp_alpha_power(3, 1, 4, 24, 100)
+
+
+def _factor_bounds(monkeypatch, seen):
+    monkeypatch.setattr(gcdbound, "beta_power",
+                        _recording(seen, ComplexEnclosure(_WIDE, _WIDE)))
+    return lambda: gcdbound.factor_bounds(20, 22, 24, 100)
+
+
+def _sqrt_sign(monkeypatch, seen):
+    _record_constants(monkeypatch, seen)
+    monkeypatch.setattr(splitfield, "_cubic_embed",
+                        lambda t, root: Enclosure(-1, 1))
+    return lambda: splitfield._cubic_sqrt_reconstruct(
+        CubicElement((2, 0, 0)), 24, 100, 10)
+
+
+def _sqrt_reconstruction(monkeypatch, seen):
+    # sqrt(2) is not in the cubic field, and no width meets a denominator
+    # bound this large
+    _record_constants(monkeypatch, seen)
+    return lambda: splitfield._cubic_sqrt_reconstruct(
+        CubicElement((2, 0, 0)), 24, 100, 10 ** 200)
+
+
+@pytest.mark.parametrize("setup, message", [
+    (_cmp_alpha_power, r"cmp_alpha_power\(3, 1, 4\) unresolved at 100 bits"),
+    (_factor_bounds, r"factor bounds unresolved at \(20,22\)"),
+    (_sqrt_sign, "sign of real embedding unresolved"),
+    (_sqrt_reconstruction, "square root reconstruction unresolved"),
+])
+def test_adaptive_loop_climbs_the_ladder_to_the_cap(monkeypatch, setup,
+                                                    message):
+    seen = []
+    call = setup(monkeypatch, seen)
+    with pytest.raises(PrecisionFailure, match=message):
+        call()
+    assert seen == [24, 48, 96, 100]

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,14 +19,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from triboverify import gcdbound, records
-from triboverify.cli import RunConfig, UsageError, load_config, run
+from triboverify.cli import (RunConfig, UsageError, build_parser,
+                             load_config, run)
 from triboverify.constants import verify_growth, verify_numeric_window
 from triboverify.expansion import decay_report
 from triboverify.gcdbound import norm_witness
-from triboverify.records import (CONSTANTS_PRECISION_CAP,
+from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                                  EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP,
                                  LEMMA2_CASES, PAIR_Z_MAX_CAP,
-                                 TRIPLE_VALUE_CAP, RecordFormatError,
+                                 SEARCH_Z_MAX_CAP, TRIPLE_VALUE_CAP,
+                                 RecordFormatError,
                                  VerificationRecord, check_record,
                                  constants_record, emit_records,
                                  expansion_records, field_record,
@@ -34,6 +37,9 @@ from triboverify.records import (CONSTANTS_PRECISION_CAP,
                                  norm_record, prop1_record, read_records,
                                  search_summary_record)
 from triboverify.splitfield import field_identity_report, is_square_in_K
+from triboverify.tribonacci import trib
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_membership_record_bytes():
@@ -933,3 +939,127 @@ def test_flat_kinds_parse_without_json(tmp_path, capsys, monkeypatch):
                         SimpleNamespace(loads=loads, dumps=json.dumps))
     kinds = [rec.kind for rec in read_records(path)]
     assert len(kinds) == 6213 and set(_FLAT_KINDS) <= set(kinds)
+
+
+# ---------------------------------------------------------------------------
+# the shape of the command line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--z-max", str(SEARCH_Z_MAX_CAP + 1)],
+    ["brute", "--w-max", str(BRUTE_W_MAX_CAP + 1)],
+])
+def test_cli_search_refuses_sizes_over_the_record_caps(tmp_path, capsys,
+                                                       argv):
+    # check-records would reject the summary such a run writes
+    path = tmp_path / "r.jsonl"
+    assert run(argv + ["--out", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_cli_member_honours_the_precision_cap(capsys):
+    # s_100 = alpha^100 + beta^100 + gamma^100 is an integer within 2e-13
+    # of alpha^100, so its floor of log_alpha needs more than 64 bits
+    s_100 = 3 * trib(102) - 2 * trib(101) - trib(100)
+    assert s_100 == 291705319160032485504749131
+    argv = ["member", str(s_100), "--precision-bits", "8"]
+    assert run(argv + ["--max-precision-bits", "64"]) == 3
+    assert "inconclusive:" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"{s_100} -\n"
+
+
+def test_cli_verify_all_runs_the_single_commands(tmp_path, capsys):
+    # verify all writes exactly what these commands write, in this order
+    steps = [["verify", "constants"],
+             ["verify", "growth", "--n-max", "500"],
+             ["verify", "field"],
+             ["verify", "lemma2"],
+             ["verify", "prop1", "--z-max", "100"],
+             ["verify", "norms", "--z-max", "60"],
+             ["search", "--z-max", "40"],
+             ["brute", "--w-max", "500"],
+             ["verify", "expansion", "--x", "20", "--y", "25", "--z", "30",
+              "--t-max", "4"]]
+    parts = b""
+    for i, argv in enumerate(steps):
+        path = tmp_path / f"{i}.jsonl"
+        assert run(argv + ["--out", str(path)]) == 0
+        parts += path.read_bytes()
+    whole = tmp_path / "all.jsonl"
+    assert run(["verify", "all", "--quick", "--out", str(whole)]) == 0
+    capsys.readouterr()
+    assert whole.read_bytes() == parts
+
+
+_PRECISION_FLAGS = {"--precision-bits", "--max-precision-bits"}
+_ALL_SETTINGS = _PRECISION_FLAGS | {"--witness-prime-bound",
+                                    "--denominator-bound", "--out"}
+_SETTINGS_TAKEN = {
+    "gen": set(),
+    "member": _PRECISION_FLAGS,
+    "check-records": _PRECISION_FLAGS,
+    "search": {"--out"},
+    "brute": {"--out"},
+    "verify field": {"--out"},
+    "verify constants": {"--precision-bits", "--out"},
+    "verify prop1": _PRECISION_FLAGS | {"--out"},
+    "verify norms": _PRECISION_FLAGS | {"--out"},
+    "verify growth": _PRECISION_FLAGS | {"--out"},
+    "verify expansion": _PRECISION_FLAGS | {"--out"},
+    "verify lemma2": _ALL_SETTINGS,
+    "verify all": _ALL_SETTINGS,
+}
+
+
+def _leaf_parsers(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, f"{prefix}{name} ")
+            return
+    yield prefix.strip(), parser
+
+
+def test_cli_commands_take_only_the_settings_they_read():
+    taken = {name: {flag for action in leaf._actions
+                    for flag in action.option_strings} & _ALL_SETTINGS
+             for name, leaf in _leaf_parsers(build_parser())}
+    assert taken == _SETTINGS_TAKEN
+    assert sum(map(len, taken.values())) == 31
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--max-index", "3", "--out", "r.jsonl"],
+    ["member", "81", "--out", "r.jsonl"],
+    ["search", "--z-max", "10", "--precision-bits", "64"],
+    ["brute", "--w-max", "10", "--max-precision-bits", "64"],
+    ["verify", "field", "--precision-bits", "64"],
+    ["verify", "prop1", "--z-max", "9", "--witness-prime-bound", "100"],
+    ["check-records", "r.jsonl", "--out", "s.jsonl"],
+])
+def test_cli_refuses_settings_a_command_does_not_read(capsys, argv):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines()
+            if line.startswith("triboverify ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 13
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    # the example without its comment, with its optional parts written out
+    words = shlex.split(re.sub(r"[][]", "", line.split("#", 1)[0]))
+    try:
+        build_parser().parse_args(words[1:])
+    except SystemExit:
+        pytest.fail(f"README example does not parse: {line}")
