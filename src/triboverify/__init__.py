@@ -26,8 +26,9 @@ from .splitfield import (ALPHA_C, ALPHA_K, EPS, CubicElement, FieldElement,
                          field_identity_report, is_root_of_unity,
                          is_square_in_K, monomial, norm3, norm6,
                          sqrt_minus_11)
-from .tribonacci import (TribTable, default_table, index_window,
-                         is_tribonacci, trib, trib_fast)
+from .tribonacci import (TribTable, alpha_power_trace, cmp_alpha_power_trace,
+                         default_table, index_window, is_tribonacci, trib,
+                         trib_fast)
 from .triples import (TripleCandidate, admissible, brute_force, search,
                       uvw_from_xyz, verify_triple)
 
@@ -41,8 +42,9 @@ __all__ = [
     "MAX_PRECISION", "PrecisionFailure", "RecordFormatError",
     "SquareCertificate", "SweepReport", "TribTable", "TripleCandidate",
     "VerificationRecord", "admissible", "all_embeddings", "alpha_power",
-    "alpha_power_cubic", "beta_power", "binet_constants", "brute_force", "check_record",
-    "cmp_alpha_power", "constants", "decay_report", "default_table",
+    "alpha_power_cubic", "alpha_power_trace", "beta_power", "binet_constants",
+    "brute_force", "check_record", "cmp_alpha_power",
+    "cmp_alpha_power_trace", "constants", "decay_report", "default_table",
     "embed_alpha", "embed_field", "emit_records", "expansion_error",
     "expansion_terms", "factor_bounds", "factor_sweep", "fast_path_refutes",
     "field_identity_report", "floor_log_alpha", "gcd_shifted", "in_regime",

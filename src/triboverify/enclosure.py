@@ -36,9 +36,10 @@ class PrecisionFailure(ArithmeticError):
 def precision_ladder(start: int, cap: int) -> tuple[int, ...]:
     """The working precisions an adaptive loop tries: start, 2*start, 4*start,
     ... while below cap, then cap itself.  A loop that exhausts the ladder
-    raises PrecisionFailure.  Cached as a tuple: cmp_alpha_power runs once
-    per prop1 pair, and a fresh generator per call added about 0.4 us to its
-    2-3 us (Python 3.11)."""
+    raises PrecisionFailure.  Cached as a tuple: cmp_alpha_power runs twice
+    per growth index and once per prop1 record that check-records re-checks,
+    and a fresh generator per call added about 0.4 us to its 2-3 us
+    (Python 3.11)."""
     ladder = [start]
     while ladder[-1] < cap:
         ladder.append(min(2 * ladder[-1], cap))

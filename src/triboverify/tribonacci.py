@@ -4,13 +4,21 @@ Values are served from an append-only memo table.  Membership testing does
 not scan: the growth bounds alpha**(n-3) <= T_n <= alpha**(n-2) (n >= 2)
 confine any index with T_n = N to a window of width one around the certified
 floor of log_alpha(N), so at most two table lookups decide membership.
+
+The same table gives the power sums s_p = alpha**p + beta**p + gamma**p of
+the three roots, which are integers (``alpha_power_trace``).  Since
+|beta| = |gamma| = alpha**(-1/2), alpha**p lies within 1 of s_p for p >= 3,
+so ``cmp_alpha_power_trace`` compares alpha**p with an integer in integers,
+and needs an enclosure only when the integer is s_p itself.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .constants import DEFAULT_PRECISION, MAX_PRECISION, floor_log_alpha
+from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, beta_power,
+                        floor_log_alpha)
+from .enclosure import PrecisionFailure, precision_ladder
 
 
 class TribTable:
@@ -71,6 +79,10 @@ class TribTable:
 
 _TABLE = TribTable()
 
+# reading a member off an Enum class costs about 0.2 us (Python 3.11), as
+# much as the integer comparison that decides a prop1 pair
+_GREATER, _LESS = Cmp.GREATER, Cmp.LESS
+
 
 def default_table() -> TribTable:
     return _TABLE
@@ -79,6 +91,52 @@ def default_table() -> TribTable:
 def trib(n: int) -> int:
     """T_n from the shared memo table."""
     return _TABLE.value(n)
+
+
+def alpha_power_trace(p: int) -> int:
+    """s_p = alpha**p + beta**p + gamma**p, read from the shared table.
+
+    The power sums follow the sequence's recurrence from s_0 = 3, s_1 = 1,
+    s_2 = 3 (Newton's identities), which in this indexing makes
+    s_p = 3*T_(p+2) - 2*T_(p+1) - T_p (Spickerman, Fibonacci Quart. 20,
+    1982).
+    """
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    v = _TABLE._vals
+    if p + 2 >= len(v):
+        _TABLE.extend_to(p + 2)
+    return 3 * v[p + 2] - 2 * v[p + 1] - v[p]
+
+
+def cmp_alpha_power_trace(p: int, n: int,
+                          precision_bits: int = DEFAULT_PRECISION,
+                          max_precision_bits: int = MAX_PRECISION) -> Cmp:
+    """Certified comparison of alpha**p against the integer n, for p >= 3.
+
+    alpha**p = s_p - 2*Re(beta**p) with s_p = ``alpha_power_trace(p)``, and
+    2*|beta|**p = 2*alpha**(-p/2) < 0.81 for p >= 3, so every n other than
+    s_p is decided in integers.  For n = s_p, alpha**p > n exactly when
+    Re(beta**p) < 0, which is never 0 because alpha**p is irrational; the
+    sign is read from ``beta_power`` up the precision ladder, and a sign
+    still unresolved at the cap raises PrecisionFailure.
+    """
+    if p < 3:
+        raise ValueError("p must be >= 3")
+    s = alpha_power_trace(p)
+    if n < s:
+        return _GREATER
+    if n > s:
+        return _LESS
+    for bits in precision_ladder(precision_bits, max_precision_bits):
+        re = beta_power(p, bits).re
+        if re.is_negative():
+            return _GREATER
+        if re.is_positive():
+            return _LESS
+    raise PrecisionFailure(
+        f"cmp_alpha_power_trace({p}, {n}): sign of Re(beta**{p}) "
+        f"unresolved at {max_precision_bits} bits")
 
 
 def _mat_mul(x, y):

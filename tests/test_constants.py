@@ -11,6 +11,8 @@ from triboverify.constants import (Cmp, alpha_power, beta_power,
                                    floor_log_alpha, verify_growth,
                                    verify_numeric_window)
 from triboverify.enclosure import ComplexEnclosure
+from triboverify.records import PAIR_Z_MAX_CAP
+from triboverify.tribonacci import cmp_alpha_power_trace
 
 mpmath.mp.prec = 300
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
@@ -182,6 +184,32 @@ def test_cmp_alpha_power_coarse_start():
     # starting from a deliberately tiny precision must still decide
     assert cmp_alpha_power(100, 1, 10 ** 26, precision_bits=16) == Cmp.GREATER
     assert cmp_alpha_power(100, 1, 10 ** 27, precision_bits=16) == Cmp.LESS
+
+
+def _floor_alpha_powers(ps):
+    """floor(alpha**p) from mpmath at enough bits to separate alpha**p
+    from its nearest integer (alpha**p is within 2*alpha**(-p/2) of one)."""
+    with mpmath.workprec(2 * max(ps) + 64):
+        root = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
+        return {p: int(mpmath.floor(root ** p)) for p in ps}
+
+
+def test_trace_route_agrees_with_the_enclosure_route():
+    # at floor(alpha**p) and the next integer, one of which is the power sum
+    # s_p: the hardest integers to compare alpha**p with
+    floors = _floor_alpha_powers(range(3, 601))
+    for p, f in floors.items():
+        for n in (f, f + 1):
+            assert cmp_alpha_power_trace(p, n) == cmp_alpha_power(p, 1, n), p
+    # a stride sample up to 3 * PAIR_Z_MAX_CAP, the largest exponent a
+    # prop1 record can need; 8192 bits decide every one of these without
+    # escalation, so only one table of powers is built
+    p_max = 3 * PAIR_Z_MAX_CAP
+    floors = _floor_alpha_powers(list(range(601, p_max, 599)) + [p_max])
+    for p, f in floors.items():
+        for n in (f, f + 1):
+            assert (cmp_alpha_power_trace(p, n)
+                    == cmp_alpha_power(p, 1, n, 8192)), p
 
 
 def test_floor_log_alpha():

@@ -1,5 +1,6 @@
 """Gcd growth bound: exact norm certificates, embedding bounds, sweeps."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,9 @@ from triboverify.gcdbound import (FactorBoundsReport, GcdWitness,
                                   regime_sample, sweep)
 from triboverify.splitfield import ALPHA_C, CubicElement, norm3, norm6
 from triboverify.tribonacci import trib
+
+# the package's ``constants`` attribute is the function of that name
+constants_module = importlib.import_module("triboverify.constants")
 
 
 def test_alpha_power_cubic_matches_generic_power():
@@ -270,3 +274,43 @@ def test_prop1_results_take_each_gcd_once(monkeypatch):
     monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
     list(prop1_results(30))
     assert calls == list(index_pairs(30))
+
+
+def test_sweep_takes_each_gcd_once(monkeypatch):
+    calls = []
+    true_gcd_shifted = gcdbound.gcd_shifted
+
+    def counting(y, z):
+        calls.append((y, z))
+        return true_gcd_shifted(y, z)
+
+    monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
+    # no deep sample: its norm witnesses take their own gcd
+    rep = sweep(30, deep_samples=0)
+    assert calls == list(index_pairs(30))
+    assert rep.all_ok and rep.pairs_checked == len(calls)
+    assert rep.chain_checked == sum(not in_regime(y, z) for y, z in calls)
+
+
+def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,
+                                                   capsys):
+    # the battery decides by power sums; cmp_alpha_power is the checker's
+    calls = []
+    true_cmp = gcdbound.cmp_alpha_power
+
+    def counting(*args):
+        calls.append(args)
+        return true_cmp(*args)
+
+    for module in (constants_module, gcdbound):
+        monkeypatch.setattr(module, "cmp_alpha_power", counting)
+    out = tmp_path / "prop1.jsonl"
+    assert cli.run(["verify", "prop1", "--z-max", "30", "--out",
+                    str(out)]) == 0
+    assert calls == []
+    assert sweep(30, deep_samples=0).all_ok
+    assert calls == []
+    # the same binding does see the checker's route
+    assert cli.run(["check-records", str(out)]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(list(index_pairs(30)))

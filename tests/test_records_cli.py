@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from triboverify import gcdbound, records
 from triboverify.cli import (RunConfig, UsageError, build_parser,
                              load_config, run)
-from triboverify.constants import verify_growth, verify_numeric_window
+from triboverify.constants import (Cmp, verify_growth,
+                                   verify_numeric_window)
 from triboverify.expansion import decay_report
 from triboverify.gcdbound import norm_witness
 from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
@@ -1063,3 +1064,56 @@ def test_readme_command_parses(line):
         build_parser().parse_args(words[1:])
     except SystemExit:
         pytest.fail(f"README example does not parse: {line}")
+
+
+# The prop1 battery decides by power sums (cmp_alpha_power_trace) and the
+# checker by an enclosure of alpha**(3*z) (cmp_alpha_power), so a fault in
+# either route is caught by the other.  The pair (12, 18) is the only one
+# with z = 18 and gcd 39, so it is the only pair whose comparison is (54,
+# 39**4).
+_FLIPPED_PAIR = (12, 18)
+
+
+def _flip_one_pair(monkeypatch, name):
+    y, z = _FLIPPED_PAIR
+    target = (3 * z, gcdbound.gcd_shifted(y, z) ** 4)
+    true_cmp = getattr(gcdbound, name)
+
+    def flipped(p, *args):
+        # both routes take (p, ..., n, precision_bits, max_precision_bits)
+        got = true_cmp(p, *args)
+        return Cmp(-got) if (p, args[-3]) == target else got
+
+    monkeypatch.setattr(gcdbound, name, flipped)
+    pairs = list(gcdbound.index_pairs(20))
+    index = pairs.index(_FLIPPED_PAIR) + 1
+    return (f"record {index} (prop1): bound verdict disagrees",
+            f"FAIL  records={len(pairs)} failures=1")
+
+
+def test_checker_catches_a_flipped_battery_verdict(tmp_path, capsys,
+                                                   monkeypatch):
+    genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
+    assert run(["verify", "prop1", "--z-max", "20", "--out", str(genuine)]) == 0
+    named, verdict = _flip_one_pair(monkeypatch, "cmp_alpha_power_trace")
+    assert run(["verify", "prop1", "--z-max", "20", "--out", str(path)]) == 1
+    assert path.read_bytes() != genuine.read_bytes()
+    capsys.readouterr()
+    assert run(["check-records", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == named
+    assert lines[1].endswith(verdict)
+
+
+def test_battery_ignores_a_flipped_checker_verdict(tmp_path, capsys,
+                                                   monkeypatch):
+    genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
+    assert run(["verify", "prop1", "--z-max", "20", "--out", str(genuine)]) == 0
+    named, verdict = _flip_one_pair(monkeypatch, "cmp_alpha_power")
+    assert run(["verify", "prop1", "--z-max", "20", "--out", str(path)]) == 0
+    assert path.read_bytes() == genuine.read_bytes()
+    capsys.readouterr()
+    assert run(["check-records", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == named
+    assert lines[1].endswith(verdict)

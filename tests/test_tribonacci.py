@@ -1,11 +1,18 @@
-"""Sequence engine: table, fast doubling, membership windows."""
+"""Sequence engine: table, fast doubling, membership windows, power sums."""
 
 import random
 
 import pytest
 
-from triboverify.tribonacci import (TribTable, default_table, index_window,
-                                    is_tribonacci, trib, trib_fast)
+from triboverify import tribonacci
+from triboverify.constants import Cmp, beta_power
+from triboverify.enclosure import (ComplexEnclosure, Enclosure,
+                                   PrecisionFailure, precision_ladder)
+from triboverify.records import PAIR_Z_MAX_CAP
+from triboverify.tribonacci import (TribTable, alpha_power_trace,
+                                    cmp_alpha_power_trace, default_table,
+                                    index_window, is_tribonacci, trib,
+                                    trib_fast)
 
 FIRST = [0, 0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705,
          3136, 5768, 10609, 19513, 35890, 66012]
@@ -87,3 +94,72 @@ def test_negative_handling():
         trib(-1)
     # membership of a negative is simply false, not an error
     assert is_tribonacci(-5) is None
+
+
+def test_alpha_power_trace_is_the_power_sum_sequence():
+    # the power sums of the roots follow the recurrence from (3, 1, 3)
+    p_max = 3 * PAIR_Z_MAX_CAP
+    sums = [3, 1, 3]
+    while len(sums) <= p_max:
+        sums.append(sums[-1] + sums[-2] + sums[-3])
+    assert [alpha_power_trace(p) for p in range(p_max + 1)] == sums
+    # and the same closed form over the table-free matrix power
+    for p in list(range(200)) + list(range(200, p_max + 1, 347)) + [p_max]:
+        assert sums[p] == (3 * trib_fast(p + 2) - 2 * trib_fast(p + 1)
+                           - trib_fast(p))
+    with pytest.raises(ValueError):
+        alpha_power_trace(-1)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1, 2])
+def test_cmp_alpha_power_trace_refuses_p_below_3(p):
+    # |alpha**p - s_p| < 1 needs p >= 3: alpha**2 = 3.38... and s_2 = 3
+    with pytest.raises(ValueError):
+        cmp_alpha_power_trace(p, 3)
+
+
+def _counting_beta_power(monkeypatch):
+    calls = []
+
+    def counting(k, bits):
+        calls.append((k, bits))
+        return beta_power(k, bits)
+
+    monkeypatch.setattr(tribonacci, "beta_power", counting)
+    return calls
+
+
+def test_cmp_alpha_power_trace_decides_a_tie_by_the_sign_of_re_beta(
+        monkeypatch):
+    calls = _counting_beta_power(monkeypatch)
+    # alpha**p = s_p - 2*Re(beta**p): a neighbour of s_p needs no enclosure
+    for p in range(3, 40):
+        s = alpha_power_trace(p)
+        assert cmp_alpha_power_trace(p, s - 1) == Cmp.GREATER
+        assert cmp_alpha_power_trace(p, s + 1) == Cmp.LESS
+    assert calls == []
+    # alpha**3 = 6.22... < s_3 = 7, so Re(beta**3) > 0
+    assert alpha_power_trace(3) == 7
+    assert cmp_alpha_power_trace(3, 7) == Cmp.LESS
+    assert calls == [(3, 192)]
+    for p in range(4, 40):
+        want = Cmp.GREATER if beta_power(p).re.is_negative() else Cmp.LESS
+        assert cmp_alpha_power_trace(p, alpha_power_trace(p)) == want
+    assert [k for k, _ in calls] == list(range(3, 40))
+
+
+def test_cmp_alpha_power_trace_unresolved_tie_raises(monkeypatch):
+    bits_seen = []
+
+    def straddling(k, bits):
+        bits_seen.append(bits)
+        return ComplexEnclosure(Enclosure(-1, 1), Enclosure.point(0))
+
+    monkeypatch.setattr(tribonacci, "beta_power", straddling)
+    s = alpha_power_trace(57)
+    with pytest.raises(PrecisionFailure, match=r"beta\*\*57\)"):
+        cmp_alpha_power_trace(57, s, 16, 100)
+    assert bits_seen == list(precision_ladder(16, 100))
+    # away from the tie the stub is never consulted
+    assert cmp_alpha_power_trace(57, s - 1, 16, 100) == Cmp.GREATER
+    assert bits_seen == list(precision_ladder(16, 100))
