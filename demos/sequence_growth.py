@@ -1,4 +1,4 @@
-"""Walk the sequence engine: values, growth envelope, membership windows.
+"""Walk the sequence engine: values, growth envelope, membership.
 
 Run:  python3 demos/sequence_growth.py [n_max]
 """
@@ -6,7 +6,7 @@ Run:  python3 demos/sequence_growth.py [n_max]
 import sys
 
 from triboverify.constants import verify_growth
-from triboverify.tribonacci import index_window, is_tribonacci, trib, trib_fast
+from triboverify.tribonacci import is_tribonacci, trib, trib_fast
 
 
 def main() -> None:
@@ -26,15 +26,10 @@ def main() -> None:
           f"{'holds' if rep.all_ok else rep.failures}")
 
     print("\nmembership probes:")
-    for v in (81, 82, 66012, trib(100)):
+    for v in (81, 82, 66012, trib(100), trib(100) - 1):
         idx = is_tribonacci(v)
         verdict = f"T_{idx}" if idx is not None else "not in the sequence"
         print(f"  {v} -> {verdict}")
-
-    v = trib(60) - 1
-    lo, hi = index_window(v)
-    print(f"\nindex window for {v}: [{lo}, {hi}] "
-          f"(certified bracket; membership -> {is_tribonacci(v)})")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ and a truncation-error decay check, with machine-readable records.
 """
 
 from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
-                        beta_power, cmp_alpha_power, constants, floor_log_alpha,
-                        verify_growth, verify_numeric_window)
+                        beta_power, cmp_alpha_power, constants, verify_growth,
+                        verify_numeric_window)
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
                         round_down, round_up, sqrt_split)
 from .expansion import (DecayReport, ExpansionParams, ExpansionTerm,
@@ -27,8 +27,7 @@ from .splitfield import (ALPHA_C, ALPHA_K, EPS, CubicElement, FieldElement,
                          is_square_in_K, monomial, norm3, norm6,
                          sqrt_minus_11)
 from .tribonacci import (TribTable, alpha_power_trace, cmp_alpha_power_trace,
-                         default_table, index_window, is_tribonacci, trib,
-                         trib_fast)
+                         default_table, is_tribonacci, trib, trib_fast)
 from .triples import (TripleCandidate, admissible, brute_force, search,
                       uvw_from_xyz, verify_triple)
 
@@ -47,8 +46,8 @@ __all__ = [
     "cmp_alpha_power_trace", "constants", "decay_report", "default_table",
     "embed_alpha", "embed_field", "emit_records", "expansion_error",
     "expansion_terms", "factor_bounds", "factor_sweep", "fast_path_refutes",
-    "field_identity_report", "floor_log_alpha", "gcd_shifted", "in_regime",
-    "index_pairs", "index_window", "is_root_of_unity", "is_square_in_K",
+    "field_identity_report", "gcd_shifted", "in_regime", "index_pairs",
+    "is_root_of_unity", "is_square_in_K",
     "is_tribonacci", "monomial", "norm3", "norm6", "norm_sweep",
     "norm_witness", "norm_witnesses", "prop1_holds", "prop1_results",
     "read_records", "regime_pairs", "regime_sample", "round_down",

@@ -117,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _leaf(sub, "gen", "print sequence values", (), func=_cmd_gen)
     p.add_argument("--max-index", type=int, required=True)
 
-    p = _leaf(sub, "member", "membership queries with certified index "
-              "windows", _PRECISION, func=_cmd_member)
+    p = _leaf(sub, "member", "membership queries", (), func=_cmd_member)
     p.add_argument("values", type=int, nargs="+")
 
     p = _leaf(sub, "search", "index-side triple search", ("out",),
@@ -184,8 +183,7 @@ def _cmd_member(args, config: RunConfig) -> int:
     for value in args.values:
         if value < 0:
             raise UsageError("membership queries take nonnegative values")
-        idx = is_tribonacci(value, config.precision_bits,
-                            config.max_precision_bits)
+        idx = is_tribonacci(value)
         print(f"{value} {'-' if idx is None else idx}")
     return 0
 

@@ -39,7 +39,10 @@ def precision_ladder(start: int, cap: int) -> tuple[int, ...]:
     raises PrecisionFailure.  Cached as a tuple: cmp_alpha_power runs twice
     per growth index and once per prop1 record that check-records re-checks,
     and a fresh generator per call added about 0.4 us to its 2-3 us
-    (Python 3.11)."""
+    (Python 3.11).  A start below 1 would never double past the cap, so it
+    is refused."""
+    if start < 1:
+        raise ValueError("precision ladder needs start >= 1")
     ladder = [start]
     while ladder[-1] < cap:
         ladder.append(min(2 * ladder[-1], cap))

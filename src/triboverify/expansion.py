@@ -229,7 +229,7 @@ def _truncation_value(x: int, y: int, z: int, order: int,
 
 
 def expansion_error(x: int, y: int, z: int, order: int,
-                    precision_bits: int | None = None,
+                    precision_bits: int = DEFAULT_PRECISION,
                     max_precision_bits: int = MAX_PRECISION) -> Enclosure:
     """Measured gap |u - truncation| with u = sqrt((T_x-1)(T_y-1)/(T_z-1))
     as a real number.
@@ -243,8 +243,7 @@ def expansion_error(x: int, y: int, z: int, order: int,
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must lie in 0..{MAX_ORDER}")
     ratio = Fraction((trib(x) - 1) * (trib(y) - 1), trib(z) - 1)
-    for bits in precision_ladder(precision_bits or DEFAULT_PRECISION,
-                                 max_precision_bits):
+    for bits in precision_ladder(precision_bits, max_precision_bits):
         u_real = Enclosure.point(ratio).sqrt(bits + 32)
         gap = (u_real - _truncation_value(x, y, z, order, bits)).abs()
         if gap.is_positive() and (gap.hi - gap.lo) * 4096 <= gap.lo:
@@ -285,7 +284,7 @@ class DecayReport:
 
 
 def decay_report(x: int, y: int, z: int, order_max: int = 6,
-                 precision_bits: int | None = None,
+                 precision_bits: int = DEFAULT_PRECISION,
                  max_precision_bits: int = MAX_PRECISION) -> DecayReport:
     """Errors at every order up to order_max and decay verdicts over the
     orders 1..order_max."""
@@ -298,7 +297,7 @@ def decay_report(x: int, y: int, z: int, order_max: int = 6,
     return DecayReport(x, y, z, order_max, errors, decreasing, ratio_ok)
 
 
-def decay_verdicts(x: int, errors, precision_bits: int | None = None
+def decay_verdicts(x: int, errors, precision_bits: int = DEFAULT_PRECISION
                    ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """Verdicts on each pair of consecutive errors: decreasing[i]
     certifies errors[i+1] < errors[i], ratio_ok[i] certifies
@@ -308,8 +307,7 @@ def decay_verdicts(x: int, errors, precision_bits: int | None = None
     enclosed once at precision_bits, and a verdict the enclosures leave
     open is False.
     """
-    bits = precision_bits or DEFAULT_PRECISION
-    bound = alpha_power(-x, bits) * 4096
+    bound = alpha_power(-x, precision_bits) * 4096
     decreasing = []
     ratio_ok = []
     for cur, nxt in zip(errors, errors[1:]):

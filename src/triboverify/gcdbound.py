@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
-                        beta_power, cmp_alpha_power)
+from .constants import (_GREATER, DEFAULT_PRECISION, MAX_PRECISION,
+                        alpha_power, beta_power, cmp_alpha_power)
 from .enclosure import Enclosure, PrecisionFailure, precision_ladder
 from .splitfield import CubicElement, norm3, norm6
 from .tribonacci import cmp_alpha_power_trace, trib
@@ -104,7 +104,7 @@ def _prop1_verdict(z: int, d: int, precision_bits: int,
                    max_precision_bits: int) -> bool:
     """d < alpha**(3*z/4), decided as alpha**(3*z) > d**4."""
     return cmp_alpha_power(3 * z, 1, d ** 4, precision_bits,
-                           max_precision_bits) == Cmp.GREATER
+                           max_precision_bits) == _GREATER
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,10 @@ def prop1_results(z_max: int, precision_bits: int = DEFAULT_PRECISION,
     alpha**(3*z) is compared with d**4 through its integer power sum
     (``cmp_alpha_power_trace``), with no enclosure unless they tie.
     """
-    greater = Cmp.GREATER  # read once: an Enum member lookup costs ~0.2 us
     for y, z in index_pairs(z_max):
         d = gcd_shifted(y, z)
         yield y, z, d, cmp_alpha_power_trace(
-            3 * z, d ** 4, precision_bits, max_precision_bits) == greater
+            3 * z, d ** 4, precision_bits, max_precision_bits) == _GREATER
 
 
 def norm_witnesses(z_max: int):
@@ -300,7 +299,7 @@ def sweep(z_max: int, deep_samples: int = 200,
         # gives T_y - 1 = 1, so it never is); then T_y - 1 < alpha**(3z/4)
         if not (d <= ty and cmp_alpha_power_trace(
                 3 * z, ty ** 4, precision_bits,
-                max_precision_bits) == Cmp.GREATER):
+                max_precision_bits) == _GREATER):
             chain_failures.append((y, z))
 
     sample = regime_sample(z_max, deep_samples)

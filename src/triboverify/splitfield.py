@@ -80,47 +80,6 @@ def _poly_mul(a, b) -> list[Rat]:
     return out
 
 
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lead = 1 / b[-1]
-    while _poly_trim(a) and len(a) >= len(b):
-        k = len(a) - len(b)
-        f = a[-1] * inv_lead
-        q[k] = f
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a.pop()
-    return q, a
-
-
-def _poly_inv_mod(u, m) -> list[Fraction]:
-    """Inverse of u modulo m over Q, by the extended Euclidean algorithm.
-
-    Maintains s_k * u = r_k (mod m); when the remainder chain ends at a
-    constant gcd, s/gcd is the inverse.
-    """
-    r0 = _poly_trim([Fraction(c) for c in m])
-    r1 = _poly_trim([Fraction(c) for c in u])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    if not r1:
-        raise ZeroDivisionError("inverse of zero")
-    while True:
-        q, r = _poly_divmod(r0, r1)
-        r = _poly_trim(r)
-        if not r:
-            break
-        qs1 = _poly_mul(q, s1)
-        n = max(len(s0), len(qs1))
-        s = _poly_trim([x - y for x, y in zip(_pad(s0, n), _pad(qs1, n))]
-                       ) or [Fraction(0)]
-        r0, s0, r1, s1 = r1, s1, r, s
-    if len(r1) != 1:
-        raise ZeroDivisionError("element not invertible (gcd not constant)")
-    c = 1 / r1[0]
-    return [x * c for x in s1]
-
-
 def _pad(c, n):
     return list(c) + [0] * (n - len(c))
 
@@ -206,11 +165,27 @@ class _Element:
     __rmul__ = __mul__
 
     def inv(self):
+        """1/u by Cramer's rule over integer rows.
+
+        With den*u = nums cleared of denominators and r_i the coordinates
+        of x**i * nums (``_shift_rows``), v = 1/nums solves
+        sum(v_i * r_i) = e_0.  So v_i is the determinant of the rows with
+        r_i replaced by e_0, over the determinant of the rows (the norm of
+        nums, nonzero for u != 0); expanding along e_0 turns the first into
+        (-1)**i times the minor without row i and column 0.
+        """
         if self.is_zero():
             raise ZeroDivisionError
-        modulus = [-t for t in self._TAIL] + [1]
-        return type(self)(tuple(_pad(_poly_inv_mod(self.coords, modulus),
-                                     len(self._TAIL))))
+        den, nums = _clear_denominators(self.coords)
+        rows = _shift_rows(nums, self._TAIL)
+        det = _bareiss_det([list(r) for r in rows])
+        coords = []
+        for i in range(len(rows)):
+            minor = _bareiss_det([r[1:] for k, r in enumerate(rows)
+                                  if k != i])
+            c = Fraction(-den * minor if i & 1 else den * minor, det)
+            coords.append(c.numerator if c.denominator == 1 else c)
+        return type(self)(tuple(coords))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -279,15 +254,24 @@ def norm6(u: FieldElement) -> Rat:
     of u, eps*u, ..., eps**5*u (the transpose of the multiplication matrix,
     with the same determinant), taken by fraction-free elimination.
     """
-    den, row = _clear_denominators(u.coords)
-    rows = [row]
-    for _ in range(5):
-        top = row[5]
-        row = [top * _P_TAIL[0]] + [row[j - 1] + top * _P_TAIL[j]
-                                    for j in range(1, 6)]
-        rows.append(row)
-    det = _bareiss_det(rows)
+    den, nums = _clear_denominators(u.coords)
+    det = _bareiss_det(_shift_rows(nums, _P_TAIL))
     return det if den == 1 else Fraction(det, den ** 6)
+
+
+def _shift_rows(nums: list[int], tail) -> list[list[int]]:
+    """The coordinates of u, x*u, ..., x**(n-1)*u for u = nums in the power
+    basis of Q(x) with x**n = sum(tail[j] * x**j): a multiplication by x
+    shifts every coordinate up one place and folds the top one back in
+    through the tail."""
+    row = nums
+    rows = [row]
+    for _ in range(len(tail) - 1):
+        top = row[-1]
+        row = [top * tail[0]] + [row[j - 1] + top * tail[j]
+                                 for j in range(1, len(tail))]
+        rows.append(row)
+    return rows
 
 
 def _clear_denominators(coords) -> tuple[int, list[int]]:

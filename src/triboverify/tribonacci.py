@@ -1,9 +1,8 @@
 """The sequence T_0 = T_1 = 0, T_2 = 1, T_{n+3} = T_{n+2} + T_{n+1} + T_n.
 
-Values are served from an append-only memo table.  Membership testing does
-not scan: the growth bounds alpha**(n-3) <= T_n <= alpha**(n-2) (n >= 2)
-confine any index with T_n = N to a window of width one around the certified
-floor of log_alpha(N), so at most two table lookups decide membership.
+Values are served from an append-only memo table.  The sequence never
+decreases, so membership is one bisection of that table, grown until its
+last value reaches the query: exact integers throughout, no enclosure.
 
 The same table gives the power sums s_p = alpha**p + beta**p + gamma**p of
 the three roots, which are integers (``alpha_power_trace``).  Since
@@ -15,9 +14,10 @@ and needs an enclosure only when the integer is s_p itself.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
-from .constants import (Cmp, DEFAULT_PRECISION, MAX_PRECISION, beta_power,
-                        floor_log_alpha)
+from .constants import (_GREATER, _LESS, DEFAULT_PRECISION, MAX_PRECISION,
+                        Cmp, beta_power)
 from .enclosure import PrecisionFailure, precision_ladder
 
 
@@ -58,30 +58,23 @@ class TribTable:
             out.append((n, t))
             n += 1
 
-    def first_index(self, value: int,
-                    precision_bits: int = DEFAULT_PRECISION,
-                    max_precision_bits: int = MAX_PRECISION) -> int | None:
+    def first_index(self, value: int) -> int | None:
         """Smallest n with T_n = value, or None.
 
-        The only value taken twice (beyond the leading zeros) is 1, at
-        indices 2 and 3; the smallest index wins, so 1 maps to 2 and 0 to 0.
+        T_n never decreases, so the first n with T_n >= value decides.  The
+        only value taken twice (beyond the leading zeros) is 1, at indices 2
+        and 3; the smallest index wins, so 1 maps to 2 and 0 to 0.
         """
-        if value < 0:
-            return None
-        if value == 0:
-            return 0
-        lo, hi = index_window(value, precision_bits, max_precision_bits)
-        for n in range(lo, hi + 1):
-            if self.value(n) == value:
-                return n
-        return None
+        v = self._vals
+        if v[-1] < value:
+            with self._lock:
+                while v[-1] < value:
+                    v.append(v[-1] + v[-2] + v[-3])
+        n = bisect_left(v, value)
+        return n if v[n] == value else None
 
 
 _TABLE = TribTable()
-
-# reading a member off an Enum class costs about 0.2 us (Python 3.11), as
-# much as the integer comparison that decides a prop1 pair
-_GREATER, _LESS = Cmp.GREATER, Cmp.LESS
 
 
 def default_table() -> TribTable:
@@ -161,23 +154,6 @@ def trib_fast(n: int) -> int:
     return r[2][0]
 
 
-def index_window(value: int,
-                 precision_bits: int = DEFAULT_PRECISION,
-                 max_precision_bits: int = MAX_PRECISION) -> tuple[int, int]:
-    """Closed index range that must contain every n >= 2 with T_n = value.
-
-    From the growth bounds, T_n = N >= 1 forces
-    2 + log_alpha(N) <= n <= 3 + log_alpha(N), so with k the certified floor
-    of log_alpha(N) the window (k+2, k+3) suffices; its width is 1.
-    """
-    if value < 1:
-        raise ValueError("value must be >= 1")
-    k = floor_log_alpha(value, precision_bits, max_precision_bits)
-    return k + 2, k + 3
-
-
-def is_tribonacci(value: int,
-                  precision_bits: int = DEFAULT_PRECISION,
-                  max_precision_bits: int = MAX_PRECISION) -> int | None:
+def is_tribonacci(value: int) -> int | None:
     """Smallest index n with T_n = value, or None if value never occurs."""
-    return _TABLE.first_index(value, precision_bits, max_precision_bits)
+    return _TABLE.first_index(value)

@@ -104,7 +104,7 @@ def verify_triple(u: int, v: int, w: int,
                   table: TribTable | None = None
                   ) -> tuple[int, int, int] | None:
     """Indices (x, y, z) with uv+1 = T_x, uw+1 = T_y, vw+1 = T_z, membership
-    decided by certified index windows; None if any product misses the
+    decided by bisection of the exact table; None if any product misses the
     sequence.  Duplicated values resolve to the smallest index."""
     if not 1 <= u < v < w:
         raise ValueError("need 1 <= u < v < w")

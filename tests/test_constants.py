@@ -7,8 +7,7 @@ import mpmath
 import pytest
 
 from triboverify.constants import (Cmp, alpha_power, beta_power,
-                                   cmp_alpha_power, constants,
-                                   floor_log_alpha, verify_growth,
+                                   cmp_alpha_power, constants, verify_growth,
                                    verify_numeric_window)
 from triboverify.enclosure import ComplexEnclosure
 from triboverify.records import PAIR_Z_MAX_CAP
@@ -210,16 +209,6 @@ def test_trace_route_agrees_with_the_enclosure_route():
         for n in (f, f + 1):
             assert (cmp_alpha_power_trace(p, n)
                     == cmp_alpha_power(p, 1, n, 8192)), p
-
-
-def test_floor_log_alpha():
-    cases = {1: 0, 2: 1, 3: 1, 4: 2, 7: 3, 13: 4, 1000: 11}
-    for n, want in cases.items():
-        assert floor_log_alpha(n) == want
-    # cross-check a big one against mpmath
-    n = 10 ** 40
-    k = floor_log_alpha(n)
-    assert mpmath.mpf(MP_ALPHA) ** k <= n < mpmath.mpf(MP_ALPHA) ** (k + 1)
 
 
 def test_numeric_window_report():

@@ -6,10 +6,15 @@ here as the oracle together with its rounding and square-root helpers.
 """
 
 import importlib
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -509,6 +514,38 @@ def test_precision_ladder_doubles_then_tries_the_cap():
     assert list(precision_ladder(24, 96)) == [24, 48, 96]
     assert list(precision_ladder(64, 64)) == [64]
     assert list(precision_ladder(128, 64)) == [128]
+
+
+# a ladder from start 0 never reaches its cap (2*0 = 0), so a regression
+# grows a list until memory runs out: run the calls in a child process with
+# a time limit and a 256 MiB address-space limit, so it fails instead
+_LADDER_PROBE = """
+from triboverify.enclosure import precision_ladder
+from triboverify.gcdbound import prop1_holds
+from triboverify.records import check_record, prop1_record
+for call in (lambda: precision_ladder(0, 64),
+             lambda: precision_ladder(-8, 64),
+             lambda: prop1_holds(6, 10, precision_bits=0),
+             lambda: check_record(prop1_record(6, 10, 2, True), 0)):
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("no ValueError")
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+
+def test_precision_ladder_refuses_a_start_below_one():
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _LADDER_PROBE], env=env,
+                          preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def _recording(seen, result):

@@ -959,16 +959,52 @@ def test_cli_search_refuses_sizes_over_the_record_caps(tmp_path, capsys,
     assert not path.exists()
 
 
-def test_cli_member_honours_the_precision_cap(capsys):
+def _s_100():
     # s_100 = alpha^100 + beta^100 + gamma^100 is an integer within 2e-13
-    # of alpha^100, so its floor of log_alpha needs more than 64 bits
+    # of alpha^100, between T_102 and T_103
     s_100 = 3 * trib(102) - 2 * trib(101) - trib(100)
     assert s_100 == 291705319160032485504749131
-    argv = ["member", str(s_100), "--precision-bits", "8"]
-    assert run(argv + ["--max-precision-bits", "64"]) == 3
-    assert "inconclusive:" in capsys.readouterr().err
-    assert run(argv) == 0
+    return s_100
+
+
+def test_cli_member_decides_a_near_power_of_alpha_exactly(capsys):
+    s_100 = _s_100()
+    assert trib(102) < s_100 < trib(103)
+    assert run(["member", str(s_100)]) == 0
     assert capsys.readouterr().out == f"{s_100} -\n"
+
+
+def _no_enclosures(monkeypatch):
+    """Make every binding of the enclosure powers and comparisons raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership built an enclosure")
+
+    names = ("alpha_power", "beta_power", "cmp_alpha_power")
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "triboverify"]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_membership_commands_build_no_enclosure(tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "triples.jsonl"
+    emit_records(path, [membership_triple_record(u, v, w) for u, v, w in
+                        ((1, 3, 6), (1, 6, 12), (2, 5, 40), (1, 2, 3))])
+    commands = [["member", "81", "82", "66012", str(_s_100())],
+                ["search", "--z-max", "60"],
+                ["brute", "--w-max", "2000"],
+                ["check-records", str(path)]]
+    today = []
+    for argv in commands:
+        today.append((run(argv), capsys.readouterr()))
+    assert [code for code, _ in today] == [0, 0, 0, 0]
+    assert today[0][1].out == f"81 10\n82 -\n66012 21\n{_s_100()} -\n"
+    assert "PASS  records=4 failures=0" in today[3][1].out
+    _no_enclosures(monkeypatch)
+    for argv, want in zip(commands, today):
+        assert (run(argv), capsys.readouterr()) == want, argv
 
 
 def test_cli_verify_all_runs_the_single_commands(tmp_path, capsys):
@@ -999,7 +1035,7 @@ _ALL_SETTINGS = _PRECISION_FLAGS | {"--witness-prime-bound",
                                     "--denominator-bound", "--out"}
 _SETTINGS_TAKEN = {
     "gen": set(),
-    "member": _PRECISION_FLAGS,
+    "member": set(),
     "check-records": _PRECISION_FLAGS,
     "search": {"--out"},
     "brute": {"--out"},
@@ -1028,12 +1064,13 @@ def test_cli_commands_take_only_the_settings_they_read():
                     for flag in action.option_strings} & _ALL_SETTINGS
              for name, leaf in _leaf_parsers(build_parser())}
     assert taken == _SETTINGS_TAKEN
-    assert sum(map(len, taken.values())) == 31
+    assert sum(map(len, taken.values())) == 29
 
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--max-index", "3", "--out", "r.jsonl"],
     ["member", "81", "--out", "r.jsonl"],
+    ["member", "81", "--precision-bits", "8"],
     ["search", "--z-max", "10", "--precision-bits", "64"],
     ["brute", "--w-max", "10", "--max-precision-bits", "64"],
     ["verify", "field", "--precision-bits", "64"],

@@ -1,12 +1,16 @@
 """Exact arithmetic in the degree-6 field, embeddings, squareness
-certificates, roots of unity."""
+certificates, roots of unity.
+
+Inverses are checked against the extended Euclidean algorithm modulo the
+minimal polynomial, the implementation that Cramer's rule replaced, kept
+here as the oracle."""
 
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from triboverify.splitfield import (ALPHA_C, ALPHA_K, EPS, ONE_K, ZERO_K,
@@ -17,7 +21,7 @@ from triboverify.splitfield import (ALPHA_C, ALPHA_K, EPS, ONE_K, ZERO_K,
                                     is_root_of_unity, is_square_in_K,
                                     monomial, norm3, norm6,
                                     roots_of_cubic_mod, sqrt_minus_11,
-                                    _legendre)
+                                    _legendre, _pad, _poly_mul, _poly_trim)
 
 mpmath.mp.prec = 120
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
@@ -115,6 +119,55 @@ def _oracle_norm(element, generator) -> Fraction:
     return _det([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
+def _poly_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    inv_lead = 1 / b[-1]
+    while _poly_trim(a) and len(a) >= len(b):
+        k = len(a) - len(b)
+        f = a[-1] * inv_lead
+        q[k] = f
+        for i, c in enumerate(b):
+            a[k + i] -= f * c
+        a.pop()
+    return q, a
+
+
+def _poly_inv_mod(u, m) -> list[Fraction]:
+    """Inverse of u modulo m over Q, by the extended Euclidean algorithm.
+
+    Maintains s_k * u = r_k (mod m); when the remainder chain ends at a
+    constant gcd, s/gcd is the inverse.
+    """
+    r0 = _poly_trim([Fraction(c) for c in m])
+    r1 = _poly_trim([Fraction(c) for c in u])
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    while True:
+        q, r = _poly_divmod(r0, r1)
+        r = _poly_trim(r)
+        if not r:
+            break
+        qs1 = _poly_mul(q, s1)
+        n = max(len(s0), len(qs1))
+        s = _poly_trim([x - y for x, y in zip(_pad(s0, n), _pad(qs1, n))]
+                       ) or [Fraction(0)]
+        r0, s0, r1, s1 = r1, s1, r, s
+    if len(r1) != 1:
+        raise ZeroDivisionError("element not invertible (gcd not constant)")
+    c = 1 / r1[0]
+    return [x * c for x in s1]
+
+
+def _oracle_inv(element):
+    """1/element by Euclid modulo the minimal polynomial, in Fractions."""
+    n = len(element.coords)
+    modulus = [-t for t in element._TAIL] + [1]
+    return type(element)(tuple(_pad(_poly_inv_mod(element.coords, modulus),
+                                    n)))
+
+
 # coordinates: zero often (so pivots vanish), big integers, small fractions
 _coord = st.one_of(st.just(Fraction(0)),
                    st.integers(-10 ** 12, 10 ** 12).map(Fraction),
@@ -139,6 +192,29 @@ def test_norm3_matches_fraction_oracle(t):
 @example(FieldElement((0, 0, 0, 0, 0, Fraction(5, 2))))
 def test_norm6_matches_fraction_oracle(u):
     assert norm6(u) == _oracle_norm(u, EPS)
+
+
+# coordinates of either type: plain ints as well as Fractions
+_mixed = st.one_of(st.just(0), st.integers(-10 ** 12, 10 ** 12), _coord)
+_BC = binet_constants()
+
+
+@_props
+@given(st.one_of(st.tuples(_mixed, _mixed, _mixed).map(CubicElement),
+                 st.tuples(*[_mixed] * 6).map(FieldElement)))
+@example(ALPHA_C)
+@example(CubicElement((-1, -2, 3)))  # f'(alpha)
+@example(EPS)
+@example(_BC.alpha)
+@example(_BC.a)
+@example(_BC.b)
+@example(_BC.beta - _BC.alpha)
+@example(FieldElement((0, 0, 0, 0, 0, Fraction(5, 2))))
+def test_inverse_matches_euclid_oracle(u):
+    assume(not u.is_zero())
+    inv = u.inv()
+    assert inv == _oracle_inv(u)
+    assert u * inv == type(u).from_rational(1)
 
 
 @_props

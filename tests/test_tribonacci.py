@@ -1,4 +1,5 @@
-"""Sequence engine: table, fast doubling, membership windows, power sums."""
+"""Sequence engine: table, fast doubling, membership by bisection, power
+sums."""
 
 import random
 
@@ -11,8 +12,7 @@ from triboverify.enclosure import (ComplexEnclosure, Enclosure,
 from triboverify.records import PAIR_Z_MAX_CAP
 from triboverify.tribonacci import (TribTable, alpha_power_trace,
                                     cmp_alpha_power_trace, default_table,
-                                    index_window, is_tribonacci, trib,
-                                    trib_fast)
+                                    is_tribonacci, trib, trib_fast)
 
 FIRST = [0, 0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705,
          3136, 5768, 10609, 19513, 35890, 66012]
@@ -46,19 +46,6 @@ def test_values_upto():
     assert t.values_upto(0) == [(0, 0), (1, 0)]
 
 
-def test_index_window_width():
-    rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randint(1, 10 ** 30)
-        lo, hi = index_window(n)
-        assert hi - lo == 1
-        # the window is honest: T_(lo-1) <= n is not required, but any
-        # index holding n must land inside it
-        k = is_tribonacci(n)
-        if k is not None and n >= 2:
-            assert lo <= k <= hi
-
-
 def test_membership_known():
     for n, v in enumerate(FIRST):
         assert is_tribonacci(v) is not None
@@ -87,6 +74,35 @@ def test_first_index():
     assert t.first_index(0) == 0
     assert t.first_index(44) == 9
     assert t.first_index(45) is None
+
+
+def _first_indices(n_max):
+    """value -> smallest n <= n_max with T_n = value, by a linear scan."""
+    first = {}
+    for n in range(n_max + 1):
+        first.setdefault(trib(n), n)
+    return first
+
+
+def test_first_index_matches_a_linear_scan():
+    # every value up to T_20 + 1, each on a fresh table
+    first = _first_indices(21)
+    for v in range(trib(20) + 2):
+        assert TribTable().first_index(v) == first.get(v), v
+    # and around T_n on a stride of n up to 3000
+    first = _first_indices(3001)
+    t = default_table()
+    for n in range(4, 3001, 7):
+        for v in (trib(n) - 1, trib(n), trib(n) + 1):
+            assert t.first_index(v) == first.get(v), (n, v)
+
+
+def test_first_index_grows_the_table_only_as_far_as_it_must():
+    for value in (0, 1, 2, 44, 45, trib(300) - 1, trib(300), trib(300) + 1):
+        t = TribTable()
+        t.first_index(value)
+        first_at_least = next(n for n in range(400) if trib(n) >= value)
+        assert len(t) == max(3, first_at_least + 1), value
 
 
 def test_negative_handling():
