@@ -7,8 +7,7 @@ re-validates a previously written record file.
 
 Exit codes: 0 all checks passed (or searches came back empty as expected);
 1 a check failed or a triple was found; 2 usage or configuration error;
-3 a precision or certificate search hit its configured cap without a
-conclusion.
+3 a precision or certificate search hit its cap without a conclusion.
 
 The settings are the ``RunConfig`` fields.  Each command takes a flag for
 just the settings it reads (``_BATTERIES`` lists them for the ``verify``
@@ -38,9 +37,7 @@ from .records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                       expansion_records, field_record, growth_record,
                       lemma2_record, norm_record, prop1_record, read_records,
                       search_summary_record, triple_record)
-from .splitfield import (DEFAULT_DENOMINATOR_BOUND,
-                         DEFAULT_WITNESS_PRIME_BOUND,
-                         InconclusiveSquareTest, field_identity_report,
+from .splitfield import (InconclusiveSquareTest, field_identity_report,
                          is_square_in_K)
 from .tribonacci import default_table, is_tribonacci
 from .triples import brute_force, search
@@ -50,8 +47,6 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
-_INT_FIELDS = ("precision_bits", "max_precision_bits",
-               "witness_prime_bound", "denominator_bound")
 _PRECISION = ("precision_bits", "max_precision_bits")
 
 
@@ -59,14 +54,9 @@ _PRECISION = ("precision_bits", "max_precision_bits")
 class RunConfig:
     precision_bits: int = DEFAULT_PRECISION
     max_precision_bits: int = MAX_PRECISION
-    witness_prime_bound: int = DEFAULT_WITNESS_PRIME_BOUND
-    denominator_bound: int = DEFAULT_DENOMINATOR_BOUND
     out: str | None = None
 
     def validate(self) -> "RunConfig":
-        for name in _INT_FIELDS:
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name} must be positive")
         if self.precision_bits < MIN_PRECISION:
             raise UsageError(f"precision_bits must be >= {MIN_PRECISION}")
         if self.precision_bits > self.max_precision_bits:
@@ -78,7 +68,7 @@ def load_config(args: argparse.Namespace, environ=None) -> RunConfig:
     """Flags override environment overrides defaults."""
     env = os.environ if environ is None else environ
     config = RunConfig()
-    for name in _INT_FIELDS:
+    for name in _PRECISION:
         raw = env.get("TRIBOVERIFY_" + name.upper())
         if raw is not None:
             try:
@@ -88,7 +78,7 @@ def load_config(args: argparse.Namespace, environ=None) -> RunConfig:
                     f"TRIBOVERIFY_{name.upper()}={raw!r} is not an integer")
     if env.get("TRIBOVERIFY_OUT"):
         config = replace(config, out=env["TRIBOVERIFY_OUT"])
-    for name in _INT_FIELDS + ("out",):
+    for name in _PRECISION + ("out",):
         value = getattr(args, name, None)
         if value is not None:
             config = replace(config, **{name: value})
@@ -100,7 +90,7 @@ def _leaf(sub, name: str, text: str, settings: tuple[str, ...], **defaults):
     p = sub.add_parser(name, help=text)
     for setting in settings:
         p.add_argument("--" + setting.replace("_", "-"), dest=setting,
-                       type=int if setting in _INT_FIELDS else str,
+                       type=int if setting in _PRECISION else str,
                        help="write JSONL records here"
                        if setting == "out" else None)
     p.set_defaults(**defaults)
@@ -294,9 +284,7 @@ def _battery_lemma2(args, config: RunConfig):
     code = 0
     for label, (element, expected) in LEMMA2_CASES.items():
         cert = is_square_in_K(element, config.precision_bits,
-                              config.max_precision_bits,
-                              config.witness_prime_bound,
-                              config.denominator_bound)
+                              config.max_precision_bits)
         records.append(lemma2_record(label, cert))
         ok = cert.verdict == expected
         detail = (f"square={cert.verdict} witnesses="
@@ -368,7 +356,7 @@ _BATTERIES = {
     "field": _Battery(_battery_field, "exact splitting-field identities", ()),
     "lemma2": _Battery(_battery_lemma2,
                        "non-squareness certificates for a and alpha*a",
-                       _INT_FIELDS),
+                       _PRECISION),
     "prop1": _Battery(_battery_prop1,
                       "gcd(T_y-1, T_z-1) < alpha^(3z/4) sweep", _PRECISION,
                       (("--z-max", None),), {"z_max": 100}, {"z_max": 500}),

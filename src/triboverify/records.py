@@ -41,7 +41,7 @@ from .enclosure import Enclosure
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
 from .gcdbound import GcdWitness, _prop1_verdict, gcd_shifted, norm_witness
-from .splitfield import (ALPHA_C, DEFAULT_WITNESS_PRIME_BOUND, CubicElement,
+from .splitfield import (ALPHA_C, WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report)
 from .tribonacci import TribTable, default_table, trib_fast
@@ -209,9 +209,10 @@ _CHECKS = _codec(lambda v: type(v) is dict
                  and all(type(b) is bool for b in v.values()),
                  "an object of booleans",
                  lambda v: json.dumps(v, separators=(",", ":")))
-# (q, r): a witness prime q with a root r of the cubic mod q
-_WITNESS = _nullable(_list(_int(3, DEFAULT_WITNESS_PRIME_BOUND),
-                           _int(0, DEFAULT_WITNESS_PRIME_BOUND)))
+# (q, r): a witness prime q with a root r of the cubic mod q, q within the
+# bound the lemma2 battery searches
+_WITNESS = _nullable(_list(_int(3, WITNESS_PRIME_BOUND),
+                           _int(0, WITNESS_PRIME_BOUND)))
 
 _FIELDS = {
     "triple": (("u", _TRIPLE_VALUE), ("v", _TRIPLE_VALUE),

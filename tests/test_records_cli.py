@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triboverify import gcdbound, records
+from triboverify import gcdbound, records, splitfield
 from triboverify.cli import (RunConfig, UsageError, build_parser,
                              load_config, run)
 from triboverify.constants import (Cmp, verify_growth,
@@ -37,7 +37,8 @@ from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                                  lemma2_record, membership_triple_record,
                                  norm_record, prop1_record, read_records,
                                  search_summary_record)
-from triboverify.splitfield import field_identity_report, is_square_in_K
+from triboverify.splitfield import (ALPHA_C, field_identity_report,
+                                    is_square_in_K)
 from triboverify.tribonacci import trib
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,24 +137,24 @@ def test_emit_and_read(tmp_path):
 
 
 def test_load_config_env_and_flags():
-    ns = argparse.Namespace(precision_bits=None, witness_prime_bound=None)
+    ns = argparse.Namespace(precision_bits=None, max_precision_bits=None)
     config = load_config(ns, environ={"TRIBOVERIFY_PRECISION_BITS": "256"})
     assert config.precision_bits == 256
 
-    ns = argparse.Namespace(precision_bits=512, witness_prime_bound=None)
+    ns = argparse.Namespace(precision_bits=512, max_precision_bits=None)
     config = load_config(ns, environ={"TRIBOVERIFY_PRECISION_BITS": "256"})
     assert config.precision_bits == 512   # flag wins
 
     with pytest.raises(UsageError):
         load_config(argparse.Namespace(),
-                    environ={"TRIBOVERIFY_WITNESS_PRIME_BOUND": "banana"})
+                    environ={"TRIBOVERIFY_MAX_PRECISION_BITS": "banana"})
     with pytest.raises(UsageError):
         load_config(argparse.Namespace(precision_bits=-8), environ={})
 
 
 def test_run_config_validation():
     with pytest.raises(UsageError):
-        RunConfig(witness_prime_bound=0).validate()
+        RunConfig(max_precision_bits=0).validate()
     with pytest.raises(UsageError):
         RunConfig(precision_bits=64, max_precision_bits=32).validate()
     with pytest.raises(UsageError):
@@ -477,6 +478,22 @@ def test_cli_check_records_honours_expansion_precision_cap(
     capsys.readouterr()
 
 
+def test_lemma2_exhaustive_witness_search_is_inconclusive_fast(
+        capsys, monkeypatch):
+    # alpha^2 is a square, so with reconstruction failing no witness pair
+    # exists for it and the search runs through every prime to the bound
+    splitfield.binet_constants()   # built before reconstruction is broken
+    monkeypatch.setattr(splitfield, "_cubic_sqrt_reconstruct",
+                        lambda *args: None)
+    with pytest.raises(splitfield.InconclusiveSquareTest) as err:
+        is_square_in_K(ALPHA_C * ALPHA_C)
+    assert f"prime bound {splitfield.WITNESS_PRIME_BOUND}" in str(err.value)
+    start = time.perf_counter()
+    assert run(["verify", "lemma2"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "inconclusive:" in capsys.readouterr().err
+
+
 _SUMMARY_LINES = {
     "search": ('{"schema":1,"kind":"search-summary","mode":"search",'
                '"z_max":12,"w_max":null,"use_gcd_prune":true,"count":0}'),
@@ -608,6 +625,10 @@ def test_cli_check_records_rejects_out_of_range_witness_prime(
     assert _check_edited(tmp_path, lemma2_lines["a"],
                          witness_self=[1000003, 3]) == 2
     assert "witness_self" in capsys.readouterr().err
+    # 3001 is the first prime past the bound the lemma2 battery searches
+    assert _check_edited(tmp_path, lemma2_lines["a"],
+                         witness_twisted=[3001, 3]) == 2
+    assert "witness_twisted" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("label, edits", [
@@ -1031,8 +1052,7 @@ def test_cli_verify_all_runs_the_single_commands(tmp_path, capsys):
 
 
 _PRECISION_FLAGS = {"--precision-bits", "--max-precision-bits"}
-_ALL_SETTINGS = _PRECISION_FLAGS | {"--witness-prime-bound",
-                                    "--denominator-bound", "--out"}
+_ALL_SETTINGS = _PRECISION_FLAGS | {"--out"}
 _SETTINGS_TAKEN = {
     "gen": set(),
     "member": set(),
@@ -1064,7 +1084,7 @@ def test_cli_commands_take_only_the_settings_they_read():
                     for flag in action.option_strings} & _ALL_SETTINGS
              for name, leaf in _leaf_parsers(build_parser())}
     assert taken == _SETTINGS_TAKEN
-    assert sum(map(len, taken.values())) == 29
+    assert sum(map(len, taken.values())) == 25
 
 
 @pytest.mark.parametrize("argv", [
@@ -1075,6 +1095,8 @@ def test_cli_commands_take_only_the_settings_they_read():
     ["brute", "--w-max", "10", "--max-precision-bits", "64"],
     ["verify", "field", "--precision-bits", "64"],
     ["verify", "prop1", "--z-max", "9", "--witness-prime-bound", "100"],
+    ["verify", "lemma2", "--witness-prime-bound", "5"],
+    ["verify", "all", "--denominator-bound", "9"],
     ["check-records", "r.jsonl", "--out", "s.jsonl"],
 ])
 def test_cli_refuses_settings_a_command_does_not_read(capsys, argv):

@@ -21,7 +21,7 @@ from triboverify.splitfield import (ALPHA_C, ALPHA_K, EPS, ONE_K, ZERO_K,
                                     is_root_of_unity, is_square_in_K,
                                     monomial, norm3, norm6,
                                     roots_of_cubic_mod, sqrt_minus_11,
-                                    _legendre, _pad, _poly_mul, _poly_trim)
+                                    _legendre, _poly_mul)
 
 mpmath.mp.prec = 120
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
@@ -117,6 +117,16 @@ def _oracle_norm(element, generator) -> Fraction:
         cur = cur * generator
     n = len(cols)
     return _det([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def _poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _pad(c, n):
+    return list(c) + [0] * (n - len(c))
 
 
 def _poly_divmod(a, b):
@@ -482,6 +492,28 @@ def test_roots_mod_q_match_brute_force():
         got = roots_of_cubic_mod(q)
         want = [r for r in range(q) if (r * r * r - r * r - r - 1) % q == 0]
         assert got == want
+
+
+def test_roots_mod_q_obey_vieta():
+    # x**3 - x**2 - x - 1 = (x - r1)(x - r2)(x - r3) when it splits:
+    # r1 + r2 + r3 = 1 and r1*r2*r3 = 1 mod q
+    primes = [q for q in range(3, 3001)
+              if all(q % p for p in range(2, int(q ** 0.5) + 1))]
+    assert len(primes) == 429
+    counts = set()
+    for q in primes:
+        if q == 11:
+            continue
+        roots = roots_of_cubic_mod(q)
+        assert roots == sorted(set(roots)), q
+        assert all(0 <= r < q for r in roots), q
+        assert len(roots) in (0, 1, 3), q
+        counts.add(len(roots))
+        if len(roots) == 3:
+            r1, r2, r3 = roots
+            assert (r1 + r2 + r3) % q == 1, q
+            assert r1 * r2 * r3 % q == 1, q
+    assert counts == {0, 1, 3}
 
 
 def test_roots_of_unity_basic():
