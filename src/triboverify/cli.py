@@ -32,8 +32,8 @@ from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
                        prop1_results, regime_sample)
 from .records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                       EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP, LEMMA2_CASES,
-                      PAIR_Z_MAX_CAP, SEARCH_Z_MAX_CAP, RecordFormatError,
-                      check_record, constants_record, emit_records,
+                      PAIR_Z_MAX_CAP, SEARCH_Z_MAX_CAP, RecordChecker,
+                      RecordFormatError, constants_record, emit_records,
                       expansion_records, field_record, growth_record,
                       lemma2_record, norm_record, prop1_record, read_records,
                       search_summary_record, triple_record)
@@ -402,10 +402,15 @@ def _cmd_check_records(args, config: RunConfig) -> int:
     if not records:
         # no command writes a file that certifies nothing
         raise UsageError(f"no records in {args.path}")
+    checker = RecordChecker(config.precision_bits, config.max_precision_bits)
+    # an equal record makes the same claim, so it gets the same verdict
+    verdicts = {}
     bad = 0
     for i, rec in enumerate(records, 1):
-        ok, message = check_record(rec, config.precision_bits,
-                                   config.max_precision_bits)
+        verdict = verdicts.get(rec)
+        if verdict is None:
+            verdict = verdicts[rec] = checker.check(rec)
+        ok, message = verdict
         if not ok:
             bad += 1
             print(f"record {i} ({rec.kind}): {message}")

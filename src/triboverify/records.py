@@ -22,7 +22,8 @@ blank line, a carriage return or any other byte around a record is
 malformed.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
-its claim from scratch and reports agreement.
+its claim from scratch and reports agreement.  A ``RecordChecker`` does the
+same for a run of records and shares work between them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .splitfield import (ALPHA_C, WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report)
 from .tribonacci import TribTable, default_table, trib_fast
+from .triples import SearchSweep, brute_force
 
 SCHEMA_VERSION = 1
 
@@ -172,9 +174,10 @@ LEMMA2_CASES = {
 }
 
 # Largest sizes a record may ask check-records to re-run, timed on a shared
-# 2-core VM with Python 3.11: search(1000) and brute_force(10**6) each take
-# about 1.3 s, verify_numeric_window(4096) about 0.3 s (16384 bits take
-# about 5 s) and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair
+# 2-core VM with Python 3.11: search(1000) takes about 1.3 s (once per
+# prune flag for a whole file, see RecordChecker), brute_force(10**6) about
+# 1 ms, verify_numeric_window(4096) about 0.3 s (16384 bits take about 5 s)
+# and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair
 # with z <= 2000 checks in at most about 0.1 s in a fresh process (z = 10**4
 # took 1.5 s), and an expansion record at order 8 with z <= 100 in about
 # 0.5 s (z = 150 took 0.7 s).  The CLI refuses to write records past these.
@@ -271,6 +274,16 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
             raise RecordFormatError(
                 f"{kind} payload keys {keys} != expected {expected}")
         return tuple.__new__(cls, (kind, payload))
+
+    def __hash__(self):
+        try:
+            return tuple.__hash__(self)
+        except TypeError:
+            # the checks of a constants or field record are a dict, which
+            # compares equal regardless of key order; hash its items alike
+            return hash((self.kind, tuple(
+                (k, frozenset(v.items()) if type(v) is dict else v)
+                for k, v in self.payload)))
 
     def get(self, key: str) -> Any:
         return self.payload[_POSITIONS[self.kind][key]][1]
@@ -472,7 +485,8 @@ def read_records(path) -> list[VerificationRecord]:
 # independent re-validation: from_line has checked each field's type and
 # range, so a checker holds only its cross-field rules and recomputation.
 # Every checker takes the record plus the starting precision and the cap of
-# its adaptive recomputation.
+# its adaptive recomputation; ``_check_search_summary`` takes instead the
+# search sweeps it shares with the other records a RecordChecker runs.
 # ---------------------------------------------------------------------------
 
 def _recomputed(build):
@@ -594,9 +608,8 @@ def _check_expansion(rec: VerificationRecord, bits: int,
     return None
 
 
-def _check_search_summary(rec: VerificationRecord, bits: int,
-                          max_bits: int) -> str | None:
-    from .triples import brute_force, search
+def _check_search_summary(rec: VerificationRecord,
+                          sweeps: dict[bool, SearchSweep]) -> str | None:
     mode, z_max, w_max, prune, count = (v for _, v in rec.payload)
     if mode == "search":
         used, unused = (z_max, prune), (w_max,)
@@ -608,7 +621,12 @@ def _check_search_summary(rec: VerificationRecord, bits: int,
             "in mode search, and the reverse in mode brute; got "
             f"mode={mode}, z_max={z_max!r}, w_max={w_max!r}, "
             f"use_gcd_prune={prune!r}")
-    found = search(z_max, prune) if mode == "search" else brute_force(w_max)
+    if mode == "search":
+        if prune not in sweeps:
+            sweeps[prune] = SearchSweep(prune)
+        found = sweeps[prune].upto(z_max)
+    else:
+        found = brute_force(w_max)
     if len(found) != count:
         return f"{mode} recomputes {len(found)} candidates"
     return None
@@ -627,7 +645,7 @@ _CHECKERS = {
     "field": _recomputed(
         lambda rec, *_: field_record(field_identity_report())),
     "expansion": _check_expansion,
-    "search-summary": _check_search_summary,
+    "search-summary": lambda rec, *_: _check_search_summary(rec, {}),
 }
 
 
@@ -642,3 +660,30 @@ def check_record(rec: VerificationRecord,
     if problem is None:
         return True, "ok"
     return False, problem
+
+
+class RecordChecker:
+    """``check_record`` for a run of records at one precision setting,
+    sharing work between them.
+
+    Search-summary records in mode search extend one ``SearchSweep`` per
+    prune flag, so a run of them costs one search at the largest z_max
+    named, not one search per record.  What it keeps is bounded by
+    ``SEARCH_Z_MAX_CAP``.
+    """
+
+    def __init__(self, precision_bits: int = DEFAULT_PRECISION,
+                 max_precision_bits: int = MAX_PRECISION):
+        self.precision_bits = precision_bits
+        self.max_precision_bits = max_precision_bits
+        self._sweeps: dict[bool, SearchSweep] = {}
+
+    def check(self, rec: VerificationRecord) -> tuple[bool, str]:
+        if rec.kind == "search-summary":
+            problem = _check_search_summary(rec, self._sweeps)
+        else:
+            problem = _CHECKERS[rec.kind](rec, self.precision_bits,
+                                          self.max_precision_bits)
+        if problem is None:
+            return True, "ok"
+        return False, problem

@@ -6,8 +6,9 @@ the real sequence, to agree on emptiness):
 * ``search`` enumerates index triples x < y < z and inverts the defining
   equations: a valid triple forces u = sqrt((T_x-1)(T_y-1)/(T_z-1)) and
   cyclically, so integrality of those square roots decides everything.
-* ``brute_force`` enumerates u directly, reads candidate v, w off divisors
-  shifted into the sequence, and checks membership of v*w + 1.
+* ``brute_force`` enumerates pairs of sequence values a < b: a valid
+  triple has a = uv + 1 and b = uw + 1, so u divides gcd(a - 1, b - 1) and
+  is read off its divisors; membership of v*w + 1 decides the rest.
 
 For each pair y < z, ``search`` starts x at the largest of three lower
 bounds and never tests an index below it:
@@ -22,9 +23,17 @@ bounds and never tests an index below it:
   T_x - 1 >= m, found by bisection.
 
 Each x left in the range is then tested by m | (T_x-1), and every survivor
-still goes through ``uvw_from_xyz`` and its exact checks.  ``brute_force``
-reads the sequence once into a sorted list of distinct values and takes each
-u's partner values as one slice of it.
+still goes through ``uvw_from_xyz`` and its exact checks.  Results come
+ordered by z, so ``search(a)`` is the z <= a prefix of ``search(b)``;
+``SearchSweep`` keeps a search between calls on that account.
+
+``brute_force`` reads the sequence once into a sorted list of distinct
+values.  For a pair a < b of them, u runs over the divisors of
+g = gcd(a - 1, b - 1), by trial division up to isqrt(g), that satisfy
+u < v = (a - 1)/u and w = (b - 1)/u <= w_max, that is
+ceil((b - 1)/w_max) <= u <= isqrt(a - 2).  The work is one gcd per pair
+plus isqrt(g) per pair that leaves u a range, not one step per u <= w_max:
+the real sequence has about 45 values up to 10**12.
 
 Both entry points accept an alternative sequence table so that structural
 properties (agreement of the two strategies, behavior on planted solutions)
@@ -35,7 +44,7 @@ is; an alternative table must be too.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -136,6 +145,52 @@ def _x_range(y: int, z: int, use_gcd_prune: bool,
     return range(bisect_left(tm, m, lo, y), y), m
 
 
+def _search_at(z: int, use_gcd_prune: bool, tm: list[int],
+               t: TribTable) -> list[TripleCandidate]:
+    """The candidates with this z, ordered by (y, x); tm[n] = T_n - 1 for
+    n <= z."""
+    out = []
+    # for y <= (z + 1) / 2 no x < y has x + y > z
+    for y in range(max(6, (z + 3) // 2), z):
+        xs, m = _x_range(y, z, use_gcd_prune, tm)
+        for x in xs:
+            if tm[x] % m:
+                continue
+            uvw = uvw_from_xyz(x, y, z, t)
+            if uvw is not None:
+                out.append(TripleCandidate(x, y, z, *uvw))
+    return out
+
+
+class SearchSweep:
+    """``search`` for one prune flag and table, kept between calls.
+
+    ``upto(z_max)`` searches only the z beyond the highest it has done and
+    answers a smaller z_max by filtering, so a run of calls costs one search
+    at the largest z_max it asks for.
+    """
+
+    def __init__(self, use_gcd_prune: bool = False,
+                 table: TribTable | None = None):
+        self.use_gcd_prune = use_gcd_prune
+        self._t = table or default_table()
+        self._tm: list[int] = []
+        self._found: list[TripleCandidate] = []
+        self._z_done = 6
+
+    def upto(self, z_max: int) -> list[TripleCandidate]:
+        """All candidates with z <= z_max, ordered by (z, y, x)."""
+        if z_max > self._z_done:
+            tm = self._tm
+            tm.extend(self._t.value(n) - 1
+                      for n in range(len(tm), z_max + 1))
+            for z in range(self._z_done + 1, z_max + 1):
+                self._found += _search_at(z, self.use_gcd_prune, tm,
+                                          self._t)
+            self._z_done = z_max
+        return [c for c in self._found if c.z <= z_max]
+
+
 def search(z_max: int, use_gcd_prune: bool = False,
            table: TribTable | None = None) -> list[TripleCandidate]:
     """All candidates with z <= z_max, ordered by (z, y, x).
@@ -143,21 +198,16 @@ def search(z_max: int, use_gcd_prune: bool = False,
     For the real sequence this comes back empty; the route to that emptiness
     (with or without the gcd prune) must not change the answer.
     """
-    if z_max < 7:
-        return []
-    t = table or default_table()
-    tm = [t.value(n) - 1 for n in range(z_max + 1)]
+    return SearchSweep(use_gcd_prune, table).upto(z_max)
+
+
+def _divisors_between(g: int, lo: int, hi: int) -> list[int]:
+    """The divisors u of g >= 1 with lo <= u <= hi, by trial division up to
+    isqrt(g)."""
     out = []
-    for z in range(7, z_max + 1):
-        # for y <= (z + 1) / 2 no x < y has x + y > z
-        for y in range(max(6, (z + 3) // 2), z):
-            xs, m = _x_range(y, z, use_gcd_prune, tm)
-            for x in xs:
-                if tm[x] % m:
-                    continue
-                uvw = uvw_from_xyz(x, y, z, t)
-                if uvw is not None:
-                    out.append(TripleCandidate(x, y, z, *uvw))
+    for d in range(1, isqrt(g) + 1):
+        if g % d == 0:
+            out += [u for u in {d, g // d} if lo <= u <= hi]
     return out
 
 
@@ -165,27 +215,28 @@ def brute_force(w_max: int,
                 table: TribTable | None = None) -> list[TripleCandidate]:
     """All triples with w <= w_max, found from the value side.
 
-    For each u, candidate partners are (T - 1)/u over sequence values
-    u*u + 1 < T <= u*w_max + 1 with u | T - 1; pairs of partners v < w
-    survive when v*w + 1 is in the sequence.  Results are ordered by
-    (z, y, x) to align with ``search``.
+    For each pair of distinct sequence values a < b, each u in
+    ``_divisors_between(gcd(a - 1, b - 1), ceil((b - 1)/w_max),
+    isqrt(a - 2))`` gives u < v = (a - 1)/u < w = (b - 1)/u <= w_max, and
+    every such (u, v, w) arises from exactly one pair and one u; it survives
+    when v*w + 1 is in the sequence.  Results are ordered by (z, y, x) to
+    align with ``search``.
     """
     if w_max < 3:
         return []
     t = table or default_table()
-    # a repeated value would yield the same partner twice
+    # a repeated value would yield the same triple twice; a = uv + 1 >= 3
     vals = list(dict.fromkeys(
-        v for _, v in t.values_upto((w_max - 2) * w_max + 1)))
+        v for _, v in t.values_upto((w_max - 2) * w_max + 1) if v >= 3))
     out = []
-    for u in range(1, w_max - 1):
-        partners = [(val - 1) // u
-                    for val in vals[bisect_right(vals, u * u + 1):
-                                    bisect_right(vals, u * w_max + 1)]
-                    if (val - 1) % u == 0]
-        for i, v in enumerate(partners):
-            for w in partners[i + 1:]:
-                if w > w_max:
-                    break
+    for i, a in enumerate(vals):
+        hi = isqrt(a - 2)
+        for b in vals[i + 1:]:
+            lo = -(-(b - 1) // w_max)
+            if lo > hi:
+                break   # lo only grows with b
+            for u in _divisors_between(gcd(a - 1, b - 1), lo, hi):
+                v, w = (a - 1) // u, (b - 1) // u
                 if t.first_index(v * w + 1) is None:
                     continue
                 xyz = verify_triple(u, v, w, t)

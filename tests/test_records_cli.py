@@ -6,11 +6,13 @@ import functools
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -547,6 +549,77 @@ def test_cli_check_records_flags_forged_search_count(tmp_path, capsys, mode):
     record = json.loads(_SUMMARY_LINES[mode])
     assert _check_edited(tmp_path, record, count=1) == 1
     assert "recomputes 0 candidates" in capsys.readouterr().out
+
+
+def test_cli_brute_at_the_cap_writes_a_checkable_summary(tmp_path, capsys):
+    path = tmp_path / "r.jsonl"
+    assert run(["brute", "--w-max", str(BRUTE_W_MAX_CAP),
+                "--out", str(path)]) == 0
+    assert run(["check-records", str(path)]) == 0
+    record = json.loads(path.read_text())
+    assert (record["w_max"], record["count"]) == (BRUTE_W_MAX_CAP, 0)
+    capsys.readouterr()
+    assert _check_edited(tmp_path, record, count=1) == 1
+    assert "brute recomputes 0 candidates" in capsys.readouterr().out
+
+
+def test_cli_check_records_searches_each_z_once(tmp_path, capsys,
+                                                 monkeypatch):
+    from triboverify import triples
+    runs = Counter()
+    search_at = triples._search_at
+
+    def counted(z, use_gcd_prune, *args):
+        runs[z, use_gcd_prune] += 1
+        return search_at(z, use_gcd_prune, *args)
+    monkeypatch.setattr(triples, "_search_at", counted)
+    recs = [search_summary_record("search", 0, z_max=z, use_gcd_prune=prune)
+            for z in range(7, 61) for prune in (False, True)]
+    # out of order, so that the sweeps both extend and filter
+    random.Random(5).shuffle(recs)
+    forged = search_summary_record("search", 1, z_max=30, use_gcd_prune=True)
+    path = tmp_path / "r.jsonl"
+    emit_records(path, recs + [forged])
+    assert run(["check-records", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert (f"record {len(recs) + 1} (search-summary): search recomputes 0"
+            in out)
+    assert "failures=1" in out
+    assert runs == {(z, prune): 1 for z in range(7, 61)
+                    for prune in (False, True)}
+
+
+def test_cli_check_records_checks_each_distinct_record_once(
+        tmp_path, capsys, monkeypatch):
+    checked = []
+    check = records.RecordChecker.check
+
+    def counted(self, rec):
+        checked.append(rec.kind)
+        return check(self, rec)
+    monkeypatch.setattr(records.RecordChecker, "check", counted)
+    forged = json.loads(_SUMMARY_LINES["brute"])
+    forged["count"] = 1
+    line = json.dumps(forged, separators=(",", ":"))
+    field = field_record(field_identity_report()).to_line()
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(f"{line}\n" for _ in range(200))
+                    + f"{field}\n{field}\n")
+    assert run(["check-records", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:200] == [f"record {i} (search-summary): brute recomputes 0 "
+                         "candidates" for i in range(1, 201)]
+    assert "records=202 failures=200" in out[200]
+    assert checked == ["search-summary", "field"]
+
+
+def test_records_with_checks_hash_by_their_items():
+    rec = constants_record(verify_numeric_window(64))
+    checks = dict(reversed(rec.get("checks").items()))
+    reordered = VerificationRecord("constants", rec.payload[:2]
+                                   + (("checks", checks),))
+    assert reordered == rec and hash(reordered) == hash(rec)
+    assert len({rec, reordered, field_record(field_identity_report())}) == 2
 
 
 

@@ -1,6 +1,7 @@
 """Triple search: index inversion, value-side brute force, and their
 agreement, including on synthetic tables with planted solutions."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triboverify import triples
-from triboverify.triples import (TripleCandidate, admissible, brute_force,
-                                 search, uvw_from_xyz, verify_triple)
+from triboverify.triples import (SearchSweep, TripleCandidate, admissible,
+                                 brute_force, search, uvw_from_xyz,
+                                 verify_triple)
 from triboverify.tribonacci import trib
 
 
@@ -125,8 +127,9 @@ def test_divisibility_shortcut_is_sound():
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-pair index loop and the per-u value scan that ``search``
-# and ``brute_force`` replace with loop bounds
+# oracles: the per-pair index loop that ``search`` replaces with loop bounds,
+# and the per-u value scan over every u < w_max that ``brute_force``
+# replaces with the divisors of gcd(a - 1, b - 1) over pairs of values a < b
 # ---------------------------------------------------------------------------
 
 def _oracle_search(z_max, use_gcd_prune, t):
@@ -277,3 +280,68 @@ def test_brute_force_ignores_repeated_values(table, w_max):
     distinct = ListTable([0, 0, 1, 1] + list(dict.fromkeys(table.vals[4:])))
     assert ([(c.u, c.v, c.w) for c in brute_force(w_max, table=table)]
             == [(c.u, c.v, c.w) for c in brute_force(w_max, table=distinct)])
+
+
+@_props
+@given(synthetic_tables(distinct=True), st.integers(3, 2000))
+def test_brute_force_matches_oracle_up_to_w_max_2000(table, w_max):
+    assert brute_force(w_max, table=table) == _oracle_brute_force(w_max,
+                                                                  table)
+
+
+@pytest.mark.parametrize("uvw", [(1, 2, 3), (2, 3, 10), (3, 4, 50),
+                                 (5, 6, 7), (4, 9, 400), (30, 31, 2000)])
+def test_brute_force_finds_planted_triples_at_the_ends_of_the_u_range(uvw):
+    # with w = w_max, u = (b - 1)/w_max is the lower end of the range
+    # u runs over; with v = u + 1, u = isqrt(a - 2) is the upper end
+    u, v, w = uvw
+    table = ListTable([0, 0, 1, 1] + sorted({u * v + 1, u * w + 1,
+                                             v * w + 1}))
+    xyz = verify_triple(u, v, w, table)
+    assert xyz is not None
+    for w_max in (w - 1, w, w + 1, 3 * w):
+        found = brute_force(w_max, table=table)
+        assert found == _oracle_brute_force(w_max, table)
+        assert (TripleCandidate(*xyz, u, v, w) in found) == (w <= w_max)
+
+
+def test_brute_force_takes_every_u_of_one_partner_set():
+    # u = 1 has partners 2, 4 and 8, each pair of which closes a triple,
+    # and (2, 4, 8) closes one as well
+    table = ListTable([0, 0, 1, 1, 3, 5, 9, 17, 33])
+    want = [TripleCandidate(4, 5, 6, 1, 2, 4),
+            TripleCandidate(4, 6, 7, 1, 2, 8),
+            TripleCandidate(5, 6, 8, 1, 4, 8),
+            TripleCandidate(6, 7, 8, 2, 4, 8)]
+    assert brute_force(8, table=table) == want
+    assert brute_force(7, table=table) == want[:1]
+    assert _oracle_brute_force(8, table) == want
+
+
+def test_brute_force_reads_several_u_off_one_gcd():
+    # on 2**k + 1, g = gcd(a - 1, b - 1) is a power of 2 with many divisors,
+    # and one pair of values (indices x, y) gives a triple for several u
+    table = ListTable([0, 0, 1, 1] + [2 ** k + 1 for k in range(1, 24)])
+    for w_max in (2 ** 10 - 1, 2 ** 10, 2 ** 10 + 1):
+        found = brute_force(w_max, table=table)
+        assert found == _oracle_brute_force(w_max, table)
+    per_pair = Counter((c.x, c.y) for c in found)
+    assert max(per_pair.values()) >= 3
+    assert max(c.w for c in found) == 2 ** 10
+
+
+@_props
+@given(synthetic_tables(), st.booleans(),
+       st.lists(st.integers(0, 40), min_size=1, max_size=6))
+def test_search_is_a_prefix_in_z_and_a_sweep_matches_separate_runs(
+        table, prune, z_maxes):
+    # results come ordered by z, so search(a) is the z <= a part of
+    # search(b) for a <= b; a sweep asked in any order answers alike
+    z_top = len(table.vals) - 1
+    z_maxes = [min(z, z_top) for z in z_maxes]
+    full = search(z_top, prune, table=table)
+    sweep = SearchSweep(prune, table)
+    for z_max in z_maxes:
+        alone = search(z_max, prune, table=table)
+        assert alone == [c for c in full if c.z <= z_max]
+        assert sweep.upto(z_max) == alone
