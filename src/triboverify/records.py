@@ -261,7 +261,8 @@ _HEAD = f'{{"schema":{SCHEMA_VERSION},"kind":"'
 class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
     """One certificate, as an ordered (key, value) payload under a kind.
 
-    Immutable; equal and hashed by (kind, payload)."""
+    Immutable; equal and hashed by (kind, payload).  The checks dict of a
+    constants or field record makes that record unhashable."""
 
     __slots__ = ()
 
@@ -274,16 +275,6 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
             raise RecordFormatError(
                 f"{kind} payload keys {keys} != expected {expected}")
         return tuple.__new__(cls, (kind, payload))
-
-    def __hash__(self):
-        try:
-            return tuple.__hash__(self)
-        except TypeError:
-            # the checks of a constants or field record are a dict, which
-            # compares equal regardless of key order; hash its items alike
-            return hash((self.kind, tuple(
-                (k, frozenset(v.items()) if type(v) is dict else v)
-                for k, v in self.payload)))
 
     def get(self, key: str) -> Any:
         return self.payload[_POSITIONS[self.kind][key]][1]
@@ -484,17 +475,16 @@ def read_records(path) -> list[VerificationRecord]:
 # ---------------------------------------------------------------------------
 # independent re-validation: from_line has checked each field's type and
 # range, so a checker holds only its cross-field rules and recomputation.
-# Every checker takes the record plus the starting precision and the cap of
-# its adaptive recomputation; ``_check_search_summary`` takes instead the
-# search sweeps it shares with the other records a RecordChecker runs.
+# Every checker takes the record plus the RecordChecker running it, which
+# holds the starting precision and the cap of its adaptive recomputation and
+# the search sweeps shared between records.
 # ---------------------------------------------------------------------------
 
 def _recomputed(build):
     """A checker that rebuilds the whole record from scratch with ``build``
     and compares."""
-    def check(rec: VerificationRecord, bits: int,
-              max_bits: int) -> str | None:
-        fresh = build(rec, bits, max_bits)
+    def check(rec: VerificationRecord, checker: RecordChecker) -> str | None:
+        fresh = build(rec, checker)
         if fresh.payload != rec.payload:
             return f"recomputation disagrees: {fresh.to_line()}"
         return None
@@ -509,19 +499,20 @@ def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
     return y, z
 
 
-def _check_prop1(rec: VerificationRecord, bits: int,
-                 max_bits: int) -> str | None:
+def _check_prop1(rec: VerificationRecord,
+                 checker: RecordChecker) -> str | None:
     y, z = _pair_indices(rec)
     d = gcd_shifted(y, z)
     if d != rec.get("gcd"):
         return f"gcd({y},{z}) recomputes to {d}"
-    if _prop1_verdict(z, d, bits, max_bits) != rec.get("bound_ok"):
+    if _prop1_verdict(z, d, checker.precision_bits,
+                      checker.max_precision_bits) != rec.get("bound_ok"):
         return "bound verdict disagrees"
     return None
 
 
-def _check_norm(rec: VerificationRecord, bits: int,
-                max_bits: int) -> str | None:
+def _check_norm(rec: VerificationRecord,
+                checker: RecordChecker) -> str | None:
     y, z = _pair_indices(rec)
     w = norm_witness(y, z)
     if w.d != rec.get("d"):
@@ -539,8 +530,8 @@ def _is_odd_prime(q: int) -> bool:
     return q % 2 == 1 and all(q % p for p in range(3, isqrt(q) + 1, 2))
 
 
-def _check_lemma2(rec: VerificationRecord, bits: int,
-                  max_bits: int) -> str | None:
+def _check_lemma2(rec: VerificationRecord,
+                  checker: RecordChecker) -> str | None:
     label, coords, square, root, *witnesses = (v for _, v in rec.payload)
     element, expected = LEMMA2_CASES[label]
     if CubicElement(coords) != element:
@@ -574,8 +565,8 @@ def _check_lemma2(rec: VerificationRecord, bits: int,
     return None
 
 
-def _check_expansion(rec: VerificationRecord, bits: int,
-                     max_bits: int) -> str | None:
+def _check_expansion(rec: VerificationRecord,
+                     checker: RecordChecker) -> str | None:
     x, y, z, t, lo, hi, decreasing, ratio_ok = (v for _, v in rec.payload)
     if not (x < y < z and x + y > z):
         raise RecordFormatError(f"expansion needs x < y < z with x + y > z, "
@@ -593,6 +584,7 @@ def _check_expansion(rec: VerificationRecord, bits: int,
             and recorded.width() * 4096 <= recorded.lo):
         return ("recorded error interval is not positive with relative "
                 "width at most 2^-12")
+    bits, max_bits = checker.precision_bits, checker.max_precision_bits
     fresh = expansion_error(x, y, z, t, bits, max_bits)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
@@ -609,7 +601,7 @@ def _check_expansion(rec: VerificationRecord, bits: int,
 
 
 def _check_search_summary(rec: VerificationRecord,
-                          sweeps: dict[bool, SearchSweep]) -> str | None:
+                          checker: RecordChecker) -> str | None:
     mode, z_max, w_max, prune, count = (v for _, v in rec.payload)
     if mode == "search":
         used, unused = (z_max, prune), (w_max,)
@@ -622,9 +614,7 @@ def _check_search_summary(rec: VerificationRecord,
             f"mode={mode}, z_max={z_max!r}, w_max={w_max!r}, "
             f"use_gcd_prune={prune!r}")
     if mode == "search":
-        if prune not in sweeps:
-            sweeps[prune] = SearchSweep(prune)
-        found = sweeps[prune].upto(z_max)
+        found = checker.sweep(prune).upto(z_max)
     else:
         found = brute_force(w_max)
     if len(found) != count:
@@ -640,12 +630,13 @@ _CHECKERS = {
     "lemma2": _check_lemma2,
     "constants": _recomputed(lambda rec, *_: constants_record(
         verify_numeric_window(rec.get("precision_bits")))),
-    "growth": _recomputed(lambda rec, bits, max_bits: growth_record(
-        verify_growth(rec.get("n_max"), bits, max_bits))),
+    "growth": _recomputed(lambda rec, checker: growth_record(verify_growth(
+        rec.get("n_max"), checker.precision_bits,
+        checker.max_precision_bits))),
     "field": _recomputed(
         lambda rec, *_: field_record(field_identity_report())),
     "expansion": _check_expansion,
-    "search-summary": lambda rec, *_: _check_search_summary(rec, {}),
+    "search-summary": _check_search_summary,
 }
 
 
@@ -656,10 +647,7 @@ def check_record(rec: VerificationRecord,
     recomputation agrees.  Adaptive recomputations start at precision_bits,
     and one that reaches max_precision_bits undecided raises
     PrecisionFailure."""
-    problem = _CHECKERS[rec.kind](rec, precision_bits, max_precision_bits)
-    if problem is None:
-        return True, "ok"
-    return False, problem
+    return RecordChecker(precision_bits, max_precision_bits).check(rec)
 
 
 class RecordChecker:
@@ -678,12 +666,15 @@ class RecordChecker:
         self.max_precision_bits = max_precision_bits
         self._sweeps: dict[bool, SearchSweep] = {}
 
+    def sweep(self, use_gcd_prune: bool) -> SearchSweep:
+        """The search sweep this checker shares for one prune flag."""
+        if use_gcd_prune not in self._sweeps:
+            self._sweeps[use_gcd_prune] = SearchSweep(use_gcd_prune)
+        return self._sweeps[use_gcd_prune]
+
     def check(self, rec: VerificationRecord) -> tuple[bool, str]:
-        if rec.kind == "search-summary":
-            problem = _check_search_summary(rec, self._sweeps)
-        else:
-            problem = _CHECKERS[rec.kind](rec, self.precision_bits,
-                                          self.max_precision_bits)
+        """``check_record`` of rec at this checker's precision setting."""
+        problem = _CHECKERS[rec.kind](rec, self)
         if problem is None:
             return True, "ok"
         return False, problem

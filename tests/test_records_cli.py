@@ -589,39 +589,6 @@ def test_cli_check_records_searches_each_z_once(tmp_path, capsys,
                     for prune in (False, True)}
 
 
-def test_cli_check_records_checks_each_distinct_record_once(
-        tmp_path, capsys, monkeypatch):
-    checked = []
-    check = records.RecordChecker.check
-
-    def counted(self, rec):
-        checked.append(rec.kind)
-        return check(self, rec)
-    monkeypatch.setattr(records.RecordChecker, "check", counted)
-    forged = json.loads(_SUMMARY_LINES["brute"])
-    forged["count"] = 1
-    line = json.dumps(forged, separators=(",", ":"))
-    field = field_record(field_identity_report()).to_line()
-    path = tmp_path / "r.jsonl"
-    path.write_text("".join(f"{line}\n" for _ in range(200))
-                    + f"{field}\n{field}\n")
-    assert run(["check-records", str(path)]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out[:200] == [f"record {i} (search-summary): brute recomputes 0 "
-                         "candidates" for i in range(1, 201)]
-    assert "records=202 failures=200" in out[200]
-    assert checked == ["search-summary", "field"]
-
-
-def test_records_with_checks_hash_by_their_items():
-    rec = constants_record(verify_numeric_window(64))
-    checks = dict(reversed(rec.get("checks").items()))
-    reordered = VerificationRecord("constants", rec.payload[:2]
-                                   + (("checks", checks),))
-    assert reordered == rec and hash(reordered) == hash(rec)
-    assert len({rec, reordered, field_record(field_identity_report())}) == 2
-
-
 
 @pytest.fixture(scope="module")
 def sized_lines():
