@@ -1,17 +1,21 @@
 """Why two shifted sequence values cannot share a huge gcd.
 
 Every pair (y, z) gets the headline inequality gcd(T_y-1, T_z-1) <
-alpha^(3z/4); close pairs additionally get an exact norm certificate for
-eta = alpha^(z-y) (T_y-1) - (T_z-1), whose integer norm is a nonzero
-multiple of gcd^3, and certified magnitude bounds at all six embeddings.
+alpha^(3z/4) from the prop1 battery's generator, ``prop1_results``.  Every
+pair with y >= 5 gets an exact norm certificate from the norms battery's
+generator, ``norm_witnesses``: the integer norm of
+eta = alpha^(z-y) (T_y-1) - (T_z-1) is a nonzero multiple of gcd^3.  A
+sample of close pairs gets certified magnitude bounds on eta's real and
+complex embeddings from ``factor_bounds``.
 
 Run:  python3 demos/gcd_bounds.py [z_max]
 """
 
 import sys
 
-from triboverify.gcdbound import (factor_bounds, gcd_shifted, index_pairs,
-                                  norm_witness, sweep)
+from triboverify.gcdbound import (factor_bounds, norm_witness,
+                                  norm_witnesses, prop1_results,
+                                  regime_sample)
 
 
 def main() -> None:
@@ -37,18 +41,23 @@ def main() -> None:
     print(f"  complex embeddings: |eta| in [{float(fb.complex_abs.lo):.6f}, "
           f"{float(fb.complex_abs.hi):.6f}]  (bound 0.6*alpha^z)")
 
-    print(f"\nfull sweep to z = {z_max}:")
-    rep = sweep(z_max, deep_samples=50)
-    print(f"  pairs checked: {rep.pairs_checked}, "
-          f"chain checks: {rep.chain_checked}, "
-          f"deep certificates: {rep.deep_checked}")
-    print(f"  failures: {len(rep.prop1_failures)} headline, "
-          f"{len(rep.chain_failures)} chain, {len(rep.deep_failures)} deep")
-    print(f"  tight pairs seen: {rep.tight_pairs or '(none sampled)'}")
-    print(f"  verdict: {'all bounds hold' if rep.all_ok else 'FAILED'}")
+    print(f"\nevery pair to z = {z_max}:")
+    results = list(prop1_results(z_max))
+    headline = sum(not ok for _, _, _, ok in results)
+    witnesses = list(norm_witnesses(z_max))  # raises IntegrityError on a fault
+    tight = [(w.y, w.z) for w in witnesses if w.tight]
+    sample = regime_sample(z_max, 50)
+    deep = sum(not factor_bounds(y, z).ok for y, z in sample)
+    print(f"  pairs checked: {len(results)}, "
+          f"norm certificates: {len(witnesses)}, "
+          f"embedding bounds: {len(sample)} sampled pairs")
+    print(f"  failures: {headline} headline, {deep} embedding")
+    print(f"  tight pairs: {tight or '(none)'}")
+    print(f"  verdict: "
+          f"{'all bounds hold' if headline == deep == 0 else 'FAILED'}")
 
     print(f"\nlargest gcd over the range: "
-          f"{max(gcd_shifted(y, z) for y, z in index_pairs(z_max))}")
+          f"{max(d for _, _, d, _ in results)}")
 
 
 if __name__ == "__main__":

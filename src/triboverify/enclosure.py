@@ -98,22 +98,6 @@ def _round_int(n: int, d: int, bits: int, up: bool) -> tuple[int, int]:
     return q, s
 
 
-def sqrt_down(x: Fraction, bits: int) -> Fraction:
-    """Lower bound for sqrt(x), x >= 0, accurate to ~bits bits."""
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    r, s = _sqrt_int(x.numerator, x.denominator, bits, up=False)
-    return Fraction(r, 1 << s)
-
-
-def sqrt_up(x: Fraction, bits: int) -> Fraction:
-    """Upper bound for sqrt(x), x >= 0, accurate to ~bits bits."""
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    r, s = _sqrt_int(x.numerator, x.denominator, bits, up=True)
-    return Fraction(r, 1 << s)
-
-
 def _sqrt_int(n: int, d: int, bits: int, up: bool) -> tuple[int, int]:
     """(r, s) with r * 2**-s a lower bound for sqrt(n/d), or an upper
     bound when ``up``; n >= 0, and n/d as for ``_round_int``."""

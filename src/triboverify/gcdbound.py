@@ -11,7 +11,8 @@ of the three embeddings of eta, whose absolute values the growth of the
 sequence keeps small: in the regime 4*y > 3*z + 8 the real embedding stays
 below 1.3*alpha**(z/4) and each complex one below 0.6*alpha**z, giving
 |N(eta)| < alpha**(9*z/4) and the bound.  In the complementary regime the
-chain d <= T_y - 1 < alpha**(3*z/4) is already enough.
+chain d <= T_y - 1 < alpha**(3*z/4) is already enough; the test suite
+checks that chain, and no battery repeats it.
 
 ``norm_witness`` certifies the exact divisibility and norm inequality for a
 pair, ``factor_bounds`` certifies the embedding bounds, and ``prop1_holds``
@@ -20,22 +21,23 @@ bound in fourth powers, |eta_alpha|**4 < (13/10)**4 * alpha**z, so it takes
 no root of alpha**z, and encloses the complex embedding from the memoised
 beta**lam of ``constants.beta_power``.
 
-The headline inequality has two routes.  The batteries (``prop1_results``
-and the chain check of ``sweep``) compare alpha**(3*z) with an integer
-through the integer power sum s_p = alpha**p + beta**p + gamma**p, which lies
-within 1 of alpha**p (``tribonacci.cmp_alpha_power_trace``); they enclose a
-power of beta only when the integer equals s_p.  ``prop1_holds`` and the
-record checker enclose alpha**(3*z) itself (``_prop1_verdict`` through
+The headline inequality has two routes.  The prop1 battery
+(``prop1_results``) compares alpha**(3*z) with d**4 through the integer power
+sum s_p = alpha**p + beta**p + gamma**p, which lies within 1 of alpha**p
+(``tribonacci.cmp_alpha_power_trace``); it encloses a power of beta only
+when d**4 equals s_p.  ``prop1_holds`` and the record checker enclose
+alpha**(3*z) itself (``_prop1_verdict`` through
 ``constants.cmp_alpha_power``), so a fault in one route shows up as a
 record that the other one fails.
 
-Each battery's pairs and per-pair work are defined once: ``index_pairs``
-enumerates the pairs in (z, y) order, ``in_regime`` is the test
-4*y > 3*z + 8, and ``regime_sample`` picks evenly spaced regime pairs.  The
-generators ``prop1_results`` (plain (y, z, d, ok) tuples) and
-``norm_witnesses`` (``GcdWitness`` objects) yield one result per pair as it
-is computed; the command line builds its records from them.  ``sweep``,
-``norm_sweep`` and ``factor_sweep`` collect the same pieces into reports.
+Each battery has one generator, which yields one result per pair as it is
+computed, and the command line builds its records from it:
+``prop1_results`` yields plain (y, z, d, ok) tuples, and ``norm_witnesses``
+yields ``GcdWitness`` objects.  The norms battery also runs
+``factor_bounds`` on the evenly spaced pairs of ``regime_sample``.
+``index_pairs`` enumerates the pairs in (z, y) order, and ``in_regime`` is
+the test 4*y > 3*z + 8.  ``factor_sweep`` collects ``factor_bounds`` over
+every regime pair into one report.
 """
 
 from __future__ import annotations
@@ -73,11 +75,6 @@ def _alpha_power_coords(k: int) -> tuple[int, int, int]:
             c0, c1, c2 = _pow_cubic_cache[-1]
             _pow_cubic_cache.append((c2, c0 + c2, c1 + c2))
         return _pow_cubic_cache[k]
-
-
-def alpha_power_cubic(k: int) -> CubicElement:
-    """alpha**k with integer coordinates in the basis 1, alpha, alpha**2."""
-    return CubicElement(_alpha_power_coords(k))
 
 
 def _shifted(n: int) -> int:
@@ -167,16 +164,6 @@ class FactorBoundsReport:
     complex_abs: Enclosure
     ok: bool
 
-    def __bool__(self):
-        return self.ok
-
-    @property
-    def embedding_abs(self) -> tuple[Enclosure, ...]:
-        """All six |embedding| values; conjugate pairs repeat."""
-        return (self.real_abs, self.real_abs,
-                self.complex_abs, self.complex_abs,
-                self.complex_abs, self.complex_abs)
-
 
 def factor_bounds(y: int, z: int,
                   precision_bits: int = DEFAULT_PRECISION,
@@ -251,85 +238,6 @@ def norm_witnesses(z_max: int):
     """Yield ``norm_witness(y, z)`` for every pair 5 <= y < z <= z_max."""
     for y, z in index_pairs(z_max, 5):
         yield norm_witness(y, z)
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    z_max: int
-    pairs_checked: int
-    prop1_failures: tuple[tuple[int, int], ...]
-    chain_checked: int
-    chain_failures: tuple[tuple[int, int], ...]
-    deep_checked: int
-    deep_failures: tuple[tuple[int, int], ...]
-    tight_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return not (self.prop1_failures or self.chain_failures
-                    or self.deep_failures)
-
-
-def sweep(z_max: int, deep_samples: int = 200,
-          precision_bits: int = DEFAULT_PRECISION,
-          max_precision_bits: int = MAX_PRECISION) -> SweepReport:
-    """Run the full gcd-bound verification over all pairs 4 <= y < z <= z_max.
-
-    Every pair gets the headline inequality check.  Pairs with
-    4*y <= 3*z + 8 additionally get the short chain
-    d <= T_y - 1 < alpha**(3*z/4) verified.  The ``regime_sample`` of
-    ``deep_samples`` pairs from the remaining ones receives the exact norm
-    witness and the embedding bounds.
-    """
-    if z_max < 5:
-        raise ValueError("z_max must be >= 5")
-    pairs_checked = chain_checked = 0
-    prop1_failures = []
-    chain_failures = []
-    for y, z, d, ok in prop1_results(z_max, precision_bits,
-                                     max_precision_bits):
-        pairs_checked += 1
-        if not ok:
-            prop1_failures.append((y, z))
-        if in_regime(y, z):
-            continue
-        chain_checked += 1
-        ty = _shifted(y)
-        # d divides T_y - 1, so d <= T_y - 1 unless that value is 0 (y = 4
-        # gives T_y - 1 = 1, so it never is); then T_y - 1 < alpha**(3z/4)
-        if not (d <= ty and cmp_alpha_power_trace(
-                3 * z, ty ** 4, precision_bits,
-                max_precision_bits) == _GREATER):
-            chain_failures.append((y, z))
-
-    sample = regime_sample(z_max, deep_samples)
-    deep_failures = []
-    tight = []
-    for y, z in sample:
-        w = norm_witness(y, z)  # raises IntegrityError on violation
-        if w.tight:
-            tight.append((y, z))
-        fb = factor_bounds(y, z, precision_bits, max_precision_bits)
-        if not fb.ok:
-            deep_failures.append((y, z))
-    return SweepReport(z_max, pairs_checked, tuple(prop1_failures),
-                       chain_checked, tuple(chain_failures),
-                       len(sample), tuple(deep_failures), tuple(tight))
-
-
-@dataclass(frozen=True)
-class NormSweepReport:
-    z_max: int
-    witnesses: tuple[GcdWitness, ...]
-    tight_pairs: tuple[tuple[int, int], ...]
-
-
-def norm_sweep(z_max: int) -> NormSweepReport:
-    """Exact norm certificates for every pair 5 <= y < z <= z_max."""
-    if z_max < 6:
-        raise ValueError("z_max must be >= 6")
-    ws = tuple(norm_witnesses(z_max))
-    return NormSweepReport(z_max, ws, tuple((w.y, w.z) for w in ws if w.tight))
 
 
 @dataclass(frozen=True)

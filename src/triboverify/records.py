@@ -45,7 +45,7 @@ from .gcdbound import GcdWitness, _prop1_verdict, gcd_shifted, norm_witness
 from .splitfield import (ALPHA_C, WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report)
-from .tribonacci import TribTable, default_table, trib_fast
+from .tribonacci import default_table, trib_fast
 from .triples import SearchSweep, brute_force
 
 SCHEMA_VERSION = 1
@@ -376,12 +376,10 @@ def triple_record(u: int, v: int, w: int, x: int | None, y: int | None,
     return _build("triple", u, v, w, x, y, z, bool(ok))
 
 
-def membership_triple_record(u: int, v: int, w: int,
-                             table: TribTable | None = None
-                             ) -> VerificationRecord:
+def membership_triple_record(u: int, v: int, w: int) -> VerificationRecord:
     """Per-product membership outcome for (u, v, w); indices are recorded
     individually so a partial miss still documents which products landed."""
-    t = table or default_table()
+    t = default_table()
     x = t.first_index(u * v + 1)
     y = t.first_index(u * w + 1)
     z = t.first_index(v * w + 1)

@@ -228,9 +228,6 @@ class FieldElement(_Element):
     _TAIL = _P_TAIL
     coords: tuple[Rat, ...]
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
 
 ZERO_K = FieldElement((0, 0, 0, 0, 0, 0))
 ONE_K = FieldElement((1, 0, 0, 0, 0, 0))
@@ -240,11 +237,6 @@ ALPHA_K = FieldElement((1, -1, 3, -2, 1, -1))
 # integer eps-coordinates of alpha and alpha**2, for CubicElement.to_field
 _ALPHA_EPS = ALPHA_K.coords
 _ALPHA_SQ_EPS = (ALPHA_K * ALPHA_K).coords
-
-
-def embed_alpha() -> FieldElement:
-    """The real root of the cubic as an element of the degree-6 field."""
-    return ALPHA_K
 
 
 def norm6(u: FieldElement) -> Rat:
@@ -378,33 +370,6 @@ def embed_field(u: FieldElement,
                 precision_bits: int = DEFAULT_PRECISION) -> ComplexEnclosure:
     """Numeric value of u under eps -> rho, as a complex rectangle."""
     return _horner(u.coords, rho_enclosure(precision_bits), precision_bits)
-
-
-def all_embeddings(u: FieldElement,
-                   precision_bits: int = DEFAULT_PRECISION
-                   ) -> list[ComplexEnclosure]:
-    """Rectangles for u under all six embeddings of the field.
-
-    The six images of eps are the roots of x**2 - tau*x + 1 = 0 as tau runs
-    over the three roots of the cubic; the first is rho, so the first
-    rectangle is ``embed_field(u)``.
-    """
-    bits = precision_bits
-    cs = constants(bits)
-    # tau = alpha: eps**2 - alpha*eps + 1 has the two unit-circle roots
-    r = rho_enclosure(bits)
-    # tau = beta: pick the candidate square root of beta**2 - 4 whose square
-    # has negative imaginary part, matching Im(beta**2 - 4) < 0
-    d = cs.beta.square() - 4
-    if not d.im.is_negative():
-        raise PrecisionFailure("discriminant sign unresolved; raise precision")
-    ur, vr = sqrt_split(d, bits)
-    w = ComplexEnclosure(ur, -vr)
-    half = Fraction(1, 2)
-    r1 = (cs.beta + w) * half
-    r2 = (cs.beta - w) * half
-    return [_horner(u.coords, root, bits)
-            for root in (r, r.conj(), r1, r2, r1.conj(), r2.conj())]
 
 
 def _cubic_embed(t: CubicElement, root: Enclosure | ComplexEnclosure
@@ -740,11 +705,3 @@ def is_root_of_unity(u: FieldElement) -> bool:
         return False
     return u == ONE_K or u == -ONE_K
 
-
-def fast_path_refutes(m_alpha: int, m_beta: int, m_gamma: int) -> bool:
-    """Cheap sign test: for m_alpha < 0 < m_beta, m_gamma the monomial has
-    absolute value alpha**((2*m_alpha - m_beta - m_gamma)/2) != 1 at the real
-    embedding (|beta| = |gamma| = alpha**(-1/2)), so it cannot be a root of
-    unity.  Returns True when that criterion applies and refutes."""
-    return (m_alpha < 0 and m_beta > 0 and m_gamma > 0
-            and 2 * m_alpha - m_beta - m_gamma < 0)

@@ -11,13 +11,14 @@ from math import lcm
 
 from triboverify.constants import verify_growth, verify_numeric_window
 from triboverify.expansion import decay_report
-from triboverify.gcdbound import factor_sweep, norm_sweep, prop1_holds
+from triboverify.gcdbound import factor_sweep, norm_witnesses, prop1_holds
 from triboverify.splitfield import (ALPHA_C, ALPHA_K, CubicElement,
-                                    fast_path_refutes, field_identity_report,
-                                    is_root_of_unity, is_square_in_K,
-                                    monomial, _legendre)
+                                    field_identity_report, is_root_of_unity,
+                                    is_square_in_K, monomial, _legendre)
 from triboverify.triples import brute_force, search, uvw_from_xyz
 from triboverify.tribonacci import trib, trib_fast
+
+from fast_path import fast_path_refutes
 
 
 def _emit(capsys, num: int, name: str, ok: bool, detail: str = ""):
@@ -68,13 +69,13 @@ def test_04_gcd_inequality_sweep(capsys):
 
 
 def test_05_norm_certificates(capsys):
-    rep = norm_sweep(120)
-    ok = len(rep.witnesses) == sum(z - 5 for z in range(6, 121))
-    tight = next((w for w in rep.witnesses if (w.y, w.z) == (6, 7)), None)
+    ws = list(norm_witnesses(120))
+    ok = len(ws) == sum(z - 5 for z in range(6, 121))
+    tight = next((w for w in ws if (w.y, w.z) == (6, 7)), None)
     ok = ok and tight is not None and tight.tight
     ok = ok and abs(tight.norm3_value) == 216 == tight.d ** 3
     _emit(capsys, 5, "norm certificates 5<=y<z<=120", ok,
-          f"witnesses={len(rep.witnesses)} tight_pairs={len(rep.tight_pairs)}")
+          f"witnesses={len(ws)} tight_pairs={sum(w.tight for w in ws)}")
 
 
 def test_06_embedding_factor_bounds(capsys):

@@ -24,8 +24,7 @@ from triboverify import gcdbound, splitfield
 from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    PrecisionFailure, precision_ladder,
-                                   round_down, round_up, sqrt_down, sqrt_up,
-                                   sqrt_split)
+                                   round_down, round_up, sqrt_split)
 from triboverify.splitfield import CubicElement
 
 # the package rebinds the name ``constants`` to the function
@@ -308,8 +307,9 @@ def test_rounding_functions_match_oracle(q, bits):
     assert round_down(q, bits) == _oracle_round(q, bits, up=False)
     assert round_up(q, bits) == _oracle_round(q, bits, up=True)
     if q >= 0:
-        assert sqrt_down(q, bits) == _oracle_sqrt_down(q, bits)
-        assert sqrt_up(q, bits) == _oracle_sqrt_up(q, bits)
+        root = Enclosure(q, q).sqrt(bits)
+        assert root.lo == _oracle_sqrt_down(q, bits)
+        assert root.hi == _oracle_sqrt_up(q, bits)
 
 
 def test_equality_and_hash_by_value():
@@ -384,16 +384,14 @@ def test_sqrt_bounds():
     rng = random.Random(99)
     for _ in range(200):
         x = Fraction(rng.randint(0, 10 ** 10), rng.randint(1, 10 ** 5))
-        lo = sqrt_down(x, 80)
-        hi = sqrt_up(x, 80)
-        assert lo * lo <= x <= hi * hi
-        assert lo >= 0
+        root = Enclosure(x, x).sqrt(80)
+        assert root.lo * root.lo <= x <= root.hi * root.hi
+        assert root.lo >= 0
 
 
 def test_sqrt_two_window():
-    lo = sqrt_down(Fraction(2), 200)
-    hi = sqrt_up(Fraction(2), 200)
-    assert hi - lo < Fraction(1, 1 << 190)
+    root = Enclosure(2, 2).sqrt(200)
+    assert root.hi - root.lo < Fraction(1, 1 << 190)
 
 
 def test_enclosure_invariants():

@@ -1,32 +1,36 @@
-"""Gcd growth bound: exact norm certificates, embedding bounds, sweeps."""
+"""Gcd growth bound: exact norm certificates, embedding bounds, the chain
+check outside the regime, and the prop1 and norms batteries' generators."""
 
 import importlib
 from fractions import Fraction
 
 import pytest
 
-from triboverify import cli, gcdbound
-from triboverify.constants import alpha_power, constants
+from triboverify import cli, gcdbound, tribonacci
+from triboverify.constants import Cmp, alpha_power, constants
 from triboverify.enclosure import ComplexEnclosure, PrecisionFailure
-from triboverify.gcdbound import (FactorBoundsReport, GcdWitness,
-                                  IntegrityError, alpha_power_cubic,
-                                  factor_bounds, factor_sweep, gcd_shifted,
-                                  in_regime, index_pairs, norm_sweep,
-                                  norm_witness, norm_witnesses,
+from triboverify.gcdbound import (FactorBoundsReport, IntegrityError,
+                                  _alpha_power_coords, factor_bounds,
+                                  factor_sweep, gcd_shifted, in_regime,
+                                  index_pairs, norm_witness, norm_witnesses,
                                   prop1_holds, prop1_results, regime_pairs,
-                                  regime_sample, sweep)
+                                  regime_sample)
 from triboverify.splitfield import ALPHA_C, CubicElement, norm3, norm6
-from triboverify.tribonacci import trib
+from triboverify.tribonacci import cmp_alpha_power_trace, trib
 
 # the package's ``constants`` attribute is the function of that name
 constants_module = importlib.import_module("triboverify.constants")
 
 
-def test_alpha_power_cubic_matches_generic_power():
+def _alpha_cubic(k):
+    return CubicElement(_alpha_power_coords(k))
+
+
+def test_alpha_power_coords_match_generic_power():
     for k in (0, 1, 2, 3, 7, 25, 60):
-        assert alpha_power_cubic(k) == ALPHA_C ** k
+        assert _alpha_cubic(k) == ALPHA_C ** k
     with pytest.raises(ValueError):
-        alpha_power_cubic(-1)
+        _alpha_power_coords(-1)
 
 
 def test_gcd_shifted_values():
@@ -43,7 +47,7 @@ def test_gcd_shifted_values():
 def test_norm_witness_eta_is_the_field_expression():
     for z in range(5, 41):
         for y in range(4, z):
-            expected = (alpha_power_cubic(z - y) * (trib(y) - 1)
+            expected = (_alpha_cubic(z - y) * (trib(y) - 1)
                         - CubicElement.from_rational(trib(z) - 1))
             assert norm_witness(y, z).eta == expected, (y, z)
 
@@ -62,7 +66,7 @@ def test_norm_witness_frozen_values():
 
 def test_norm_witness_eta_construction():
     w = norm_witness(7, 10)
-    eta = alpha_power_cubic(3) * (trib(7) - 1) - (trib(10) - 1)
+    eta = _alpha_cubic(3) * (trib(7) - 1) - (trib(10) - 1)
     assert w.eta == eta
     assert norm3(eta) == w.norm3_value
     assert norm6(eta.to_field()) == Fraction(w.norm3_value) ** 2
@@ -85,7 +89,6 @@ def test_prop1_small_pairs():
 def test_factor_bounds_inside_regime():
     r = factor_bounds(18, 20)
     assert r.ok and r.lam == 2
-    assert len(r.embedding_abs) == 6
     r = factor_bounds(19, 20)
     assert r.ok
     # the real-embedding magnitude is a genuine positive quantity
@@ -182,25 +185,33 @@ def test_factor_bounds_regime_guard():
         factor_bounds(20, 18)
 
 
-def test_sweep_small():
-    rep = sweep(30, deep_samples=10)
-    assert rep.all_ok
-    assert rep.pairs_checked == sum(z - 4 for z in range(5, 31))
-    assert rep.deep_checked == 10
-    assert not rep.prop1_failures
-    assert not rep.chain_failures
-    assert not rep.deep_failures
+def test_chain_bound_outside_the_regime(monkeypatch):
+    # outside the regime 4y > 3z + 8 the proof takes the chain
+    # d <= T_y - 1 < alpha**(3z/4): d divides T_y - 1, which is at least 1
+    # for y >= 4, and the power sums decide alpha**(3z) > (T_y - 1)**4 in
+    # integers, with no enclosure of a power of alpha or beta
+    def enclosing(*args):
+        raise AssertionError(f"enclosure used: {args}")
+
+    for module in (constants_module, gcdbound):
+        monkeypatch.setattr(module, "cmp_alpha_power", enclosing)
+    monkeypatch.setattr(tribonacci, "beta_power", enclosing)
+    pairs = [(y, z) for y, z in index_pairs(500) if not in_regime(y, z)]
+    assert len(pairs) == 93244
+    for y, z in pairs:
+        ty = trib(y) - 1
+        assert gcd_shifted(y, z) <= ty, (y, z)
+        assert cmp_alpha_power_trace(3 * z, ty ** 4) == Cmp.GREATER, (y, z)
 
 
-def test_norm_sweep_tight_pairs():
-    rep = norm_sweep(12)
-    assert (5, 6) in rep.tight_pairs
-    assert (6, 7) in rep.tight_pairs
-    for w in rep.witnesses:
+def test_norm_witnesses_tight_pairs():
+    ws = list(norm_witnesses(12))
+    tight = [(w.y, w.z) for w in ws if w.tight]
+    assert (5, 6) in tight
+    assert (6, 7) in tight
+    for w in ws:
         assert w.norm3_value % w.d ** 3 == 0
         assert abs(w.norm3_value) >= w.d ** 3
-    with pytest.raises(ValueError):
-        norm_sweep(5)
 
 
 def test_factor_sweep_all_ok():
@@ -232,17 +243,23 @@ def test_regime_sample_is_evenly_spaced():
     assert regime_sample(6, 5) == []
 
 
-def test_sweep_deep_checks_the_regime_sample(monkeypatch):
+@pytest.mark.parametrize("argv, samples", [
+    (["--samples", "9"], 9), (["--samples", "0"], 0), ([], 25)],
+    ids=["samples-9", "samples-0", "default"])
+def test_verify_norms_checks_the_regime_sample(monkeypatch, capsys, argv,
+                                               samples):
     seen = []
-    true_factor_bounds = gcdbound.factor_bounds
+    true_factor_bounds = cli.factor_bounds
 
     def recording(y, z, *args):
         seen.append((y, z))
         return true_factor_bounds(y, z, *args)
 
-    monkeypatch.setattr(gcdbound, "factor_bounds", recording)
-    assert sweep(40, deep_samples=9).deep_checked == 9
-    assert seen == regime_sample(40, 9)
+    monkeypatch.setattr(cli, "factor_bounds", recording)
+    assert cli.run(["verify", "norms", "--z-max", "40"] + argv) == 0
+    capsys.readouterr()
+    assert seen == regime_sample(40, samples)
+    assert len(seen) == samples
 
 
 def test_prop1_results_and_norm_witnesses_yield_every_pair():
@@ -252,7 +269,6 @@ def test_prop1_results_and_norm_witnesses_yield_every_pair():
                for y, z, d, ok in results)
     ws = list(norm_witnesses(20))
     assert ws == [norm_witness(y, z) for y, z in index_pairs(20, 5)]
-    assert norm_sweep(20).witnesses == tuple(ws)
 
 
 def test_prop1_results_match_the_checker_route():
@@ -276,22 +292,6 @@ def test_prop1_results_take_each_gcd_once(monkeypatch):
     assert calls == list(index_pairs(30))
 
 
-def test_sweep_takes_each_gcd_once(monkeypatch):
-    calls = []
-    true_gcd_shifted = gcdbound.gcd_shifted
-
-    def counting(y, z):
-        calls.append((y, z))
-        return true_gcd_shifted(y, z)
-
-    monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
-    # no deep sample: its norm witnesses take their own gcd
-    rep = sweep(30, deep_samples=0)
-    assert calls == list(index_pairs(30))
-    assert rep.all_ok and rep.pairs_checked == len(calls)
-    assert rep.chain_checked == sum(not in_regime(y, z) for y, z in calls)
-
-
 def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,
                                                    capsys):
     # the battery decides by power sums; cmp_alpha_power is the checker's
@@ -307,8 +307,6 @@ def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,
     out = tmp_path / "prop1.jsonl"
     assert cli.run(["verify", "prop1", "--z-max", "30", "--out",
                     str(out)]) == 0
-    assert calls == []
-    assert sweep(30, deep_samples=0).all_ok
     assert calls == []
     # the same binding does see the checker's route
     assert cli.run(["check-records", str(out)]) == 0

@@ -302,7 +302,8 @@ def test_cli_check_records_accepts_pair_at_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("check, z_max", [("prop1", PAIR_Z_MAX_CAP + 1),
-                                          ("norms", PAIR_Z_MAX_CAP + 1)])
+                                          ("norms", PAIR_Z_MAX_CAP + 1),
+                                          ("prop1", 4), ("norms", 5)])
 def test_cli_verify_refuses_pair_sweep_over_cap(capsys, check, z_max):
     assert run(["verify", check, "--z-max", str(z_max)]) == 2
     assert "error:" in capsys.readouterr().err

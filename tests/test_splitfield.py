@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from triboverify.splitfield import (ALPHA_C, ALPHA_K, EPS, ONE_K, ZERO_K,
                                     CubicElement, FieldElement,
-                                    all_embeddings, binet_constants,
-                                    embed_alpha, embed_field,
-                                    fast_path_refutes, field_identity_report,
-                                    is_root_of_unity, is_square_in_K,
-                                    monomial, norm3, norm6,
+                                    binet_constants, embed_field,
+                                    field_identity_report, is_root_of_unity,
+                                    is_square_in_K, monomial, norm3, norm6,
                                     roots_of_cubic_mod, sqrt_minus_11,
                                     _legendre, _poly_mul)
+
+from fast_path import fast_path_refutes
 
 mpmath.mp.prec = 120
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
@@ -69,7 +69,6 @@ def test_minimal_polynomial_of_eps():
 
 
 def test_alpha_coordinates():
-    assert embed_alpha() == ALPHA_K
     assert ALPHA_K == EPS + EPS.inv()
     assert EPS.inv() == FieldElement((1, -2, 3, -2, 1, -1))
     assert ALPHA_K ** 3 - ALPHA_K ** 2 - ALPHA_K - ONE_K == ZERO_K
@@ -371,30 +370,9 @@ def _close(enc, value, slack=mpmath.mpf(2) ** -100) -> bool:
 
 
 def test_embed_alpha_is_real_root():
-    emb = embed_field(embed_alpha(), 128)
+    emb = embed_field(ALPHA_K, 128)
     assert emb.im.contains_zero()
     assert _close(emb.re, MP_ALPHA)
-
-
-def test_all_embeddings_land_on_cubic_roots():
-    # the six embeddings of alpha must cover the three roots of the cubic
-    embs = all_embeddings(ALPHA_K, 128)
-    assert len(embs) == 6
-    real_hits = sum(1 for e in embs if e.im.contains_zero())
-    assert real_hits == 2
-    for e in embs:
-        val = e * e * e - e * e - e - 1
-        assert val.re.contains_zero() and val.im.contains_zero()
-
-
-@pytest.mark.parametrize("bits", (96, 128, 192))
-def test_all_embeddings_start_with_embed_field(bits):
-    bc = binet_constants()
-    for u in (ALPHA_K, EPS, bc.beta, bc.a):
-        embs = all_embeddings(u, bits)
-        emb = embed_field(u, bits)
-        assert embs[0] == emb
-        assert embs[1] == emb.conj()
 
 
 def test_embedding_respects_products():
