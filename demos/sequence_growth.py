@@ -17,7 +17,7 @@ def main() -> None:
 
     n = 10 * n_max
     assert trib_fast(n) == trib(n)
-    print(f"\nfast doubling agrees with the table at n={n}:")
+    print(f"\n3x3 matrix powering agrees with the table at n={n}:")
     print(f"  T_{n} = {trib_fast(n)}")
 
     rep = verify_growth(2 * n_max)

@@ -395,22 +395,21 @@ def _cmd_verify(args, config: RunConfig) -> int:
 
 
 def _cmd_check_records(args, config: RunConfig) -> int:
-    try:
-        records = read_records(args.path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.path}: {exc}")
-    if not records:
-        # no command writes a file that certifies nothing
-        raise UsageError(f"no records in {args.path}")
+    # each record is checked as it is read: a malformed line exits 2 after
+    # the failures of the lines before it, and an unreadable file exits 2
+    # through run()
     checker = RecordChecker(config.precision_bits, config.max_precision_bits)
-    bad = 0
-    for i, rec in enumerate(records, 1):
+    count = bad = 0
+    for count, rec in enumerate(read_records(args.path), 1):
         ok, message = checker.check(rec)
         if not ok:
             bad += 1
-            print(f"record {i} ({rec.kind}): {message}")
+            print(f"record {count} ({rec.kind}): {message}")
+    if count == 0:
+        # no command writes a file that certifies nothing
+        raise UsageError(f"no records in {args.path}")
     _verdict(f"check-records {args.path}", bad == 0,
-             f"records={len(records)} failures={bad}")
+             f"records={count} failures={bad}")
     return 0 if bad == 0 else 1
 
 

@@ -231,32 +231,29 @@ def beta_power(k: int,
     return _power_table(precision_bits).beta_power(k)
 
 
-def cmp_alpha_power(p: int, q: int, n: int,
+def cmp_alpha_power(p: int, n: int,
                     precision_bits: int = DEFAULT_PRECISION,
                     max_precision_bits: int = MAX_PRECISION) -> Cmp:
-    """Certified comparison of alpha**(p/q) against the positive integer n.
+    """Certified comparison of alpha**p against the positive integer n.
 
-    Equivalent to comparing alpha**p with n**q.  Equality happens only in the
-    degenerate case alpha**0 = 1: for p != 0 the power is irrational, so the
-    adaptive loop always terminates with a strict answer.
+    Equality happens only in the degenerate case alpha**0 = 1: for p != 0
+    the power is irrational, so the adaptive loop always terminates with a
+    strict answer.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Cmp(0 if p == 0 else (1 if p > 0 else -1))
     if p == 0:
-        return _LESS  # 1 < n**q
-    target = n ** q
+        return _LESS  # 1 < n
     for bits in precision_ladder(precision_bits, max_precision_bits):
         enc = alpha_power(p, bits)
-        if enc.definitely_lt(target):
+        if enc.definitely_lt(n):
             return _LESS
-        if enc.definitely_gt(target):
+        if enc.definitely_gt(n):
             return _GREATER
     raise PrecisionFailure(
-        f"cmp_alpha_power({p}, {q}, {n}) unresolved at "
+        f"cmp_alpha_power({p}, {n}) unresolved at "
         f"{max_precision_bits} bits")
 
 
@@ -346,11 +343,11 @@ def verify_growth(n_max: int, precision_bits: int = DEFAULT_PRECISION,
     checked = 0
     for n in range(2, n_max + 1):
         t = trib(n)
-        lower = cmp_alpha_power(n - 3, 1, t, precision_bits,
+        lower = cmp_alpha_power(n - 3, t, precision_bits,
                                 max_precision_bits)
         if lower == _GREATER:
             failures.append((n, "lower"))
-        upper = cmp_alpha_power(n - 2, 1, t, precision_bits,
+        upper = cmp_alpha_power(n - 2, t, precision_bits,
                                 max_precision_bits)
         if upper == _LESS:
             failures.append((n, "upper"))

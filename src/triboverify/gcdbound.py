@@ -100,7 +100,7 @@ def prop1_holds(y: int, z: int,
 def _prop1_verdict(z: int, d: int, precision_bits: int,
                    max_precision_bits: int) -> bool:
     """d < alpha**(3*z/4), decided as alpha**(3*z) > d**4."""
-    return cmp_alpha_power(3 * z, 1, d ** 4, precision_bits,
+    return cmp_alpha_power(3 * z, d ** 4, precision_bits,
                            max_precision_bits) == _GREATER
 
 

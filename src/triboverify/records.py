@@ -9,7 +9,8 @@ or "p/q" strings.  Serialization uses compact separators and never formats a
 float, so identical inputs give byte-identical files, and ``from_line``
 accepts exactly the lines that ``to_line`` writes.
 
-A record's payload holds decoded values (ints, Fractions, tuples, bools);
+A record's payload holds only the decoded values (ints, Fractions, tuples,
+bools), in ``_FIELDS`` order; the keys live in ``_FIELDS`` alone.
 ``to_line`` and ``from_line`` are the only code that knows the wire format.
 ``from_line`` reads the flat kinds (triple, prop1, norm, expansion,
 search-summary), whose every value is one token, with one pattern per kind
@@ -19,7 +20,8 @@ lives in one place.  Any other line goes through ``json.loads`` and is
 accepted only when ``to_line`` writes it back unchanged.  ``read_records``
 strips only the newline that ``emit_records`` ends each line with, so a
 blank line, a carriage return or any other byte around a record is
-malformed.
+malformed; it yields each record as it reads it, so a run over a file holds
+one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  A ``RecordChecker`` does the
@@ -34,7 +36,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, verify_growth,
                         verify_numeric_window)
@@ -248,10 +250,8 @@ _FIELDS = {
                        ("use_gcd_prune", _FLAG), ("count", _INDEX)),
 }
 
-_KEYS = {kind: tuple(key for key, _ in fields)
-         for kind, fields in _FIELDS.items()}
-_POSITIONS = {kind: {key: i for i, key in enumerate(keys)}
-              for kind, keys in _KEYS.items()}
+_POSITIONS = {kind: {key: i for i, (key, _) in enumerate(fields)}
+              for kind, fields in _FIELDS.items()}
 
 RECORD_KINDS = tuple(_FIELDS)
 
@@ -259,29 +259,29 @@ _HEAD = f'{{"schema":{SCHEMA_VERSION},"kind":"'
 
 
 class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
-    """One certificate, as an ordered (key, value) payload under a kind.
+    """One certificate: a kind and its payload, the values in ``_FIELDS``
+    order, which holds the keys.
 
     Immutable; equal and hashed by (kind, payload).  The checks dict of a
     constants or field record makes that record unhashable."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, payload: tuple[tuple[str, Any], ...]):
-        expected = _KEYS.get(kind)
-        if expected is None:
+    def __new__(cls, kind: str, payload: tuple[Any, ...]):
+        fields = _FIELDS.get(kind)
+        if fields is None:
             raise RecordFormatError(f"unknown record kind {kind!r}")
-        keys = tuple(k for k, _ in payload)
-        if keys != expected:
-            raise RecordFormatError(
-                f"{kind} payload keys {keys} != expected {expected}")
-        return tuple.__new__(cls, (kind, payload))
+        if len(payload) != len(fields):
+            raise RecordFormatError(f"{kind} needs {len(fields)} values, "
+                                    f"got {len(payload)}")
+        return tuple.__new__(cls, (kind, tuple(payload)))
 
     def get(self, key: str) -> Any:
-        return self.payload[_POSITIONS[self.kind][key]][1]
+        return self.payload[_POSITIONS[self.kind][key]]
 
     def to_line(self) -> str:
         parts = [f'{_HEAD}{self.kind}"']
-        for (key, value), (_, codec) in zip(self.payload, _FIELDS[self.kind]):
+        for value, (key, codec) in zip(self.payload, _FIELDS[self.kind]):
             parts.append(f'"{key}":{codec.encode(value)}')
         return ",".join(parts) + "}"
 
@@ -292,10 +292,9 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
 
 
 def _build(kind: str, *values) -> VerificationRecord:
-    """The record of a kind with its values in ``_FIELDS`` order, which
-    also supplies the keys, so there are none to check."""
-    return tuple.__new__(VerificationRecord,
-                         (kind, tuple(zip(_KEYS[kind], values))))
+    """The record of a kind with its values in ``_FIELDS`` order; every
+    builder passes them so, so there is nothing to check."""
+    return tuple.__new__(VerificationRecord, (kind, values))
 
 
 @functools.cache
@@ -456,18 +455,19 @@ def emit_records(path, records: Iterable[VerificationRecord]) -> None:
             fh.write("\n")
 
 
-def read_records(path) -> list[VerificationRecord]:
-    out = []
+def read_records(path) -> Iterator[VerificationRecord]:
+    """The records of a file, one at a time as they are read, so that a
+    caller holds only the record in hand."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 # only the newline emit_records writes; any other byte
                 # around a record, or a blank line, is malformed
                 line = raw.decode("utf-8").removesuffix("\n")
-                out.append(VerificationRecord.from_line(line))
+                rec = VerificationRecord.from_line(line)
             except (UnicodeDecodeError, RecordFormatError) as exc:
                 raise RecordFormatError(f"line {lineno}: {exc}") from exc
-    return out
+            yield rec
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def _is_odd_prime(q: int) -> bool:
 
 def _check_lemma2(rec: VerificationRecord,
                   checker: RecordChecker) -> str | None:
-    label, coords, square, root, *witnesses = (v for _, v in rec.payload)
+    label, coords, square, root, *witnesses = rec.payload
     element, expected = LEMMA2_CASES[label]
     if CubicElement(coords) != element:
         return f"coords are not those of the element {label}"
@@ -565,7 +565,7 @@ def _check_lemma2(rec: VerificationRecord,
 
 def _check_expansion(rec: VerificationRecord,
                      checker: RecordChecker) -> str | None:
-    x, y, z, t, lo, hi, decreasing, ratio_ok = (v for _, v in rec.payload)
+    x, y, z, t, lo, hi, decreasing, ratio_ok = rec.payload
     if not (x < y < z and x + y > z):
         raise RecordFormatError(f"expansion needs x < y < z with x + y > z, "
                                 f"got x={x}, y={y}, z={z}")
@@ -600,7 +600,7 @@ def _check_expansion(rec: VerificationRecord,
 
 def _check_search_summary(rec: VerificationRecord,
                           checker: RecordChecker) -> str | None:
-    mode, z_max, w_max, prune, count = (v for _, v in rec.payload)
+    mode, z_max, w_max, prune, count = rec.payload
     if mode == "search":
         used, unused = (z_max, prune), (w_max,)
     else:

@@ -418,31 +418,12 @@ def _check(cond: bool, what: str):
 
 def _build_binet() -> BinetConstants:
     alpha = ALPHA_K
-    # beta, gamma solve x**2 - (1-alpha)x + 1/alpha = 0.  The discriminant
-    # (1-alpha)**2 - 4/alpha factors as (alpha**2-1)(alpha**2-4), and
-    # alpha**2 - 4 = (2*eps - alpha)**2 exactly (from eps**2 = alpha*eps - 1),
-    # so only sqrt(alpha**2 - 1) needs reconstruction.
-    s = _cubic_sqrt_reconstruct(CubicElement((-1, 0, 1)),
-                                DEFAULT_PRECISION, MAX_PRECISION,
-                                DENOMINATOR_BOUND)
-    _check(s is not None, "sqrt(alpha**2 - 1) reconstruction")
-    psi = s.to_field() * (EPS * 2 - alpha)
-    disc = (alpha - 1) * (alpha - 1) - alpha.inv() * 4
-    _check(psi * psi == disc, "psi**2 = (alpha-1)**2 - 4/alpha")
-
-    half = Fraction(1, 2)
-    beta = (ONE_K - alpha + psi) * half
-    gamma = (ONE_K - alpha - psi) * half
-    # orient beta to the root with positive imaginary part
-    for bits in precision_ladder(DEFAULT_PRECISION, MAX_PRECISION):
-        emb = embed_field(beta, bits)
-        if emb.im.is_positive():
-            break
-        if emb.im.is_negative():
-            beta, gamma = gamma, beta
-            break
-    else:
-        raise PrecisionFailure("could not orient beta")
+    # beta = eps**3 - eps**2 + eps - 1 is the root that the module docstring
+    # names, and the trace gives gamma; the checks below prove both roots
+    beta = FieldElement((-1, 1, -1, 1, 0, 0))
+    gamma = ONE_K - alpha - beta
+    _check(embed_field(beta).im.is_positive(),
+           "beta lands on the root with positive imaginary part")
 
     for root, name in ((beta, "beta"), (gamma, "gamma")):
         _check(root * root * root - root * root - root - ONE_K == ZERO_K,

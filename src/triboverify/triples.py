@@ -16,7 +16,10 @@ bounds and never tests an index below it:
 * x >= max(5, z - y + 1): (T_z-1) divides (T_x-1)(T_y-1), a nonzero
   multiple is at least its modulus, and the growth bounds turn that into
   x + y > z.
-* with the optional gcd prune and z >= 12, x >= ceil(z/4) - 2.
+* with the optional gcd prune and z >= 12, x >= ceil(z/4) - 2.  For
+  every z <= 1000 this floor lies at least 10 below the third bound of
+  each pair with an index left to test (closest at (y, z) = (15, 18)), so
+  the prune never narrows the search there; a test checks every pair.
 * with the reduced modulus m = (T_z-1) / gcd(T_y-1, T_z-1),
   (T_z-1) | (T_x-1)(T_y-1) holds exactly when m | (T_x-1); a positive
   multiple of m is at least m, so x starts at the first index with

@@ -162,27 +162,27 @@ def test_beta_power_relative_width():
 
 def test_cmp_alpha_power_exactness():
     # alpha**2 vs small rationals and a few integer powers of T-values
-    assert cmp_alpha_power(2, 1, 3) == Cmp.GREATER
-    assert cmp_alpha_power(2, 1, 4) == Cmp.LESS
-    assert cmp_alpha_power(0, 1, 1) == Cmp.EQUAL
-    assert cmp_alpha_power(-3, 1, 1) == Cmp.LESS
-    assert cmp_alpha_power(12, 4, 6) == Cmp.GREATER   # alpha^12 vs 6^4
+    assert cmp_alpha_power(2, 3) == Cmp.GREATER
+    assert cmp_alpha_power(2, 4) == Cmp.LESS
+    assert cmp_alpha_power(0, 1) == Cmp.EQUAL
+    assert cmp_alpha_power(-3, 1) == Cmp.LESS
+    assert cmp_alpha_power(12, 6 ** 4) == Cmp.GREATER   # alpha^12 vs 6^4
     # alpha^12 = 1498.97...
-    assert cmp_alpha_power(12, 1, 1498) == Cmp.GREATER
-    assert cmp_alpha_power(12, 1, 1499) == Cmp.LESS
+    assert cmp_alpha_power(12, 1498) == Cmp.GREATER
+    assert cmp_alpha_power(12, 1499) == Cmp.LESS
 
 
 def test_cmp_alpha_power_never_equal_for_n_ge_2():
-    # alpha is irrational so alpha**p = n**(1/q) cannot hold for n >= 2
+    # alpha is irrational so alpha**p = n cannot hold for n >= 2
     for p in range(1, 30):
         for n in (2, 3, 5, 1490):
-            assert cmp_alpha_power(p, 1, n) != Cmp.EQUAL
+            assert cmp_alpha_power(p, n) != Cmp.EQUAL
 
 
 def test_cmp_alpha_power_coarse_start():
     # starting from a deliberately tiny precision must still decide
-    assert cmp_alpha_power(100, 1, 10 ** 26, precision_bits=16) == Cmp.GREATER
-    assert cmp_alpha_power(100, 1, 10 ** 27, precision_bits=16) == Cmp.LESS
+    assert cmp_alpha_power(100, 10 ** 26, precision_bits=16) == Cmp.GREATER
+    assert cmp_alpha_power(100, 10 ** 27, precision_bits=16) == Cmp.LESS
 
 
 def _floor_alpha_powers(ps):
@@ -199,7 +199,7 @@ def test_trace_route_agrees_with_the_enclosure_route():
     floors = _floor_alpha_powers(range(3, 601))
     for p, f in floors.items():
         for n in (f, f + 1):
-            assert cmp_alpha_power_trace(p, n) == cmp_alpha_power(p, 1, n), p
+            assert cmp_alpha_power_trace(p, n) == cmp_alpha_power(p, n), p
     # a stride sample up to 3 * PAIR_Z_MAX_CAP, the largest exponent a
     # prop1 record can need; 8192 bits decide every one of these without
     # escalation, so only one table of powers is built
@@ -208,7 +208,7 @@ def test_trace_route_agrees_with_the_enclosure_route():
     for p, f in floors.items():
         for n in (f, f + 1):
             assert (cmp_alpha_power_trace(p, n)
-                    == cmp_alpha_power(p, 1, n, 8192)), p
+                    == cmp_alpha_power(p, n, 8192)), p
 
 
 def test_numeric_window_report():
@@ -228,8 +228,8 @@ def test_growth_bounds_small():
 
 def test_growth_equality_edges():
     # T_2 = 1 = alpha^0 and T_3 = 1 = alpha^0: both ends touch
-    assert cmp_alpha_power(2 - 2, 1, 1) == Cmp.EQUAL
-    assert cmp_alpha_power(3 - 3, 1, 1) == Cmp.EQUAL
+    assert cmp_alpha_power(2 - 2, 1) == Cmp.EQUAL
+    assert cmp_alpha_power(3 - 3, 1) == Cmp.EQUAL
 
 
 def test_growth_rejects_bad_range():

@@ -566,7 +566,7 @@ _WIDE = Enclosure(-10 ** 30, 10 ** 30)
 def _cmp_alpha_power(monkeypatch, seen):
     monkeypatch.setattr(constants_module, "alpha_power",
                         _recording(seen, Enclosure(0, 10 ** 9)))
-    return lambda: cmp_alpha_power(3, 1, 4, 24, 100)
+    return lambda: cmp_alpha_power(3, 4, 24, 100)
 
 
 def _factor_bounds(monkeypatch, seen):
@@ -592,7 +592,7 @@ def _sqrt_reconstruction(monkeypatch, seen):
 
 
 @pytest.mark.parametrize("setup, message", [
-    (_cmp_alpha_power, r"cmp_alpha_power\(3, 1, 4\) unresolved at 100 bits"),
+    (_cmp_alpha_power, r"cmp_alpha_power\(3, 4\) unresolved at 100 bits"),
     (_factor_bounds, r"factor bounds unresolved at \(20,22\)"),
     (_sqrt_sign, "sign of real embedding unresolved"),
     (_sqrt_reconstruction, "square root reconstruction unresolved"),

@@ -91,9 +91,11 @@ def test_malformed_lines_rejected():
         VerificationRecord.from_line('{"schema":2,"kind":"prop1"}')
     with pytest.raises(RecordFormatError):
         VerificationRecord.from_line('{"schema":1,"kind":"nope"}')
-    with pytest.raises(RecordFormatError):
-        VerificationRecord("prop1", (("z", 7), ("y", 6), ("gcd", "6"),
-                                     ("bound_ok", True)))
+    for values in ((7, 6, 6), (6, 7, 6, True, True)):
+        with pytest.raises(RecordFormatError, match="needs 4 values"):
+            VerificationRecord("prop1", values)
+    with pytest.raises(RecordFormatError, match="unknown record kind"):
+        VerificationRecord("nope", ())
 
 
 def test_check_record_accepts_genuine():
@@ -128,13 +130,13 @@ def test_emit_and_read(tmp_path):
     path = tmp_path / "out.jsonl"
     records = [prop1_record(y, 9, 1, True) for y in range(4, 9)]
     emit_records(path, records)
-    assert read_records(path) == records
+    assert list(read_records(path)) == records
     text = path.read_text()
     assert text.endswith("\n") and "\r" not in text
 
     path.write_text(text + "garbage\n")
     with pytest.raises(RecordFormatError) as err:
-        read_records(path)
+        list(read_records(path))
     assert "6" in str(err.value)   # line number of the bad row
 
 
@@ -863,6 +865,67 @@ def test_cli_check_records_rejects_a_file_without_records(tmp_path, capsys):
     assert "error: line 1:" in capsys.readouterr().err
 
 
+def test_record_payload_holds_only_values():
+    assert prop1_record(6, 7, 6, True).payload == (6, 7, 6, True)
+    for line in _genuine_lines():
+        rec = VerificationRecord.from_line(line)
+        fields = records._FIELDS[rec.kind]
+        assert len(rec.payload) == len(fields)
+        for value, (key, _) in zip(rec.payload, fields):
+            assert rec.get(key) is value
+
+
+def test_cli_check_records_reports_lines_before_a_malformed_one(tmp_path,
+                                                                capsys):
+    # records are checked as they are read: the failures before the bad
+    # line are printed, then the run stops with exit 2
+    forged = _PAIR_LINES["prop1"].replace('"gcd":"6"', '"gcd":"12"')
+    lines = [forged, _PAIR_LINES["prop1"], forged, "garbage", forged]
+    path = tmp_path / "r.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["check-records", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ("record 1 (prop1): gcd(6,7) recomputes to 6\n"
+                   "record 3 (prop1): gcd(6,7) recomputes to 6\n")
+    assert err.startswith("error: line 4:")
+
+
+# Linux carries a parent's peak RSS across fork and exec into the child's
+# ru_maxrss, so each measured child is started by a small launcher, whose
+# own peak is then the floor, not this process's
+_PEAK_RSS = (
+    "import os, sys\n"
+    "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]],"
+    " os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,"
+    " os.O_WRONLY, 0)])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def _peak_rss_kb(*args) -> tuple[int, int]:
+    """(exit code, peak RSS in kB) of a fresh ``python *args``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    code, kb = map(int, done.stdout.split())
+    return code, kb
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in kB on Linux only")
+def test_check_records_holds_one_record_at_a_time(tmp_path, capsys):
+    path = tmp_path / "prop1.jsonl"
+    assert run(["verify", "prop1", "--z-max", "320", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes().count(b"\n") == 50086
+    _, base = _peak_rss_kb("-c", "import triboverify.cli")
+    code, peak = _peak_rss_kb("-m", "triboverify.cli", "check-records",
+                              str(path))
+    assert code == 0
+    assert peak - base < 10 * 1024, (base, peak)
+
+
 def test_record_is_immutable_equal_and_hashable():
     rec = prop1_record(6, 7, 6, True)
     for name in ("kind", "payload", "extra"):
@@ -912,10 +975,8 @@ def _written_lines(draw) -> str:
     if draw(st.booleans()):
         return draw(st.sampled_from(_genuine_lines()))
     kind = draw(st.sampled_from(_FLAT_KINDS))
-    keys = [k for k, _ in VerificationRecord.from_line(
-        _genuine_line(kind)).payload]
     values = draw(draw(st.sampled_from(_FLAT_VALUES))[kind])
-    return VerificationRecord(kind, tuple(zip(keys, values))).to_line()
+    return VerificationRecord(kind, values).to_line()
 
 
 def _respell(draw, line: str) -> str:

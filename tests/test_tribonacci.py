@@ -1,4 +1,4 @@
-"""Sequence engine: table, fast doubling, membership by bisection, power
+"""Sequence engine: table, 3x3 matrix powering, membership by bisection, power
 sums."""
 
 import random

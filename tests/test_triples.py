@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triboverify import triples
+from triboverify.records import SEARCH_Z_MAX_CAP
 from triboverify.triples import (SearchSweep, TripleCandidate, admissible,
                                  brute_force, search, uvw_from_xyz,
                                  verify_triple)
@@ -82,6 +83,22 @@ def test_search_empty_on_real_sequence():
 
 def test_search_prune_does_not_change_answer():
     assert search(60) == search(60, use_gcd_prune=True) == []
+
+
+def test_gcd_prune_never_narrows_search():
+    # up to the record cap, the prune's floor ceil(z/4) - 2 lies below the
+    # bisection floor of every non-empty x-range, so it drops no index that
+    # search tests; y <= (z + 1) / 2 leaves no x with x + y > z
+    tm = [trib(n) - 1 for n in range(SEARCH_Z_MAX_CAP + 1)]
+    margins = []
+    for z in range(12, SEARCH_Z_MAX_CAP + 1):
+        for y in range((z + 3) // 2, z):
+            xs, _ = triples._x_range(y, z, False, tm)
+            if xs:
+                margins.append((xs.start - (-(-z // 4) - 2), y, z))
+                assert triples._x_range(y, z, True, tm)[0] == xs
+    assert len(margins) == 1245
+    assert min(margins) == (10, 15, 18)
 
 
 def test_brute_force_empty_on_real_sequence():
