@@ -15,6 +15,9 @@ order turns the product into a finite sum of monomials
     v = (x, y, z),
 
 with exact rational q, A componentwise <= 0 and B, C componentwise >= 0.
+Every q is a product of binomials binom(+-1/2, k) and multinomials, with
+4^k binom(1/2, k) and 4^k binom(-1/2, k) integers, so the terms are built
+and kept in integers as q * Q_SCALE, with no Fraction arithmetic.
 Since |beta| = |gamma| = alpha^(-1/2) and x <= y <= z, a monomial's
 magnitude is at most alpha^((sum A - (sum B + sum C)/2) * x); monomials
 where that ceiling drops below alpha^(-(order+1)*x) are discarded.  The cut
@@ -27,6 +30,9 @@ R(p, m) = a1^p alpha^m and the complex table P(p, m) = b1^p beta^m.  The
 evaluation groups the kept monomials at v by (pb, B.v, pc, C.v) and sums
 their exact q by (pa, A.v) inside each group, so interval work is spent
 only on the two small tables and on one real product per group entry.
+The table entries depend on (p, m) and the precision alone, so they are
+memoised per precision in bounded caches that every order and every
+triple shares: a decay report builds each entry once, not once per order.
 Swapping B with C maps the kept set onto itself with equal q, so every
 group has a mirror (pc, C.v, pb, B.v) with identical exact inner sums.
 This is checked exactly, and the pair then adds up to the real number
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
@@ -62,9 +68,10 @@ Q_SCALE = 4 ** (MAX_ORDER + 1)
 class ExpansionTerm(NamedTuple):
     """One kept monomial: q * a1^pa b1^pb c1^pc * alpha^(a_vec.v)
     beta^(b_vec.v) gamma^(c_vec.v) with v = (x, y, z), where pb = sum
-    b_vec, pc = sum c_vec and pa = -sum a_vec - pb - pc.  q is exact."""
+    b_vec, pc = sum c_vec and pa = -sum a_vec - pb - pc.  The exact q is
+    held as the integer q_scaled = q * Q_SCALE."""
 
-    q: Fraction
+    q_scaled: int
     a_vec: tuple[int, int, int]
     b_vec: tuple[int, int, int]
     c_vec: tuple[int, int, int]
@@ -83,23 +90,21 @@ class ExpansionParams:
     b1_pows: tuple[ComplexEnclosure, ...]
 
 
-def _half_binom(k: int, negative: bool = False) -> Fraction:
-    """binom(1/2, k), or binom(-1/2, k) when negative."""
-    top = Fraction(-1, 2) if negative else Fraction(1, 2)
-    out = Fraction(1)
-    for i in range(k):
-        out = out * (top - i) / (i + 1)
-    return out
+def _splits(k: int, mixed: int) -> tuple[tuple[int, int, int], ...]:
+    """Every (nb, nc, k! / (na! nb! nc!)) with na + nb + nc = k and
+    nb + nc = mixed, in increasing nb."""
+    return tuple((nb, mixed - nb, factorial(k) // (
+        factorial(k - mixed) * factorial(nb) * factorial(mixed - nb)))
+        for nb in range(mixed + 1))
 
 
-def _splits(k: int, mixed: int):
-    """All (na, nb, nc) with na + nb + nc = k and nb + nc = mixed."""
-    return [(k - mixed, nb, mixed - nb) for nb in range(mixed + 1)]
-
-
-def _multinomial(k: int, s: tuple[int, int, int]) -> int:
-    return factorial(k) // (factorial(s[0]) * factorial(s[1])
-                            * factorial(s[2]))
+_SPLITS = tuple(tuple(_splits(k, mixed) for mixed in range(k + 1))
+                for k in range(MAX_ORDER + 1))
+# 4^k binom(1/2, k) = (-1)^(k-1) C(2k, k) / (2k - 1) for k >= 1 (twice a
+# Catalan number) and 4^k binom(-1/2, k) = (-1)^k C(2k, k): both integers
+_HALF = (1,) + tuple((-1) ** (k - 1) * comb(2 * k, k) // (2 * k - 1)
+                     for k in range(1, MAX_ORDER + 1))
+_NEG_HALF = tuple((-1) ** k * comb(2 * k, k) for k in range(MAX_ORDER + 1))
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +116,10 @@ def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
     2*(k1+k2+k3) + m <= 2*order + 2, the integer form of the
     magnitude-ceiling cut.  Order - 1 kept exactly the monomials with every
     k below the order and 2*(k1+k2+k3) + m <= 2*order, so the shell is
-    the rest.
+    the rest.  A term's q is binom(1/2, k1) binom(1/2, k2) binom(-1/2, k3)
+    times three multinomials, so q * Q_SCALE is the product of the scaled
+    half-binomials, 4^(MAX_ORDER + 1 - k1 - k2 - k3) and the multinomials,
+    all integers.
     """
     out = list(_symbolic_terms(order - 1)) if order else []
     for k1 in range(order + 1):
@@ -119,22 +127,37 @@ def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
             for k3 in range(min(order, order + 1 - k1 - k2) + 1):
                 room = 2 * (order + 1 - k1 - k2 - k3)
                 least = 0 if order in (k1, k2, k3) else room - 1
-                q = (_half_binom(k1) * _half_binom(k2)
-                     * _half_binom(k3, negative=True))
+                scale = (_HALF[k1] * _HALF[k2] * _NEG_HALF[k3]
+                         << 2 * (MAX_ORDER + 1 - k1 - k2 - k3))
+                a_vec = (-k1, -k2, -k3)
                 for m1, m2, m3 in product(range(k1 + 1), range(k2 + 1),
                                           range(k3 + 1)):
                     if not least <= m1 + m2 + m3 <= room:
                         continue
-                    for s1, s2, s3 in product(_splits(k1, m1),
-                                              _splits(k2, m2),
-                                              _splits(k3, m3)):
-                        out.append(ExpansionTerm(
-                            q * (_multinomial(k1, s1) * _multinomial(k2, s2)
-                                 * _multinomial(k3, s3)),
-                            (-k1, -k2, -k3),
-                            (s1[1], s2[1], s3[1]),
-                            (s1[2], s2[2], s3[2])))
+                    for (b1, c1, w1), (b2, c2, w2), (b3, c3, w3) in product(
+                            _SPLITS[k1][m1], _SPLITS[k2][m2],
+                            _SPLITS[k3][m3]):
+                        out.append(ExpansionTerm(scale * w1 * w2 * w3, a_vec,
+                                                 (b1, b2, b3), (c1, c2, c3)))
     return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def _coefficient_powers(bits: int) -> tuple[tuple[Enclosure, ...],
+                                            tuple[ComplexEnclosure, ...]]:
+    """a1^p and b1^p (a1 = -1/a, b1 = b/a) for p = 0..MAX_ORDER+1 at one
+    working precision; every order takes a prefix."""
+    cs = constants(bits)
+    work = bits + 32
+    a1 = -cs.a.inv().rounded(work)
+    b1 = (cs.b / cs.a).rounded(work)
+    # pa, pb and pc never exceed k1 + k2 + k3 <= MAX_ORDER + 1
+    a1_pows = [Enclosure.point(1)]
+    b1_pows = [ComplexEnclosure.point(1)]
+    for _ in range(MAX_ORDER + 1):
+        a1_pows.append((a1_pows[-1] * a1).rounded(work))
+        b1_pows.append((b1_pows[-1] * b1).rounded(work))
+    return tuple(a1_pows), tuple(b1_pows)
 
 
 @lru_cache(maxsize=64)
@@ -144,18 +167,29 @@ def expansion_terms(order: int,
     powers they need enclosed at the given working precision."""
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must lie in 0..{MAX_ORDER}")
-    cs = constants(precision_bits)
-    work = precision_bits + 32
-    a1 = -cs.a.inv().rounded(work)
-    b1 = (cs.b / cs.a).rounded(work)
-    # pa, pb and pc never exceed k1 + k2 + k3 <= order + 1
-    a1_pows = [Enclosure.point(1)]
-    b1_pows = [ComplexEnclosure.point(1)]
-    for _ in range(order + 1):
-        a1_pows.append((a1_pows[-1] * a1).rounded(work))
-        b1_pows.append((b1_pows[-1] * b1).rounded(work))
-    return ExpansionParams(order, _symbolic_terms(order), tuple(a1_pows),
-                           tuple(b1_pows))
+    a1_pows, b1_pows = _coefficient_powers(precision_bits)
+    return ExpansionParams(order, _symbolic_terms(order),
+                           a1_pows[:order + 2], b1_pows[:order + 2])
+
+
+# The factor tables R(p, m) and P(p, m) depend on (p, m, bits) alone, so
+# every order and every triple at one precision shares them.  Orders 0..8
+# at (51, 99, 100) read about 1700 entries of R and 200 of P.
+FACTOR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _real_factor(p: int, m: int, bits: int) -> Enclosure:
+    """R(p, m) = a1^p alpha^m."""
+    return (_coefficient_powers(bits)[0][p]
+            * alpha_power(m, bits)).rounded(bits + 32)
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _complex_factor(p: int, m: int, bits: int) -> ComplexEnclosure:
+    """P(p, m) = b1^p beta^m."""
+    return (_coefficient_powers(bits)[1][p]
+            * beta_power(m, bits)).rounded(bits + 32)
 
 
 def _grouped(terms, v: tuple[int, int, int]) -> dict:
@@ -163,15 +197,14 @@ def _grouped(terms, v: tuple[int, int, int]) -> dict:
     (pa, A.v) to the exact sum of its q, scaled by Q_SCALE to an integer."""
     x, y, z = v
     groups: dict = {}
-    for q, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms:
+    for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms:
         pb, pc = b0 + b1 + b2, c0 + c1 + c2
         key = (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z)
         inner = groups.get(key)
         if inner is None:
             inner = groups[key] = {}
         key = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
-        inner[key] = (inner.get(key, 0)
-                      + q.numerator * (Q_SCALE // q.denominator))
+        inner[key] = inner.get(key, 0) + n
     return groups
 
 
@@ -182,27 +215,9 @@ def _truncation_value(x: int, y: int, z: int, order: int,
     Raises ArithmeticError unless every group of terms has a mirror with
     the same exact inner sums, which is what makes the sum real.
     """
-    params = expansion_terms(order, bits)
     work = bits + 32
     cs = constants(bits)
-    groups = _grouped(params.terms, (x, y, z))
-    real_tab: dict[tuple[int, int], Enclosure] = {}
-    cplx_tab: dict[tuple[int, int], ComplexEnclosure] = {}
-
-    def real(p: int, m: int) -> Enclosure:
-        """R(p, m) = a1^p alpha^m."""
-        if (p, m) not in real_tab:
-            real_tab[p, m] = (params.a1_pows[p]
-                              * alpha_power(m, bits)).rounded(work)
-        return real_tab[p, m]
-
-    def cplx(p: int, m: int) -> ComplexEnclosure:
-        """P(p, m) = b1^p beta^m."""
-        if (p, m) not in cplx_tab:
-            cplx_tab[p, m] = (params.b1_pows[p]
-                              * beta_power(m, bits)).rounded(work)
-        return cplx_tab[p, m]
-
+    groups = _grouped(expansion_terms(order, bits).terms, (x, y, z))
     total = Enclosure.point(0)
     for key, inner in groups.items():
         pb, mb, pc, mc = key
@@ -213,12 +228,13 @@ def _truncation_value(x: int, y: int, z: int, order: int,
                 "mirror with the same exact coefficients")
         if mirror < key:
             continue  # added with its mirror
-        inner_sum = sum(real(pa, ma) * n for (pa, ma), n in inner.items())
-        p_b = cplx(pb, mb)
+        inner_sum = sum(_real_factor(pa, ma, bits) * n
+                        for (pa, ma), n in inner.items())
+        p_b = _complex_factor(pb, mb, bits)
         if mirror == key:
             re_part = p_b.abs2()
         else:
-            p_c = cplx(pc, mc)
+            p_c = _complex_factor(pc, mc, bits)
             re_part = p_b.re * p_c.re + p_b.im * p_c.im
             re_part = re_part + re_part
         total = total + (re_part.rounded(work)

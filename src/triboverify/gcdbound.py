@@ -16,10 +16,11 @@ checks that chain, and no battery repeats it.
 
 ``norm_witness`` certifies the exact divisibility and norm inequality for a
 pair, ``factor_bounds`` certifies the embedding bounds, and ``prop1_holds``
-checks the headline inequality itself.  ``factor_bounds`` decides the real
-bound in fourth powers, |eta_alpha|**4 < (13/10)**4 * alpha**z, so it takes
-no root of alpha**z, and encloses the complex embedding from the memoised
-beta**lam of ``constants.beta_power``.
+checks the headline inequality itself.  ``factor_bounds`` takes no root: it
+decides the real bound in fourth powers, |eta_alpha|**4 < (13/10)**4 *
+alpha**z, and the complex one in squares, |eta_beta|**2 < (9/25) *
+alpha**(2*z), with eta_beta enclosed from the memoised beta**lam of
+``constants.beta_power``.
 
 The headline inequality has two routes.  The prop1 battery
 (``prop1_results``) compares alpha**(3*z) with d**4 through the integer power
@@ -155,14 +156,23 @@ def norm_witness(y: int, z: int) -> GcdWitness:
 class FactorBoundsReport:
     """Embedding magnitudes for eta and their certified comparison against
     1.3*alpha**(z/4) (the two embeddings fixing alpha) and 0.6*alpha**z
-    (the other four)."""
+    (the other four).
+
+    The complex magnitude is held squared, as compared; ``complex_abs``
+    takes its root at the precision ``bits`` of the deciding rung.
+    """
 
     y: int
     z: int
     lam: int
     real_abs: Enclosure
-    complex_abs: Enclosure
+    complex_abs2: Enclosure
     ok: bool
+    bits: int
+
+    @property
+    def complex_abs(self) -> Enclosure:
+        return self.complex_abs2.sqrt(self.bits)
 
 
 def factor_bounds(y: int, z: int,
@@ -182,14 +192,15 @@ def factor_bounds(y: int, z: int,
         real_abs = (alpha_power(lam, bits) * ty - tz).abs()
         real4 = real_abs.square().square()
         bound_r4 = alpha_z * Fraction(28561, 10000)
-        # embedding sending alpha to beta; the gamma one is its conjugate
-        cplx_abs = (beta_power(lam, bits) * ty - tz).abs(bits)
-        bound_c = alpha_z * Fraction(6, 10)
-        if real4.definitely_lt(bound_r4) and cplx_abs.definitely_lt(bound_c):
-            return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, True)
+        # embedding sending alpha to beta, the gamma one its conjugate;
+        # against 0.6*alpha**z in squares, so no root is taken
+        cplx2 = (beta_power(lam, bits) * ty - tz).abs2()
+        bound_c2 = alpha_z.square() * Fraction(9, 25)
+        if real4.definitely_lt(bound_r4) and cplx2.definitely_lt(bound_c2):
+            return FactorBoundsReport(y, z, lam, real_abs, cplx2, True, bits)
         # distinguish a genuine violation from insufficient precision
-        if real4.definitely_gt(bound_r4) or cplx_abs.definitely_gt(bound_c):
-            return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, False)
+        if real4.definitely_gt(bound_r4) or cplx2.definitely_gt(bound_c2):
+            return FactorBoundsReport(y, z, lam, real_abs, cplx2, False, bits)
     raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
 
 

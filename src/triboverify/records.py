@@ -582,15 +582,14 @@ def _check_expansion(rec: VerificationRecord,
             and recorded.width() * 4096 <= recorded.lo):
         return ("recorded error interval is not positive with relative "
                 "width at most 2^-12")
-    bits, max_bits = checker.precision_bits, checker.max_precision_bits
-    fresh = expansion_error(x, y, z, t, bits, max_bits)
+    fresh = checker.expansion_error(x, y, z, t)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
                 "misses the recorded interval")
     if t >= 2:
-        prev = expansion_error(x, y, z, t - 1, bits, max_bits)
+        prev = checker.expansion_error(x, y, z, t - 1)
         (fresh_decreasing,), (fresh_ratio_ok,) = decay_verdicts(
-            x, (prev, fresh), bits)
+            x, (prev, fresh), checker.precision_bits)
         if fresh_decreasing != decreasing:
             return f"decreasing verdict recomputes to {fresh_decreasing}"
         if fresh_ratio_ok != ratio_ok:
@@ -656,6 +655,11 @@ class RecordChecker:
     prune flag, so a run of them costs one search at the largest z_max
     named, not one search per record.  What it keeps is bounded by
     ``SEARCH_Z_MAX_CAP``.
+
+    Expansion records share the errors of the last index triple checked,
+    so a run of orders 0..t for one triple computes each order once, not
+    orders t and t - 1 per record.  That memo holds at most MAX_ORDER + 1
+    errors.
     """
 
     def __init__(self, precision_bits: int = DEFAULT_PRECISION,
@@ -663,12 +667,26 @@ class RecordChecker:
         self.precision_bits = precision_bits
         self.max_precision_bits = max_precision_bits
         self._sweeps: dict[bool, SearchSweep] = {}
+        self._expansion_triple: tuple[int, int, int] | None = None
+        self._expansion_errors: dict[int, Enclosure] = {}
 
     def sweep(self, use_gcd_prune: bool) -> SearchSweep:
         """The search sweep this checker shares for one prune flag."""
         if use_gcd_prune not in self._sweeps:
             self._sweeps[use_gcd_prune] = SearchSweep(use_gcd_prune)
         return self._sweeps[use_gcd_prune]
+
+    def expansion_error(self, x: int, y: int, z: int, t: int) -> Enclosure:
+        """``expansion_error`` at this checker's precision setting,
+        remembered for the last index triple asked about."""
+        if self._expansion_triple != (x, y, z):
+            self._expansion_triple = (x, y, z)
+            self._expansion_errors = {}
+        errors = self._expansion_errors
+        if t not in errors:
+            errors[t] = expansion_error(x, y, z, t, self.precision_bits,
+                                        self.max_precision_bits)
+        return errors[t]
 
     def check(self, rec: VerificationRecord) -> tuple[bool, str]:
         """``check_record`` of rec at this checker's precision setting."""

@@ -3,6 +3,8 @@ term bookkeeping, measured truncation error, decay certificates."""
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import mpmath
 import pytest
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 from triboverify import expansion
 from triboverify.constants import DEFAULT_PRECISION, alpha_power, constants
 from triboverify.enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
-from triboverify.expansion import (MAX_ORDER, Q_SCALE, DecayReport,
-                                   _symbolic_terms, _truncation_value,
-                                   decay_report, expansion_error,
-                                   expansion_terms)
+from triboverify.expansion import (FACTOR_CACHE_SIZE, MAX_ORDER, Q_SCALE,
+                                   DecayReport, _symbolic_terms,
+                                   _truncation_value, decay_report,
+                                   expansion_error, expansion_terms)
 from triboverify.tribonacci import trib
 
 from test_constants import _cpow
@@ -41,14 +43,70 @@ TERM_COUNTS = {0: 1, 1: 13, 2: 62, 3: 176, 4: 439, 5: 1061, 6: 2252,
                7: 4474, 8: 8651}
 
 
+def _half_binom(k, negative=False):
+    """binom(1/2, k), or binom(-1/2, k) when negative."""
+    top = Fraction(-1, 2) if negative else Fraction(1, 2)
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (top - i) / (i + 1)
+    return out
+
+
+def _splits(k, mixed):
+    """All (na, nb, nc) with na + nb + nc = k and nb + nc = mixed."""
+    return [(k - mixed, nb, mixed - nb) for nb in range(mixed + 1)]
+
+
+def _multinomial(k, s):
+    return factorial(k) // (factorial(s[0]) * factorial(s[1])
+                            * factorial(s[2]))
+
+
+def _oracle_terms(order):
+    """The kept terms with exact Fraction q, built from Fraction
+    half-binomials in the same shell order as _symbolic_terms."""
+    out = _oracle_terms(order - 1) if order else []
+    for k1 in range(order + 1):
+        for k2 in range(min(order, order + 1 - k1) + 1):
+            for k3 in range(min(order, order + 1 - k1 - k2) + 1):
+                room = 2 * (order + 1 - k1 - k2 - k3)
+                least = 0 if order in (k1, k2, k3) else room - 1
+                q = (_half_binom(k1) * _half_binom(k2)
+                     * _half_binom(k3, negative=True))
+                for m1, m2, m3 in product(range(k1 + 1), range(k2 + 1),
+                                          range(k3 + 1)):
+                    if not least <= m1 + m2 + m3 <= room:
+                        continue
+                    for s1, s2, s3 in product(_splits(k1, m1),
+                                              _splits(k2, m2),
+                                              _splits(k3, m3)):
+                        out.append((
+                            q * (_multinomial(k1, s1) * _multinomial(k2, s2)
+                                 * _multinomial(k3, s3)),
+                            (-k1, -k2, -k3),
+                            (s1[1], s2[1], s3[1]),
+                            (s1[2], s2[2], s3[2])))
+    return out
+
+
+def test_integer_terms_match_fraction_oracle():
+    for order in range(MAX_ORDER + 1):
+        terms = _symbolic_terms(order)
+        oracle = _oracle_terms(order)
+        assert len(terms) == len(oracle)
+        for (n, *vecs), (q, *oracle_vecs) in zip(terms, oracle):
+            assert Fraction(n, Q_SCALE) == q
+            assert vecs == oracle_vecs
+
+
 def test_term_counts():
     for order, n in TERM_COUNTS.items():
         assert len(_symbolic_terms(order)) == n
 
 
 def test_order_zero_is_bare_prefactor():
-    ((q, a_vec, b_vec, c_vec),) = _symbolic_terms(0)
-    assert q == 1
+    ((q_scaled, a_vec, b_vec, c_vec),) = _symbolic_terms(0)
+    assert q_scaled == Q_SCALE
     assert a_vec == b_vec == c_vec == (0, 0, 0)
 
 
@@ -75,7 +133,9 @@ def test_conjugate_pairing():
 
 
 def test_scaled_coefficients_are_integers():
-    for q, *_ in _symbolic_terms(MAX_ORDER):
+    for q_scaled, *_ in _symbolic_terms(MAX_ORDER):
+        assert type(q_scaled) is int
+    for q, *_ in _oracle_terms(MAX_ORDER):
         assert (q * Q_SCALE).denominator == 1
 
 
@@ -92,7 +152,7 @@ def test_term_without_equal_mirror_is_refused(monkeypatch):
     i = next(i for i, t in enumerate(params.terms)
              if sum(t.b_vec) != sum(t.c_vec))
     terms = list(params.terms)
-    terms[i] = terms[i]._replace(q=2 * terms[i].q)
+    terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
     lopsided = replace(params, terms=tuple(terms))
     monkeypatch.setattr(expansion, "expansion_terms",
                         lambda order, bits: lopsided)
@@ -102,11 +162,11 @@ def test_term_without_equal_mirror_is_refused(monkeypatch):
 
 def _coefficient(params, term) -> ComplexEnclosure:
     """q * a1^pa b1^pb c1^pc rebuilt from the enclosed powers."""
-    q, a_vec, b_vec, c_vec = term
+    q_scaled, a_vec, b_vec, c_vec = term
     pb, pc = sum(b_vec), sum(c_vec)
     pa = -sum(a_vec) - pb - pc
     return (params.b1_pows[pb] * params.b1_pows[pc].conj()
-            * (params.a1_pows[pa] * q))
+            * (params.a1_pows[pa] * Fraction(q_scaled, Q_SCALE)))
 
 
 def test_materialized_terms_have_enclosed_coefficients():
@@ -179,6 +239,44 @@ def test_grouped_truncation_matches_oracle(xyz, order):
     err = expansion_error(*xyz, order)
     assert err.is_positive()
     assert (err.hi - err.lo) * 4096 <= err.lo
+
+
+def _clear_shared_tables():
+    for cached in (expansion.expansion_terms, expansion._coefficient_powers,
+                   expansion._real_factor, expansion._complex_factor):
+        cached.cache_clear()
+
+
+def _endpoints(enc):
+    return enc.lo, enc.hi
+
+
+def test_shared_tables_are_keyed_by_precision():
+    # the factor tables outlive a call; an entry built at one precision
+    # must never serve another, and no order may see another's residue
+    runs = [(6, 192), (2, 256), (2, 192)]
+    _clear_shared_tables()
+    mixed = [_truncation_value(20, 25, 30, order, bits)
+             for order, bits in runs]
+    for (order, bits), got in zip(runs, mixed):
+        _clear_shared_tables()
+        fresh = _truncation_value(20, 25, 30, order, bits)
+        assert _endpoints(got) == _endpoints(fresh)
+
+
+def test_factor_tables_stay_within_their_bound():
+    _clear_shared_tables()
+    first = _endpoints(expansion_error(20, 25, 30, 4))
+    for x in range(20, 120, 9):
+        expansion_error(x, x + 1, x + 2, 6)
+    for cached in (expansion._real_factor, expansion._complex_factor):
+        info = cached.cache_info()
+        assert info.maxsize == FACTOR_CACHE_SIZE
+        assert info.currsize <= FACTOR_CACHE_SIZE
+    # the real table overflowed, so the first triple's entries were
+    # evicted and come back rebuilt to the same endpoints
+    assert expansion._real_factor.cache_info().currsize == FACTOR_CACHE_SIZE
+    assert _endpoints(expansion_error(20, 25, 30, 4)) == first
 
 
 def test_error_ladder_frozen():

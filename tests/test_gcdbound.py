@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from triboverify import cli, gcdbound, tribonacci
-from triboverify.constants import Cmp, alpha_power, constants
+from triboverify.constants import Cmp, alpha_power, beta_power, constants
 from triboverify.enclosure import ComplexEnclosure, PrecisionFailure
 from triboverify.gcdbound import (FactorBoundsReport, IntegrityError,
                                   _alpha_power_coords, factor_bounds,
@@ -109,7 +109,9 @@ def _oracle_complex_pow(base, e, bits):
 def _oracle_factor_bounds(y, z, precision_bits=192,
                           max_precision_bits=65536):
     """factor_bounds as it was before beta powers were memoised: square
-    roots of alpha**z, a fresh beta power per call, Fraction endpoints."""
+    roots of alpha**z, a fresh beta power per call, Fraction endpoints,
+    and the complex magnitude compared as a root.  The report holds it
+    squared, as factor_bounds' own does."""
     ty, tz = gcdbound._shifted(y), gcdbound._shifted(z)
     lam = z - y
     bits = precision_bits
@@ -125,11 +127,13 @@ def _oracle_factor_bounds(y, z, precision_bits=192,
         ok_r = real_abs.hi <= bound_r.lo
         ok_c = cplx_abs.hi <= bound_c.lo
         if ok_r and ok_c:
-            return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, True)
+            return FactorBoundsReport(y, z, lam, real_abs,
+                                      cplx_val.abs2(), True, bits)
         fail_r = real_abs.lo > bound_r.hi
         fail_c = cplx_abs.lo > bound_c.hi
         if fail_r or fail_c:
-            return FactorBoundsReport(y, z, lam, real_abs, cplx_abs, False)
+            return FactorBoundsReport(y, z, lam, real_abs,
+                                      cplx_val.abs2(), False, bits)
         bits *= 2
         if bits > max_precision_bits:
             raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
@@ -170,6 +174,38 @@ def test_factor_bounds_decides_next_to_each_bound(monkeypatch, scale, shift,
     assert _same_verdict(y, z, 192) is ok
 
 
+@pytest.mark.parametrize("margin, ok", [
+    (-Fraction(1, 10 ** 12), True),
+    (Fraction(1, 10 ** 12), False),
+])
+def test_factor_bounds_decides_next_to_the_complex_bound_at_1024_bits(
+        monkeypatch, margin, ok):
+    # forged shifted values with the real embedding alpha**lam (T_y - 1) -
+    # (T_z - 1) below 1 and the complex one |beta**lam (T_y - 1) - (T_z -
+    # 1)| within 10**-12 relative of 0.6 * alpha**z, on either side: the
+    # comparison in squares must decide where the root was compared
+    y, z, bits = 60, 70, 1024
+    lam = z - y
+    a_lam = alpha_power(lam, bits)
+    spread = (beta_power(lam, bits) - a_lam).abs(bits).mid()
+    target = (Fraction(6, 10) + margin) * alpha_power(z, bits).mid()
+    ty = round(target / spread)
+    tz = round(a_lam.mid() * ty)
+    monkeypatch.setattr(gcdbound, "_shifted", {y: ty, z: tz}.__getitem__)
+    report = factor_bounds(y, z, bits)
+    assert report.real_abs.hi < 1
+    ratio = report.complex_abs.mid() / alpha_power(z, bits).mid()
+    assert abs(ratio - Fraction(6, 10)) < Fraction(2, 10 ** 12)
+    assert _same_verdict(y, z, bits) is ok
+
+
+def test_factor_bounds_report_keeps_the_squared_complex_magnitude():
+    report = factor_bounds(100, 120, 192)
+    assert report.complex_abs.square().encloses(report.complex_abs2)
+    assert report.complex_abs == (
+        beta_power(20, 192) * (trib(100) - 1) - (trib(120) - 1)).abs(192)
+
+
 def test_factor_bounds_escalates_until_decided():
     # at 8 bits the cancellation in alpha**lam (T_y - 1) - (T_z - 1) leaves
     # the real embedding undecided: a cap there is inconclusive, not False
@@ -202,6 +238,33 @@ def test_chain_bound_outside_the_regime(monkeypatch):
         ty = trib(y) - 1
         assert gcd_shifted(y, z) <= ty, (y, z)
         assert cmp_alpha_power_trace(3 * z, ty ** 4) == Cmp.GREATER, (y, z)
+
+
+def _power_sums(k_max):
+    """s_p = alpha**p + beta**p + gamma**p for -k_max <= p <= k_max: the
+    recurrence s_(p+3) = s_(p+2) + s_(p+1) + s_p from s_0, s_1, s_2 = 3, 1,
+    3, and run backwards, s_p = s_(p+3) - s_(p+2) - s_(p+1)."""
+    s = {0: 3, 1: 1, 2: 3}
+    for p in range(3, k_max + 1):
+        s[p] = s[p - 1] + s[p - 2] + s[p - 3]
+    for p in range(-1, -k_max - 1, -1):
+        s[p] = s[p + 3] - s[p + 2] - s[p + 1]
+    return s
+
+
+def test_norm_by_power_sums_matches_norm3():
+    # the three conjugates of alpha**lam multiply to (alpha beta gamma)**lam
+    # = 1, their pairwise products sum to s_(-lam) and they sum to s_lam, so
+    # N(a alpha**lam - b) = a**3 - a**2 b s_(-lam) + a b**2 s_lam - b**3
+    s = _power_sums(120)
+    assert (s[-1], s[-2]) == (-1, -1)
+    for y, z in index_pairs(120, 5):
+        lam = z - y
+        a, b = trib(y) - 1, trib(z) - 1
+        c0, c1, c2 = _alpha_power_coords(lam)
+        eta = CubicElement((c0 * a - b, c1 * a, c2 * a))
+        assert norm3(eta) == (a ** 3 - a * a * b * s[-lam]
+                              + a * b * b * s[lam] - b ** 3), (y, z)
 
 
 def test_norm_witnesses_tight_pairs():

@@ -838,6 +838,33 @@ def test_checking_a_prop1_record_takes_its_gcd_once(monkeypatch):
     assert calls == [(40, 45)]
 
 
+def test_checking_expansion_records_computes_each_order_once(
+        tmp_path, capsys, monkeypatch):
+    first = expansion_records(decay_report(20, 25, 30, 4))
+    second = expansion_records(decay_report(12, 14, 16, 2))
+    calls = []
+    true_expansion_error = records.expansion_error
+
+    def counting(x, y, z, t, *bits):
+        calls.append((x, y, z, t))
+        return true_expansion_error(x, y, z, t, *bits)
+
+    monkeypatch.setattr(records, "expansion_error", counting)
+    path = tmp_path / "r.jsonl"
+    emit_records(path, first)
+    assert run(["check-records", str(path)]) == 0
+    assert calls == [(20, 25, 30, t) for t in range(5)]
+    # only the last triple is remembered: coming back to the first one
+    # recomputes the orders its record reads
+    calls.clear()
+    emit_records(path, [*first, *second, first[2]])
+    assert run(["check-records", str(path)]) == 0
+    assert calls == ([(20, 25, 30, t) for t in range(5)]
+                     + [(12, 14, 16, t) for t in range(3)]
+                     + [(20, 25, 30, 2), (20, 25, 30, 1)])
+    capsys.readouterr()
+
+
 # read_records strips only the "\n" that emit_records writes
 @pytest.mark.parametrize("text, bad_line", [
     ("{0}\n\t{0}\n", 2),
