@@ -48,7 +48,7 @@ from .splitfield import (ALPHA_C, WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report)
 from .tribonacci import default_table, trib_fast
-from .triples import SearchSweep, brute_force
+from .triples import brute_force, search
 
 SCHEMA_VERSION = 1
 
@@ -176,8 +176,8 @@ LEMMA2_CASES = {
 }
 
 # Largest sizes a record may ask check-records to re-run, timed on a shared
-# 2-core VM with Python 3.11: search(1000) takes about 1.3 s (once per
-# prune flag for a whole file, see RecordChecker), brute_force(10**6) about
+# 2-core VM with Python 3.11: search(1000) takes about 1 s (once for both
+# prune flags and a whole file, see RecordChecker), brute_force(10**6) about
 # 1 ms, verify_numeric_window(4096) about 0.3 s (16384 bits take about 5 s)
 # and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair
 # with z <= 2000 checks in at most about 0.1 s in a fresh process (z = 10**4
@@ -475,7 +475,7 @@ def read_records(path) -> Iterator[VerificationRecord]:
 # range, so a checker holds only its cross-field rules and recomputation.
 # Every checker takes the record plus the RecordChecker running it, which
 # holds the starting precision and the cap of its adaptive recomputation and
-# the search sweeps shared between records.
+# the memo of expansion errors shared between records.
 # ---------------------------------------------------------------------------
 
 def _recomputed(build):
@@ -611,7 +611,7 @@ def _check_search_summary(rec: VerificationRecord,
             f"mode={mode}, z_max={z_max!r}, w_max={w_max!r}, "
             f"use_gcd_prune={prune!r}")
     if mode == "search":
-        found = checker.sweep(prune).upto(z_max)
+        found = search(z_max, prune)
     else:
         found = brute_force(w_max)
     if len(found) != count:
@@ -651,9 +651,10 @@ class RecordChecker:
     """``check_record`` for a run of records at one precision setting,
     sharing work between them.
 
-    Search-summary records in mode search extend one ``SearchSweep`` per
-    prune flag, so a run of them costs one search at the largest z_max
-    named, not one search per record.  What it keeps is bounded by
+    Search-summary records in mode search call ``search``, which shares
+    one sweep of the sequence within the process for both prune flags, so a
+    run of them costs one search at the largest z_max named, not one search
+    per record or per flag.  What that sweep keeps is bounded by
     ``SEARCH_Z_MAX_CAP``.
 
     Expansion records share the errors of the last index triple checked,
@@ -666,15 +667,8 @@ class RecordChecker:
                  max_precision_bits: int = MAX_PRECISION):
         self.precision_bits = precision_bits
         self.max_precision_bits = max_precision_bits
-        self._sweeps: dict[bool, SearchSweep] = {}
         self._expansion_triple: tuple[int, int, int] | None = None
         self._expansion_errors: dict[int, Enclosure] = {}
-
-    def sweep(self, use_gcd_prune: bool) -> SearchSweep:
-        """The search sweep this checker shares for one prune flag."""
-        if use_gcd_prune not in self._sweeps:
-            self._sweeps[use_gcd_prune] = SearchSweep(use_gcd_prune)
-        return self._sweeps[use_gcd_prune]
 
     def expansion_error(self, x: int, y: int, z: int, t: int) -> Enclosure:
         """``expansion_error`` at this checker's precision setting,

@@ -10,25 +10,36 @@ the real sequence, to agree on emptiness):
   triple has a = uv + 1 and b = uw + 1, so u divides gcd(a - 1, b - 1) and
   is read off its divisors; membership of v*w + 1 decides the rest.
 
-For each pair y < z, ``search`` starts x at the largest of three lower
-bounds and never tests an index below it:
+For each pair y < z, ``search`` starts x at the larger of two lower bounds
+and never tests an index below it:
 
 * x >= max(5, z - y + 1): (T_z-1) divides (T_x-1)(T_y-1), a nonzero
   multiple is at least its modulus, and the growth bounds turn that into
   x + y > z.
-* with the optional gcd prune and z >= 12, x >= ceil(z/4) - 2.  For
-  every z <= 1000 this floor lies at least 10 below the third bound of
-  each pair with an index left to test (closest at (y, z) = (15, 18)), so
-  the prune never narrows the search there; a test checks every pair.
-* with the reduced modulus m = (T_z-1) / gcd(T_y-1, T_z-1),
+* with the reduced modulus m = (T_z-1) / g, g = gcd(T_y-1, T_z-1),
   (T_z-1) | (T_x-1)(T_y-1) holds exactly when m | (T_x-1); a positive
   multiple of m is at least m, so x starts at the first index with
-  T_x - 1 >= m, found by bisection.
+  T_x - 1 >= m, found by bisection.  When g * (T_(y-1) - 1) < T_z - 1 no
+  x < y gets there, and the pair is dropped before any division: for
+  z <= 1000 that leaves 1247 of 248,995 pairs.
 
 Each x left in the range is then tested by m | (T_x-1), and every survivor
-still goes through ``uvw_from_xyz`` and its exact checks.  Results come
-ordered by z, so ``search(a)`` is the z <= a prefix of ``search(b)``;
-``SearchSweep`` keeps a search between calls on that account.
+still goes through ``uvw_from_xyz`` and its exact checks.
+
+The optional gcd prune, x >= ceil(z/4) - 2 for z >= 12, is a filter on
+the candidates of that one search.  On a table that is non-decreasing from
+index 5, cutting the bisection's range at the floor f leaves exactly the
+x >= f of the uncut range, so the filter gives what a pruned search would.
+For every z <= 1000 the floor lies at least 10 below the start of each
+pair's range with an index left to test (closest at (y, z) = (15, 18)), so
+the prune never narrows the search there; a test checks every pair.
+
+Results come ordered by z, so ``search(a)`` is the z <= a prefix of
+``search(b)``.  ``SearchSweep`` keeps a search between calls on that
+account, and ``search`` shares one sweep of the default table within a
+process: a run of calls, for both prune flags, costs one search at the
+largest z_max asked.  That sweep holds T_n - 1 for n up to that z_max
+(about 100 kB at z = 1000) and the candidates, none for the real sequence.
 
 ``brute_force`` reads the sequence once into a sorted list of distinct
 values.  For a pair a < b of them, u runs over the divisors of
@@ -47,6 +58,7 @@ is; an alternative table must be too.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -133,29 +145,34 @@ def verify_triple(u: int, v: int, w: int,
     return x, y, z
 
 
-def _x_range(y: int, z: int, use_gcd_prune: bool,
-             tm: list[int]) -> tuple[range, int]:
+def _x_range(y: int, z: int, tm: list[int]) -> tuple[range, int] | None:
     """The indices x that ``search`` tests against the pair y < z, and the
     reduced modulus m that T_x - 1 must be a multiple of; tm[n] = T_n - 1.
+    None when the pair is dead: with g = gcd(T_y - 1, T_z - 1),
+    g * (T_(y-1) - 1) < T_z - 1 says that no x < y reaches m = (T_z - 1)/g,
+    so the pair costs one gcd and no division.
 
-    The range starts at the largest of max(5, z - y + 1), the gcd prune's
-    floor (when on) and the first x with T_x - 1 >= m, and ends below y.
+    The range starts at the larger of max(5, z - y + 1) and the first x with
+    T_x - 1 >= m, and ends below y.
     """
-    lo = max(5, z - y + 1)
-    if use_gcd_prune and z >= 12:
-        lo = max(lo, -(-z // 4) - 2)
-    m = tm[z] // gcd(tm[y], tm[z])
-    return range(bisect_left(tm, m, lo, y), y), m
+    g = gcd(tm[y], tm[z])
+    if g * tm[y - 1] < tm[z]:
+        return None
+    m = tm[z] // g
+    return range(bisect_left(tm, m, max(5, z - y + 1), y), y), m
 
 
-def _search_at(z: int, use_gcd_prune: bool, tm: list[int],
+def _search_at(z: int, tm: list[int],
                t: TribTable) -> list[TripleCandidate]:
-    """The candidates with this z, ordered by (y, x); tm[n] = T_n - 1 for
-    n <= z."""
+    """The candidates with this z, without the gcd prune, ordered by
+    (y, x); tm[n] = T_n - 1 for n <= z."""
     out = []
     # for y <= (z + 1) / 2 no x < y has x + y > z
     for y in range(max(6, (z + 3) // 2), z):
-        xs, m = _x_range(y, z, use_gcd_prune, tm)
+        live = _x_range(y, z, tm)
+        if live is None:
+            continue
+        xs, m = live
         for x in xs:
             if tm[x] % m:
                 continue
@@ -166,42 +183,54 @@ def _search_at(z: int, use_gcd_prune: bool, tm: list[int],
 
 
 class SearchSweep:
-    """``search`` for one prune flag and table, kept between calls.
+    """``search`` for one table and both prune flags, kept between calls.
 
-    ``upto(z_max)`` searches only the z beyond the highest it has done and
-    answers a smaller z_max by filtering, so a run of calls costs one search
-    at the largest z_max it asks for.
+    ``upto(z_max, use_gcd_prune)`` searches only the z beyond the highest it
+    has done, without the prune, and answers by filtering: candidates beyond
+    z_max go, and with the prune on so do those below its floor.  A run of
+    calls in any order and with either flag costs one search at the largest
+    z_max asked.  It keeps tm[n] = T_n - 1 up to that z_max and the
+    candidates found; extension holds a lock, reads of what is done do not.
     """
 
-    def __init__(self, use_gcd_prune: bool = False,
-                 table: TribTable | None = None):
-        self.use_gcd_prune = use_gcd_prune
+    def __init__(self, table: TribTable | None = None):
         self._t = table or default_table()
         self._tm: list[int] = []
         self._found: list[TripleCandidate] = []
         self._z_done = 6
+        self._lock = threading.Lock()
 
-    def upto(self, z_max: int) -> list[TripleCandidate]:
+    def upto(self, z_max: int,
+             use_gcd_prune: bool = False) -> list[TripleCandidate]:
         """All candidates with z <= z_max, ordered by (z, y, x)."""
         if z_max > self._z_done:
-            tm = self._tm
-            tm.extend(self._t.value(n) - 1
-                      for n in range(len(tm), z_max + 1))
-            for z in range(self._z_done + 1, z_max + 1):
-                self._found += _search_at(z, self.use_gcd_prune, tm,
-                                          self._t)
-            self._z_done = z_max
-        return [c for c in self._found if c.z <= z_max]
+            with self._lock:
+                tm = self._tm
+                tm.extend(self._t.value(n) - 1
+                          for n in range(len(tm), z_max + 1))
+                for z in range(self._z_done + 1, z_max + 1):
+                    self._found += _search_at(z, tm, self._t)
+                    self._z_done = z
+        return [c for c in self._found
+                if c.z <= z_max and admissible(c.x, c.y, c.z, use_gcd_prune)]
+
+
+# the sweep that search shares within a process for the default table
+_DEFAULT_SWEEP = SearchSweep()
 
 
 def search(z_max: int, use_gcd_prune: bool = False,
            table: TribTable | None = None) -> list[TripleCandidate]:
     """All candidates with z <= z_max, ordered by (z, y, x).
 
-    For the real sequence this comes back empty; the route to that emptiness
-    (with or without the gcd prune) must not change the answer.
+    Without a table this extends and filters the one ``SearchSweep`` of the
+    default table, so within a process each z is searched once for both
+    prune flags; an explicit table gets a fresh sweep.  For the real
+    sequence this comes back empty; the route to that emptiness (with or
+    without the gcd prune) must not change the answer.
     """
-    return SearchSweep(use_gcd_prune, table).upto(z_max)
+    sweep = _DEFAULT_SWEEP if table is None else SearchSweep(table)
+    return sweep.upto(z_max, use_gcd_prune)
 
 
 def _divisors_between(g: int, lo: int, hi: int) -> list[int]:

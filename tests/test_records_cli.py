@@ -567,18 +567,19 @@ def test_cli_brute_at_the_cap_writes_a_checkable_summary(tmp_path, capsys):
 
 
 def test_cli_check_records_searches_each_z_once(tmp_path, capsys,
-                                                 monkeypatch):
+                                                 monkeypatch,
+                                                 fresh_search_sweep):
     from triboverify import triples
     runs = Counter()
     search_at = triples._search_at
 
-    def counted(z, use_gcd_prune, *args):
-        runs[z, use_gcd_prune] += 1
-        return search_at(z, use_gcd_prune, *args)
+    def counted(z, *args):
+        runs[z] += 1
+        return search_at(z, *args)
     monkeypatch.setattr(triples, "_search_at", counted)
     recs = [search_summary_record("search", 0, z_max=z, use_gcd_prune=prune)
             for z in range(7, 61) for prune in (False, True)]
-    # out of order, so that the sweeps both extend and filter
+    # out of order, so that the sweep both extends and filters
     random.Random(5).shuffle(recs)
     forged = search_summary_record("search", 1, z_max=30, use_gcd_prune=True)
     path = tmp_path / "r.jsonl"
@@ -588,8 +589,8 @@ def test_cli_check_records_searches_each_z_once(tmp_path, capsys,
     assert (f"record {len(recs) + 1} (search-summary): search recomputes 0"
             in out)
     assert "failures=1" in out
-    assert runs == {(z, prune): 1 for z in range(7, 61)
-                    for prune in (False, True)}
+    # one search of each z serves both prune flags
+    assert runs == {z: 1 for z in range(7, 61)}
 
 
 

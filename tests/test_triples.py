@@ -1,6 +1,10 @@
 """Triple search: index inversion, value-side brute force, and their
 agreement, including on synthetic tables with planted solutions."""
 
+import random
+import sys
+import threading
+from bisect import bisect_left
 from collections import Counter
 from math import gcd
 
@@ -88,15 +92,19 @@ def test_search_prune_does_not_change_answer():
 def test_gcd_prune_never_narrows_search():
     # up to the record cap, the prune's floor ceil(z/4) - 2 lies below the
     # bisection floor of every non-empty x-range, so it drops no index that
-    # search tests; y <= (z + 1) / 2 leaves no x with x + y > z
+    # search tests; y <= (z + 1) / 2 leaves no x with x + y > z.  The pairs
+    # that pass the dead-pair test are exactly those with a non-empty range
     tm = [trib(n) - 1 for n in range(SEARCH_Z_MAX_CAP + 1)]
     margins = []
     for z in range(12, SEARCH_Z_MAX_CAP + 1):
         for y in range((z + 3) // 2, z):
-            xs, _ = triples._x_range(y, z, False, tm)
+            m = tm[z] // gcd(tm[y], tm[z])
+            xs = range(bisect_left(tm, m, max(5, z - y + 1), y), y)
+            live = triples._x_range(y, z, tm)
+            assert (live is not None) == bool(xs)
             if xs:
+                assert live == (xs, m)
                 margins.append((xs.start - (-(-z // 4) - 2), y, z))
-                assert triples._x_range(y, z, True, tm)[0] == xs
     assert len(margins) == 1245
     assert min(margins) == (10, 15, 18)
 
@@ -264,17 +272,20 @@ def test_reduced_modulus_decides_divisibility(a, b, d, divisor_of_product):
 
 
 def test_x_range_is_exactly_the_admissible_divisible_indices():
+    # without the prune; search applies that as a filter on its candidates
     tm = [trib(n) - 1 for n in range(61)]
     for z in range(6, 61):
         for y in range(4, z):
-            for prune in (False, True):
-                xs, m = triples._x_range(y, z, prune, tm)
-                allowed = {x for x in range(y) if admissible(x, y, z, prune)}
-                divisible = {x for x in allowed
-                             if tm[x] * tm[y] % tm[z] == 0}
-                assert set(xs) <= allowed
-                assert divisible <= set(xs)
-                assert {x for x in xs if tm[x] % m == 0} == divisible
+            allowed = {x for x in range(y) if admissible(x, y, z)}
+            divisible = {x for x in allowed if tm[x] * tm[y] % tm[z] == 0}
+            live = triples._x_range(y, z, tm)
+            if live is None:
+                assert not divisible
+                continue
+            xs, m = live
+            assert set(xs) <= allowed
+            assert divisible <= set(xs)
+            assert {x for x in xs if tm[x] % m == 0} == divisible
 
 
 def test_brute_force_returns_each_triple_once_despite_repeated_values():
@@ -348,17 +359,64 @@ def test_brute_force_reads_several_u_off_one_gcd():
 
 
 @_props
-@given(synthetic_tables(), st.booleans(),
-       st.lists(st.integers(0, 40), min_size=1, max_size=6))
+@given(synthetic_tables(),
+       st.lists(st.tuples(st.integers(0, 40), st.booleans()), min_size=1,
+                max_size=8))
 def test_search_is_a_prefix_in_z_and_a_sweep_matches_separate_runs(
-        table, prune, z_maxes):
+        table, asks):
     # results come ordered by z, so search(a) is the z <= a part of
-    # search(b) for a <= b; a sweep asked in any order answers alike
+    # search(b) for a <= b; one sweep asked for both flags in any order
+    # answers each like the oracle
     z_top = len(table.vals) - 1
-    z_maxes = [min(z, z_top) for z in z_maxes]
-    full = search(z_top, prune, table=table)
-    sweep = SearchSweep(prune, table)
-    for z_max in z_maxes:
-        alone = search(z_max, prune, table=table)
-        assert alone == [c for c in full if c.z <= z_max]
-        assert sweep.upto(z_max) == alone
+    full = {prune: search(z_top, prune, table=table)
+            for prune in (False, True)}
+    sweep = SearchSweep(table)
+    for z_max, prune in asks:
+        z_max = min(z_max, z_top)
+        want = _oracle_search(z_max, prune, table)
+        assert [c for c in full[prune] if c.z <= z_max] == want
+        assert sweep.upto(z_max, prune) == want
+
+
+def test_a_sweep_shared_between_threads_searches_each_z_once(monkeypatch):
+    # more threads than cores and a short switch interval; a lost update of
+    # the sweep would search some z twice or hand back a duplicate
+    table = ListTable([0, 0, 1, 1] + [2 ** k + 1 for k in range(1, 26)])
+    z_top = len(table.vals) - 1
+    full = {prune: _oracle_search(z_top, prune, table)
+            for prune in (False, True)}
+    asks = [(z, prune) for z in range(7, z_top + 1) for prune in (False, True)]
+    runs = Counter()
+    search_at = triples._search_at
+
+    def counted(z, *args):
+        runs[z] += 1
+        return search_at(z, *args)
+    monkeypatch.setattr(triples, "_search_at", counted)
+    sweep = SearchSweep(table)
+    wrong = []
+    start = threading.Barrier(6)
+
+    def ask_all(seed):
+        start.wait(timeout=60)
+        order = asks[:]
+        random.Random(seed).shuffle(order)
+        for z_max, prune in order:
+            if sweep.upto(z_max, prune) != [c for c in full[prune]
+                                            if c.z <= z_max]:
+                wrong.append((seed, z_max, prune))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask_all, args=(seed,))
+                   for seed in range(start.parties)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert runs == {z: 1 for z in range(7, z_top + 1)}
