@@ -14,6 +14,14 @@ point impression.
 
 Complex values are axis-aligned rectangles (an enclosure for the real part and
 one for the imaginary part).
+
+The hot loops of the interval batteries call three integer kernels here
+rather than chains of enclosure operations, so that no other module reads
+the numerators: ``Enclosure.cmp_abs_power`` compares a power of |x| with a
+bound by cross-multiplication, ``ComplexEnclosure.affine_abs2`` gives
+|m*z - c|**2 for integers m and c, and ``integer_combination`` sums an
+integer combination of enclosures.  Each returns exactly what the chain of
+operations it replaces would give.
 """
 
 from __future__ import annotations
@@ -145,6 +153,37 @@ def _align(n0: int, n1: int, d: int,
             return n0 << k, n1 << k, m0, m1, e
         return n0, n1, m0 << -k, m1 << -k, d
     return n0 * e, n1 * e, m0 * d, m1 * d, d * e
+
+
+def _square_ends(n0: int, n1: int) -> tuple[int, int]:
+    """The numerators of [n0, n1]**2 over the squared denominator: from 0
+    when the interval straddles 0."""
+    a, b = n0 * n0, n1 * n1
+    if n0 <= 0 <= n1:
+        return 0, max(a, b)
+    return (a, b) if a < b else (b, a)
+
+
+def integer_combination(pairs) -> "Enclosure":
+    """The exact enclosure of sum(n * e) over the (e, n) pairs, n integers.
+
+    The sum is accumulated as two integer numerators; a new denominator is
+    aligned as ``_align`` does, so terms over powers of two add up over the
+    largest of them by shifts alone, and the result is the rational that
+    chained ``Enclosure`` products and sums give, over the same denominator.
+    """
+    lo = hi = 0
+    d = 1
+    for e, n in pairs:
+        if n >= 0:
+            a, b = e._n0 * n, e._n1 * n
+        else:
+            a, b = e._n1 * n, e._n0 * n
+        if e._d != d:
+            lo, hi, a, b, d = _align(lo, hi, d, a, b, e._d)
+        lo += a
+        hi += b
+    return _enc(lo, hi, d)
 
 
 _new = object.__new__
@@ -327,11 +366,31 @@ class Enclosure:
     def square(self) -> "Enclosure":
         """Tight [lo, hi]**2; unlike self*self this maps 0-straddling
         intervals to [0, max**2]."""
-        n0, n1 = self._n0, self._n1
-        a, b = n0 * n0, n1 * n1
-        if n0 <= 0 <= n1:
-            return _enc(0, max(a, b), self._d * self._d)
-        return _enc(min(a, b), max(a, b), self._d * self._d)
+        return _enc(*_square_ends(self._n0, self._n1), self._d * self._d)
+
+    def cmp_abs_power(self, k: int, bound: "Enclosure") -> int:
+        """-1 if |x|**k lies below every value of ``bound`` for every x in
+        the interval, 1 if above, 0 if the enclosures leave it open.
+
+        Decided by integer cross-multiplication of numerators, and only the
+        endpoint a test reads is raised to the k-th power: the largest |x|
+        first, the smallest only when the first test failed.  The bound's
+        numerators take the factor d**k, a shift when d is a power of two.
+        """
+        n0, n1, d = self._n0, self._n1, self._d
+        b0, b1, e = bound._n0, bound._n1, bound._d
+        if d & (d - 1):
+            dk = d ** k
+            b0, b1 = b0 * dk, b1 * dk
+        else:
+            shift = k * (d.bit_length() - 1)
+            b0, b1 = b0 << shift, b1 << shift
+        if max(-n0, n1) ** k * e < b0:
+            return -1
+        least = n0 if n0 > 0 else -n1 if n1 < 0 else 0
+        if least ** k * e > b1:
+            return 1
+        return 0
 
     def abs(self) -> "Enclosure":
         if self._n0 >= 0:
@@ -425,6 +484,23 @@ class ComplexEnclosure:
 
     def abs2(self) -> Enclosure:
         return self.re.square() + self.im.square()
+
+    def affine_abs2(self, m: int, c: int) -> Enclosure:
+        """|m*self - c|**2 for integers m and c: the enclosure that
+        ``(self * m - c).abs2()`` gives, computed on the numerators with no
+        intermediate rectangle.  The real and imaginary parts keep their
+        own denominators until the final sum aligns them."""
+        re, im = self.re, self.im
+        d, e = re._d, im._d
+        if m >= 0:
+            r0, r1, i0, i1 = re._n0 * m, re._n1 * m, im._n0 * m, im._n1 * m
+        else:
+            r0, r1, i0, i1 = re._n1 * m, re._n0 * m, im._n1 * m, im._n0 * m
+        cd = c * d
+        a0, a1 = _square_ends(r0 - cd, r1 - cd)
+        b0, b1 = _square_ends(i0, i1)
+        a0, a1, b0, b1, den = _align(a0, a1, d * d, b0, b1, e * e)
+        return _enc(a0 + b0, a1 + b1, den)
 
     def abs(self, bits: int) -> Enclosure:
         return self.abs2().sqrt(bits)

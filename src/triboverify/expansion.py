@@ -29,7 +29,11 @@ q * R(pa, A.v) * P(pb, B.v) * conj(P(pc, C.v)) with the real table
 R(p, m) = a1^p alpha^m and the complex table P(p, m) = b1^p beta^m.  The
 evaluation groups the kept monomials at v by (pb, B.v, pc, C.v) and sums
 their exact q by (pa, A.v) inside each group, so interval work is spent
-only on the two small tables and on one real product per group entry.
+only on the two small tables and on one product per group.  A group's
+inner sum, the R(pa, A.v) weighted by their integer q * Q_SCALE, is one
+``integer_combination``: integer numerators summed over the largest
+power-of-two denominator of its entries, the same rational that a chain of
+enclosure products and sums gives.
 The table entries depend on (p, m) and the precision alone, so they are
 memoised per precision in bounded caches that every order and every
 triple shares: a decay report builds each entry once, not once per order.
@@ -56,7 +60,7 @@ from typing import NamedTuple
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         beta_power, constants)
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
-                        precision_ladder)
+                        integer_combination, precision_ladder)
 from .tribonacci import trib
 
 MAX_ORDER = 8
@@ -228,8 +232,8 @@ def _truncation_value(x: int, y: int, z: int, order: int,
                 "mirror with the same exact coefficients")
         if mirror < key:
             continue  # added with its mirror
-        inner_sum = sum(_real_factor(pa, ma, bits) * n
-                        for (pa, ma), n in inner.items())
+        inner_sum = integer_combination(
+            (_real_factor(pa, ma, bits), n) for (pa, ma), n in inner.items())
         p_b = _complex_factor(pb, mb, bits)
         if mirror == key:
             re_part = p_b.abs2()
@@ -327,7 +331,7 @@ def decay_verdicts(x: int, errors, precision_bits: int = DEFAULT_PRECISION
     decreasing = []
     ratio_ok = []
     for cur, nxt in zip(errors, errors[1:]):
-        decreasing.append(nxt.definitely_lt(cur.lo))
+        decreasing.append(nxt.definitely_lt(cur))
         rhs = bound * _pow12(cur)
-        ratio_ok.append(_pow12(nxt).definitely_lt(rhs.lo))
+        ratio_ok.append(_pow12(nxt).definitely_lt(rhs))
     return tuple(decreasing), tuple(ratio_ok)

@@ -19,8 +19,11 @@ pair, ``factor_bounds`` certifies the embedding bounds, and ``prop1_holds``
 checks the headline inequality itself.  ``factor_bounds`` takes no root: it
 decides the real bound in fourth powers, |eta_alpha|**4 < (13/10)**4 *
 alpha**z, and the complex one in squares, |eta_beta|**2 < (9/25) *
-alpha**(2*z), with eta_beta enclosed from the memoised beta**lam of
-``constants.beta_power``.
+alpha**(2*z), with |eta_beta|**2 taken from the memoised beta**lam of
+``constants.beta_power`` by ``ComplexEnclosure.affine_abs2``.  The two
+bounds depend on (z, bits) alone and come from a bounded cache; both tests
+are integer cross-multiplications in ``Enclosure.cmp_abs_power``, which
+raises only the endpoint each test reads to its power.
 
 The headline inequality has two routes.  The prop1 battery
 (``prop1_results``) compares alpha**(3*z) with d**4 through the integer power
@@ -46,6 +49,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .constants import (_GREATER, DEFAULT_PRECISION, MAX_PRECISION,
@@ -175,6 +179,20 @@ class FactorBoundsReport:
         return self.complex_abs2.sqrt(self.bits)
 
 
+# factor_sweep and the norms battery's regime_sample walk their pairs in z
+# order, so every y of one z reads the same entry, and a walk only ever
+# re-reads the entries of its current z, one per rung it climbed.
+EMBEDDING_BOUND_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=EMBEDDING_BOUND_CACHE_SIZE)
+def _embedding_bounds(z: int, bits: int) -> tuple[Enclosure, Enclosure]:
+    """(13/10)**4 * alpha**z and (6/10)**2 * alpha**(2*z): the bounds of
+    ``factor_bounds`` in fourth powers and in squares."""
+    alpha_z = alpha_power(z, bits)
+    return alpha_z * Fraction(28561, 10000), alpha_z.square() * Fraction(9, 25)
+
+
 def factor_bounds(y: int, z: int,
                   precision_bits: int = DEFAULT_PRECISION,
                   max_precision_bits: int = MAX_PRECISION
@@ -187,19 +205,18 @@ def factor_bounds(y: int, z: int,
     ty, tz = _shifted(y), _shifted(z)
     lam = z - y
     for bits in precision_ladder(precision_bits, max_precision_bits):
-        alpha_z = alpha_power(z, bits)
+        bound_r4, bound_c2 = _embedding_bounds(z, bits)
         # embedding fixing alpha, against 1.3*alpha**(z/4) in fourth powers
         real_abs = (alpha_power(lam, bits) * ty - tz).abs()
-        real4 = real_abs.square().square()
-        bound_r4 = alpha_z * Fraction(28561, 10000)
+        real = real_abs.cmp_abs_power(4, bound_r4)
         # embedding sending alpha to beta, the gamma one its conjugate;
         # against 0.6*alpha**z in squares, so no root is taken
-        cplx2 = (beta_power(lam, bits) * ty - tz).abs2()
-        bound_c2 = alpha_z.square() * Fraction(9, 25)
-        if real4.definitely_lt(bound_r4) and cplx2.definitely_lt(bound_c2):
+        cplx2 = beta_power(lam, bits).affine_abs2(ty, tz)
+        cplx = cplx2.cmp_abs_power(1, bound_c2)
+        if real < 0 and cplx < 0:
             return FactorBoundsReport(y, z, lam, real_abs, cplx2, True, bits)
         # distinguish a genuine violation from insufficient precision
-        if real4.definitely_gt(bound_r4) or cplx2.definitely_gt(bound_c2):
+        if real > 0 or cplx > 0:
             return FactorBoundsReport(y, z, lam, real_abs, cplx2, False, bits)
     raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
 

@@ -8,6 +8,7 @@ here as the oracle together with its rounding and square-root helpers.
 import importlib
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 from triboverify import gcdbound, splitfield
 from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
-                                   PrecisionFailure, precision_ladder,
-                                   round_down, round_up, sqrt_split)
+                                   PrecisionFailure, integer_combination,
+                                   precision_ladder, round_down, round_up,
+                                   sqrt_split)
 from triboverify.splitfield import CubicElement
 
 # the package rebinds the name ``constants`` to the function
@@ -207,6 +209,8 @@ _straddle = st.tuples(
 ).map(lambda p: (Enclosure(*p) * 3 / 3, FractionEnclosure(*p)))
 _pairs = st.one_of(_pair(), _straddle)
 _scalar = st.one_of(st.integers(-10 ** 20, 10 ** 20), _rational)
+# denominator 1 and wider than any value the batteries meet
+_WIDE = Enclosure(-10 ** 30, 10 ** 30)
 _bits = st.integers(1, 300)
 _props = settings(deadline=None)
 
@@ -258,6 +262,86 @@ def test_enclosure_comparisons_match_oracle(a, b, factor):
     t = Enclosure(ox.hi, ox.hi + 1) * 7 / 7
     assert not x.definitely_lt(t) and not t.definitely_gt(x)
     assert x.definitely_lt(t + Fraction(1, 10 ** 9))
+
+
+# The integer kernels of factor_bounds and of the expansion's inner sums,
+# against the Fraction oracle.  A bound or a rectangle part takes a factor
+# from _bound_factor, so denominators are dyadic, odd multiples, or carry
+# 10000; the real and imaginary parts draw theirs independently, and two
+# unlike non-dyadic denominators cannot be aligned by a shift.
+_multiplier = st.integers(-10 ** 20, 10 ** 20)
+
+
+def _scaled(pair, factor):
+    x, ox = pair
+    return x * factor, ox * factor
+
+
+@_props
+@given(_pairs, st.integers(1, 4), _pairs, _bound_factor)
+@example((Enclosure(Fraction(-3, 8), Fraction(5, 4)),
+          FractionEnclosure(Fraction(-3, 8), Fraction(5, 4))), 4,
+         (Enclosure(3, 4), FractionEnclosure(3, 4)), Fraction(28561, 10000))
+def test_cmp_abs_power_matches_oracle(a, k, b, factor):
+    (x, ox), (bound, obound) = a, _scaled(b, factor)
+    mag = ox.abs()
+    want = (-1 if mag.hi ** k < obound.lo
+            else 1 if mag.lo ** k > obound.hi else 0)
+    assert x.cmp_abs_power(k, bound) == want
+    # the comparisons factor_bounds made before, on the built power
+    power = x.abs()
+    for _ in range(k - 1):
+        power = power * x.abs()
+    assert (want == -1) == power.definitely_lt(bound)
+    assert (want == 1) == power.definitely_gt(bound)
+
+
+@_props
+@given(_pairs, _bound_factor, _pairs, _bound_factor, _multiplier,
+       _multiplier)
+@example((_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1,
+         (_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1, -7, 10 ** 12)
+@example((Enclosure(Fraction(-5, 32), Fraction(3, 32)),
+          FractionEnclosure(Fraction(-5, 32), Fraction(3, 32))),
+         Fraction(28561, 10000),
+         (Enclosure(Fraction(1, 3), Fraction(2, 3)),
+          FractionEnclosure(Fraction(1, 3), Fraction(2, 3))), 1, 5, -2)
+def test_affine_abs2_matches_oracle(real, real_factor, imag, imag_factor,
+                                   m, c):
+    (x, ox), (y, oy) = _scaled(real, real_factor), _scaled(imag, imag_factor)
+    rect = ComplexEnclosure(x, y)
+    got = rect.affine_abs2(m, c)
+    _same(got, (ox * m - c).square() + (oy * m).square())
+    assert got == (rect * m - c).abs2()
+
+
+@_props
+@given(st.lists(st.tuples(_pairs, _bound_factor, _multiplier), max_size=6))
+@example([((_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1, -3),
+          ((Enclosure(Fraction(1, 8), Fraction(3, 4)),
+            FractionEnclosure(Fraction(1, 8), Fraction(3, 4))), 1, 5),
+          ((Enclosure(Fraction(-1, 64), Fraction(1, 2)),
+            FractionEnclosure(Fraction(-1, 64), Fraction(1, 2))),
+           Fraction(28561, 10000), -2)])
+def test_integer_combination_matches_oracle(terms):
+    scaled = [(_scaled(pair, factor), n) for pair, factor, n in terms]
+    got = integer_combination((x, n) for (x, _), n in scaled)
+    want = FractionEnclosure(0, 0)
+    chained = Enclosure.point(0)
+    for (x, ox), n in scaled:
+        want = want + ox * n
+        chained = chained + x * n
+    _same(got, want)
+    assert got == chained
+
+
+def test_no_module_reads_enclosure_internals():
+    # every other module goes through the Enclosure API
+    package = Path(__file__).resolve().parents[1] / "src" / "triboverify"
+    for path in package.glob("*.py"):
+        if path.name != "enclosure.py":
+            text = path.read_text()
+            assert not re.search(r"\._(n0|n1|d)\b", text), path.name
 
 
 @_props
@@ -558,9 +642,6 @@ def _record_constants(monkeypatch, seen):
     real = constants_module.constants
     monkeypatch.setattr(splitfield, "constants",
                         lambda bits: seen.append(bits) or real(bits))
-
-
-_WIDE = Enclosure(-10 ** 30, 10 ** 30)
 
 
 def _cmp_alpha_power(monkeypatch, seen):

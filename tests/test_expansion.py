@@ -1,6 +1,7 @@
 """Truncated series for the square-root quantity driving the linear forms:
 term bookkeeping, measured truncation error, decay certificates."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triboverify import expansion
+from triboverify import cli, expansion
 from triboverify.constants import DEFAULT_PRECISION, alpha_power, constants
 from triboverify.enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
 from triboverify.expansion import (FACTOR_CACHE_SIZE, MAX_ORDER, Q_SCALE,
@@ -24,6 +25,12 @@ from test_constants import _cpow
 
 mpmath.mp.prec = 240
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
+
+
+# sha256 of the records `verify expansion --x 20 --y 25 --z 30 --t-max 8
+# --out` writes, frozen when the inner sums became integer sums
+EXPANSION_RECORDS_SHA256 = (
+    "530c7116a2d58e8c0cba26d31fdcb85ee0fbf68acdc2960b894a7c0b7b6660c9")
 
 
 @pytest.fixture(autouse=True)
@@ -347,3 +354,12 @@ def test_preconditions():
         expansion_error(20, 25, 30, -1)
     with pytest.raises(ValueError):
         decay_report(20, 25, 30, order_max=1)
+
+
+def test_expansion_records_are_frozen(tmp_path, capsys):
+    out = tmp_path / "expansion.jsonl"
+    assert cli.run(["verify", "expansion", "--x", "20", "--y", "25",
+                    "--z", "30", "--t-max", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == EXPANSION_RECORDS_SHA256

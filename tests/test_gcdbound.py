@@ -1,6 +1,7 @@
 """Gcd growth bound: exact norm certificates, embedding bounds, the chain
 check outside the regime, and the prop1 and norms batteries' generators."""
 
+import hashlib
 import importlib
 from fractions import Fraction
 
@@ -283,6 +284,50 @@ def test_factor_sweep_all_ok():
     want = [(y, z) for z in range(5, 31) for y in range(4, z)
             if 4 * y > 3 * z + 8]
     assert [(r.y, r.z) for r in rep.reports] == want
+
+
+# sha256 over one line per report, "y z lam real_abs.lo real_abs.hi
+# complex_abs2.lo complex_abs2.hi ok bits", of factor_sweep(z_max, bits):
+# every exact endpoint, verdict and deciding rung, frozen when the bounds
+# moved to integer kernels.  From 8 bits, 279 of the 612 pairs climb to 16
+# or 32 bits.
+SWEEP_DIGESTS = {
+    (80, 192):
+        "29c2dd285e097d5593e1063728f043877f05b316cf3a5a1fa46b4ac38a15a188",
+    (48, 1024):
+        "e2cf4d30b95a12ba3c67d215be5b52eb97bf9e6d9047d5225655bb42ca2df8cd",
+    (80, 8):
+        "c3b0ba954047a6fe263014920043339ec45b5cd14fecf85c3ad4d85fea5d5aac",
+}
+
+
+@pytest.mark.parametrize("z_max, bits", sorted(SWEEP_DIGESTS))
+def test_factor_sweep_reports_are_frozen(z_max, bits):
+    digest = hashlib.sha256()
+    for r in factor_sweep(z_max, bits).reports:
+        digest.update(
+            f"{r.y} {r.z} {r.lam} {r.real_abs.lo} {r.real_abs.hi} "
+            f"{r.complex_abs2.lo} {r.complex_abs2.hi} {r.ok} {r.bits}\n"
+            .encode())
+    assert digest.hexdigest() == SWEEP_DIGESTS[z_max, bits]
+
+
+def test_embedding_bounds_cache_is_bounded_and_recomputes_alike():
+    cached = gcdbound._embedding_bounds
+    size = gcdbound.EMBEDDING_BOUND_CACHE_SIZE
+    cached.cache_clear()
+    first = cached(20, 64)
+    alpha_z = alpha_power(20, 64)
+    assert first == (alpha_z * Fraction(28561, 10000),
+                     alpha_z.square() * Fraction(9, 25))
+    for z in range(21, 21 + size):
+        cached(z, 64)
+    info = cached.cache_info()
+    assert info.maxsize == size and info.currsize == size
+    again = cached(20, 64)   # evicted, so built anew
+    assert cached.cache_info().misses == size + 2
+    assert again is not first
+    assert [(b.lo, b.hi) for b in again] == [(b.lo, b.hi) for b in first]
 
 
 def test_index_pairs_order_and_regime():
