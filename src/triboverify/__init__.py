@@ -24,7 +24,8 @@ from .splitfield import (ALPHA_C, ALPHA_K, EPS, CubicElement, FieldElement,
                          is_root_of_unity, is_square_in_K, monomial, norm3,
                          norm6, sqrt_minus_11)
 from .tribonacci import (TribTable, alpha_power_trace, cmp_alpha_power_trace,
-                         default_table, is_tribonacci, trib, trib_fast)
+                         default_table, is_tribonacci, trib, trib_fast,
+                         verify_growth_trace)
 from .triples import (TripleCandidate, admissible, brute_force, search,
                       uvw_from_xyz, verify_triple)
 
@@ -48,5 +49,5 @@ __all__ = [
     "prop1_results", "read_records", "regime_pairs", "regime_sample",
     "round_down", "round_up", "search", "sqrt_minus_11", "sqrt_split",
     "trib", "trib_fast", "uvw_from_xyz", "verify_growth",
-    "verify_numeric_window", "verify_triple",
+    "verify_growth_trace", "verify_numeric_window", "verify_triple",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
-                        verify_growth, verify_numeric_window)
+                        verify_numeric_window)
 from .enclosure import PrecisionFailure
 from .expansion import decay_report
 from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
@@ -39,7 +39,7 @@ from .records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                       search_summary_record, triple_record)
 from .splitfield import (InconclusiveSquareTest, field_identity_report,
                          is_square_in_K)
-from .tribonacci import default_table, is_tribonacci
+from .tribonacci import default_table, is_tribonacci, verify_growth_trace
 from .triples import brute_force, search
 
 
@@ -264,8 +264,9 @@ def _battery_constants(args, config: RunConfig):
 def _battery_growth(args, config: RunConfig):
     if not 2 <= args.n_max <= GROWTH_N_MAX_CAP:
         raise UsageError(f"--n-max must lie in 2..{GROWTH_N_MAX_CAP}")
-    report = verify_growth(args.n_max, config.precision_bits,
-                           config.max_precision_bits)
+    # by power sums; check-records re-derives the record on enclosures
+    report = verify_growth_trace(args.n_max, config.precision_bits,
+                                 config.max_precision_bits)
     _verdict(f"growth n <= {args.n_max}", report.all_ok,
              f"checked={report.checked} failures={len(report.failures)}")
     return (0 if report.all_ok else 1), [growth_record(report)]

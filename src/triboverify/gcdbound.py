@@ -26,13 +26,14 @@ are integer cross-multiplications in ``Enclosure.cmp_abs_power``, which
 raises only the endpoint each test reads to its power.
 
 The headline inequality has two routes.  The prop1 battery
-(``prop1_results``) compares alpha**(3*z) with d**4 through the integer power
-sum s_p = alpha**p + beta**p + gamma**p, which lies within 1 of alpha**p
-(``tribonacci.cmp_alpha_power_trace``); it encloses a power of beta only
-when d**4 equals s_p.  ``prop1_holds`` and the record checker enclose
-alpha**(3*z) itself (``_prop1_verdict`` through
-``constants.cmp_alpha_power``), so a fault in one route shows up as a
-record that the other one fails.
+(``prop1_results``) decides it against one integer threshold per z:
+m_z = ``prop1_threshold(z)`` is the largest m with m**4 < alpha**(3*z),
+read off the integer power sum s_p = alpha**p + beta**p + gamma**p, which
+lies within 1 of alpha**p (``tribonacci.cmp_alpha_power_trace``), so each
+pair costs one gcd and one integer comparison d <= m_z.  ``prop1_holds``
+and the record checker enclose alpha**(3*z) itself (``_prop1_verdict``
+through ``constants.cmp_alpha_power``), so a fault in one route shows up
+as a record that the other one fails.
 
 Each battery has one generator, which yields one result per pair as it is
 computed, and the command line builds its records from it:
@@ -50,13 +51,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .constants import (_GREATER, DEFAULT_PRECISION, MAX_PRECISION,
                         alpha_power, beta_power, cmp_alpha_power)
 from .enclosure import Enclosure, PrecisionFailure, precision_ladder
 from .splitfield import CubicElement, norm3, norm6
-from .tribonacci import cmp_alpha_power_trace, trib
+from .tribonacci import alpha_power_trace, cmp_alpha_power_trace, trib
 
 
 class IntegrityError(RuntimeError):
@@ -247,19 +248,45 @@ def regime_sample(z_max: int, samples: int) -> list[tuple[int, int]]:
     return regime[::max(1, len(regime) // samples)][:samples]
 
 
+def prop1_threshold(z: int, precision_bits: int = DEFAULT_PRECISION,
+                    max_precision_bits: int = MAX_PRECISION) -> int:
+    """m_z, the largest m with m**4 < alpha**(3*z), for z >= 1.
+
+    With s = s_(3*z) and r = isqrt(isqrt(s)) = floor(s**(1/4)): every
+    integer below s is below alpha**(3*z) and every one above it is above,
+    so m_z = r, unless r**4 = s and alpha**(3*z) does not exceed s, which
+    ``cmp_alpha_power_trace`` decides from the sign of Re(beta**(3*z)); a
+    sign unresolved at max_precision_bits raises PrecisionFailure.
+    """
+    if z < 1:
+        raise ValueError("z must be >= 1")
+    p = 3 * z
+    s = alpha_power_trace(p)
+    r = isqrt(isqrt(s))
+    if r ** 4 == s and cmp_alpha_power_trace(
+            p, s, precision_bits, max_precision_bits) != _GREATER:
+        return r - 1
+    return r
+
+
 def prop1_results(z_max: int, precision_bits: int = DEFAULT_PRECISION,
                   max_precision_bits: int = MAX_PRECISION):
-    """Yield (y, z, d, ok) for every pair 4 <= y < z <= z_max, where d is
-    gcd(T_y - 1, T_z - 1) and ok whether d < alpha**(3*z/4).
+    """Yield (y, z, d, ok) for every pair 4 <= y < z <= z_max, in (z, y)
+    order, where d is gcd(T_y - 1, T_z - 1) and ok whether
+    d < alpha**(3*z/4).
 
-    ok is the verdict of ``prop1_holds``, reached by the other route:
-    alpha**(3*z) is compared with d**4 through its integer power sum
-    (``cmp_alpha_power_trace``), with no enclosure unless they tie.
+    ok is the verdict of ``prop1_holds``, reached by the other route: d**4 <
+    alpha**(3*z) exactly when d <= ``prop1_threshold(z)``, taken once per z.
+    The values T_n - 1 come from one list per call, so each pair is one
+    ``gcd`` and one integer comparison.
     """
-    for y, z in index_pairs(z_max):
-        d = gcd_shifted(y, z)
-        yield y, z, d, cmp_alpha_power_trace(
-            3 * z, d ** 4, precision_bits, max_precision_bits) == _GREATER
+    tm = [trib(n) - 1 for n in range(z_max + 1)]
+    for z in range(5, z_max + 1):
+        m = prop1_threshold(z, precision_bits, max_precision_bits)
+        b = tm[z]
+        for y in range(4, z):
+            d = gcd(tm[y], b)
+            yield y, z, d, d <= m
 
 
 def norm_witnesses(z_max: int):

@@ -12,16 +12,19 @@ accepts exactly the lines that ``to_line`` writes.
 A record's payload holds only the decoded values (ints, Fractions, tuples,
 bools), in ``_FIELDS`` order; the keys live in ``_FIELDS`` alone.
 ``to_line`` and ``from_line`` are the only code that knows the wire format.
-``from_line`` reads the flat kinds (triple, prop1, norm, expansion,
-search-summary), whose every value is one token, with one pattern per kind
-compiled from ``_FIELDS``: a match is canonical by construction, and each
-captured token still goes through its field's decode, so every range check
-lives in one place.  Any other line goes through ``json.loads`` and is
-accepted only when ``to_line`` writes it back unchanged.  ``read_records``
-strips only the newline that ``emit_records`` ends each line with, so a
-blank line, a carriage return or any other byte around a record is
-malformed; it yields each record as it reads it, so a run over a file holds
-one record at a time.
+``to_line`` writes the flat kinds (triple, prop1, norm, expansion,
+search-summary), whose every value is one token, through one ``%`` format
+per kind compiled from ``_FIELDS``, and the other kinds field by field
+through each codec's ``encode`` (``_encoded_line``), which is also what the
+format must reproduce.  ``from_line`` reads the flat kinds with one pattern
+per kind compiled from ``_FIELDS``: a match is canonical by construction,
+and each captured token still goes through its field's decode, so every
+range check lives in one place.  Any other line goes through
+``json.loads`` and is accepted only when ``to_line`` writes it back
+unchanged.  ``read_records`` strips only the newline that ``emit_records``
+ends each line with, so a blank line, a carriage return or any other byte
+around a record is malformed; it yields each record as it reads it, so a
+run over a file holds one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  A ``RecordChecker`` does the
@@ -61,12 +64,18 @@ class RecordFormatError(ValueError):
 # field codecs.  ``decode`` takes a parsed JSON value and returns the payload
 # value or raises RecordFormatError; ``encode`` returns the value's JSON text.
 # A codec whose canonical spelling is a flat token also has ``pattern``, a
-# regex matching exactly that spelling, and ``parse``, which turns the
-# matched text into its JSON value.
+# regex matching exactly that spelling, ``parse``, which turns the matched
+# text into its JSON value, and ``form``, a pair (piece, convert): piece is
+# "%s" or '"%s"', and the value, passed through convert unless that is None,
+# fills it in to give the same text as ``encode``.
 # ---------------------------------------------------------------------------
 
-_Codec = namedtuple("_Codec", "decode encode pattern parse",
-                    defaults=(None, None))
+_Codec = namedtuple("_Codec", "decode encode pattern parse form",
+                    defaults=(None, None, None))
+
+# what "%s" is filled with: the value itself, with its str
+_AS_STR = ("%s", None)
+_QUOTED = ('"%s"', None)
 
 # str of an int: no sign on zero, no leading zero; [0-9], because \d would
 # also match the other Unicode digits, which int() reads
@@ -77,13 +86,14 @@ def _unquote(text: str) -> str:
     return text[1:-1]
 
 
-def _codec(test, what: str, encode=str, pattern=None, parse=None) -> _Codec:
+def _codec(test, what: str, encode=str, pattern=None, parse=None,
+           form=None) -> _Codec:
     """Values that pass ``test``, unchanged."""
     def decode(v):
         if not test(v):
             raise RecordFormatError(f"needs {what}, got {v!r}")
         return v
-    return _Codec(decode, encode, pattern, parse)
+    return _Codec(decode, encode, pattern, parse, form)
 
 
 def _int(lo: int, hi: float = float("inf")) -> _Codec:
@@ -93,14 +103,14 @@ def _int(lo: int, hi: float = float("inf")) -> _Codec:
             return v
         raise RecordFormatError(f"needs an integer {lo} <= n <= {hi}, "
                                 f"got {v!r}")
-    return _Codec(decode, str, _INT_PATTERN, int)
+    return _Codec(decode, str, _INT_PATTERN, int, _AS_STR)
 
 
 def _one_of(*options: str) -> _Codec:
     return _codec(lambda v: type(v) is str and v in options,
                   f"one of {', '.join(options)}", json.dumps,
                   '"(?:' + "|".join(map(re.escape, options)) + ')"',
-                  _unquote)
+                  _unquote, _QUOTED)
 
 
 def _exact_str(parse, pattern: str) -> _Codec:
@@ -115,7 +125,8 @@ def _exact_str(parse, pattern: str) -> _Codec:
             raise RecordFormatError(f"needs a string in the spelling str "
                                     f"writes, got {v!r}")
         return value
-    return _Codec(decode, lambda value: f'"{value}"', pattern, _unquote)
+    return _Codec(decode, lambda value: f'"{value}"', pattern, _unquote,
+                  _QUOTED)
 
 
 def _bounded(codec: _Codec, lo: int, hi: int, what: str) -> _Codec:
@@ -134,11 +145,14 @@ def _parse_rational(v: str) -> Fraction:
 
 
 def _nullable(codec: _Codec) -> _Codec:
-    decode, encode, pattern, parse = codec
+    decode, encode, pattern, parse, form = codec
+
+    def encode_nullable(v):
+        return "null" if v is None else encode(v)
     return _Codec((lambda v: None if v is None else decode(v)),
-                  (lambda v: "null" if v is None else encode(v)),
-                  pattern and f"null|{pattern}",
-                  parse and (lambda t: None if t == "null" else parse(t)))
+                  encode_nullable, pattern and f"null|{pattern}",
+                  parse and (lambda t: None if t == "null" else parse(t)),
+                  form and ("%s", encode_nullable))
 
 
 def _list(*codecs: _Codec) -> _Codec:
@@ -198,7 +212,8 @@ TRIPLE_VALUE_CAP = trib_fast(SEARCH_Z_MAX_CAP)
 
 _BOOL = _codec(lambda v: type(v) is bool, "true or false",
                lambda v: "true" if v else "false", "true|false",
-               lambda t: t == "true")
+               lambda t: t == "true",
+               ("%s", {True: "true", False: "false"}.__getitem__))
 _FLAG = _nullable(_BOOL)
 _DECIMAL = _exact_str(int, f'"(?:{_INT_PATTERN})"')
 _RATIONAL = _exact_str(_parse_rational,
@@ -280,10 +295,14 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
         return self.payload[_POSITIONS[self.kind][key]]
 
     def to_line(self) -> str:
-        parts = [f'{_HEAD}{self.kind}"']
-        for value, (key, codec) in zip(self.payload, _FIELDS[self.kind]):
-            parts.append(f'"{key}":{codec.encode(value)}')
-        return ",".join(parts) + "}"
+        form = _format(self.kind)
+        if form is None:
+            return _encoded_line(self.kind, self.payload)
+        text, conversions = form
+        values = list(self.payload)
+        for i, convert in conversions:
+            values[i] = convert(values[i])
+        return text % tuple(values)
 
     @classmethod
     def from_line(cls, line: str) -> "VerificationRecord":
@@ -295,6 +314,33 @@ def _build(kind: str, *values) -> VerificationRecord:
     """The record of a kind with its values in ``_FIELDS`` order; every
     builder passes them so, so there is nothing to check."""
     return tuple.__new__(VerificationRecord, (kind, values))
+
+
+def _encoded_line(kind: str, payload: tuple[Any, ...]) -> str:
+    """The line of a record, field by field through each codec's
+    ``encode``: what ``to_line`` writes for every kind."""
+    parts = [f'{_HEAD}{kind}"']
+    for value, (key, codec) in zip(payload, _FIELDS[kind]):
+        parts.append(f'"{key}":{codec.encode(value)}')
+    return ",".join(parts) + "}"
+
+
+@functools.cache
+def _format(kind: str):
+    """(format, conversions) for a kind whose every field is a flat token:
+    ``format % values`` is ``_encoded_line``, where values is the payload
+    with each (position, convert) of conversions applied.  None for a kind
+    with a list or object field.  Compiled on first use, as ``_template``
+    is."""
+    fields = _FIELDS[kind]
+    if any(codec.form is None for _, codec in fields):
+        return None
+    # no kind or key holds a "%"
+    text = f'{_HEAD}{kind}"' + "".join(
+        f',"{key}":{codec.form[0]}' for key, codec in fields) + "}"
+    return text, tuple((i, codec.form[1])
+                       for i, (_, codec) in enumerate(fields)
+                       if codec.form[1] is not None)
 
 
 @functools.cache

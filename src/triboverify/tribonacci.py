@@ -8,7 +8,10 @@ The same table gives the power sums s_p = alpha**p + beta**p + gamma**p of
 the three roots, which are integers (``alpha_power_trace``).  Since
 |beta| = |gamma| = alpha**(-1/2), alpha**p lies within 1 of s_p for p >= 3,
 so ``cmp_alpha_power_trace`` compares alpha**p with an integer in integers,
-and needs an enclosure only when the integer is s_p itself.
+and needs an enclosure only when the integer is s_p itself.  The growth
+battery decides alpha**(n-3) <= T_n <= alpha**(n-2) that way
+(``verify_growth_trace``); ``constants.verify_growth`` decides it on
+enclosures of alpha**p, and the record checker takes that route.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import threading
 from bisect import bisect_left
 
 from .constants import (_GREATER, _LESS, DEFAULT_PRECISION, MAX_PRECISION,
-                        Cmp, beta_power)
+                        Cmp, GrowthReport, beta_power, cmp_alpha_power)
 from .enclosure import PrecisionFailure, precision_ladder
 
 
@@ -130,6 +133,27 @@ def cmp_alpha_power_trace(p: int, n: int,
     raise PrecisionFailure(
         f"cmp_alpha_power_trace({p}, {n}): sign of Re(beta**{p}) "
         f"unresolved at {max_precision_bits} bits")
+
+
+def verify_growth_trace(n_max: int, precision_bits: int = DEFAULT_PRECISION,
+                        max_precision_bits: int = MAX_PRECISION
+                        ) -> GrowthReport:
+    """The report of ``constants.verify_growth``, alpha**(n-3) <= T_n <=
+    alpha**(n-2) for 2 <= n <= n_max, with both bounds decided by power
+    sums (``cmp_alpha_power_trace``) from n = 6 on, where n - 3 >= 3, and
+    by ``cmp_alpha_power`` below.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    failures = []
+    for n in range(2, n_max + 1):
+        t = trib(n)
+        cmp = cmp_alpha_power_trace if n >= 6 else cmp_alpha_power
+        if cmp(n - 3, t, precision_bits, max_precision_bits) == _GREATER:
+            failures.append((n, "lower"))
+        if cmp(n - 2, t, precision_bits, max_precision_bits) == _LESS:
+            failures.append((n, "upper"))
+    return GrowthReport(n_max, n_max - 1, tuple(failures))
 
 
 def _mat_mul(x, y):

@@ -1,14 +1,19 @@
 """The benchmark finds every library name it uses: the tracer's hooks, the
 names its scripts import, and the record builders it wraps, so a moved or
 renamed function cannot silently zero a per-layer metric or break a
-workload."""
+workload.  The quick ``verify all`` that the verify-all workload runs keeps
+its record and stdout digests, and calls one wrapped builder per record."""
 
 import ast
+import hashlib
 import importlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from triboverify import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,3 +92,49 @@ def test_bench_library_names_resolve():
     missing = [f"{where}: {module}.{name}" for module, name, where in names
                if not _resolves(module, name)]
     assert missing == []
+
+
+# quick ``verify all --out`` records (6210 lines) and its standard output
+QUICK_RECORDS_MD5 = "3e116c41a97d7a4d61a44ac251a54e6b"
+QUICK_STDOUT_MD5 = "f2cdc044529894bd39a6cb9cb6d07ca9"
+
+
+def _record_builders():
+    """The names in child.py's ``_RECORD_BUILDERS``."""
+    tree = ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_RECORD_BUILDERS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("child.py has no _RECORD_BUILDERS")
+
+
+def test_quick_verify_all_digests_and_one_builder_call_per_record(
+        tmp_path, capsys, monkeypatch):
+    # the workload times each record as the gap between two calls of these
+    # builders on ``cli``; a list builder counts once per record it returns
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name] += len(result) if isinstance(result, list) else 1
+            return result
+        return counted
+
+    for name in _record_builders():
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    out = tmp_path / "all.jsonl"
+    capsys.readouterr()
+    assert cli.run(["verify", "all", "--quick", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    data = out.read_bytes()
+    assert hashlib.md5(data).hexdigest() == QUICK_RECORDS_MD5
+    assert hashlib.md5(stdout.encode()).hexdigest() == QUICK_STDOUT_MD5
+    kinds = Counter(json.loads(line)["kind"] for line in data.splitlines())
+    assert sum(kinds.values()) == sum(calls.values()) == 6210
+    # each builder's records are of its own kind
+    assert kinds == Counter({
+        name.removesuffix("s").removesuffix("_record").replace("_", "-"): n
+        for name, n in calls.items()})

@@ -9,13 +9,14 @@ import pytest
 
 from triboverify import cli, gcdbound, tribonacci
 from triboverify.constants import Cmp, alpha_power, beta_power, constants
-from triboverify.enclosure import ComplexEnclosure, PrecisionFailure
+from triboverify.enclosure import (ComplexEnclosure, Enclosure,
+                                   PrecisionFailure, precision_ladder)
 from triboverify.gcdbound import (FactorBoundsReport, IntegrityError,
                                   _alpha_power_coords, factor_bounds,
                                   factor_sweep, gcd_shifted, in_regime,
                                   index_pairs, norm_witness, norm_witnesses,
-                                  prop1_holds, prop1_results, regime_pairs,
-                                  regime_sample)
+                                  prop1_holds, prop1_results, prop1_threshold,
+                                  regime_pairs, regime_sample)
 from triboverify.splitfield import ALPHA_C, CubicElement, norm3, norm6
 from triboverify.tribonacci import cmp_alpha_power_trace, trib
 
@@ -388,16 +389,110 @@ def test_prop1_results_match_the_checker_route():
 
 
 def test_prop1_results_take_each_gcd_once(monkeypatch):
-    calls = []
-    true_gcd_shifted = gcdbound.gcd_shifted
+    # one gcd per pair, of T_y - 1 and T_z - 1 from the run's list, and one
+    # threshold per z
+    gcds, thresholds = [], []
+    true_gcd, true_threshold = gcdbound.gcd, gcdbound.prop1_threshold
 
-    def counting(y, z):
-        calls.append((y, z))
-        return true_gcd_shifted(y, z)
+    def counting_gcd(a, b):
+        gcds.append((a, b))
+        return true_gcd(a, b)
 
-    monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
+    def counting_threshold(z, *args):
+        thresholds.append(z)
+        return true_threshold(z, *args)
+
+    monkeypatch.setattr(gcdbound, "gcd", counting_gcd)
+    monkeypatch.setattr(gcdbound, "prop1_threshold", counting_threshold)
     list(prop1_results(30))
-    assert calls == list(index_pairs(30))
+    assert gcds == [(trib(y) - 1, trib(z) - 1) for y, z in index_pairs(30)]
+    assert thresholds == list(range(5, 31))
+
+
+def test_prop1_threshold_is_the_largest_fourth_root_below():
+    for z in (1, 2, 5, 18, 100, 500):
+        m = prop1_threshold(z)
+        assert cmp_alpha_power_trace(3 * z, m ** 4) == Cmp.GREATER
+        assert cmp_alpha_power_trace(3 * z, (m + 1) ** 4) == Cmp.LESS
+    with pytest.raises(ValueError):
+        prop1_threshold(0)
+
+
+def test_prop1_threshold_agrees_with_the_per_pair_comparison():
+    # every pair with z <= 500: d <= m_z exactly when the power sums say
+    # alpha**(3*z) > d**4
+    results = list(prop1_results(500))
+    assert len(results) == 123256
+    assert results == [
+        (y, z, d, cmp_alpha_power_trace(3 * z, d ** 4) == Cmp.GREATER)
+        for y, z, d in ((y, z, gcd_shifted(y, z))
+                        for y, z in index_pairs(500))]
+
+
+def test_prop1_threshold_encloses_nothing_off_a_tie(monkeypatch):
+    # no s_(3z) with z <= 200 is a fourth power, so no threshold reads a
+    # power of beta
+    def enclosing(*args):
+        raise AssertionError(f"tie branch taken: {args}")
+
+    monkeypatch.setattr(gcdbound, "cmp_alpha_power_trace", enclosing)
+    assert all(ok for *_, ok in prop1_results(200))
+
+
+# s_(3z) planted as d**4 for the largest gcd d at z: alpha**(3z) > s exactly
+# when Re(beta**(3z)) < 0, which holds at z = 18 (d = 39) and fails at
+# z = 22 (d = 34)
+_TIE_SIGNS = {18: True, 22: False}
+
+
+def _plant_tie(monkeypatch, z):
+    """Make s_(3z) the fourth power of the largest gcd at z; return it."""
+    d = max(gcd_shifted(y, z) for y in range(4, z))
+    true_trace = tribonacci.alpha_power_trace
+
+    def planted(p):
+        return d ** 4 if p == 3 * z else true_trace(p)
+
+    for module in (tribonacci, gcdbound):
+        monkeypatch.setattr(module, "alpha_power_trace", planted)
+    return d
+
+
+@pytest.mark.parametrize("z", sorted(_TIE_SIGNS))
+def test_prop1_threshold_tie_branch_both_ways(monkeypatch, z):
+    d = _plant_tie(monkeypatch, z)
+    greater = _TIE_SIGNS[z]
+    assert beta_power(3 * z).re.is_negative() is greater
+    assert d > 1
+    assert prop1_threshold(z) == (d if greater else d - 1)
+    got = [(y, ok) for y, z2, _, ok in prop1_results(z) if z2 == z]
+    want = [(y, gcd_shifted(y, z) < d or greater) for y in range(4, z)]
+    assert got == want
+    assert (all(ok for _, ok in got)) is greater
+
+
+def test_prop1_threshold_tie_at_the_cap_is_exit_3(monkeypatch, tmp_path,
+                                                   capsys):
+    # a tie whose sign of Re(beta**(3z)) no rung of the ladder resolves
+    d = _plant_tie(monkeypatch, 18)
+    bits_seen = []
+
+    def straddling(k, bits):
+        bits_seen.append(bits)
+        return ComplexEnclosure(Enclosure(-1, 1), Enclosure.point(0))
+
+    monkeypatch.setattr(tribonacci, "beta_power", straddling)
+    with pytest.raises(PrecisionFailure):
+        prop1_threshold(18, 16, 100)
+    assert bits_seen == list(precision_ladder(16, 100))
+    out = tmp_path / "prop1.jsonl"
+    assert cli.run(["verify", "prop1", "--z-max", "20", "--out",
+                    str(out)]) == 3
+    assert "inconclusive:" in capsys.readouterr().err
+    assert not out.exists()
+    # below z = 18 no threshold ties
+    assert cli.run(["verify", "prop1", "--z-max", "17"]) == 0
+    assert d == 39
 
 
 def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,

@@ -4,6 +4,7 @@ CLI: exit codes, env/flag config, frozen record bytes."""
 import argparse
 import functools
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -20,12 +21,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triboverify import gcdbound, records, splitfield
+from triboverify import gcdbound, records, splitfield, tribonacci
 from triboverify.cli import (RunConfig, UsageError, build_parser,
                              load_config, run)
 from triboverify.constants import (Cmp, verify_growth,
                                    verify_numeric_window)
-from triboverify.expansion import decay_report
+from triboverify.expansion import MAX_ORDER, decay_report
 from triboverify.gcdbound import norm_witness
 from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                                  EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP,
@@ -44,6 +45,9 @@ from triboverify.splitfield import (ALPHA_C, field_identity_report,
 from triboverify.tribonacci import trib
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the package's ``constants`` attribute is the function of that name
+constants_module = importlib.import_module("triboverify.constants")
 
 
 def test_membership_record_bytes():
@@ -1093,6 +1097,50 @@ def test_flat_kinds_parse_without_json(tmp_path, capsys, monkeypatch):
     assert len(kinds) == 6213 and set(_FLAT_KINDS) <= set(kinds)
 
 
+def _capped(lo, hi):
+    """Integers lo <= n <= hi, with both caps drawn often."""
+    return st.sampled_from([lo, hi]) | st.integers(lo, hi)
+
+
+_UNCAPPED = st.sampled_from([0, -1, 10 ** 40]) | st.integers(-10 ** 6, 10 ** 6)
+_TRIPLE_VALUES = _capped(1, TRIPLE_VALUE_CAP - 1)
+_PAIR = _capped(4, PAIR_Z_MAX_CAP)
+_EXPANSION = _capped(5, EXPANSION_INDEX_CAP)
+
+# every value each flat kind's fields accept, caps, bools and nulls included
+_VALID_FLAT_VALUES = {
+    "triple": st.tuples(_TRIPLE_VALUES, _TRIPLE_VALUES, _TRIPLE_VALUES,
+                        st.none() | _capped(0, 10 ** 6),
+                        st.none() | _capped(0, 10 ** 6),
+                        st.none() | _capped(0, 10 ** 6), st.booleans()),
+    "prop1": st.tuples(_PAIR, _PAIR, _UNCAPPED, st.booleans()),
+    "norm": st.tuples(_PAIR, _PAIR, _UNCAPPED, _UNCAPPED, st.booleans(),
+                      st.booleans()),
+    "expansion": st.tuples(_EXPANSION, _EXPANSION, _EXPANSION,
+                           _capped(0, MAX_ORDER), st.fractions(),
+                           st.fractions(), _FLAG, _FLAG),
+    "search-summary": st.tuples(st.sampled_from(["search", "brute"]),
+                                st.none() | _capped(7, SEARCH_Z_MAX_CAP),
+                                st.none() | _capped(3, BRUTE_W_MAX_CAP),
+                                _FLAG, _capped(0, 10 ** 6)),
+}
+
+
+def test_only_the_flat_kinds_have_a_compiled_format():
+    assert {kind for kind in records.RECORD_KINDS
+            if records._format(kind) is not None} == set(_FLAT_KINDS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_compiled_format_writes_the_field_encoding(data):
+    kind = data.draw(st.sampled_from(_FLAT_KINDS))
+    rec = VerificationRecord(kind, data.draw(_VALID_FLAT_VALUES[kind]))
+    line = rec.to_line()
+    assert line == records._encoded_line(kind, rec.payload)
+    assert VerificationRecord.from_line(line) == rec
+
+
 # ---------------------------------------------------------------------------
 # the shape of the command line
 # ---------------------------------------------------------------------------
@@ -1255,12 +1303,20 @@ def test_readme_command_parses(line):
         pytest.fail(f"README example does not parse: {line}")
 
 
-# The prop1 battery decides by power sums (cmp_alpha_power_trace) and the
-# checker by an enclosure of alpha**(3*z) (cmp_alpha_power), so a fault in
-# either route is caught by the other.  The pair (12, 18) is the only one
-# with z = 18 and gcd 39, so it is the only pair whose comparison is (54,
-# 39**4).
+# The prop1 battery decides by one power-sum threshold per z
+# (gcdbound.prop1_threshold) and the checker by an enclosure of alpha**(3*z)
+# (cmp_alpha_power), so a fault in either route is caught by the other.  The
+# pair (12, 18) is the only one with z = 18 and a gcd of 39 or more, so it
+# is the only pair whose verdict moves when the threshold of z = 18 drops to
+# 38, and the only one whose comparison is (54, 39**4).
 _FLIPPED_PAIR = (12, 18)
+
+
+def _named_pair():
+    pairs = list(gcdbound.index_pairs(20))
+    index = pairs.index(_FLIPPED_PAIR) + 1
+    return (f"record {index} (prop1): bound verdict disagrees",
+            f"FAIL  records={len(pairs)} failures=1")
 
 
 def _flip_one_pair(monkeypatch, name):
@@ -1269,22 +1325,33 @@ def _flip_one_pair(monkeypatch, name):
     true_cmp = getattr(gcdbound, name)
 
     def flipped(p, *args):
-        # both routes take (p, ..., n, precision_bits, max_precision_bits)
+        # (p, n, precision_bits, max_precision_bits)
         got = true_cmp(p, *args)
         return Cmp(-got) if (p, args[-3]) == target else got
 
     monkeypatch.setattr(gcdbound, name, flipped)
-    pairs = list(gcdbound.index_pairs(20))
-    index = pairs.index(_FLIPPED_PAIR) + 1
-    return (f"record {index} (prop1): bound verdict disagrees",
-            f"FAIL  records={len(pairs)} failures=1")
+    return _named_pair()
+
+
+def _lower_one_threshold(monkeypatch):
+    y, z = _FLIPPED_PAIR
+    d = gcdbound.gcd_shifted(y, z)
+    assert [y2 for y2 in range(4, z) if gcdbound.gcd_shifted(y2, z) >= d] \
+        == [y]
+    true_threshold = gcdbound.prop1_threshold
+
+    def lowered(z2, *args):
+        return d - 1 if z2 == z else true_threshold(z2, *args)
+
+    monkeypatch.setattr(gcdbound, "prop1_threshold", lowered)
+    return _named_pair()
 
 
 def test_checker_catches_a_flipped_battery_verdict(tmp_path, capsys,
                                                    monkeypatch):
     genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
     assert run(["verify", "prop1", "--z-max", "20", "--out", str(genuine)]) == 0
-    named, verdict = _flip_one_pair(monkeypatch, "cmp_alpha_power_trace")
+    named, verdict = _lower_one_threshold(monkeypatch)
     assert run(["verify", "prop1", "--z-max", "20", "--out", str(path)]) == 1
     assert path.read_bytes() != genuine.read_bytes()
     capsys.readouterr()
@@ -1306,3 +1373,50 @@ def test_battery_ignores_a_flipped_checker_verdict(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == named
     assert lines[1].endswith(verdict)
+
+
+# The growth battery decides by power sums (tribonacci.verify_growth_trace)
+# and the checker by enclosures (constants.verify_growth), so a flipped
+# comparison of alpha**7 with T_10 in either route is caught by the other.
+_FLIPPED_GROWTH = (7, trib(10))
+
+
+def _flip_growth(monkeypatch, module, name):
+    true_cmp = getattr(module, name)
+
+    def flipped(p, n, *args):
+        got = true_cmp(p, n, *args)
+        return Cmp(-got) if (p, n) == _FLIPPED_GROWTH else got
+
+    monkeypatch.setattr(module, name, flipped)
+
+
+def test_checker_catches_a_flipped_growth_battery_verdict(tmp_path, capsys,
+                                                          monkeypatch):
+    genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
+    assert run(["verify", "growth", "--n-max", "20", "--out",
+                str(genuine)]) == 0
+    _flip_growth(monkeypatch, tribonacci, "cmp_alpha_power_trace")
+    assert run(["verify", "growth", "--n-max", "20", "--out", str(path)]) == 1
+    assert b'"failures":[[10,"lower"]]' in path.read_bytes()
+    capsys.readouterr()
+    assert run(["check-records", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("record 1 (growth): recomputation disagrees")
+    assert lines[1].endswith("FAIL  records=1 failures=1")
+
+
+def test_growth_battery_ignores_a_flipped_checker_verdict(tmp_path, capsys,
+                                                          monkeypatch):
+    genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
+    assert run(["verify", "growth", "--n-max", "20", "--out",
+                str(genuine)]) == 0
+    _flip_growth(monkeypatch, constants_module, "cmp_alpha_power")
+    assert run(["verify", "growth", "--n-max", "20", "--out", str(path)]) == 0
+    assert path.read_bytes() == genuine.read_bytes()
+    capsys.readouterr()
+    assert run(["check-records", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("record 1 (growth): recomputation disagrees")
+    assert '"failures":[[10,"lower"]]' in lines[0]
+    assert lines[1].endswith("FAIL  records=1 failures=1")

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from triboverify import tribonacci
-from triboverify.constants import Cmp, beta_power
+from triboverify.constants import Cmp, beta_power, verify_growth
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    PrecisionFailure, precision_ladder)
-from triboverify.records import PAIR_Z_MAX_CAP
+from triboverify.records import GROWTH_N_MAX_CAP, PAIR_Z_MAX_CAP
 from triboverify.tribonacci import (TribTable, alpha_power_trace,
                                     cmp_alpha_power_trace, default_table,
-                                    is_tribonacci, trib, trib_fast)
+                                    is_tribonacci, trib, trib_fast,
+                                    verify_growth_trace)
 
 FIRST = [0, 0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705,
          3136, 5768, 10609, 19513, 35890, 66012]
@@ -179,3 +180,29 @@ def test_cmp_alpha_power_trace_unresolved_tie_raises(monkeypatch):
     # away from the tie the stub is never consulted
     assert cmp_alpha_power_trace(57, s - 1, 16, 100) == Cmp.GREATER
     assert bits_seen == list(precision_ladder(16, 100))
+
+
+def test_growth_trace_route_matches_the_enclosure_route():
+    # the battery's route (power sums from n = 6) against the checker's
+    for n_max in (2, 3, 5, 6, 7, 100, GROWTH_N_MAX_CAP):
+        assert verify_growth_trace(n_max) == verify_growth(n_max), n_max
+
+
+@pytest.mark.parametrize("scale", [(1, 2), (2, 1), (7, 8), (17, 10)])
+def test_growth_routes_report_the_same_failures(monkeypatch, scale):
+    # T_n lies between 1.13*alpha**(n-3) and 0.62*alpha**(n-2) for large n,
+    # so a sequence scaled by num/den below 0.88 or above 1.62 leaves the
+    # envelope, and both routes (verify_growth reads trib from this module)
+    # name the same n
+    num, den = scale
+    true_trib = tribonacci.trib
+    monkeypatch.setattr(tribonacci, "trib",
+                        lambda n: true_trib(n) * num // den or 1)
+    by_traces = verify_growth_trace(300)
+    assert by_traces.failures
+    assert by_traces == verify_growth(300)
+
+
+def test_growth_trace_route_rejects_bad_range():
+    with pytest.raises(ValueError):
+        verify_growth_trace(1)
