@@ -31,9 +31,14 @@ m_z = ``prop1_threshold(z)`` is the largest m with m**4 < alpha**(3*z),
 read off the integer power sum s_p = alpha**p + beta**p + gamma**p, which
 lies within 1 of alpha**p (``tribonacci.cmp_alpha_power_trace``), so each
 pair costs one gcd and one integer comparison d <= m_z.  ``prop1_holds``
-and the record checker enclose alpha**(3*z) itself (``_prop1_verdict``
-through ``constants.cmp_alpha_power``), so a fault in one route shows up
-as a record that the other one fails.
+and the record checker enclose alpha**(3*z) itself, and never read a power
+sum.  ``prop1_holds`` compares d**4 with that enclosure
+(``_prop1_verdict`` through ``constants.cmp_alpha_power``).  The checker
+(``records._check_prop1``) takes one floor per z from it, r_z =
+isqrt(isqrt(floor(lo))) for the enclosure's lower end lo, so r_z**4 <
+alpha**(3*z): a d <= r_z passes by one integer comparison, and a larger d
+goes to ``_prop1_verdict``, which escalates as far as the precision cap.
+So a fault in one route shows up as a record that the other one fails.
 
 Each battery has one generator, which yields one result per pair as it is
 computed, and the command line builds its records from it:

@@ -18,13 +18,17 @@ per kind compiled from ``_FIELDS``, and the other kinds field by field
 through each codec's ``encode`` (``_encoded_line``), which is also what the
 format must reproduce.  ``from_line`` reads the flat kinds with one pattern
 per kind compiled from ``_FIELDS``: a match is canonical by construction,
-and each captured token still goes through its field's decode, so every
-range check lives in one place.  Any other line goes through
-``json.loads`` and is accepted only when ``to_line`` writes it back
-unchanged.  ``read_records`` strips only the newline that ``emit_records``
-ends each line with, so a blank line, a carriage return or any other byte
-around a record is malformed; it yields each record as it reads it, so a
-run over a file holds one record at a time.
+and the caps are applied inline from ``_FIELDS``.  A bounded integer is
+read by ``int`` and compared with the (lo, hi) its codec carries, a decimal
+string by ``int`` of its unquoted digits and a bool by one comparison; any
+other field goes through its codec's parse and decode.  A value out of
+range, or too long for ``int``, sends the line on to ``json.loads``, which
+reports it.  Any other line goes through ``json.loads`` and is accepted
+only when ``to_line`` writes it back unchanged.  ``read_records`` strips
+only the newline that ``emit_records`` ends each line with, so a blank
+line, a carriage return or any other byte around a record is malformed; it
+yields each record as it reads it, so a run over a file holds one record
+at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  A ``RecordChecker`` does the
@@ -38,11 +42,11 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 from typing import Any, Iterable, Iterator
 
-from .constants import (DEFAULT_PRECISION, MAX_PRECISION, verify_growth,
-                        verify_numeric_window)
+from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
+                        verify_growth, verify_numeric_window)
 from .enclosure import Enclosure
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
@@ -67,11 +71,13 @@ class RecordFormatError(ValueError):
 # regex matching exactly that spelling, ``parse``, which turns the matched
 # text into its JSON value, and ``form``, a pair (piece, convert): piece is
 # "%s" or '"%s"', and the value, passed through convert unless that is None,
-# fills it in to give the same text as ``encode``.
+# fills it in to give the same text as ``encode``.  A plain bounded integer
+# also has ``bounds``, its (lo, hi), so that ``_template`` can apply them
+# without a call to ``decode``.
 # ---------------------------------------------------------------------------
 
-_Codec = namedtuple("_Codec", "decode encode pattern parse form",
-                    defaults=(None, None, None))
+_Codec = namedtuple("_Codec", "decode encode pattern parse form bounds",
+                    defaults=(None, None, None, None))
 
 # what "%s" is filled with: the value itself, with its str
 _AS_STR = ("%s", None)
@@ -103,7 +109,7 @@ def _int(lo: int, hi: float = float("inf")) -> _Codec:
             return v
         raise RecordFormatError(f"needs an integer {lo} <= n <= {hi}, "
                                 f"got {v!r}")
-    return _Codec(decode, str, _INT_PATTERN, int, _AS_STR)
+    return _Codec(decode, str, _INT_PATTERN, int, _AS_STR, (lo, hi))
 
 
 def _one_of(*options: str) -> _Codec:
@@ -145,7 +151,7 @@ def _parse_rational(v: str) -> Fraction:
 
 
 def _nullable(codec: _Codec) -> _Codec:
-    decode, encode, pattern, parse, form = codec
+    decode, encode, pattern, parse, form, _ = codec
 
     def encode_nullable(v):
         return "null" if v is None else encode(v)
@@ -343,22 +349,42 @@ def _format(kind: str):
                        if codec.form[1] is not None)
 
 
+def _reader(codec: _Codec):
+    """(group, read) for a flat field: the regex group that captures its
+    token, and what turns the captured text into the value, range checks
+    apart.  Integers and decimal strings, whose group leaves out the quotes,
+    are read by ``int`` and bools by a comparison; any other codec reads
+    through its own parse and decode."""
+    if codec.bounds is not None:
+        return f"({codec.pattern})", int
+    if codec is _DECIMAL:
+        return f'"({_INT_PATTERN})"', int
+    if codec is _BOOL:
+        return f"({codec.pattern})", "true".__eq__
+    decode, parse = codec.decode, codec.parse
+    return f"({codec.pattern})", lambda text: decode(parse(text))
+
+
 @functools.cache
 def _template(kind: str):
-    """(fullmatch, readers) for a kind whose every field is a flat token:
-    the pattern matches exactly the lines ``to_line`` writes for that kind,
-    with one group per field, and each reader is the (decode, parse) pair
-    that turns a group into the decoded value.  None for a kind with a list
-    or object field.  Compiled on first use, so that a run which only
+    """(fullmatch, reads, bounds) for a kind whose every field is a flat
+    token: the pattern matches exactly the lines ``to_line`` writes for that
+    kind, with one group per field, reads[i] turns field i's group into its
+    value (``_reader``), and bounds holds (i, lo, hi) for each plain bounded
+    integer, the range its ``_int`` codec admits.  None for a kind with a
+    list or object field.  Compiled on first use, so that a run which only
     writes records never pays for it."""
     fields = _FIELDS[kind]
     if any(codec.pattern is None for _, codec in fields):
         return None
-    pattern = re.escape(f'{_HEAD}{kind}"') + "".join(
-        re.escape(f',"{key}":') + f"({codec.pattern})"
-        for key, codec in fields) + "}"
-    return (re.compile(pattern).fullmatch,
-            tuple((codec.decode, codec.parse) for _, codec in fields))
+    pattern, reads = re.escape(f'{_HEAD}{kind}"'), []
+    for key, codec in fields:
+        group, read = _reader(codec)
+        pattern += re.escape(f',"{key}":') + group
+        reads.append(read)
+    return (re.compile(pattern + "}").fullmatch, tuple(reads),
+            tuple((i, *codec.bounds) for i, (_, codec) in enumerate(fields)
+                  if codec.bounds is not None))
 
 
 def _from_template(line: str) -> VerificationRecord | None:
@@ -370,15 +396,17 @@ def _from_template(line: str) -> VerificationRecord | None:
     template = _template(kind) if kind in _FIELDS else None
     if template is None:
         return None
-    fullmatch, readers = template
+    fullmatch, reads, bounds = template
     m = fullmatch(line)
     if m is None:
         return None
     try:
-        values = [decode(parse(text))
-                  for (decode, parse), text in zip(readers, m.groups())]
+        values = [read(text) for read, text in zip(reads, m.groups())]
     except ValueError:   # RecordFormatError included
         return None
+    for i, lo, hi in bounds:
+        if not lo <= values[i] <= hi:
+            return None
     return _build(kind, *values)
 
 
@@ -543,14 +571,27 @@ def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
     return y, z
 
 
+@functools.lru_cache(maxsize=PAIR_Z_MAX_CAP)
+def _prop1_floor(z: int, precision_bits: int) -> int:
+    """r_z = floor(lo**(1/4)), for lo the lower end of the enclosure of
+    alpha**(3*z) at precision_bits.  r_z**4 <= lo <= alpha**(3*z), which is
+    irrational, so d**4 < alpha**(3*z) for every d <= r_z.  The cache has
+    room for every z a record can name at one precision."""
+    return isqrt(isqrt(floor(alpha_power(3 * z, precision_bits).lo)))
+
+
 def _check_prop1(rec: VerificationRecord,
                  checker: RecordChecker) -> str | None:
     y, z = _pair_indices(rec)
+    recorded_gcd, recorded_ok = rec.payload[2:]
     d = gcd_shifted(y, z)
-    if d != rec.get("gcd"):
+    if d != recorded_gcd:
         return f"gcd({y},{z}) recomputes to {d}"
-    if _prop1_verdict(z, d, checker.precision_bits,
-                      checker.max_precision_bits) != rec.get("bound_ok"):
+    # above the floor, the enclosure comparison of d**4 with alpha**(3*z)
+    # decides, escalating as far as max_precision_bits
+    bound_ok = d <= _prop1_floor(z, checker.precision_bits) or _prop1_verdict(
+        z, d, checker.precision_bits, checker.max_precision_bits)
+    if bound_ok != recorded_ok:
         return "bound verdict disagrees"
     return None
 
@@ -707,6 +748,10 @@ class RecordChecker:
     so a run of orders 0..t for one triple computes each order once, not
     orders t and t - 1 per record.  That memo holds at most MAX_ORDER + 1
     errors.
+
+    Prop1 records read one floor per z (``_prop1_floor``), which a
+    module-level cache shares within the process, so separate checkers, one
+    per ``check_record`` call, share it too.
     """
 
     def __init__(self, precision_bits: int = DEFAULT_PRECISION,

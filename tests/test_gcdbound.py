@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from triboverify import cli, gcdbound, tribonacci
-from triboverify.constants import Cmp, alpha_power, beta_power, constants
+from triboverify import cli, gcdbound, records, tribonacci
+from triboverify.constants import (DEFAULT_PRECISION, Cmp, alpha_power,
+                                   beta_power, constants)
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    PrecisionFailure, precision_ladder)
 from triboverify.gcdbound import (FactorBoundsReport, IntegrityError,
@@ -497,21 +498,34 @@ def test_prop1_threshold_tie_at_the_cap_is_exit_3(monkeypatch, tmp_path,
 
 def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,
                                                    capsys):
-    # the battery decides by power sums; cmp_alpha_power is the checker's
-    calls = []
-    true_cmp = gcdbound.cmp_alpha_power
+    # the battery decides by power sums; the checker reads one enclosure of
+    # alpha**(3*z) per z for its floor, and no genuine pair gets past it to
+    # cmp_alpha_power
+    powers, compared, betas = [], [], []
 
-    def counting(*args):
-        calls.append(args)
-        return true_cmp(*args)
+    def counting(calls, true_fn):
+        def fn(*args):
+            calls.append(args)
+            return true_fn(*args)
+        return fn
 
-    for module in (constants_module, gcdbound):
-        monkeypatch.setattr(module, "cmp_alpha_power", counting)
+    power = counting(powers, constants_module.alpha_power)
+    cmp = counting(compared, constants_module.cmp_alpha_power)
+    beta = counting(betas, constants_module.beta_power)
+    for module in (constants_module, gcdbound, records):
+        monkeypatch.setattr(module, "alpha_power", power)
+    for module in (constants_module, gcdbound, tribonacci):
+        monkeypatch.setattr(module, "cmp_alpha_power", cmp)
+        monkeypatch.setattr(module, "beta_power", beta)
     out = tmp_path / "prop1.jsonl"
     assert cli.run(["verify", "prop1", "--z-max", "30", "--out",
                     str(out)]) == 0
-    assert calls == []
-    # the same binding does see the checker's route
+    assert powers == compared == betas == []
+    records._prop1_floor.cache_clear()
     assert cli.run(["check-records", str(out)]) == 0
     capsys.readouterr()
-    assert len(calls) == len(list(index_pairs(30)))
+    assert powers == [(3 * z, DEFAULT_PRECISION) for z in range(5, 31)]
+    assert compared == betas == []
+    # the same binding does see the per-pair enclosure route
+    assert prop1_holds(12, 18)
+    assert [args[:2] for args in compared] == [(54, gcd_shifted(12, 18) ** 4)]

@@ -24,8 +24,9 @@ from hypothesis import strategies as st
 from triboverify import gcdbound, records, splitfield, tribonacci
 from triboverify.cli import (RunConfig, UsageError, build_parser,
                              load_config, run)
-from triboverify.constants import (Cmp, verify_growth,
-                                   verify_numeric_window)
+from triboverify.constants import (DEFAULT_PRECISION, Cmp, cmp_alpha_power,
+                                   verify_growth, verify_numeric_window)
+from triboverify.enclosure import Enclosure, precision_ladder
 from triboverify.expansion import MAX_ORDER, decay_report
 from triboverify.gcdbound import norm_witness
 from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
@@ -402,6 +403,7 @@ def test_cli_check_records_accepts_genuine_expansion(tmp_path, capsys,
     (2, {"err_lo": "1/0"}),
     (2, {"err_hi": "abc"}),
     (2, {"err_lo": 1}),
+    (2, {"t": MAX_ORDER + 1}),
 ])
 def test_cli_check_records_rejects_bad_expansion_fields(
         tmp_path, capsys, expansion_lines, t, edits):
@@ -543,6 +545,8 @@ def test_cli_check_records_accepts_genuine_search_summaries(tmp_path, capsys):
     ("search", {"count": -1}),
     ("brute", {"count": "0"}),
     ("brute", {"count": False}),
+    ("search", {"z_max": 6}),
+    ("search", {"z_max": SEARCH_Z_MAX_CAP + 1}),
 ])
 def test_cli_check_records_rejects_bad_search_summary_fields(
         tmp_path, capsys, mode, edits):
@@ -1075,11 +1079,20 @@ def test_template_parse_agrees_with_json_route(line):
         assert slow[0].to_line() == line
 
 
-def test_flat_kinds_parse_without_json(tmp_path, capsys, monkeypatch):
+@pytest.fixture(scope="module")
+def quick_file(tmp_path_factory):
+    """The records of ``verify all --quick``."""
+    path = tmp_path_factory.mktemp("quick") / "all.jsonl"
+    assert run(["verify", "all", "--quick", "--out", str(path)]) == 0
+    return path
+
+
+def test_flat_kinds_parse_without_json(tmp_path, capsys, monkeypatch,
+                                       quick_file):
     # a template that no longer matches sends every line down json.loads;
     # the results stay right, only the time is lost, so refuse that route
     path = tmp_path / "all.jsonl"
-    assert run(["verify", "all", "--quick", "--out", str(path)]) == 0
+    path.write_bytes(quick_file.read_bytes())
     capsys.readouterr()
     with path.open("a", encoding="utf-8") as fh:
         for u, v, w in ((1, 3, 6), (1, 6, 12), (2, 5, 40)):
@@ -1124,6 +1137,79 @@ _VALID_FLAT_VALUES = {
                                 st.none() | _capped(3, BRUTE_W_MAX_CAP),
                                 _FLAG, _capped(0, 10 ** 6)),
 }
+
+
+def test_check_records_reads_flat_lines_by_template_and_one_floor_per_z(
+        capsys, monkeypatch, quick_file):
+    kinds = []
+    true_from_json = records._from_json
+
+    def from_json(line):
+        kinds.append(json.loads(line)["kind"])
+        return true_from_json(line)
+
+    monkeypatch.setattr(records, "_from_json", from_json)
+    records._prop1_floor.cache_clear()
+    capsys.readouterr()
+    assert run(["check-records", str(quick_file)]) == 0
+    assert "PASS  records=6210 failures=0" in capsys.readouterr().out
+    assert kinds and not set(kinds) & set(_FLAT_KINDS)
+    prop1_z = {json.loads(line)["z"] for line in quick_file.open()
+               if '"kind":"prop1"' in line}
+    assert records._prop1_floor.cache_info().misses == len(prop1_z)
+
+
+# the caps of each integer field of the flat kinds, None where unbounded
+_INT_CAPS = {
+    "triple": {**dict.fromkeys("uvw", (1, TRIPLE_VALUE_CAP - 1)),
+               **dict.fromkeys("xyz", (0, None))},
+    "prop1": {"y": (4, PAIR_Z_MAX_CAP), "z": (4, PAIR_Z_MAX_CAP),
+              "gcd": (None, None)},
+    "norm": {"y": (4, PAIR_Z_MAX_CAP), "z": (4, PAIR_Z_MAX_CAP),
+             "d": (None, None), "norm3": (None, None)},
+    "expansion": {**dict.fromkeys("xyz", (5, EXPANSION_INDEX_CAP)),
+                  "t": (0, MAX_ORDER)},
+    "search-summary": {"z_max": (7, SEARCH_Z_MAX_CAP),
+                       "w_max": (3, BRUTE_W_MAX_CAP), "count": (0, None)},
+}
+# one digit past int's default limit of 4300
+_LONG_DECIMAL = "1" + "0" * 4300
+
+
+@st.composite
+def _edge_lines(draw) -> str:
+    """A flat kind's line with one or two fields respelt: an integer at a
+    cap or one step beyond it, null, a bool, -0, 01 or a 4301-digit
+    decimal, quoted or not."""
+    kind = draw(st.sampled_from(_FLAT_KINDS))
+    line = VerificationRecord(kind, draw(_VALID_FLAT_VALUES[kind])).to_line()
+    fields = line[1:-1].split(",")
+    for i in draw(st.sets(st.integers(2, len(fields) - 1), min_size=1,
+                          max_size=2)):
+        key, token = fields[i].split(":", 1)
+        lo, hi = _INT_CAPS[kind].get(key.strip('"'), (None, None))
+        caps = [str(n) for n in (lo, hi) if n is not None]
+        beyond = ([] if lo is None else [str(lo - 1)]) + (
+            [] if hi is None else [str(hi + 1)])
+        numbers = caps + beyond + ["-0", "01", _LONG_DECIMAL]
+        if caps and draw(st.booleans()):
+            new = draw(st.sampled_from(caps))
+        else:
+            new = draw(st.sampled_from(numbers + ["null", "true", "false"]))
+        # mostly in the field's own spelling, quoted for a decimal string
+        if new in numbers and token.startswith('"') != draw(
+                st.sampled_from([False, False, True])):
+            new = f'"{new}"'
+        fields[i] = f"{key}:{new}"
+    return "{" + ",".join(fields) + "}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(line=_edge_lines())
+def test_template_parse_agrees_with_json_route_at_the_caps(line):
+    slow = _parsed(records._from_json, line)
+    assert _parsed(VerificationRecord.from_line, line) == slow
+    assert records._from_template(line) == slow[0]
 
 
 def test_only_the_flat_kinds_have_a_compiled_format():
@@ -1304,11 +1390,12 @@ def test_readme_command_parses(line):
 
 
 # The prop1 battery decides by one power-sum threshold per z
-# (gcdbound.prop1_threshold) and the checker by an enclosure of alpha**(3*z)
-# (cmp_alpha_power), so a fault in either route is caught by the other.  The
-# pair (12, 18) is the only one with z = 18 and a gcd of 39 or more, so it
-# is the only pair whose verdict moves when the threshold of z = 18 drops to
-# 38, and the only one whose comparison is (54, 39**4).
+# (gcdbound.prop1_threshold) and the checker by an enclosure of alpha**(3*z):
+# below its floor (records._prop1_floor) by one integer comparison, above it
+# by cmp_alpha_power, so a fault in either route is caught by the other.
+# The pair (12, 18) is the only one with z = 18 and a gcd of 39 or more, so
+# it is the only pair whose verdict moves when the threshold of z = 18 drops
+# to 38, and the only one whose comparison is (54, 39**4).
 _FLIPPED_PAIR = (12, 18)
 
 
@@ -1347,6 +1434,17 @@ def _lower_one_threshold(monkeypatch):
     return _named_pair()
 
 
+def _floor_at_zero(monkeypatch, z):
+    """Send every prop1 record of z past the checker's floor, to the
+    enclosure comparison."""
+    true_floor = records._prop1_floor
+
+    def lowered(z2, bits):
+        return 0 if z2 == z else true_floor(z2, bits)
+
+    monkeypatch.setattr(records, "_prop1_floor", lowered)
+
+
 def test_checker_catches_a_flipped_battery_verdict(tmp_path, capsys,
                                                    monkeypatch):
     genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
@@ -1365,6 +1463,7 @@ def test_battery_ignores_a_flipped_checker_verdict(tmp_path, capsys,
                                                    monkeypatch):
     genuine, path = tmp_path / "genuine.jsonl", tmp_path / "r.jsonl"
     assert run(["verify", "prop1", "--z-max", "20", "--out", str(genuine)]) == 0
+    _floor_at_zero(monkeypatch, _FLIPPED_PAIR[1])
     named, verdict = _flip_one_pair(monkeypatch, "cmp_alpha_power")
     assert run(["verify", "prop1", "--z-max", "20", "--out", str(path)]) == 0
     assert path.read_bytes() == genuine.read_bytes()
@@ -1373,6 +1472,70 @@ def test_battery_ignores_a_flipped_checker_verdict(tmp_path, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == named
     assert lines[1].endswith(verdict)
+
+
+def test_prop1_floor_lies_below_alpha_power_and_threshold():
+    # r_z**4 < alpha**(3*z) for every z a record can name, and r_z <= m_z,
+    # the largest integer with that property
+    for z in range(1, PAIR_Z_MAX_CAP + 1):
+        r = records._prop1_floor(z, DEFAULT_PRECISION)
+        assert cmp_alpha_power(3 * z, r ** 4) == Cmp.GREATER
+        assert r <= gcdbound.prop1_threshold(z)
+
+
+@pytest.mark.parametrize("y, z", [(6, 7), (12, 18), (40, 45),
+                                  (PAIR_Z_MAX_CAP - 1, PAIR_Z_MAX_CAP)])
+def test_prop1_check_above_the_floor_agrees_with_prop1_holds(monkeypatch,
+                                                              y, z):
+    d = gcdbound.gcd_shifted(y, z)
+    monkeypatch.setattr(records, "_prop1_floor", lambda z2, bits: d - 1)
+    decided = []
+    true_verdict = records._prop1_verdict
+
+    def counting(*args):
+        decided.append(args[:2])
+        return true_verdict(*args)
+
+    monkeypatch.setattr(records, "_prop1_verdict", counting)
+    holds = gcdbound.prop1_holds(y, z)
+    assert check_record(prop1_record(y, z, d, holds)) == (True, "ok")
+    assert check_record(prop1_record(y, z, d, not holds)) == (
+        False, "bound verdict disagrees")
+    assert decided == [(z, d)] * 2
+
+
+def test_check_records_past_the_floor_honours_the_precision_cap(
+        tmp_path, capsys, monkeypatch):
+    y, z = _FLIPPED_PAIR
+    d = gcdbound.gcd_shifted(y, z)
+    path = tmp_path / "r.jsonl"
+    emit_records(path, [prop1_record(y, z, d, True)])
+    bits_seen = []
+
+    def straddling(p, bits):
+        # an enclosure of alpha**54 that holds d**4 at every precision
+        bits_seen.append(bits)
+        return Enclosure(1, 2 * d ** 4)
+
+    monkeypatch.setattr(constants_module, "alpha_power", straddling)
+    argv = ["check-records", str(path), "--precision-bits", "16",
+            "--max-precision-bits", "64"]
+    # below the floor no comparison runs
+    assert run(argv) == 0
+    assert bits_seen == []
+    _floor_at_zero(monkeypatch, z)
+    assert run(argv) == 3
+    assert "inconclusive:" in capsys.readouterr().err
+    assert bits_seen == list(precision_ladder(16, 64))
+
+
+def test_prop1_floor_cache_is_bounded_and_keyed_by_precision():
+    floor = records._prop1_floor
+    assert floor.cache_info().maxsize == PAIR_Z_MAX_CAP
+    floor.cache_clear()
+    for bits in (64, DEFAULT_PRECISION, DEFAULT_PRECISION):
+        floor(18, bits)
+    assert floor.cache_info()[:2] == (1, 2)   # (hits, misses)
 
 
 # The growth battery decides by power sums (tribonacci.verify_growth_trace)
