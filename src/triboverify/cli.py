@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
@@ -50,8 +49,7 @@ class UsageError(Exception):
 _PRECISION = ("precision_bits", "max_precision_bits")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     precision_bits: int = DEFAULT_PRECISION
     max_precision_bits: int = MAX_PRECISION
     out: str | None = None
@@ -72,16 +70,16 @@ def load_config(args: argparse.Namespace, environ=None) -> RunConfig:
         raw = env.get("TRIBOVERIFY_" + name.upper())
         if raw is not None:
             try:
-                config = replace(config, **{name: int(raw)})
+                config = config._replace(**{name: int(raw)})
             except ValueError:
                 raise UsageError(
                     f"TRIBOVERIFY_{name.upper()}={raw!r} is not an integer")
     if env.get("TRIBOVERIFY_OUT"):
-        config = replace(config, out=env["TRIBOVERIFY_OUT"])
+        config = config._replace(out=env["TRIBOVERIFY_OUT"])
     for name in _PRECISION + ("out",):
         value = getattr(args, name, None)
         if value is not None:
-            config = replace(config, **{name: value})
+            config = config._replace(**{name: value})
     return config.validate()
 
 
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                            required=default is None)
 
     p = _leaf(vsub, "all", "every battery at standard budgets",
-              tuple(f.name for f in fields(RunConfig)), func=_cmd_verify,
+              RunConfig._fields, func=_cmd_verify,
               battery=_battery_all)
     p.add_argument("--quick", action="store_true",
                    help="reduced sweeps (z <= 100, n <= 500)")

@@ -21,9 +21,9 @@ the enclosures sit certified integer comparisons against powers of alpha
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
                         precision_ladder)
@@ -85,8 +85,7 @@ def _alpha_bracket(bits: int) -> Enclosure:
     return Enclosure(Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits))
 
 
-@dataclass(frozen=True)
-class RealConstants:
+class RealConstants(NamedTuple):
     """Enclosures for the three roots and the closed-form coefficients.
 
     gamma and c are componentwise conjugates of beta and b.  Every enclosure
@@ -257,15 +256,13 @@ def cmp_alpha_power(p: int, n: int,
         f"{max_precision_bits} bits")
 
 
-@dataclass(frozen=True)
-class WindowCheck:
+class WindowCheck(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     precision_bits: int
     checks: tuple[WindowCheck, ...]
 
@@ -317,11 +314,10 @@ def verify_numeric_window(precision_bits: int = 96) -> WindowReport:
     return WindowReport(bits, tuple(checks))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     n_max: int
     checked: int
-    failures: tuple[tuple[int, str], ...] = field(default_factory=tuple)
+    failures: tuple[tuple[int, str], ...] = ()
 
     @property
     def all_ok(self) -> bool:

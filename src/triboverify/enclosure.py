@@ -26,7 +26,6 @@ operations it replaces would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -421,12 +420,46 @@ class Enclosure:
         return f"Enclosure({float(self.lo):.17g}, {float(self.hi):.17g})"
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexEnclosure:
-    """Axis-aligned rectangle certified to contain an exact complex value."""
+class _Frozen:
+    """Base of the slotted value classes whose fields are set once, in
+    ``__init__`` through ``object.__setattr__``: any later assignment or
+    deletion raises AttributeError."""
 
-    re: Enclosure
-    im: Enclosure
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to attribute {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete attribute {name!r}")
+
+
+_set = object.__setattr__
+
+
+class ComplexEnclosure(_Frozen):
+    """Axis-aligned rectangle certified to contain an exact complex value.
+
+    Equality and hashing go by value, and only against another
+    ComplexEnclosure.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Enclosure, im: Enclosure):
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    def __eq__(self, other):
+        if type(other) is not ComplexEnclosure:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __reduce__(self):
+        return ComplexEnclosure, (self.re, self.im)
 
     @classmethod
     def point(cls, re: Rat, im: Rat = 0) -> "ComplexEnclosure":

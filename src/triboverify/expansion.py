@@ -50,7 +50,6 @@ arithmetic tight enough to order consecutive errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -81,8 +80,7 @@ class ExpansionTerm(NamedTuple):
     c_vec: tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class ExpansionParams:
+class ExpansionParams(NamedTuple):
     """The truncation order, every kept term, and the powers a1^p and b1^p
     (a1 = -1/a, b1 = b/a) for p = 0..order+1, enclosed at the working
     precision.  Terms are index-free: the integer vectors get dotted with
@@ -278,8 +276,7 @@ def _pow12(e: Enclosure) -> Enclosure:
     return four.square() * four
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """Errors at orders 0..order_max plus pairwise verdicts.
 
     decreasing[i] certifies error(i+2) < error(i+1); ratio_ok[i] certifies

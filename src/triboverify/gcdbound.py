@@ -53,10 +53,10 @@ every regime pair into one report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .constants import (_GREATER, DEFAULT_PRECISION, MAX_PRECISION,
                         alpha_power, beta_power, cmp_alpha_power)
@@ -115,8 +115,7 @@ def _prop1_verdict(z: int, d: int, precision_bits: int,
                            max_precision_bits) == _GREATER
 
 
-@dataclass(frozen=True)
-class GcdWitness:
+class GcdWitness(NamedTuple):
     """Exact norm certificate for one pair (y, z).
 
     eta is alpha**lam*(T_y-1) - (T_z-1); norm3_value its integer norm.
@@ -162,8 +161,7 @@ def norm_witness(y: int, z: int) -> GcdWitness:
     return GcdWitness(y, z, lam, d, eta, n3i, abs(n3i) == d ** 3)
 
 
-@dataclass(frozen=True)
-class FactorBoundsReport:
+class FactorBoundsReport(NamedTuple):
     """Embedding magnitudes for eta and their certified comparison against
     1.3*alpha**(z/4) (the two embeddings fixing alpha) and 0.6*alpha**z
     (the other four).
@@ -300,8 +298,7 @@ def norm_witnesses(z_max: int):
         yield norm_witness(y, z)
 
 
-@dataclass(frozen=True)
-class FactorSweepReport:
+class FactorSweepReport(NamedTuple):
     z_max: int
     reports: tuple[FactorBoundsReport, ...]
 

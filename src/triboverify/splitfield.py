@@ -35,13 +35,13 @@ to 3000: about 0.12 s on a shared 2-core VM with Python 3.11.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .constants import DEFAULT_PRECISION, MAX_PRECISION, constants
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure, Rat,
-                        precision_ladder, sqrt_split)
+                        _Frozen, _set, precision_ladder, sqrt_split)
 
 # tail of p(x), ascending: eps**6 = -1 + eps - 2*eps**2 + ... + eps**5
 _P_TAIL = (-1, 1, -2, 3, -2, 1)
@@ -89,26 +89,38 @@ def _poly_mul(a, b) -> list[Rat]:
 # power-basis elements: one arithmetic for Q(alpha) and for Q(eps)
 # ---------------------------------------------------------------------------
 
-class _Element:
+class _Element(_Frozen):
     """Element of a number field Q(x) in the power basis 1, x, ..., x**(n-1)
     (Cohen, A Course in Computational Algebraic Number Theory, 4.2).
 
-    A subclass is a frozen dataclass with the one field ``coords`` and sets
-    ``_TAIL``, the tail of the monic minimal polynomial of x:
-    x**n == sum(_TAIL[j] * x**j).  Coordinates are ``int`` or ``Fraction``:
-    integers stay plain ints, anything else becomes a Fraction, and the two
-    compare and hash alike.  An element mixes only with rationals and with
-    elements of its own class, so Q(alpha) never meets Q(eps) implicitly.
+    The one field is ``coords``, set once.  A subclass sets ``_TAIL``, the
+    tail of the monic minimal polynomial of x: x**n == sum(_TAIL[j] * x**j).
+    Coordinates are ``int`` or ``Fraction``: integers stay plain ints,
+    anything else becomes a Fraction, and the two compare and hash alike.
+    An element equals only an element of its own class with the same
+    coordinates, and mixes only with rationals and with elements of its
+    own class, so Q(alpha) never meets Q(eps) implicitly.
     """
 
+    __slots__ = ("coords",)
     _TAIL: tuple[int, ...]
-    coords: tuple[Rat, ...]
 
-    def __post_init__(self):
-        cs = tuple(c if type(c) is int else Fraction(c) for c in self.coords)
+    def __init__(self, coords: tuple[Rat, ...]):
+        cs = tuple(c if type(c) is int else Fraction(c) for c in coords)
         if len(cs) != len(self._TAIL):
             raise ValueError(f"need {len(self._TAIL)} coordinates")
-        object.__setattr__(self, "coords", cs)
+        _set(self, "coords", cs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __reduce__(self):
+        return type(self), (self.coords,)
 
     @classmethod
     def from_rational(cls, v):
@@ -217,7 +229,6 @@ class _Element:
 # the degree-6 field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
 class FieldElement(_Element):
     """Element of Q(eps), coordinates in the power basis 1, eps, ..., eps**5.
 
@@ -225,8 +236,8 @@ class FieldElement(_Element):
     differs from ``CubicElement``.
     """
 
+    __slots__ = ()
     _TAIL = _P_TAIL
-    coords: tuple[Rat, ...]
 
 
 ZERO_K = FieldElement((0, 0, 0, 0, 0, 0))
@@ -307,7 +318,6 @@ def _bareiss_det(m: list[list[int]]) -> int:
 # the cubic subfield Q(alpha)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False)
 class CubicElement(_Element):
     """Element of Q(alpha), coordinates in the basis 1, alpha, alpha**2.
 
@@ -315,8 +325,8 @@ class CubicElement(_Element):
     ``FieldElement``.
     """
 
+    __slots__ = ()
     _TAIL = (1, 1, 1)  # alpha**3 = 1 + alpha + alpha**2
-    coords: tuple[Rat, Rat, Rat]
 
     def to_field(self) -> FieldElement:
         den, (c0, c1, c2) = _clear_denominators(self.coords)
@@ -383,8 +393,7 @@ def _cubic_embed(t: CubicElement, root: Enclosure | ComplexEnclosure
 # closed-form constants as exact field elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinetConstants:
+class BinetConstants(NamedTuple):
     """The three roots and the closed-form coefficients, all exact.
 
     T_n = a*alpha**n + b*beta**n + c*gamma**n; the identities defining that
@@ -614,8 +623,7 @@ def _cubic_nonsquare_witness(t: CubicElement) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class SquareCertificate:
+class SquareCertificate(NamedTuple):
     """Outcome of a squareness test in the degree-6 field.
 
     For a positive verdict, ``root`` squares exactly to the element tested.

@@ -60,14 +60,13 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .tribonacci import TribTable, default_table
 
 
-@dataclass(frozen=True)
-class TripleCandidate:
+class TripleCandidate(NamedTuple):
     """A surviving candidate: indices x < y < z and values u < v < w with
     uv + 1 = T_x, uw + 1 = T_y, vw + 1 = T_z."""
 

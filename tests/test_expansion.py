@@ -2,7 +2,6 @@
 term bookkeeping, measured truncation error, decay certificates."""
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -160,7 +159,7 @@ def test_term_without_equal_mirror_is_refused(monkeypatch):
              if sum(t.b_vec) != sum(t.c_vec))
     terms = list(params.terms)
     terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
-    lopsided = replace(params, terms=tuple(terms))
+    lopsided = params._replace(terms=tuple(terms))
     monkeypatch.setattr(expansion, "expansion_terms",
                         lambda order, bits: lopsided)
     with pytest.raises(ArithmeticError, match="failed to be real"):
