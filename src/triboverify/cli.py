@@ -159,8 +159,8 @@ def _triple_records(found) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args, config: RunConfig) -> int:
-    if args.max_index < 0:
-        raise UsageError("--max-index must be >= 0")
+    if not 0 <= args.max_index <= GROWTH_N_MAX_CAP:
+        raise UsageError(f"--max-index must lie in 0..{GROWTH_N_MAX_CAP}")
     table = default_table()
     for n in range(args.max_index + 1):
         print(f"{n} {table.value(n)}")
@@ -425,24 +425,16 @@ def run(argv=None) -> int:
     try:
         config = load_config(args)
         return args.func(args, config)
-    except UsageError as exc:
+    except (UsageError, RecordFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecordFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # before ArithmeticError, which both subclass
     except (PrecisionFailure, InconclusiveSquareTest) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    except IntegrityError as exc:
+    except (IntegrityError, ArithmeticError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

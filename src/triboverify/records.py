@@ -1,34 +1,32 @@
 """Persistent verification records: one JSON object per line.
 
 Every record starts with "schema" (always 1) and "kind", then the payload
-keys for its kind in the order that ``_FIELDS`` lists, which also fixes each
-field's wire type, range and spelling.  Arbitrary-size integers (the values
-u, v, w, gcds, norms) travel as decimal strings; small structural integers
-(indices, counts, precision) are plain JSON numbers; exact rationals are "p"
-or "p/q" strings.  Serialization uses compact separators and never formats a
-float, so identical inputs give byte-identical files, and ``from_line``
-accepts exactly the lines that ``to_line`` writes.
+keys for its kind in the order that ``_FIELDS`` lists, which also gives
+each field its codec: its wire type, range and spelling.  Arbitrary-size
+integers (the values u, v, w, gcds, norms) travel as decimal strings; small
+structural integers (indices, counts, precision) are plain JSON numbers;
+exact rationals are "p" or "p/q" strings.  Serialization uses compact
+separators and never formats a float, so identical inputs give
+byte-identical files, and ``from_line`` accepts exactly the lines that
+``to_line`` writes.
 
 A record's payload holds only the decoded values (ints, Fractions, tuples,
 bools), in ``_FIELDS`` order; the keys live in ``_FIELDS`` alone.
 ``to_line`` and ``from_line`` are the only code that knows the wire format.
-``to_line`` writes the flat kinds (triple, prop1, norm, expansion,
-search-summary), whose every value is one token, through one ``%`` format
-per kind compiled from ``_FIELDS``, and the other kinds field by field
-through each codec's ``encode`` (``_encoded_line``), which is also what the
-format must reproduce.  ``from_line`` reads the flat kinds with one pattern
-per kind compiled from ``_FIELDS``: a match is canonical by construction,
-and the caps are applied inline from ``_FIELDS``.  A bounded integer is
-read by ``int`` and compared with the (lo, hi) its codec carries, a decimal
-string by ``int`` of its unquoted digits and a bool by one comparison; any
-other field goes through its codec's parse and decode.  A value out of
-range, or too long for ``int``, sends the line on to ``json.loads``, which
-reports it.  Any other line goes through ``json.loads`` and is accepted
-only when ``to_line`` writes it back unchanged.  ``read_records`` strips
-only the newline that ``emit_records`` ends each line with, so a blank
-line, a carriage return or any other byte around a record is malformed; it
-yields each record as it reads it, so a run over a file holds one record
-at a time.
+``to_line`` writes every kind through one ``%`` format per kind, compiled
+from each codec's ``form``, the field's only spelling.  A field whose value
+is one token has one rule: a regex for its text, the function that reads
+the text, and the range of the value.  ``from_line`` reads the flat kinds
+(triple, prop1, norm, expansion, search-summary), whose every field is a
+token, with one pattern per kind built from those rules, and applies the
+ranges inline: a match is canonical by construction.  Any other line, or a
+value out of range or too long for ``int``, goes through ``json.loads``,
+where each token field applies the same rule to the JSON spelling of its
+value, and the line is accepted only when ``to_line`` writes it back
+unchanged.  ``read_records`` strips only the newline that ``emit_records``
+ends each line with, so a blank line, a carriage return or any other byte
+around a record is malformed; it yields each record as it reads it, so a
+run over a file holds one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  A ``RecordChecker`` does the
@@ -66,18 +64,18 @@ class RecordFormatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # field codecs.  ``decode`` takes a parsed JSON value and returns the payload
-# value or raises RecordFormatError; ``encode`` returns the value's JSON text.
-# A codec whose canonical spelling is a flat token also has ``pattern``, a
-# regex matching exactly that spelling, ``parse``, which turns the matched
-# text into its JSON value, and ``form``, a pair (piece, convert): piece is
-# "%s" or '"%s"', and the value, passed through convert unless that is None,
-# fills it in to give the same text as ``encode``.  A plain bounded integer
-# also has ``bounds``, its (lo, hi), so that ``_template`` can apply them
-# without a call to ``decode``.
+# value or raises RecordFormatError.  ``form`` is the field's one spelling, a
+# pair (piece, convert): piece is "%s", '"%s"' or "[%s]", and the value,
+# passed through convert unless that is None, fills it in.  A token field
+# (``_flat``) also has its rule: ``pattern``, a regex for its text inside the
+# piece, ``read``, which turns that text into the value or raises ValueError,
+# and ``bounds``, the (lo, hi) the value lies in, or None.  ``_template``
+# matches lines by the rule and the field's ``decode`` applies it to the
+# JSON value, so both parse routes accept the same values.
 # ---------------------------------------------------------------------------
 
-_Codec = namedtuple("_Codec", "decode encode pattern parse form bounds",
-                    defaults=(None, None, None, None))
+_Codec = namedtuple("_Codec", "decode form pattern read bounds",
+                    defaults=(None, None, None))
 
 # what "%s" is filled with: the value itself, with its str
 _AS_STR = ("%s", None)
@@ -87,78 +85,79 @@ _QUOTED = ('"%s"', None)
 # also match the other Unicode digits, which int() reads
 _INT_PATTERN = "0|-?[1-9][0-9]*"
 
+# the JSON values a token can hold
+_SCALARS = (str, int, bool, type(None))
 
-def _unquote(text: str) -> str:
-    return text[1:-1]
+
+def _spelt(form, value) -> str:
+    """The text of value in a field of the given form."""
+    piece, convert = form
+    return piece % (value if convert is None else convert(value),)
 
 
-def _codec(test, what: str, encode=str, pattern=None, parse=None,
-           form=None) -> _Codec:
-    """Values that pass ``test``, unchanged."""
+def _group(form, pattern: str) -> str:
+    """The regex of a token field's text in its piece, the text captured."""
+    return form[0] % f"({pattern})"
+
+
+def _flat(what: str, form, pattern: str, read, bounds=None) -> _Codec:
+    """A token field: the text that ``pattern`` matches inside the piece of
+    ``form``, which ``read`` turns into a value within ``bounds``.  Its
+    ``decode`` holds a JSON value to the same rule, spelt as JSON."""
+    group = _group(form, pattern)
+
     def decode(v):
-        if not test(v):
-            raise RecordFormatError(f"needs {what}, got {v!r}")
-        return v
-    return _Codec(decode, encode, pattern, parse, form)
+        # a list or object never matches: json.dumps never walks one, however
+        # deeply nested
+        m = re.fullmatch(group, json.dumps(v)) if type(v) in _SCALARS else None
+        if m is not None:
+            try:
+                value = read(m[1])
+            except ValueError:
+                pass
+            else:
+                if bounds is None or bounds[0] <= value <= bounds[1]:
+                    return value
+        raise RecordFormatError(f"needs {what}, got {v!r}")
+    return _Codec(decode, form, pattern, read, bounds)
 
 
 def _int(lo: int, hi: float = float("inf")) -> _Codec:
-    def decode(v):
-        # an exact type test, because bool is an int subclass
-        if type(v) is int and lo <= v <= hi:
-            return v
-        raise RecordFormatError(f"needs an integer {lo} <= n <= {hi}, "
-                                f"got {v!r}")
-    return _Codec(decode, str, _INT_PATTERN, int, _AS_STR, (lo, hi))
+    return _flat(f"an integer {lo} <= n <= {hi}", _AS_STR, _INT_PATTERN, int,
+                 (lo, hi))
 
 
 def _one_of(*options: str) -> _Codec:
-    return _codec(lambda v: type(v) is str and v in options,
-                  f"one of {', '.join(options)}", json.dumps,
-                  '"(?:' + "|".join(map(re.escape, options)) + ')"',
-                  _unquote, _QUOTED)
+    return _flat(f"one of {', '.join(options)}", _QUOTED,
+                 "|".join(map(re.escape, options)), str)
 
 
-def _exact_str(parse, pattern: str) -> _Codec:
-    """A string that ``parse`` reads and ``str`` writes back unchanged;
-    ``pattern`` matches that spelling, quotes included."""
-    def decode(v):
-        try:
-            value = parse(v) if type(v) is str else None
-        except (ValueError, ZeroDivisionError):
-            value = None
-        if value is None or str(value) != v:
-            raise RecordFormatError(f"needs a string in the spelling str "
-                                    f"writes, got {v!r}")
-        return value
-    return _Codec(decode, lambda value: f'"{value}"', pattern, _unquote,
-                  _QUOTED)
-
-
-def _bounded(codec: _Codec, lo: int, hi: int, what: str) -> _Codec:
-    """A value that ``codec`` decodes to lo <= n < hi."""
-    def decode(v):
-        n = codec.decode(v)
-        if not lo <= n < hi:
-            raise RecordFormatError(f"needs {what}")
-        return n
-    return codec._replace(decode=decode)
-
-
-def _parse_rational(v: str) -> Fraction:
-    num, slash, den = v.partition("/")
-    return Fraction(int(num), int(den) if slash else 1)
+def _read_rational(text: str) -> Fraction:
+    """The Fraction that ``text`` is the str of: "p", or "p/q" in lowest
+    terms with q > 1."""
+    num, slash, den = text.partition("/")
+    value = Fraction(int(num), int(den) if slash else 1)
+    if str(value) != text:
+        raise ValueError(f"{text} is not in lowest terms")
+    return value
 
 
 def _nullable(codec: _Codec) -> _Codec:
-    decode, encode, pattern, parse, form, _ = codec
+    """null, or a value of codec.  A token stays one: its pattern admits
+    null, and its read applies its bounds, since null has none.  Every
+    nullable token here is unquoted, so its piece stays "%s"."""
+    decode, form, pattern, read, bounds = codec
 
-    def encode_nullable(v):
-        return "null" if v is None else encode(v)
+    def read_nullable(text):
+        if text == "null":
+            return None
+        value = read(text)
+        if bounds is not None and not bounds[0] <= value <= bounds[1]:
+            raise ValueError(f"{text} is out of range")
+        return value
     return _Codec((lambda v: None if v is None else decode(v)),
-                  encode_nullable, pattern and f"null|{pattern}",
-                  parse and (lambda t: None if t == "null" else parse(t)),
-                  form and ("%s", encode_nullable))
+                  ("%s", lambda v: "null" if v is None else _spelt(form, v)),
+                  pattern and f"null|{pattern}", read and read_nullable)
 
 
 def _list(*codecs: _Codec) -> _Codec:
@@ -168,19 +167,26 @@ def _list(*codecs: _Codec) -> _Codec:
             raise RecordFormatError(f"needs a list of {len(codecs)} items, "
                                     f"got {v!r}")
         return tuple(c.decode(x) for c, x in zip(codecs, v))
-    return _Codec(decode, lambda v: "[" + ",".join(
-        c.encode(x) for c, x in zip(codecs, v)) + "]")
+    return _Codec(decode, ("[%s]", lambda v: ",".join(
+        _spelt(c.form, x) for c, x in zip(codecs, v))))
 
 
 def _list_of(codec: _Codec) -> _Codec:
     """A list of any length, decoded to a tuple."""
-    dec, enc = codec.decode, codec.encode
+    dec, form = codec.decode, codec.form
 
     def decode(v):
         if type(v) is not list:
             raise RecordFormatError(f"needs a list, got {v!r}")
         return tuple(dec(x) for x in v)
-    return _Codec(decode, lambda v: "[" + ",".join(enc(x) for x in v) + "]")
+    return _Codec(decode, ("[%s]", lambda v: ",".join(
+        _spelt(form, x) for x in v)))
+
+
+def _decode_checks(v):
+    if type(v) is dict and all(type(b) is bool for b in v.values()):
+        return v
+    raise RecordFormatError(f"needs an object of booleans, got {v!r}")
 
 
 _A_COEFF = CubicElement((-1, -2, 3)).inv()
@@ -216,25 +222,22 @@ EXPANSION_INDEX_CAP = 100
 # RSS by 36 MB).
 TRIPLE_VALUE_CAP = trib_fast(SEARCH_Z_MAX_CAP)
 
-_BOOL = _codec(lambda v: type(v) is bool, "true or false",
-               lambda v: "true" if v else "false", "true|false",
-               lambda t: t == "true",
-               ("%s", {True: "true", False: "false"}.__getitem__))
+_BOOL = _flat("true or false",
+              ("%s", {True: "true", False: "false"}.__getitem__),
+              "true|false", "true".__eq__)
 _FLAG = _nullable(_BOOL)
-_DECIMAL = _exact_str(int, f'"(?:{_INT_PATTERN})"')
-_RATIONAL = _exact_str(_parse_rational,
-                       f'"(?:{_INT_PATTERN})(?:/[1-9][0-9]*)?"')
+_DECIMAL = _flat("a decimal string", _QUOTED, _INT_PATTERN, int)
+_RATIONAL = _flat('a string "p" or "p/q" in lowest terms', _QUOTED,
+                  f"(?:{_INT_PATTERN})(?:/[1-9][0-9]*)?", _read_rational)
 _INDEX = _int(0)
-_TRIPLE_VALUE = _bounded(_DECIMAL, 1, TRIPLE_VALUE_CAP,
-                         f"a decimal string for an integer "
-                         f"1 <= n < T_{SEARCH_Z_MAX_CAP}")
+_TRIPLE_VALUE = _flat(f"a decimal string for an integer "
+                      f"1 <= n < T_{SEARCH_Z_MAX_CAP}", _QUOTED, _INT_PATTERN,
+                      int, (1, TRIPLE_VALUE_CAP - 1))
 _FIRST_INDEX = _nullable(_INDEX)
 _PAIR_INDEX = _int(4, PAIR_Z_MAX_CAP)
 _EXPANSION_INDEX = _int(5, EXPANSION_INDEX_CAP)
-_CHECKS = _codec(lambda v: type(v) is dict
-                 and all(type(b) is bool for b in v.values()),
-                 "an object of booleans",
-                 lambda v: json.dumps(v, separators=(",", ":")))
+_CHECKS = _Codec(_decode_checks,
+                 ("%s", functools.partial(json.dumps, separators=(",", ":"))))
 # (q, r): a witness prime q with a root r of the cubic mod q, q within the
 # bound the lemma2 battery searches
 _WITNESS = _nullable(_list(_int(3, WITNESS_PRIME_BOUND),
@@ -301,10 +304,7 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
         return self.payload[_POSITIONS[self.kind][key]]
 
     def to_line(self) -> str:
-        form = _format(self.kind)
-        if form is None:
-            return _encoded_line(self.kind, self.payload)
-        text, conversions = form
+        text, conversions = _format(self.kind)
         values = list(self.payload)
         for i, convert in conversions:
             values[i] = convert(values[i])
@@ -322,25 +322,12 @@ def _build(kind: str, *values) -> VerificationRecord:
     return tuple.__new__(VerificationRecord, (kind, values))
 
 
-def _encoded_line(kind: str, payload: tuple[Any, ...]) -> str:
-    """The line of a record, field by field through each codec's
-    ``encode``: what ``to_line`` writes for every kind."""
-    parts = [f'{_HEAD}{kind}"']
-    for value, (key, codec) in zip(payload, _FIELDS[kind]):
-        parts.append(f'"{key}":{codec.encode(value)}')
-    return ",".join(parts) + "}"
-
-
 @functools.cache
 def _format(kind: str):
-    """(format, conversions) for a kind whose every field is a flat token:
-    ``format % values`` is ``_encoded_line``, where values is the payload
-    with each (position, convert) of conversions applied.  None for a kind
-    with a list or object field.  Compiled on first use, as ``_template``
-    is."""
+    """(format, conversions) for a kind: ``format % values`` is the line
+    of a record, where values is its payload with each (position, convert)
+    of conversions applied.  Compiled on first use, as ``_template`` is."""
     fields = _FIELDS[kind]
-    if any(codec.form is None for _, codec in fields):
-        return None
     # no kind or key holds a "%"
     text = f'{_HEAD}{kind}"' + "".join(
         f',"{key}":{codec.form[0]}' for key, codec in fields) + "}"
@@ -349,40 +336,23 @@ def _format(kind: str):
                        if codec.form[1] is not None)
 
 
-def _reader(codec: _Codec):
-    """(group, read) for a flat field: the regex group that captures its
-    token, and what turns the captured text into the value, range checks
-    apart.  Integers and decimal strings, whose group leaves out the quotes,
-    are read by ``int`` and bools by a comparison; any other codec reads
-    through its own parse and decode."""
-    if codec.bounds is not None:
-        return f"({codec.pattern})", int
-    if codec is _DECIMAL:
-        return f'"({_INT_PATTERN})"', int
-    if codec is _BOOL:
-        return f"({codec.pattern})", "true".__eq__
-    decode, parse = codec.decode, codec.parse
-    return f"({codec.pattern})", lambda text: decode(parse(text))
-
-
 @functools.cache
 def _template(kind: str):
-    """(fullmatch, reads, bounds) for a kind whose every field is a flat
-    token: the pattern matches exactly the lines ``to_line`` writes for that
-    kind, with one group per field, reads[i] turns field i's group into its
-    value (``_reader``), and bounds holds (i, lo, hi) for each plain bounded
-    integer, the range its ``_int`` codec admits.  None for a kind with a
-    list or object field.  Compiled on first use, so that a run which only
-    writes records never pays for it."""
+    """(fullmatch, reads, bounds) for a kind whose every field is a token:
+    the pattern matches exactly the lines ``to_line`` writes for that kind,
+    with one group per field, its pattern inside its piece; reads[i] turns
+    field i's group into its value, and bounds holds (i, lo, hi) for each
+    field with bounds.  None for a kind with a list or object field.
+    Compiled on first use, so that a run which only writes records never
+    pays for it."""
     fields = _FIELDS[kind]
     if any(codec.pattern is None for _, codec in fields):
         return None
-    pattern, reads = re.escape(f'{_HEAD}{kind}"'), []
-    for key, codec in fields:
-        group, read = _reader(codec)
-        pattern += re.escape(f',"{key}":') + group
-        reads.append(read)
-    return (re.compile(pattern + "}").fullmatch, tuple(reads),
+    pattern = re.escape(f'{_HEAD}{kind}"') + "".join(
+        re.escape(f',"{key}":') + _group(codec.form, codec.pattern)
+        for key, codec in fields)
+    return (re.compile(pattern + "}").fullmatch,
+            tuple(codec.read for _, codec in fields),
             tuple((i, *codec.bounds) for i, (_, codec) in enumerate(fields)
                   if codec.bounds is not None))
 
@@ -402,7 +372,7 @@ def _from_template(line: str) -> VerificationRecord | None:
         return None
     try:
         values = [read(text) for read, text in zip(reads, m.groups())]
-    except ValueError:   # RecordFormatError included
+    except ValueError:
         return None
     for i, lo, hi in bounds:
         if not lo <= values[i] <= hi:
@@ -571,6 +541,16 @@ def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
     return y, z
 
 
+def _ordered_triple(rec: VerificationRecord, *_) -> VerificationRecord:
+    """The membership record of the record's (u, v, w), which must satisfy
+    u < v < w."""
+    u, v, w = rec.payload[:3]
+    if not u < v < w:
+        raise RecordFormatError(f"triple needs u < v < w, got u={u}, v={v}, "
+                                f"w={w}")
+    return membership_triple_record(u, v, w)
+
+
 @functools.lru_cache(maxsize=PAIR_Z_MAX_CAP)
 def _prop1_floor(z: int, precision_bits: int) -> int:
     """r_z = floor(lo**(1/4)), for lo the lower end of the enclosure of
@@ -707,8 +687,7 @@ def _check_search_summary(rec: VerificationRecord,
 
 
 _CHECKERS = {
-    "triple": _recomputed(lambda rec, *_: membership_triple_record(
-        rec.get("u"), rec.get("v"), rec.get("w"))),
+    "triple": _recomputed(_ordered_triple),
     "prop1": _check_prop1,
     "norm": _check_norm,
     "lemma2": _check_lemma2,

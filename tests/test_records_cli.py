@@ -209,6 +209,16 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_gen_refuses_an_index_past_the_growth_cap(capsys):
+    # past the cap a value soon outgrows int's default of 4300 digits for
+    # str, so the refusal must come before the first line is printed
+    assert len(str(trib(GROWTH_N_MAX_CAP))) == 2646
+    assert run(["gen", "--max-index", str(GROWTH_N_MAX_CAP + 1)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --max-index must lie in 0..{GROWTH_N_MAX_CAP}\n"
+
+
 def test_cli_member_output(capsys):
     assert run(["member", "81", "3", "0"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -339,6 +349,24 @@ def test_cli_verify_growth_and_constants_at_cap_write_checkable_records(
     assert run(argv + ["--out", str(path)]) == 0
     assert run(["check-records", str(path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("u, v, w", [(1, 1, 1), (1, 3, 3), (3, 3, 6),
+                                     (1, 6, 3), (6, 3, 1)])
+def test_cli_check_records_rejects_an_unordered_triple(tmp_path, capsys,
+                                                       u, v, w):
+    # the membership claims are true; only the order of u, v, w is wrong
+    line = membership_triple_record(u, v, w).to_line()
+    if (u, v, w) == (1, 1, 1):
+        assert line == ('{"schema":1,"kind":"triple","u":"1","v":"1",'
+                        '"w":"1","x":4,"y":4,"z":4,"ok":true}')
+    path = tmp_path / "r.jsonl"
+    path.write_text(line + "\n")
+    assert run(["check-records", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err == (f"error: triple needs u < v < w, got u={u}, v={v}, "
+                   f"w={w}\n")
 
 
 def test_cli_check_records_caps_triple_values(tmp_path, capsys):
@@ -1212,19 +1240,51 @@ def test_template_parse_agrees_with_json_route_at_the_caps(line):
     assert records._from_template(line) == slow[0]
 
 
-def test_only_the_flat_kinds_have_a_compiled_format():
-    assert {kind for kind in records.RECORD_KINDS
-            if records._format(kind) is not None} == set(_FLAT_KINDS)
+def test_every_kind_has_a_compiled_format():
+    assert all(records._format(kind) is not None
+               for kind in records.RECORD_KINDS)
+
+
+_WITNESSES = st.none() | st.tuples(_capped(3, splitfield.WITNESS_PRIME_BOUND),
+                                   _capped(0, splitfield.WITNESS_PRIME_BOUND))
+_CHECK_DICTS = st.dictionaries(st.text(max_size=6), st.booleans(), max_size=4)
+
+# every value each kind's fields accept
+_VALID_VALUES = {
+    **_VALID_FLAT_VALUES,
+    "lemma2": st.tuples(st.sampled_from(sorted(LEMMA2_CASES)),
+                        st.tuples(*[st.fractions()] * 3), st.booleans(),
+                        st.none() | st.tuples(*[st.fractions()] * 6),
+                        _WITNESSES, _WITNESSES),
+    "constants": st.tuples(_capped(1, CONSTANTS_PRECISION_CAP),
+                           st.booleans(), _CHECK_DICTS),
+    "growth": st.tuples(_capped(2, GROWTH_N_MAX_CAP), _capped(0, 10 ** 6),
+                        st.booleans(),
+                        st.lists(st.tuples(_capped(0, 10 ** 6),
+                                           st.sampled_from(["lower",
+                                                            "upper"])),
+                                 max_size=3).map(tuple)),
+    "field": st.tuples(st.booleans(), _CHECK_DICTS),
+}
 
 
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
-def test_compiled_format_writes_the_field_encoding(data):
-    kind = data.draw(st.sampled_from(_FLAT_KINDS))
-    rec = VerificationRecord(kind, data.draw(_VALID_FLAT_VALUES[kind]))
+def test_written_lines_parse_back_through_both_routes(data):
+    kind = data.draw(st.sampled_from(records.RECORD_KINDS))
+    rec = VerificationRecord(kind, data.draw(_VALID_VALUES[kind]))
     line = rec.to_line()
-    assert line == records._encoded_line(kind, rec.payload)
     assert VerificationRecord.from_line(line) == rec
+    assert records._from_json(line) == rec
+
+
+def test_cli_check_records_rejects_a_deeply_nested_flat_field(tmp_path,
+                                                              capsys):
+    path = tmp_path / "r.jsonl"
+    nested = "[" * 900 + "]" * 900
+    path.write_text(_PAIR_LINES["prop1"].replace('"6"', nested) + "\n")
+    assert run(["check-records", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1:")
 
 
 # ---------------------------------------------------------------------------
