@@ -400,7 +400,12 @@ def _cmd_check_records(args, config: RunConfig) -> int:
     checker = RecordChecker(config.precision_bits, config.max_precision_bits)
     count = bad = 0
     for count, rec in enumerate(read_records(args.path), 1):
-        ok, message = checker.check(rec)
+        try:
+            ok, message = checker.check(rec)
+        except RecordFormatError as exc:
+            # a broken cross-field rule, reported at its line as a parse
+            # error is; every line holds one record, so count is the line
+            raise RecordFormatError(f"line {count}: {exc}") from exc
         if not ok:
             bad += 1
             print(f"record {count} ({rec.kind}): {message}")

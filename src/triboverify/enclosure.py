@@ -15,13 +15,27 @@ point impression.
 Complex values are axis-aligned rectangles (an enclosure for the real part and
 one for the imaginary part).
 
-The hot loops of the interval batteries call three integer kernels here
-rather than chains of enclosure operations, so that no other module reads
-the numerators: ``Enclosure.cmp_abs_power`` compares a power of |x| with a
-bound by cross-multiplication, ``ComplexEnclosure.affine_abs2`` gives
-|m*z - c|**2 for integers m and c, and ``integer_combination`` sums an
-integer combination of enclosures.  Each returns exactly what the chain of
-operations it replaces would give.
+The hot loops of the interval batteries call integer kernels here rather
+than chains of enclosure operations, so that no other module reads the
+numerators: ``Enclosure.cmp_abs_power`` compares a power of |x| with a
+bound, ``Enclosure.affine_abs`` gives |m*x - c| and
+``ComplexEnclosure.affine_abs2`` gives |m*z - c|**2 for integers m and c,
+and ``IntegerCombination`` keeps an integer combination of enclosures as a
+running exact sum whose weights may change (``integer_combination`` is its
+one-shot form).  Each returns exactly what the chain of operations it
+replaces would give.
+
+``cmp_abs_power`` decides |x|**k against a bound as the integer comparison
+M**k * e < b * d**k of numerators M, b over denominators d, e.  It filters
+by bit length first: a positive integer a lies in [2**(len(a) - 1),
+2**len(a)), so M**k * e < 2**(k*len(M) + len(e)) and b * d**k >=
+2**(len(b) - 1 + k*log2(d)), with k*log2(d) = k*(len(d) - 1) exact for a
+power of two and bracketed by k*(len(d) - 1) and k*len(d) otherwise.  When
+the two ranges do not overlap the comparison is decided with no power
+taken; only when they overlap (within about k + 2 bits of a tie) are the
+k-th powers formed and cross-multiplied.  Both ranges are proved, so the
+filter changes no decision, only its cost (the classical filter-then-exact
+predicate; Shewchuk, Discrete Comput. Geom. 18, 1997).
 """
 
 from __future__ import annotations
@@ -163,26 +177,68 @@ def _square_ends(n0: int, n1: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def integer_combination(pairs) -> "Enclosure":
-    """The exact enclosure of sum(n * e) over the (e, n) pairs, n integers.
+def _scale_pow(b: int, d: int, k: int) -> int:
+    """b * d**k, by a shift when d is a power of two."""
+    if d & (d - 1):
+        return b * d ** k
+    return b << k * (d.bit_length() - 1)
 
-    The sum is accumulated as two integer numerators; a new denominator is
-    aligned as ``_align`` does, so terms over powers of two add up over the
-    largest of them by shifts alone, and the result is the rational that
-    chained ``Enclosure`` products and sums give, over the same denominator.
+
+def integer_combination(pairs) -> "Enclosure":
+    """The exact enclosure of sum(n * e) over the (e, n) pairs, n integers:
+    one ``IntegerCombination`` given every weight at once."""
+    acc = IntegerCombination()
+    acc.reweigh((e, 0, n) for e, n in pairs)
+    return acc.enclosure()
+
+
+class IntegerCombination:
+    """A running exact sum(n * e) of enclosures e with integer weights n,
+    whose weights can change: the carried form of ``integer_combination``.
+
+    The sum is held as two integer numerators over one denominator.  A new
+    denominator is aligned as ``_align`` does, so terms over powers of two
+    add up over the largest of them by shifts alone.  n * e contributes
+    n * lo to the lower numerator for n >= 0 and n * hi for n < 0, so
+    changing a weight subtracts the old contribution exactly and adds the
+    new one, each by the sign of its own weight.  After any sequence of
+    ``reweigh`` calls the numerators and the denominator are those that
+    ``integer_combination`` gives over every enclosure named so far, at
+    its final weight, when the denominators are powers of two, and the
+    same rational otherwise.  An enclosure whose weight returns to 0 still
+    counts towards the denominator, as it does in ``integer_combination``.
     """
-    lo = hi = 0
-    d = 1
-    for e, n in pairs:
-        if n >= 0:
-            a, b = e._n0 * n, e._n1 * n
-        else:
-            a, b = e._n1 * n, e._n0 * n
-        if e._d != d:
-            lo, hi, a, b, d = _align(lo, hi, d, a, b, e._d)
-        lo += a
-        hi += b
-    return _enc(lo, hi, d)
+
+    __slots__ = ("_n0", "_n1", "_d")
+
+    def __init__(self):
+        self._n0 = self._n1 = 0
+        self._d = 1
+
+    def reweigh(self, changes) -> None:
+        """Move each enclosure e of the (e, old, new) triples from weight
+        old to weight new; old is 0 for an enclosure not yet in the sum."""
+        lo, hi, d = self._n0, self._n1, self._d
+        for e, old, new in changes:
+            n0, n1 = e._n0, e._n1
+            if new >= 0:
+                a, b = n0 * new, n1 * new
+            else:
+                a, b = n1 * new, n0 * new
+            if old > 0:
+                a -= n0 * old
+                b -= n1 * old
+            elif old < 0:
+                a -= n1 * old
+                b -= n0 * old
+            if e._d != d:
+                lo, hi, a, b, d = _align(lo, hi, d, a, b, e._d)
+            lo += a
+            hi += b
+        self._n0, self._n1, self._d = lo, hi, d
+
+    def enclosure(self) -> "Enclosure":
+        return _enc(self._n0, self._n1, self._d)
 
 
 _new = object.__new__
@@ -371,25 +427,61 @@ class Enclosure:
         """-1 if |x|**k lies below every value of ``bound`` for every x in
         the interval, 1 if above, 0 if the enclosures leave it open.
 
-        Decided by integer cross-multiplication of numerators, and only the
-        endpoint a test reads is raised to the k-th power: the largest |x|
-        first, the smallest only when the first test failed.  The bound's
-        numerators take the factor d**k, a shift when d is a power of two.
+        The largest |x| is tested for "below" first, the smallest for
+        "above" only when that failed.  Each test is decided by bit
+        lengths where they suffice (the module docstring says how), and
+        otherwise by integer cross-multiplication of numerators, with only
+        the endpoint the test reads raised to the k-th power.
         """
         n0, n1, d = self._n0, self._n1, self._d
         b0, b1, e = bound._n0, bound._n1, bound._d
-        if d & (d - 1):
-            dk = d ** k
-            b0, b1 = b0 * dk, b1 * dk
-        else:
-            shift = k * (d.bit_length() - 1)
-            b0, b1 = b0 << shift, b1 << shift
-        if max(-n0, n1) ** k * e < b0:
-            return -1
+        # for a >= 1, a**k * e lies in [2**(top - k - 1), 2**top) with
+        # top = k*len(a) + len(e), and for b >= 1, b * d**k lies in
+        # [2**(rhs - 1), 2**(rhs + dspan)) with rhs = len(b) + dlo, since
+        # log2(d**k) lies in [dlo, dlo + dspan], exactly dlo for a power
+        # of two
+        dlo = k * (d.bit_length() - 1)
+        dspan = k if d & (d - 1) else 0
+        el = e.bit_length()
+        if b0 > 0:
+            big = max(-n0, n1)
+            if not big:
+                return -1
+            top = k * big.bit_length() + el
+            rhs = b0.bit_length() + dlo
+            if top < rhs:
+                return -1
+            if (top - k - 1 < rhs + dspan
+                    and big ** k * e < _scale_pow(b0, d, k)):
+                return -1
         least = n0 if n0 > 0 else -n1 if n1 < 0 else 0
-        if least ** k * e > b1:
+        if b1 <= 0:
+            return 1 if least or b1 else 0
+        if not least:
+            return 0
+        top = k * least.bit_length() + el
+        rhs = b1.bit_length() + dlo
+        if top - k - 1 >= rhs + dspan:
             return 1
-        return 0
+        if top < rhs:
+            return 0
+        return 1 if least ** k * e > _scale_pow(b1, d, k) else 0
+
+    def affine_abs(self, m: int, c: int) -> "Enclosure":
+        """|m*x - c| for integers m and c: the enclosure that
+        ``(self * m - c).abs()`` gives, computed on the numerators with no
+        intermediate enclosure."""
+        d = self._d
+        cd = c * d
+        if m >= 0:
+            r0, r1 = self._n0 * m - cd, self._n1 * m - cd
+        else:
+            r0, r1 = self._n1 * m - cd, self._n0 * m - cd
+        if r0 >= 0:
+            return _enc(r0, r1, d)
+        if r1 <= 0:
+            return _enc(-r1, -r0, d)
+        return _enc(0, max(-r0, r1), d)
 
     def abs(self) -> "Enclosure":
         if self._n0 >= 0:

@@ -30,18 +30,39 @@ R(p, m) = a1^p alpha^m and the complex table P(p, m) = b1^p beta^m.  The
 evaluation groups the kept monomials at v by (pb, B.v, pc, C.v) and sums
 their exact q by (pa, A.v) inside each group, so interval work is spent
 only on the two small tables and on one product per group.  A group's
-inner sum, the R(pa, A.v) weighted by their integer q * Q_SCALE, is one
-``integer_combination``: integer numerators summed over the largest
+inner sum, the R(pa, A.v) weighted by their integer q * Q_SCALE, is an
+exact integer combination: integer numerators summed over the largest
 power-of-two denominator of its entries, the same rational that a chain of
 enclosure products and sums gives.
 The table entries depend on (p, m) and the precision alone, so they are
 memoised per precision in bounded caches that every order and every
 triple shares: a decay report builds each entry once, not once per order.
+So is each mirror pair's rounded real factor (``_pair_factor``).
+
 Swapping B with C maps the kept set onto itself with equal q, so every
 group has a mirror (pc, C.v, pb, B.v) with identical exact inner sums.
 This is checked exactly, and the pair then adds up to the real number
 2 * Re(P_b * conj(P_c)) * (inner sum); the kept sum is real by
 construction rather than by an interval straddling the real axis.
+
+The kept terms of order t are those of order t - 1 followed by a shell,
+so the exact group sums are carried from order to order rather than
+summed again (``_GroupSums``): a bounded memo keyed by (x, y, z, bits)
+keeps each group's exact (pa, A.v) weights and its
+``IntegerCombination``, and order t adds only its shell.  This leaves
+every enclosure bit-identical.  An integer combination over power-of-two
+denominators is fixed by its entries and their final weights alone: each
+entry adds n * lo or n * hi, by the sign of its own weight, shifted to the
+largest denominator of the group.  A shell moves each weight it touches
+from its old value to its new one, subtracting the old contribution and
+adding the new one, each by its own sign, so the carried sum has the two
+numerators and the denominator that summing the whole group afresh
+gives.  Nothing carried is rounded; each order rounds the exact sum, as
+before.  A memo entry is used only while the kept terms asked for start
+with the terms it has summed; otherwise, as for a lower order or a
+patched ``expansion_terms``, the sums start afresh.  The enclosures of u
+and of the prefactor sqrt(a) * alpha^((x+y-z)/2) are taken once per key
+as well.
 
 The error of the truncation is not estimated a priori: it is the measured
 gap |u - truncation|, both sides evaluated in certified interval
@@ -50,6 +71,7 @@ arithmetic tight enough to order consecutive errors.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -58,8 +80,8 @@ from typing import NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         beta_power, constants)
-from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
-                        integer_combination, precision_ladder)
+from .enclosure import (ComplexEnclosure, Enclosure, IntegerCombination,
+                        PrecisionFailure, precision_ladder)
 from .tribonacci import trib
 
 MAX_ORDER = 8
@@ -194,20 +216,114 @@ def _complex_factor(p: int, m: int, bits: int) -> ComplexEnclosure:
             * beta_power(m, bits)).rounded(bits + 32)
 
 
-def _grouped(terms, v: tuple[int, int, int]) -> dict:
-    """The terms at v grouped by (pb, B.v, pc, C.v); each group maps
-    (pa, A.v) to the exact sum of its q, scaled by Q_SCALE to an integer."""
-    x, y, z = v
-    groups: dict = {}
-    for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms:
-        pb, pc = b0 + b1 + b2, c0 + c1 + c2
-        key = (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z)
-        inner = groups.get(key)
-        if inner is None:
-            inner = groups[key] = {}
-        key = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
-        inner[key] = inner.get(key, 0) + n
-    return groups
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _pair_factor(pb: int, mb: int, pc: int, mc: int,
+                 bits: int) -> Enclosure:
+    """The real factor of a group (pb, mb, pc, mc) and its mirror (pc, mc,
+    pb, mb) together, rounded: 2 * Re(P(pb, mb) * conj(P(pc, mc))), or
+    |P(pb, mb)|**2 for a group that is its own mirror."""
+    p_b = _complex_factor(pb, mb, bits)
+    if (pb, mb) == (pc, mc):
+        re_part = p_b.abs2()
+    else:
+        p_c = _complex_factor(pc, mc, bits)
+        re_part = p_b.re * p_c.re + p_b.im * p_c.im
+        re_part = re_part + re_part
+    return re_part.rounded(bits + 32)
+
+
+class _GroupSums:
+    """The kept terms summed so far at one (x, y, z, bits).  The terms at
+    v = (x, y, z) are grouped by (pb, B.v, pc, C.v); each group maps to
+    its exact weights, (pa, A.v) to the sum of its q scaled by Q_SCALE,
+    and to the ``IntegerCombination`` of the real factors R(pa, A.v) at
+    those weights."""
+
+    __slots__ = ("kept", "groups")
+
+    def __init__(self):
+        self.kept: tuple[ExpansionTerm, ...] = ()
+        self.groups: dict = {}
+
+    def extend(self, terms, v: tuple[int, int, int], bits: int) -> None:
+        """Add the terms past the kept prefix, which terms must start
+        with.  Each term moves one weight from its old value to its new
+        one; the moves of a group go to its combination in one call."""
+        x, y, z = v
+        groups = self.groups
+        touched: dict = {}
+        for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms[
+                len(self.kept):]:
+            pb, pc = b0 + b1 + b2, c0 + c1 + c2
+            key = (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z)
+            moves = touched.get(key)
+            if moves is None:
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = ({}, IntegerCombination())
+                moves = touched[key] = (*group, [])
+            weights, _, changes = moves
+            pa, ma = -a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z
+            old = weights.get((pa, ma), 0)
+            weights[pa, ma] = old + n
+            changes.append((_real_factor(pa, ma, bits), old, old + n))
+        for _, combination, changes in touched.values():
+            combination.reweigh(changes)
+        self.kept = terms
+
+
+class _SumsMemo:
+    """A bounded, locked map from (x, y, z, bits) to ``_GroupSums``.
+
+    A caller takes an entry out, extends it and puts it back, so no
+    caller sees an entry half extended, and one whose extension raises
+    leaves none behind.  Of two entries for one key the one with more
+    kept terms stays; past ``maxsize`` keys the oldest goes.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: dict = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def take(self, key) -> _GroupSums | None:
+        with self._lock:
+            return self._entries.pop(key, None)
+
+    def put(self, key, sums: _GroupSums) -> None:
+        with self._lock:
+            held = self._entries.pop(key, None)
+            if held is not None and len(held.kept) > len(sums.kept):
+                sums = held
+            self._entries[key] = sums
+            while len(self._entries) > self.maxsize:
+                del self._entries[next(iter(self._entries))]
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+# A decay report, or check-records on one triple, reads one key per
+# precision it climbs to.
+TRUNCATION_SUMS_SIZE = 8
+_truncation_sums = _SumsMemo(TRUNCATION_SUMS_SIZE)
+
+
+@lru_cache(maxsize=TRUNCATION_SUMS_SIZE)
+def _anchors(x: int, y: int, z: int, bits: int) -> tuple[Enclosure,
+                                                          Enclosure]:
+    """u = sqrt((T_x-1)(T_y-1)/(T_z-1)) and the prefactor
+    sqrt(a) * alpha^((x+y-z)/2), each enclosed at bits + 32."""
+    work = bits + 32
+    ratio = Fraction((trib(x) - 1) * (trib(y) - 1), trib(z) - 1)
+    u = Enclosure.point(ratio).sqrt(work)
+    prefactor = (constants(bits).a.sqrt(work)
+                 * alpha_power(x + y - z, bits).sqrt(work))
+    return u, prefactor
 
 
 def _truncation_value(x: int, y: int, z: int, order: int,
@@ -218,31 +334,31 @@ def _truncation_value(x: int, y: int, z: int, order: int,
     the same exact inner sums, which is what makes the sum real.
     """
     work = bits + 32
-    cs = constants(bits)
-    groups = _grouped(expansion_terms(order, bits).terms, (x, y, z))
+    memo_key = (x, y, z, bits)
+    terms = expansion_terms(order, bits).terms
+    sums = _truncation_sums.take(memo_key)
+    if sums is None or terms[:len(sums.kept)] != sums.kept:
+        if sums is not None:
+            _truncation_sums.put(memo_key, sums)
+        sums = _GroupSums()
+    sums.extend(terms, (x, y, z), bits)
+    groups = sums.groups
     total = Enclosure.point(0)
-    for key, inner in groups.items():
+    for key, (weights, combination) in groups.items():
         pb, mb, pc, mc = key
         mirror = (pc, mc, pb, mb)
-        if groups.get(mirror) != inner:
+        other = groups.get(mirror)
+        if other is None or other[0] != weights:
             raise ArithmeticError(
                 f"kept-term sum failed to be real: group {key} has no "
                 "mirror with the same exact coefficients")
         if mirror < key:
             continue  # added with its mirror
-        inner_sum = integer_combination(
-            (_real_factor(pa, ma, bits), n) for (pa, ma), n in inner.items())
-        p_b = _complex_factor(pb, mb, bits)
-        if mirror == key:
-            re_part = p_b.abs2()
-        else:
-            p_c = _complex_factor(pc, mc, bits)
-            re_part = p_b.re * p_c.re + p_b.im * p_c.im
-            re_part = re_part + re_part
-        total = total + (re_part.rounded(work)
-                         * inner_sum.rounded(work)).rounded(work)
-
-    prefactor = cs.a.sqrt(work) * alpha_power(x + y - z, bits).sqrt(work)
+        total = total + (_pair_factor(pb, mb, pc, mc, bits)
+                         * combination.enclosure().rounded(work)
+                         ).rounded(work)
+    _truncation_sums.put(memo_key, sums)
+    prefactor = _anchors(x, y, z, bits)[1]
     return (total * prefactor * Fraction(1, Q_SCALE)).rounded(work)
 
 
@@ -260,9 +376,8 @@ def expansion_error(x: int, y: int, z: int, order: int,
         raise ValueError("need 5 <= x < y < z with x + y > z")
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"truncation order must lie in 0..{MAX_ORDER}")
-    ratio = Fraction((trib(x) - 1) * (trib(y) - 1), trib(z) - 1)
     for bits in precision_ladder(precision_bits, max_precision_bits):
-        u_real = Enclosure.point(ratio).sqrt(bits + 32)
+        u_real = _anchors(x, y, z, bits)[0]
         gap = (u_real - _truncation_value(x, y, z, order, bits)).abs()
         if gap.is_positive() and (gap.hi - gap.lo) * 4096 <= gap.lo:
             return gap

@@ -21,9 +21,12 @@ decides the real bound in fourth powers, |eta_alpha|**4 < (13/10)**4 *
 alpha**z, and the complex one in squares, |eta_beta|**2 < (9/25) *
 alpha**(2*z), with |eta_beta|**2 taken from the memoised beta**lam of
 ``constants.beta_power`` by ``ComplexEnclosure.affine_abs2``.  The two
-bounds depend on (z, bits) alone and come from a bounded cache; both tests
-are integer cross-multiplications in ``Enclosure.cmp_abs_power``, which
-raises only the endpoint each test reads to its power.
+bounds depend on (z, bits) alone and come from a bounded cache; the real
+magnitude |alpha**lam * (T_y - 1) - (T_z - 1)| is one
+``Enclosure.affine_abs``, and both tests are ``Enclosure.cmp_abs_power``,
+which settles most comparisons by bit lengths and raises an endpoint to its
+power only when they leave the comparison open.  T_n - 1 is read from one
+list (``_shifted``).
 
 The headline inequality has two routes.  The prop1 battery
 (``prop1_results``) decides it against one integer threshold per z:
@@ -88,8 +91,21 @@ def _alpha_power_coords(k: int) -> tuple[int, int, int]:
         return _pow_cubic_cache[k]
 
 
+_shifted_values: list[int] = []
+_shifted_lock = threading.Lock()
+
+
 def _shifted(n: int) -> int:
-    return trib(n) - 1
+    """T_n - 1 for n >= 0, read from one list that grows as indices are
+    asked for."""
+    if 0 <= n < len(_shifted_values):
+        return _shifted_values[n]
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    with _shifted_lock:
+        while len(_shifted_values) <= n:
+            _shifted_values.append(trib(len(_shifted_values)) - 1)
+    return _shifted_values[n]
 
 
 def gcd_shifted(y: int, z: int) -> int:
@@ -211,7 +227,7 @@ def factor_bounds(y: int, z: int,
     for bits in precision_ladder(precision_bits, max_precision_bits):
         bound_r4, bound_c2 = _embedding_bounds(z, bits)
         # embedding fixing alpha, against 1.3*alpha**(z/4) in fourth powers
-        real_abs = (alpha_power(lam, bits) * ty - tz).abs()
+        real_abs = alpha_power(lam, bits).affine_abs(ty, tz)
         real = real_abs.cmp_abs_power(4, bound_r4)
         # embedding sending alpha to beta, the gamma one its conjugate;
         # against 0.6*alpha**z in squares, so no root is taken

@@ -45,7 +45,7 @@ from typing import Any, Iterable, Iterator
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         verify_growth, verify_numeric_window)
-from .enclosure import Enclosure
+from .enclosure import Enclosure, PrecisionFailure, precision_ladder
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
 from .gcdbound import GcdWitness, _prop1_verdict, gcd_shifted, norm_witness
@@ -649,10 +649,22 @@ def _check_expansion(rec: VerificationRecord,
             and recorded.width() * 4096 <= recorded.lo):
         return ("recorded error interval is not positive with relative "
                 "width at most 2^-12")
+    # the record claims that its interval holds the error, which is proved
+    # only when the interval encloses a recomputed enclosure; one that
+    # merely meets it is recomputed at twice the precision, up to the cap
     fresh = checker.expansion_error(x, y, z, t)
+    for bits in precision_ladder(checker.precision_bits,
+                                 checker.max_precision_bits)[1:]:
+        if recorded.encloses(fresh) or not fresh.intersects(recorded):
+            break
+        fresh = expansion_error(x, y, z, t, bits, checker.max_precision_bits)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
                 "misses the recorded interval")
+    if not recorded.encloses(fresh):
+        raise PrecisionFailure(
+            f"recomputed error at order {t} neither inside nor apart from "
+            f"the recorded interval within {checker.max_precision_bits} bits")
     if t >= 2:
         prev = checker.expansion_error(x, y, z, t - 1)
         (fresh_decreasing,), (fresh_ratio_ok,) = decay_verdicts(

@@ -2,7 +2,9 @@
 names its scripts import, and the record builders it wraps, so a moved or
 renamed function cannot silently zero a per-layer metric or break a
 workload.  The quick ``verify all`` that the verify-all workload runs keeps
-its record and stdout digests, and calls one wrapped builder per record."""
+its record and stdout digests, and calls one wrapped builder per record.
+The deep-numerics workload times one op per ``factor_bounds`` pair and per
+``expansion_error`` order, read through their module globals."""
 
 import ast
 import hashlib
@@ -13,7 +15,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from triboverify import cli
+from triboverify import cli, expansion, gcdbound
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,3 +140,28 @@ def test_quick_verify_all_digests_and_one_builder_call_per_record(
     assert kinds == Counter({
         name.removesuffix("s").removesuffix("_record").replace("_", "-"): n
         for name, n in calls.items()})
+
+
+def test_deep_numerics_ops_are_one_call_each(monkeypatch):
+    # the workload rebinds these two names and times each call as one op:
+    # factor_sweep must call factor_bounds once per regime pair, and
+    # decay_report expansion_error once per order, both through the
+    # module globals
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(gcdbound, "factor_bounds",
+                        counting("factor_bounds", gcdbound.factor_bounds))
+    monkeypatch.setattr(expansion, "expansion_error",
+                        counting("expansion_error",
+                                 expansion.expansion_error))
+    sweep = gcdbound.factor_sweep(40)
+    assert calls["factor_bounds"] == len(gcdbound.regime_pairs(40)) \
+        == len(sweep.reports) > 0
+    report = expansion.decay_report(20, 25, 30, 6)
+    assert calls["expansion_error"] == len(report.errors) == 7

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from triboverify import gcdbound, splitfield
 from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
-                                   PrecisionFailure, integer_combination,
+                                   IntegerCombination, PrecisionFailure,
+                                   _enc, integer_combination,
                                    precision_ladder, round_down, round_up,
                                    sqrt_split)
 from triboverify.splitfield import CubicElement
@@ -294,6 +295,88 @@ def test_cmp_abs_power_matches_oracle(a, k, b, factor):
         power = power * x.abs()
     assert (want == -1) == power.definitely_lt(bound)
     assert (want == 1) == power.definitely_gt(bound)
+
+
+# cmp_abs_power on raw numerators: denominators a power of two or odd and
+# left unreduced, x intervals that may straddle or touch zero, and bound
+# ends within a bit or so of |x|**k, where the bit-length filter leaves the
+# comparison open, or at or below zero
+_denominator = st.one_of(st.integers(0, 90).map(lambda j: 1 << j),
+                         st.integers(0, 10 ** 30).map(lambda j: 2 * j + 1))
+_NEAR = ((1, 1), (1, 2), (2, 1), (3, 2), (2, 3), (255, 256), (257, 256))
+
+
+@st.composite
+def _abs_power_case(draw):
+    k = draw(st.integers(1, 4))
+    d, e = draw(_denominator), draw(_denominator)
+    n0 = draw(st.integers(-10 ** 40, 10 ** 40))
+    n1 = draw(st.sampled_from([n0, -n0, 0])
+              | st.integers(n0, n0 + 10 ** 40))
+    n0, n1 = min(n0, n1), max(n0, n1)
+    big = max(-n0, n1)
+    least = n0 if n0 > 0 else -n1 if n1 < 0 else 0
+    mul, div = draw(st.sampled_from(_NEAR))
+    near = ((draw(st.sampled_from([big, least])) ** k * e * mul)
+            // (d ** k * div) + draw(st.integers(-2, 2)))
+    other = draw(st.sampled_from([near, 0, -near])
+                 | st.integers(-10 ** 40, 10 ** 40))
+    b0, b1 = sorted((near, other))
+    return _enc(n0, n1, d), k, _enc(b0, b1, e)
+
+
+def _cmp_abs_power_oracle(x: Enclosure, k: int, bound: Enclosure) -> int:
+    big = max(-x.lo, x.hi)
+    least = x.lo if x.lo > 0 else -x.hi if x.hi < 0 else 0
+    return -1 if big ** k < bound.lo else 1 if least ** k > bound.hi else 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(_abs_power_case())
+# the filter leaves these open: exact ties and one-bit gaps
+@example((_enc(-3, 2, 1), 4, _enc(81, 81, 1)))
+@example((_enc(-3, 2, 1), 4, _enc(82, 90, 1)))
+@example((_enc(2, 3, 1), 4, _enc(0, 16, 1)))
+@example((_enc(2, 3, 1), 4, _enc(-5, 15, 1)))
+@example((_enc(0, 0, 7), 2, _enc(0, 0, 3)))
+@example((_enc(0, 0, 7), 2, _enc(-1, 0, 3)))
+@example((_enc(-5, 0, 1 << 40), 3, _enc(1, 1, 1)))
+@example((_enc(7, 9, 3), 1, _enc(5, 9, 5)))
+# equal bit-length brackets: |x|**k * e in [2**(top-1), 2**top), the bound
+# side in [2**(top-1), ...), here tied with it
+@example((_enc(3, 3, 1), 1, _enc(8, 9, 3)))
+@example((_enc(3, 3, 1), 1, _enc(8, 8, 3)))
+@example((_enc(15, 15, 1), 4, _enc(151875, 151875, 3)))
+@example((_enc(15, 15, 1), 4, _enc(151874, 151874, 3)))
+def test_filtered_cmp_abs_power_matches_exact_oracle(case):
+    x, k, bound = case
+    assert x.cmp_abs_power(k, bound) == _cmp_abs_power_oracle(x, k, bound)
+
+
+@_props
+@given(st.lists(st.tuples(_pairs, _bound_factor,
+                          st.lists(_multiplier, min_size=1, max_size=4)),
+                max_size=6), st.randoms(use_true_random=False))
+def test_reweighed_combination_matches_a_fresh_one(terms, rng):
+    # each weight moves in steps, in shuffled order and across zero; the
+    # running sum ends where integer_combination at the final weights
+    # does: the same numerators over the same denominator when every
+    # denominator is a power of two, the same rational otherwise
+    encs = [_scaled(pair, factor)[0] for pair, factor, _ in terms]
+    moves = [(i, step) for i, (_, _, steps) in enumerate(terms)
+             for step in steps]
+    rng.shuffle(moves)
+    acc = IntegerCombination()
+    weights = [0] * len(encs)
+    for i, step in moves:
+        old = weights[i]
+        weights[i] = old + step
+        acc.reweigh([(encs[i], old, weights[i])])
+    got = acc.enclosure()
+    want = integer_combination(zip(encs, weights))
+    assert got == want
+    if not any(e._d & (e._d - 1) for e in encs):
+        assert (got._n0, got._n1, got._d) == (want._n0, want._n1, want._d)
 
 
 @_props

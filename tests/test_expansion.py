@@ -2,6 +2,9 @@
 term bookkeeping, measured truncation error, decay certificates."""
 
 import hashlib
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -11,13 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triboverify import cli, expansion
+from triboverify import cli, expansion, gcdbound
 from triboverify.constants import DEFAULT_PRECISION, alpha_power, constants
-from triboverify.enclosure import ComplexEnclosure, Enclosure, PrecisionFailure
+from triboverify.enclosure import (ComplexEnclosure, Enclosure,
+                                   PrecisionFailure, integer_combination)
 from triboverify.expansion import (FACTOR_CACHE_SIZE, MAX_ORDER, Q_SCALE,
-                                   DecayReport, _symbolic_terms,
-                                   _truncation_value, decay_report,
-                                   expansion_error, expansion_terms)
+                                   TRUNCATION_SUMS_SIZE, DecayReport,
+                                   _symbolic_terms, _truncation_value,
+                                   decay_report, expansion_error,
+                                   expansion_terms)
 from triboverify.tribonacci import trib
 
 from test_constants import _cpow
@@ -166,6 +171,39 @@ def test_term_without_equal_mirror_is_refused(monkeypatch):
         _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
 
 
+def _lopsided(order, past):
+    """expansion_terms(order) with the q of its first term past index
+    ``past`` that has pb != pc doubled, so that term's group no longer
+    equals its mirror."""
+    params = expansion_terms(order)
+    i = next(i for i, t in enumerate(params.terms)
+             if i >= past and sum(t.b_vec) != sum(t.c_vec))
+    terms = list(params.terms)
+    terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
+    return params._replace(terms=tuple(terms))
+
+
+@pytest.mark.parametrize("memo_order, past", [(1, 0), (1, 13), (6, 0)])
+def test_term_without_equal_mirror_is_refused_over_a_genuine_memo(
+        monkeypatch, memo_order, past):
+    # the memo holds the genuine sums of another order; the lopsided terms
+    # break its prefix (past 0), or extend it with a lopsided shell (past
+    # 13, the size of order 1), or are shorter than it (order 6): each is
+    # refused, and the genuine sums come back unchanged afterwards
+    _clear_shared_tables()
+    genuine = _endpoints(_truncation_value(20, 25, 30, 2, DEFAULT_PRECISION))
+    _clear_shared_tables()
+    _truncation_value(20, 25, 30, memo_order, DEFAULT_PRECISION)
+    lopsided = _lopsided(2, past)
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion, "expansion_terms",
+                      lambda order, bits: lopsided)
+        with pytest.raises(ArithmeticError, match="failed to be real"):
+            _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
+    assert _endpoints(
+        _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)) == genuine
+
+
 def _coefficient(params, term) -> ComplexEnclosure:
     """q * a1^pa b1^pb c1^pc rebuilt from the enclosed powers."""
     q_scaled, a_vec, b_vec, c_vec = term
@@ -249,7 +287,9 @@ def test_grouped_truncation_matches_oracle(xyz, order):
 
 def _clear_shared_tables():
     for cached in (expansion.expansion_terms, expansion._coefficient_powers,
-                   expansion._real_factor, expansion._complex_factor):
+                   expansion._real_factor, expansion._complex_factor,
+                   expansion._pair_factor, expansion._anchors,
+                   expansion._truncation_sums):
         cached.cache_clear()
 
 
@@ -283,6 +323,111 @@ def test_factor_tables_stay_within_their_bound():
     # evicted and come back rebuilt to the same endpoints
     assert expansion._real_factor.cache_info().currsize == FACTOR_CACHE_SIZE
     assert _endpoints(expansion_error(20, 25, 30, 4)) == first
+
+
+def _regrouped_truncation(x, y, z, order, bits):
+    """The truncation with every group summed afresh at this order: the
+    whole kept set grouped at once, each group's inner sum one
+    integer_combination, and each pair's real factor built in place."""
+    work = bits + 32
+    v = (x, y, z)
+    groups = {}
+    for n, a_vec, b_vec, c_vec in _symbolic_terms(order):
+        pb, pc = sum(b_vec), sum(c_vec)
+        inner = groups.setdefault((pb, _dot(b_vec, v), pc, _dot(c_vec, v)),
+                                  {})
+        entry = (-sum(a_vec) - pb - pc, _dot(a_vec, v))
+        inner[entry] = inner.get(entry, 0) + n
+    total = Enclosure.point(0)
+    for (pb, mb, pc, mc), inner in groups.items():
+        if (pc, mc, pb, mb) < (pb, mb, pc, mc):
+            continue
+        inner_sum = integer_combination(
+            (expansion._real_factor(pa, ma, bits), n)
+            for (pa, ma), n in inner.items())
+        p_b = expansion._complex_factor(pb, mb, bits)
+        if (pb, mb) == (pc, mc):
+            re_part = p_b.abs2()
+        else:
+            p_c = expansion._complex_factor(pc, mc, bits)
+            re_part = (p_b.re * p_c.re + p_b.im * p_c.im) * 2
+        total = total + (re_part.rounded(work)
+                         * inner_sum.rounded(work)).rounded(work)
+    cs = constants(bits)
+    prefactor = cs.a.sqrt(work) * alpha_power(x + y - z, bits).sqrt(work)
+    return (total * prefactor * Fraction(1, Q_SCALE)).rounded(work)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_admissible(),
+       st.lists(st.tuples(st.integers(0, MAX_ORDER), st.sampled_from(
+           [192, 256])), min_size=2, max_size=6))
+@example((20, 25, 30), [(8, 192), (0, 192), (3, 256), (4, 256), (2, 192)])
+def test_carried_sums_are_bit_identical_in_any_order(xyz, runs):
+    # orders asked for in any order, each carried on from whatever the memo
+    # holds, give the endpoints of a run with every memo cleared, and the
+    # truncations those of summing each group afresh
+    _clear_shared_tables()
+    carried = [(_endpoints(expansion_error(*xyz, t, bits)),
+                _endpoints(_truncation_value(*xyz, t, bits)))
+               for t, bits in runs]
+    for (t, bits), (err, trunc) in zip(runs, carried):
+        _clear_shared_tables()
+        assert _endpoints(expansion_error(*xyz, t, bits)) == err
+        assert _endpoints(_regrouped_truncation(*xyz, t, bits)) == trunc
+
+
+def test_truncation_memo_stays_within_its_bound_and_clears():
+    _clear_shared_tables()
+    for x in range(20, 20 + 2 * TRUNCATION_SUMS_SIZE):
+        expansion_error(x, x + 1, x + 2, 3)
+    sums = expansion._truncation_sums
+    assert sums.maxsize == TRUNCATION_SUMS_SIZE
+    assert len(sums) == TRUNCATION_SUMS_SIZE
+    _clear_shared_tables()
+    assert len(sums) == 0
+
+
+def test_truncation_memo_shared_between_threads(monkeypatch):
+    # threads asking for the orders of one triple in different orders take
+    # and put back the same memo entry; each sees the endpoints of a fresh
+    # run, and T_n - 1 grows its list under its lock meanwhile
+    runs = [(t, 192) for t in range(7)] + [(t, 256) for t in (2, 5)]
+    _clear_shared_tables()
+    fresh = {}
+    for run in runs:
+        _clear_shared_tables()
+        fresh[run] = _endpoints(_truncation_value(20, 25, 30, *run))
+    _clear_shared_tables()
+    monkeypatch.setattr(gcdbound, "_shifted_values", [])
+    start = threading.Barrier(6)
+    wrong = []
+
+    def ask_all(seed):
+        start.wait(timeout=60)
+        order = runs[:]
+        random.Random(seed).shuffle(order)
+        for run in order:
+            if _endpoints(_truncation_value(20, 25, 30, *run)) != fresh[run]:
+                wrong.append((seed, run))
+        for n in range(300, 4, -7):
+            if gcdbound._shifted(n) != trib(n) - 1:
+                wrong.append((seed, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask_all, args=(seed,))
+                   for seed in range(start.parties)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(expansion._truncation_sums) <= 2
 
 
 def test_error_ladder_frozen():
@@ -353,6 +498,26 @@ def test_preconditions():
         expansion_error(20, 25, 30, -1)
     with pytest.raises(ValueError):
         decay_report(20, 25, 30, order_max=1)
+
+
+# sha256 of the decay_report(x, y, z, 6) enclosures and verdicts over the
+# triples the deep-numerics bench draws (x in 19..21, steps 1..4), frozen
+# before the group sums were carried from order to order
+BAND_TRIPLES = [(x, x + dy, x + dy + dz) for x in (19, 20, 21)
+                for dy in range(1, 5) for dz in range(1, 5)]
+BAND_DECAY_SHA256 = (
+    "0fe270027be8b4f35d455f4b536c27e1f464d101b3f96ff3dfed3f0cd9b88388")
+
+
+def test_band_decay_reports_are_frozen():
+    digest = hashlib.sha256()
+    for x, y, z in BAND_TRIPLES:
+        rep = decay_report(x, y, z, 6)
+        for t, err in enumerate(rep.errors):
+            digest.update(f"{x} {y} {z} {t} {err.lo} {err.hi}\n".encode())
+        digest.update(f"{rep.decreasing} {rep.ratio_ok}\n".encode())
+    assert len(BAND_TRIPLES) == 48
+    assert digest.hexdigest() == BAND_DECAY_SHA256
 
 
 def test_expansion_records_are_frozen(tmp_path, capsys):

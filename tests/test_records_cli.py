@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from triboverify.cli import (RunConfig, UsageError, build_parser,
 from triboverify.constants import (DEFAULT_PRECISION, Cmp, cmp_alpha_power,
                                    verify_growth, verify_numeric_window)
 from triboverify.enclosure import Enclosure, precision_ladder
-from triboverify.expansion import MAX_ORDER, decay_report
+from triboverify.expansion import MAX_ORDER, decay_report, expansion_error
 from triboverify.gcdbound import norm_witness
 from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                                  EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP,
@@ -365,8 +366,23 @@ def test_cli_check_records_rejects_an_unordered_triple(tmp_path, capsys,
     assert run(["check-records", str(path)]) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out
-    assert err == (f"error: triple needs u < v < w, got u={u}, v={v}, "
-                   f"w={w}\n")
+    assert err == (f"error: line 1: triple needs u < v < w, got u={u}, "
+                   f"v={v}, w={w}\n")
+
+
+def test_cli_check_records_names_the_line_of_a_broken_rule(tmp_path, capsys):
+    # a checker's rejection carries the line number as a parse error does,
+    # after the failures of the lines before it
+    path = tmp_path / "r.jsonl"
+    forged = prop1_record(40, 45, 1, False)
+    emit_records(path, [membership_triple_record(1, 3, 6), forged,
+                        membership_triple_record(3, 3, 6),
+                        membership_triple_record(1, 2, 3)])
+    assert run(["check-records", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("record 2 (prop1): ") and "PASS" not in out
+    assert err == ("error: line 3: triple needs u < v < w, got u=3, v=3, "
+                   "w=6\n")
 
 
 def test_cli_check_records_caps_triple_values(tmp_path, capsys):
@@ -401,11 +417,11 @@ def expansion_lines():
     return [json.loads(rec.to_line()) for rec in expansion_records(report)]
 
 
-def _check_edited(tmp_path, record: dict, **edits) -> int:
+def _check_edited(tmp_path, record: dict, *flags: str, **edits) -> int:
     path = tmp_path / "r.jsonl"
     path.write_text(json.dumps({**record, **edits},
                                separators=(",", ":")) + "\n")
-    return run(["check-records", str(path)])
+    return run(["check-records", str(path), *flags])
 
 
 def test_cli_check_records_accepts_genuine_expansion(tmp_path, capsys,
@@ -452,6 +468,62 @@ def test_cli_check_records_flags_forged_expansion_interval(
     assert _check_edited(tmp_path, expansion_lines[2],
                          err_lo="0", err_hi="1") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _upper_end_forgery(record: dict) -> dict:
+    """The record with its interval replaced by [h, h*(1 + 2**-13)], h the
+    upper end of the enclosure the checker recomputes: an interval that
+    meets the error's enclosure but lies at or above all of it."""
+    h = expansion_error(record["x"], record["y"], record["z"],
+                        record["t"]).hi
+    return {**record, "err_lo": str(h),
+            "err_hi": str(h * (1 + Fraction(1, 2 ** 13)))}
+
+
+def _recording_expansion_error(monkeypatch) -> list:
+    """The precision of every expansion_error call the checker makes."""
+    seen = []
+    true_expansion_error = records.expansion_error
+
+    def recording(x, y, z, t, bits, *cap):
+        seen.append(bits)
+        return true_expansion_error(x, y, z, t, bits, *cap)
+
+    monkeypatch.setattr(records, "expansion_error", recording)
+    return seen
+
+
+def test_cli_check_records_fails_an_interval_that_only_meets_the_error(
+        tmp_path, capsys, monkeypatch, expansion_lines):
+    forged = _upper_end_forgery(expansion_lines[2])
+    seen = _recording_expansion_error(monkeypatch)
+    assert _check_edited(tmp_path, forged) == 1
+    assert "misses the recorded interval" in capsys.readouterr().out
+    # the two meet at the default precision; twice that tells them apart
+    assert DEFAULT_PRECISION * 2 in seen
+
+
+def test_cli_check_records_escalates_a_genuine_expansion_record(
+        tmp_path, capsys, monkeypatch, expansion_lines):
+    # at 32 bits the recomputed error is wider than the recorded one, so
+    # the checker climbs until the record encloses it
+    seen = _recording_expansion_error(monkeypatch)
+    for record in expansion_lines:
+        seen.clear()
+        assert _check_edited(tmp_path, record, "--precision-bits", "32") == 0
+        assert seen[0] == 32 and max(seen) > 32
+    capsys.readouterr()
+
+
+def test_cli_check_records_rejects_an_only_meeting_interval_at_the_cap(
+        tmp_path, capsys, expansion_lines):
+    # no rung past the starting precision: neither enclosed nor apart is
+    # inconclusive, exit 3, not a verdict
+    forged = _upper_end_forgery(expansion_lines[2])
+    assert _check_edited(tmp_path, forged, "--max-precision-bits",
+                         str(DEFAULT_PRECISION)) == 3
+    captured = capsys.readouterr()
+    assert "inconclusive:" in captured.err and "PASS" not in captured.out
 
 
 @pytest.mark.parametrize("flag", ["decreasing", "ratio_ok"])
@@ -1165,6 +1237,20 @@ _VALID_FLAT_VALUES = {
                                 st.none() | _capped(3, BRUTE_W_MAX_CAP),
                                 _FLAG, _capped(0, 10 ** 6)),
 }
+
+
+def test_genuine_expansion_records_pass_without_escalating(
+        tmp_path, capsys, monkeypatch, quick_file):
+    # the quick file, and the expansion records of the full one (orders
+    # 0..6 at (20, 25, 30)), are enclosed at the default precision
+    full = tmp_path / "expansion.jsonl"
+    assert run(["verify", "expansion", "--x", "20", "--y", "25", "--z", "30",
+                "--t-max", "6", "--out", str(full)]) == 0
+    seen = _recording_expansion_error(monkeypatch)
+    for path in (quick_file, full):
+        assert run(["check-records", str(path)]) == 0
+    assert seen and set(seen) == {DEFAULT_PRECISION}
+    capsys.readouterr()
 
 
 def test_check_records_reads_flat_lines_by_template_and_one_floor_per_z(
