@@ -51,7 +51,7 @@ from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
 from .gcdbound import GcdWitness, _prop1_verdict, gcd_shifted, norm_witness
 from .splitfield import (ALPHA_C, WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
-                         _legendre, field_identity_report)
+                         _legendre, field_identity_report, is_square_in_K)
 from .tribonacci import default_table, trib_fast
 from .triples import brute_force, search
 
@@ -202,7 +202,7 @@ LEMMA2_CASES = {
 }
 
 # Largest sizes a record may ask check-records to re-run, timed on a shared
-# 2-core VM with Python 3.11: search(1000) takes about 1 s (once for both
+# 2-core VM with Python 3.11: search(1000) takes about 0.4 s (once for both
 # prune flags and a whole file, see RecordChecker), brute_force(10**6) about
 # 1 ms, verify_numeric_window(4096) about 0.3 s (16384 bits take about 5 s)
 # and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair
@@ -603,6 +603,23 @@ def _check_lemma2(rec: VerificationRecord,
         return f"coords are not those of the element {label}"
     if square != expected:
         return f"the element {label} has square={expected}"
+    problem = _lemma2_certificate_problem(element, square, root, witnesses)
+    if problem is not None:
+        return problem
+    # a sound certificate need not be the battery's: -root squares back
+    # too, and a later witness prime refutes as well
+    battery = lemma2_record(label, is_square_in_K(
+        element, checker.precision_bits, checker.max_precision_bits))
+    if battery.payload != rec.payload:
+        return ("certificate is not the one the battery writes: "
+                f"{battery.to_line()}")
+    return None
+
+
+def _lemma2_certificate_problem(element: CubicElement, square: bool, root,
+                                witnesses: list) -> str | None:
+    """What is wrong with the certificate of a lemma2 record, checked by
+    exact arithmetic alone, or None when it proves the verdict."""
     if square:
         if root is None or witnesses != [None, None]:
             return "a square verdict carries a root and no witnesses"

@@ -23,6 +23,17 @@ and never tests an index below it:
   x < y gets there, and the pair is dropped before any division: for
   z <= 1000 that leaves 1247 of 248,995 pairs.
 
+Most pairs are dropped without a gcd of their own.  For each z, with
+b = T_z - 1, one gcd G = gcd(b, p) is taken, where p is the product of the
+T_y - 1 over every y the loop visits, reduced mod b.  Each pair's g divides
+both b and p, so it divides G, and g * (T_(y-1) - 1) <= G * (T_(y-1) - 1).
+Every y with G * (T_(y-1) - 1) < b is therefore dead, and since the table
+does not decrease these y form a prefix of the loop, found by one
+bisection for the first T_(y-1) - 1 >= ceil(b / G).  Only the y after it
+take their own gcd.  When the product shares a large factor with b, G is
+b and nothing is skipped, so the screen never changes the answer.  For
+z <= 200 it leaves 1772 gcds of 9795, and for z <= 1000 14,295 of 248,995.
+
 Each x left in the range is then tested by m | (T_x-1), and every survivor
 still goes through ``uvw_from_xyz`` and its exact checks.
 
@@ -45,9 +56,11 @@ largest z_max asked.  That sweep holds T_n - 1 for n up to that z_max
 values.  For a pair a < b of them, u runs over the divisors of
 g = gcd(a - 1, b - 1), by trial division up to isqrt(g), that satisfy
 u < v = (a - 1)/u and w = (b - 1)/u <= w_max, that is
-ceil((b - 1)/w_max) <= u <= isqrt(a - 2).  The work is one gcd per pair
-plus isqrt(g) per pair that leaves u a range, not one step per u <= w_max:
-the real sequence has about 45 values up to 10**12.
+ceil((b - 1)/w_max) <= u <= isqrt(a - 2).  No divisor of g exceeds g, so a
+pair with g below that lower end skips the trial division.  The work is
+one gcd per pair plus isqrt(g) per pair whose g reaches the range, not one
+step per u <= w_max: the real sequence has about 45 values up to 10**12,
+and at w_max = 10**5 155 of its 303 pairs need trial division.
 
 Both entry points accept an alternative sequence table so that structural
 properties (agreement of the two strategies, behavior on planted solutions)
@@ -167,7 +180,14 @@ def _search_at(z: int, tm: list[int],
     (y, x); tm[n] = T_n - 1 for n <= z."""
     out = []
     # for y <= (z + 1) / 2 no x < y has x + y > z
-    for y in range(max(6, (z + 3) // 2), z):
+    lo, b = max(6, (z + 3) // 2), tm[z]
+    p = 1
+    for a in tm[lo:z]:
+        p = p * a % b
+    # every pair's gcd(T_y - 1, b) divides gcd(b, p), so each y with
+    # gcd(b, p) * (T_(y-1) - 1) < b is dead: those y form a prefix
+    c = -(-b // gcd(b, p))
+    for y in range(bisect_left(tm, c, lo - 1, z - 1) + 1, z):
         live = _x_range(y, z, tm)
         if live is None:
             continue
@@ -250,8 +270,10 @@ def brute_force(w_max: int,
     ``_divisors_between(gcd(a - 1, b - 1), ceil((b - 1)/w_max),
     isqrt(a - 2))`` gives u < v = (a - 1)/u < w = (b - 1)/u <= w_max, and
     every such (u, v, w) arises from exactly one pair and one u; it survives
-    when v*w + 1 is in the sequence.  Results are ordered by (z, y, x) to
-    align with ``search``.
+    when v*w + 1 is in the sequence.  A pair whose gcd lies below
+    ceil((b - 1)/w_max) is passed over without trial division, since no
+    divisor of the gcd reaches that bound.  Results are ordered by
+    (z, y, x) to align with ``search``.
     """
     if w_max < 3:
         return []
@@ -266,7 +288,10 @@ def brute_force(w_max: int,
             lo = -(-(b - 1) // w_max)
             if lo > hi:
                 break   # lo only grows with b
-            for u in _divisors_between(gcd(a - 1, b - 1), lo, hi):
+            g = gcd(a - 1, b - 1)
+            if g < lo:
+                continue    # no divisor of g reaches lo
+            for u in _divisors_between(g, lo, hi):
                 v, w = (a - 1) // u, (b - 1) // u
                 if t.first_index(v * w + 1) is None:
                     continue

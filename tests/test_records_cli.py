@@ -19,7 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from triboverify import gcdbound, records, splitfield, tribonacci
@@ -45,6 +45,7 @@ from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
 from triboverify.splitfield import (ALPHA_C, field_identity_report,
                                     is_square_in_K)
 from triboverify.tribonacci import trib
+from triboverify.triples import brute_force, search
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -800,6 +801,24 @@ def test_cli_check_records_flags_unsound_lemma2_certificate(
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("label, key, value", [
+    ("alpha^2", "root", "negated"),
+    ("-11", "root", "negated"),
+    # (13, 7) refutes squareness of a too, but the search meets (7, 3) first
+    ("a", "witness_self", [13, 7]),
+    ("alpha*a", "witness_twisted", [13, 7]),
+])
+def test_cli_check_records_flags_a_sound_lemma2_certificate_not_written(
+        tmp_path, capsys, lemma2_lines, label, key, value):
+    # the battery writes one certificate per element; another that is sound
+    # too is still a record no battery wrote
+    record = lemma2_lines[label]
+    if value == "negated":
+        value = [str(-Fraction(c)) for c in record[key]]
+    assert _check_edited(tmp_path, record, **{key: value}) == 1
+    assert "not the one the battery writes" in capsys.readouterr().out
+
+
 @functools.cache
 def _genuine_lines() -> tuple[str, ...]:
     """A small genuine line of every kind, and both search-summary modes."""
@@ -930,6 +949,210 @@ def test_fuzz_check_records_mutated_genuine_lines(tmp_path, capsys, line):
     path.write_text(line + "\n")
     assert run(["check-records", str(path)]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# forgeries: one field of a genuine line changed to another value that
+# parses.  check-records must refuse the result (exit 1 or 2) unless it is
+# the record the battery writes for its key fields: (u, v, w) for triple,
+# (y, z) for prop1 and norm, the label for lemma2, precision_bits for
+# constants, n_max for growth, none for field, (x, y, z, t) for expansion
+# and every field but count for search-summary.
+# ---------------------------------------------------------------------------
+
+def _battery_record(rec: VerificationRecord):
+    """The record the battery writes for rec's key fields, or None when the
+    key fields name no record a battery writes."""
+    kind, values = rec
+    if kind == "triple":
+        u, v, w = values[:3]
+        return membership_triple_record(u, v, w) if u < v < w else None
+    if kind in ("prop1", "norm"):
+        y, z = values[:2]
+        if not y < z:
+            return None
+        if kind == "norm":
+            return norm_record(norm_witness(y, z))
+        d = gcdbound.gcd_shifted(y, z)
+        return prop1_record(y, z, d, d <= gcdbound.prop1_threshold(z))
+    if kind == "lemma2":
+        label = values[0]
+        return lemma2_record(label, is_square_in_K(LEMMA2_CASES[label][0]))
+    if kind == "constants":
+        return constants_record(verify_numeric_window(values[0]))
+    if kind == "growth":
+        return growth_record(tribonacci.verify_growth_trace(values[0]))
+    if kind == "field":
+        return field_record(field_identity_report())
+    if kind == "expansion":
+        x, y, z, t = values[:4]
+        if not (x < y < z and x + y > z):
+            return None
+        return expansion_records(decay_report(x, y, z, max(t, 2)))[t]
+    mode, z_max, w_max, prune, _ = values
+    if mode == "search" and w_max is None and None not in (z_max, prune):
+        return search_summary_record(mode, len(search(z_max, prune)),
+                                     z_max=z_max, use_gcd_prune=prune)
+    if mode == "brute" and (z_max, prune) == (None, None) and w_max:
+        return search_summary_record(mode, len(brute_force(w_max)),
+                                     w_max=w_max)
+    return None
+
+
+def _ints_near(value: int, lo: int, hi: int):
+    """Integers lo..hi: value's neighbours, and any."""
+    return (st.sampled_from([value - 2, value - 1, value + 1, value + 2])
+            | st.integers(lo, hi)).filter(lambda n: lo <= n <= hi)
+
+
+def _fractions_near(value: Fraction):
+    """value nudged by a relative 2**-k, for k up to past the precision it
+    was written at, its negation, and any small fraction."""
+    nudged = st.builds(
+        lambda k, sign: value * (1 + sign * Fraction(1, 2 ** k)),
+        st.integers(1, 2 * DEFAULT_PRECISION), st.sampled_from([-1, 1]))
+    return nudged | st.just(-value) | st.fractions(max_denominator=10 ** 6)
+
+
+@functools.cache
+def _witnesses(label: str, twist: int) -> tuple:
+    """Every pair (q, r), q < 200, that refutes squareness of the label's
+    element times twist: certificates as sound as the battery's own."""
+    den, nums = splitfield._clear_denominators(
+        (LEMMA2_CASES[label][0] * twist).coords)
+    return tuple(
+        (q, r) for q in splitfield._prime_iter(200)
+        if q != 11 and den % q
+        for r in splitfield.roots_of_cubic_mod(q)
+        if splitfield._legendre((nums[0] + r * (nums[1] + r * nums[2]))
+                                * pow(den, -1, q), q) == -1)
+
+
+def _checks_near(checks: dict):
+    """The dict with one verdict flipped, one name dropped or one added."""
+    names = sorted(checks)
+    return st.one_of(
+        st.sampled_from(names).map(lambda k: {**checks, k: not checks[k]}),
+        st.sampled_from(names).map(
+            lambda k: {n: ok for n, ok in checks.items() if n != k}),
+        st.builds(lambda k, ok: {**checks, k: ok}, st.text(max_size=4),
+                  st.booleans()))
+
+
+def _values_near(rec: VerificationRecord, key: str):
+    """Values for one field of rec, near its own and anywhere in a range
+    cheap to re-check."""
+    value = rec.get(key)
+    kind = rec.kind
+    if key in ("decreasing", "ratio_ok", "use_gcd_prune"):
+        return st.sampled_from([True, False, None])
+    if isinstance(value, bool):
+        return st.booleans()
+    if kind == "triple":
+        if key in ("u", "v", "w"):
+            return _ints_near(value, 1, 60)
+        return st.none() | st.integers(0, 30)
+    if kind in ("prop1", "norm"):
+        if key in ("y", "z"):
+            return _ints_near(value, 4, 40)
+        return st.builds(lambda k, c: value * k + c, st.integers(-2, 2),
+                         st.integers(-2, 2))
+    if kind == "lemma2":
+        if key == "element":
+            return st.sampled_from(sorted(LEMMA2_CASES))
+        if key == "coords":
+            return st.sampled_from([case[0].coords
+                                    for case in LEMMA2_CASES.values()])
+        if key == "root":
+            roots = [tuple(-c for c in value)] if value else []
+            return st.sampled_from([None, *roots]) | st.tuples(
+                *[st.fractions(max_denominator=50)] * 6)
+        twist = 1 if key == "witness_self" else -11
+        return (st.sampled_from([None, *_witnesses(rec.get("element"),
+                                                   twist)])
+                | st.tuples(st.integers(3, 200), st.integers(0, 200)))
+    if key == "checks":
+        return _checks_near(value)
+    if kind == "constants":
+        return _ints_near(value, 8, 200)
+    if kind == "growth":
+        if key == "failures":
+            return st.lists(st.tuples(st.integers(0, 20),
+                                      st.sampled_from(["lower", "upper"])),
+                            min_size=1, max_size=2).map(tuple)
+        return _ints_near(value, 2, 40)
+    if kind == "expansion":
+        if key in ("err_lo", "err_hi"):
+            return _fractions_near(value)
+        if key == "t":
+            return st.integers(0, MAX_ORDER)
+        return _ints_near(value, 5, 40)
+    # search-summary
+    if key == "mode":
+        return st.sampled_from(["search", "brute"])
+    if key == "count":
+        return st.integers(0, 3)
+    if key == "z_max":
+        return st.none() | _ints_near(value or 9, 7, 150)
+    return st.none() | _ints_near(value or 40, 3, 5000)
+
+
+@st.composite
+def _forged_records(draw):
+    """A genuine record of any kind with one field changed to another value
+    that parses."""
+    genuine = VerificationRecord.from_line(
+        draw(st.sampled_from(_genuine_lines())))
+    keys = [key for key, _ in records._FIELDS[genuine.kind]]
+    i = draw(st.integers(0, len(keys) - 1))
+    new = draw(_values_near(genuine, keys[i]))
+    assume(new != genuine.payload[i])
+    values = list(genuine.payload)
+    values[i] = new
+    try:
+        forged = VerificationRecord.from_line(
+            VerificationRecord(genuine.kind, values).to_line())
+    except RecordFormatError:
+        assume(False)
+    return forged
+
+
+def _certifies_the_error(rec: VerificationRecord) -> bool:
+    """Whether an expansion record's interval is positive, of relative
+    width at most 2**-12, and encloses the error at some precision up to
+    eight times the default."""
+    x, y, z, t, lo, hi = rec.payload[:6]
+    recorded = Enclosure(lo, hi)
+    if not (lo > 0 and (hi - lo) * 4096 <= lo):
+        return False
+    return any(recorded.encloses(expansion_error(x, y, z, t, bits))
+               for bits in precision_ladder(DEFAULT_PRECISION,
+                                            8 * DEFAULT_PRECISION))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(forged=_forged_records())
+def test_cli_check_records_refuses_every_forged_field(tmp_path, capsys,
+                                                      forged):
+    path = tmp_path / "r.jsonl"
+    path.write_text(forged.to_line() + "\n")
+    code = run(["check-records", str(path)])
+    capsys.readouterr()
+    battery = _battery_record(forged)
+    if battery is not None and battery.payload == forged.payload:
+        assert code == 0
+    elif code == 0:
+        # the record carries no precision, so an interval other than the
+        # battery's passes when it still encloses the error: a genuine
+        # record written at another --precision-bits is one such
+        assert forged.kind == "expansion"
+        assert battery is not None
+        assert (battery.payload[:4] + battery.payload[6:]
+                == forged.payload[:4] + forged.payload[6:])
+        assert _certifies_the_error(forged)
+    else:
+        assert code in (1, 2)
 
 
 def test_checking_a_prop1_record_takes_its_gcd_once(monkeypatch):

@@ -109,6 +109,64 @@ def test_gcd_prune_never_narrows_search():
     assert min(margins) == (10, 15, 18)
 
 
+def _screened(monkeypatch, table, z_top):
+    """The pairs (y, z), 7 <= z <= z_top, that ``_search_at`` skips
+    without calling ``_x_range``, and the number of pairs its loop covers;
+    tm[n] = T_n - 1 for the table."""
+    tm = [table.value(n) - 1 for n in range(z_top + 1)]
+    tested = set()
+    x_range = triples._x_range
+
+    def recorded(y, z, tm):
+        tested.add((y, z))
+        return x_range(y, z, tm)
+    monkeypatch.setattr(triples, "_x_range", recorded)
+    pairs = [(y, z) for z in range(7, z_top + 1)
+             for y in range(max(6, (z + 3) // 2), z)]
+    for z in range(7, z_top + 1):
+        triples._search_at(z, tm, table)
+    monkeypatch.undo()
+    assert tested <= set(pairs)
+    return [p for p in pairs if p not in tested], len(pairs), tm
+
+
+def test_screen_skips_only_dead_pairs_on_the_real_table(monkeypatch):
+    # the shared gcd per z stands in for the gcd of each skipped pair; every
+    # pair it drops is one that _x_range itself finds dead
+    skipped, total, tm = _screened(monkeypatch, triples.default_table(),
+                                   SEARCH_Z_MAX_CAP)
+    assert total == 248_995
+    assert len(skipped) >= 230_000
+    assert all(triples._x_range(y, z, tm) is None for y, z in skipped)
+
+
+def test_fresh_sweep_to_200_takes_few_gcds(monkeypatch):
+    # one gcd per pair would be 9,795; the screen leaves one per z plus one
+    # per pair after its prefix
+    calls = Counter()
+
+    def counted(*args):
+        calls["gcd"] += 1
+        return gcd(*args)
+    monkeypatch.setattr(triples, "gcd", counted)
+    assert SearchSweep().upto(200) == []
+    assert 194 <= calls["gcd"] <= 2000
+
+
+def test_brute_force_skips_divisor_scans_of_small_gcds(monkeypatch):
+    # a gcd below ceil((b - 1)/w_max) has no divisor in the u range, so
+    # about half of the 303 pairs at w_max = 10**5 need no trial division
+    calls = Counter()
+    divisors_between = triples._divisors_between
+
+    def counted(*args):
+        calls["scan"] += 1
+        return divisors_between(*args)
+    monkeypatch.setattr(triples, "_divisors_between", counted)
+    assert brute_force(10 ** 5) == []
+    assert 0 < calls["scan"] <= 160
+
+
 def test_brute_force_empty_on_real_sequence():
     assert brute_force(3) == []
     assert brute_force(100) == []
@@ -286,6 +344,16 @@ def test_x_range_is_exactly_the_admissible_divisible_indices():
             assert set(xs) <= allowed
             assert divisible <= set(xs)
             assert {x for x in xs if tm[x] % m == 0} == divisible
+
+
+@_props
+@given(table=synthetic_tables())
+def test_screen_skips_only_dead_pairs_on_synthetic_tables(table):
+    # geometric runs share large factors, so there the screen skips little;
+    # whatever it skips must still be dead
+    with pytest.MonkeyPatch.context() as mp:
+        skipped, _, tm = _screened(mp, table, len(table.vals) - 1)
+    assert all(triples._x_range(y, z, tm) is None for y, z in skipped)
 
 
 def test_brute_force_returns_each_triple_once_despite_repeated_values():
