@@ -202,7 +202,7 @@ LEMMA2_CASES = {
 }
 
 # Largest sizes a record may ask check-records to re-run, timed on a shared
-# 2-core VM with Python 3.11: search(1000) takes about 0.4 s (once for both
+# 2-core VM with Python 3.11: search(1000) takes about 0.27 s (once for both
 # prune flags and a whole file, see RecordChecker), brute_force(10**6) about
 # 1 ms, verify_numeric_window(4096) about 0.3 s (16384 bits take about 5 s)
 # and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair

@@ -6,7 +6,7 @@ import sys
 import threading
 from bisect import bisect_left
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -109,11 +109,18 @@ def test_gcd_prune_never_narrows_search():
     assert min(margins) == (10, 15, 18)
 
 
+def _block_rows(tm):
+    rows = [tm]
+    triples._add_blocks(rows)
+    return rows
+
+
 def _screened(monkeypatch, table, z_top):
     """The pairs (y, z), 7 <= z <= z_top, that ``_search_at`` skips
     without calling ``_x_range``, and the number of pairs its loop covers;
     tm[n] = T_n - 1 for the table."""
     tm = [table.value(n) - 1 for n in range(z_top + 1)]
+    rows = _block_rows(tm)
     tested = set()
     x_range = triples._x_range
 
@@ -124,7 +131,7 @@ def _screened(monkeypatch, table, z_top):
     pairs = [(y, z) for z in range(7, z_top + 1)
              for y in range(max(6, (z + 3) // 2), z)]
     for z in range(7, z_top + 1):
-        triples._search_at(z, tm, table)
+        triples._search_at(z, rows, table)
     monkeypatch.undo()
     assert tested <= set(pairs)
     return [p for p in pairs if p not in tested], len(pairs), tm
@@ -137,6 +144,7 @@ def test_screen_skips_only_dead_pairs_on_the_real_table(monkeypatch):
                                    SEARCH_Z_MAX_CAP)
     assert total == 248_995
     assert len(skipped) >= 230_000
+    assert len(skipped) == 235_694
     assert all(triples._x_range(y, z, tm) is None for y, z in skipped)
 
 
@@ -151,6 +159,7 @@ def test_fresh_sweep_to_200_takes_few_gcds(monkeypatch):
     monkeypatch.setattr(triples, "gcd", counted)
     assert SearchSweep().upto(200) == []
     assert 194 <= calls["gcd"] <= 2000
+    assert calls["gcd"] == 1772
 
 
 def test_brute_force_skips_divisor_scans_of_small_gcds(monkeypatch):
@@ -354,6 +363,81 @@ def test_screen_skips_only_dead_pairs_on_synthetic_tables(table):
     with pytest.MonkeyPatch.context() as mp:
         skipped, _, tm = _screened(mp, table, len(table.vals) - 1)
     assert all(triples._x_range(y, z, tm) is None for y, z in skipped)
+
+
+def test_block_residue_equals_stepwise_product_up_to_the_cap():
+    # the product the screen takes its gcd with, one factor at a time
+    tm = [trib(n) - 1 for n in range(SEARCH_Z_MAX_CAP + 1)]
+    rows = _block_rows(tm)
+    for z in range(7, SEARCH_Z_MAX_CAP + 1):
+        lo, b = max(6, (z + 3) // 2), tm[z]
+        p = 1
+        for a in tm[lo:z]:
+            p = p * a % b
+        assert triples._window_residue(rows, lo, z, b) == p
+
+
+@_props
+@given(synthetic_tables(), st.data())
+def test_block_residue_is_the_window_product_on_synthetic_tables(table,
+                                                                 data):
+    tm = [v - 1 for v in table.vals]
+    hi = data.draw(st.integers(6, len(tm)))
+    lo = data.draw(st.integers(6, hi))
+    b = data.draw(st.integers(1, 2 ** 200))
+    assert (triples._window_residue(_block_rows(tm), lo, hi, b)
+            == prod(tm[lo:hi]) % b)
+
+
+class _Unread:
+    """A block entry that the search must never reduce or multiply in."""
+
+    def __mod__(self, other):
+        raise AssertionError("a block over an index below 6 was read")
+
+    __rmod__ = __mul__ = __rmul__ = __mod__
+
+
+def test_no_block_over_an_index_below_6_is_read(monkeypatch):
+    # every window starts at lo >= 6, clear of the entries -1, -1, 0, 0 at
+    # indices 0-3: each window the search takes is computed again from rows
+    # where every entry over indices 0-5 raises when reduced
+    real = _block_rows([trib(n) - 1 for n in range(201)])
+    poisoned = [[_Unread() if i << k < 6 else v for i, v in enumerate(row)]
+                for k, row in enumerate(real)]
+    window_residue = triples._window_residue
+    windows = []
+
+    def on_poisoned(rows, lo, hi, b):
+        assert rows is real
+        windows.append(hi)
+        p = window_residue(poisoned, lo, hi, b)
+        assert p == window_residue(rows, lo, hi, b)
+        return p
+    monkeypatch.setattr(triples, "_window_residue", on_poisoned)
+    for z in range(7, 201):
+        assert triples._search_at(z, real, triples.default_table()) == []
+    assert windows == list(range(7, 201))
+
+
+def test_block_rows_grow_in_steps_like_a_sweep_grown_at_once():
+    # steps across powers of two in len(tm) = z_max + 1; row k keeps the
+    # len(tm) >> k complete blocks, each the product of its entries
+    stepped, whole = SearchSweep(), SearchSweep()
+    for z in (7, 8, 31, 32, 33, 63, 64, 65, 200, 511, 512, 513, 1000):
+        assert stepped.upto(z) == []
+        rows = stepped._rows
+        assert len(rows) == len(rows[0]).bit_length()
+        assert [len(row) for row in rows] == [len(rows[0]) >> k
+                                              for k in range(len(rows))]
+    assert whole.upto(SEARCH_Z_MAX_CAP) == []
+    assert stepped._rows == whole._rows
+    tm = whole._rows[0]
+    for k, row in enumerate(whole._rows):
+        assert row == [prod(tm[i << k:(i + 1) << k]) for i in range(len(row))]
+    # about 0.53 MB at the cap; a prefix product kept per z would take tens
+    # of MB
+    assert sum(sys.getsizeof(v) for row in whole._rows for v in row) < 700_000
 
 
 def test_brute_force_returns_each_triple_once_despite_repeated_values():
