@@ -26,13 +26,13 @@ from typing import Callable, NamedTuple
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION,
                         verify_numeric_window)
 from .enclosure import PrecisionFailure
-from .expansion import decay_report
+from .expansion import MAX_ORDER, decay_report
 from .gcdbound import (IntegrityError, factor_bounds, norm_witnesses,
                        prop1_results, regime_sample)
 from .records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                       EXPANSION_INDEX_CAP, GROWTH_N_MAX_CAP, LEMMA2_CASES,
-                      PAIR_Z_MAX_CAP, SEARCH_Z_MAX_CAP, RecordChecker,
-                      RecordFormatError, constants_record, emit_records,
+                      PAIR_Z_MAX_CAP, SEARCH_Z_MAX_CAP, RecordFormatError,
+                      check_record, constants_record, emit_records,
                       expansion_records, field_record, growth_record,
                       lemma2_record, norm_record, prop1_record, read_records,
                       search_summary_record, triple_record)
@@ -299,8 +299,8 @@ def _battery_expansion(args, config: RunConfig):
     if not (5 <= x < y < z <= EXPANSION_INDEX_CAP and x + y > z):
         raise UsageError(f"need 5 <= x < y < z <= {EXPANSION_INDEX_CAP} "
                          "with x + y > z")
-    if not 2 <= t_max <= 8:
-        raise UsageError("--t-max must lie in 2..8")
+    if not 2 <= t_max <= MAX_ORDER:
+        raise UsageError(f"--t-max must lie in 2..{MAX_ORDER}")
     report = decay_report(x, y, z, t_max, config.precision_bits,
                           config.max_precision_bits)
     for t, err in enumerate(report.errors):
@@ -397,11 +397,11 @@ def _cmd_check_records(args, config: RunConfig) -> int:
     # each record is checked as it is read: a malformed line exits 2 after
     # the failures of the lines before it, and an unreadable file exits 2
     # through run()
-    checker = RecordChecker(config.precision_bits, config.max_precision_bits)
     count = bad = 0
     for count, rec in enumerate(read_records(args.path), 1):
         try:
-            ok, message = checker.check(rec)
+            ok, message = check_record(rec, config.precision_bits,
+                                       config.max_precision_bits)
         except RecordFormatError as exc:
             # a broken cross-field rule, reported at its line as a parse
             # error is; every line holds one record, so count is the line

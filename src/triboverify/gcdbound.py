@@ -25,8 +25,12 @@ bounds depend on (z, bits) alone and come from a bounded cache; the real
 magnitude |alpha**lam * (T_y - 1) - (T_z - 1)| is one
 ``Enclosure.affine_abs``, and both tests are ``Enclosure.cmp_abs_power``,
 which settles most comparisons by bit lengths and raises an endpoint to its
-power only when they leave the comparison open.  T_n - 1 is read from one
-list (``_shifted``).
+power only when they leave the comparison open.  T_n - 1 is read as
+``trib(n) - 1`` from the sequence's one memo table, and so are the integer
+coordinates of alpha**lam in the basis 1, alpha, alpha**2: (T_(lam+2) -
+T_(lam+1) - T_lam, T_(lam+1) - T_lam, T_lam), by induction on lam from
+alpha**0 = 1, since one multiplication by alpha sends (c0, c1, c2) to (c2,
+c0 + c2, c1 + c2).
 
 The headline inequality has two routes.  The prop1 battery
 (``prop1_results``) decides it against one integer threshold per z:
@@ -55,7 +59,6 @@ every regime pair into one report.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -73,46 +76,11 @@ class IntegrityError(RuntimeError):
     never expected, always surfaced."""
 
 
-_pow_cubic_cache: list[tuple[int, int, int]] = [(1, 0, 0), (0, 1, 0)]
-_pow_cubic_lock = threading.Lock()
-
-
-def _alpha_power_coords(k: int) -> tuple[int, int, int]:
-    """The integer coordinates of alpha**k in the basis 1, alpha, alpha**2.
-
-    One multiplication by alpha sends (c0, c1, c2) to (c2, c0+c2, c1+c2).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    with _pow_cubic_lock:
-        while len(_pow_cubic_cache) <= k:
-            c0, c1, c2 = _pow_cubic_cache[-1]
-            _pow_cubic_cache.append((c2, c0 + c2, c1 + c2))
-        return _pow_cubic_cache[k]
-
-
-_shifted_values: list[int] = []
-_shifted_lock = threading.Lock()
-
-
-def _shifted(n: int) -> int:
-    """T_n - 1 for n >= 0, read from one list that grows as indices are
-    asked for."""
-    if 0 <= n < len(_shifted_values):
-        return _shifted_values[n]
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    with _shifted_lock:
-        while len(_shifted_values) <= n:
-            _shifted_values.append(trib(len(_shifted_values)) - 1)
-    return _shifted_values[n]
-
-
 def gcd_shifted(y: int, z: int) -> int:
     """gcd(T_y - 1, T_z - 1) for 4 <= y < z."""
     if not 4 <= y < z:
         raise ValueError("need 4 <= y < z")
-    return gcd(_shifted(y), _shifted(z))
+    return gcd(trib(y) - 1, trib(z) - 1)
 
 
 def prop1_holds(y: int, z: int,
@@ -158,9 +126,11 @@ def norm_witness(y: int, z: int) -> GcdWitness:
     d = gcd_shifted(y, z)
     lam = z - y
     # alpha**lam * (T_y - 1) - (T_z - 1), built from integer coordinates
-    c0, c1, c2 = _alpha_power_coords(lam)
-    ty = _shifted(y)
-    eta = CubicElement((c0 * ty - _shifted(z), c1 * ty, c2 * ty))
+    # with those of alpha**lam read off the sequence table
+    t0, t1, t2 = trib(lam), trib(lam + 1), trib(lam + 2)
+    ty = trib(y) - 1
+    eta = CubicElement(((t2 - t1 - t0) * ty - (trib(z) - 1), (t1 - t0) * ty,
+                        t0 * ty))
     n3 = norm3(eta)
     if n3.denominator != 1:
         raise IntegrityError(f"norm of integral element not integral: {n3}")
@@ -222,7 +192,7 @@ def factor_bounds(y: int, z: int,
         raise ValueError("need 4 <= y < z")
     if not in_regime(y, z):
         raise ValueError(f"pair ({y},{z}) outside the regime 4y > 3z + 8")
-    ty, tz = _shifted(y), _shifted(z)
+    ty, tz = trib(y) - 1, trib(z) - 1
     lam = z - y
     for bits in precision_ladder(precision_bits, max_precision_bits):
         bound_r4, bound_c2 = _embedding_bounds(z, bits)

@@ -29,8 +29,9 @@ around a record is malformed; it yields each record as it reads it, so a
 run over a file holds one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
-its claim from scratch and reports agreement.  A ``RecordChecker`` does the
-same for a run of records and shares work between them.
+its claim from scratch and reports agreement.  It is the one path for a
+single record and for a whole file alike: what a run of records shares
+lives in module caches.
 """
 
 from __future__ import annotations
@@ -203,12 +204,13 @@ LEMMA2_CASES = {
 
 # Largest sizes a record may ask check-records to re-run, timed on a shared
 # 2-core VM with Python 3.11: search(1000) takes about 0.27 s (once for both
-# prune flags and a whole file, see RecordChecker), brute_force(10**6) about
-# 1 ms, verify_numeric_window(4096) about 0.3 s (16384 bits take about 5 s)
-# and verify_growth(10**4) about 0.3 s.  A prop1 or norm pair
-# with z <= 2000 checks in at most about 0.1 s in a fresh process (z = 10**4
-# took 1.5 s), and an expansion record at order 8 with z <= 100 in about
-# 0.5 s (z = 150 took 0.7 s).  The CLI refuses to write records past these.
+# prune flags and a whole file, since ``search`` shares one sweep),
+# brute_force(10**6) about 1 ms, verify_numeric_window(4096) about 0.3 s
+# (16384 bits take about 5 s) and verify_growth(10**4) about 0.3 s.  A prop1
+# or norm pair with z <= 2000 checks in at most about 0.1 s in a fresh
+# process (z = 10**4 took 1.5 s), and an expansion record at order 8 with
+# z <= 100 in about 0.5 s (z = 150 took 0.7 s).  The CLI refuses to write
+# records past these.
 SEARCH_Z_MAX_CAP = 1000
 BRUTE_W_MAX_CAP = 10 ** 6
 CONSTANTS_PRECISION_CAP = 4096
@@ -517,16 +519,16 @@ def read_records(path) -> Iterator[VerificationRecord]:
 # ---------------------------------------------------------------------------
 # independent re-validation: from_line has checked each field's type and
 # range, so a checker holds only its cross-field rules and recomputation.
-# Every checker takes the record plus the RecordChecker running it, which
-# holds the starting precision and the cap of its adaptive recomputation and
-# the memo of expansion errors shared between records.
+# Every checker takes the record plus the starting precision and the cap of
+# its adaptive recomputation.
 # ---------------------------------------------------------------------------
 
 def _recomputed(build):
     """A checker that rebuilds the whole record from scratch with ``build``
     and compares."""
-    def check(rec: VerificationRecord, checker: RecordChecker) -> str | None:
-        fresh = build(rec, checker)
+    def check(rec: VerificationRecord, precision_bits: int,
+              max_precision_bits: int) -> str | None:
+        fresh = build(rec, precision_bits, max_precision_bits)
         if fresh.payload != rec.payload:
             return f"recomputation disagrees: {fresh.to_line()}"
         return None
@@ -560,8 +562,8 @@ def _prop1_floor(z: int, precision_bits: int) -> int:
     return isqrt(isqrt(floor(alpha_power(3 * z, precision_bits).lo)))
 
 
-def _check_prop1(rec: VerificationRecord,
-                 checker: RecordChecker) -> str | None:
+def _check_prop1(rec: VerificationRecord, precision_bits: int,
+                 max_precision_bits: int) -> str | None:
     y, z = _pair_indices(rec)
     recorded_gcd, recorded_ok = rec.payload[2:]
     d = gcd_shifted(y, z)
@@ -569,15 +571,15 @@ def _check_prop1(rec: VerificationRecord,
         return f"gcd({y},{z}) recomputes to {d}"
     # above the floor, the enclosure comparison of d**4 with alpha**(3*z)
     # decides, escalating as far as max_precision_bits
-    bound_ok = d <= _prop1_floor(z, checker.precision_bits) or _prop1_verdict(
-        z, d, checker.precision_bits, checker.max_precision_bits)
+    bound_ok = d <= _prop1_floor(z, precision_bits) or _prop1_verdict(
+        z, d, precision_bits, max_precision_bits)
     if bound_ok != recorded_ok:
         return "bound verdict disagrees"
     return None
 
 
-def _check_norm(rec: VerificationRecord,
-                checker: RecordChecker) -> str | None:
+def _check_norm(rec: VerificationRecord, precision_bits: int,
+                max_precision_bits: int) -> str | None:
     y, z = _pair_indices(rec)
     w = norm_witness(y, z)
     if w.d != rec.get("d"):
@@ -595,8 +597,8 @@ def _is_odd_prime(q: int) -> bool:
     return q % 2 == 1 and all(q % p for p in range(3, isqrt(q) + 1, 2))
 
 
-def _check_lemma2(rec: VerificationRecord,
-                  checker: RecordChecker) -> str | None:
+def _check_lemma2(rec: VerificationRecord, precision_bits: int,
+                  max_precision_bits: int) -> str | None:
     label, coords, square, root, *witnesses = rec.payload
     element, expected = LEMMA2_CASES[label]
     if CubicElement(coords) != element:
@@ -609,7 +611,7 @@ def _check_lemma2(rec: VerificationRecord,
     # a sound certificate need not be the battery's: -root squares back
     # too, and a later witness prime refutes as well
     battery = lemma2_record(label, is_square_in_K(
-        element, checker.precision_bits, checker.max_precision_bits))
+        element, precision_bits, max_precision_bits))
     if battery.payload != rec.payload:
         return ("certificate is not the one the battery writes: "
                 f"{battery.to_line()}")
@@ -647,8 +649,8 @@ def _lemma2_certificate_problem(element: CubicElement, square: bool, root,
     return None
 
 
-def _check_expansion(rec: VerificationRecord,
-                     checker: RecordChecker) -> str | None:
+def _check_expansion(rec: VerificationRecord, precision_bits: int,
+                     max_precision_bits: int) -> str | None:
     x, y, z, t, lo, hi, decreasing, ratio_ok = rec.payload
     if not (x < y < z and x + y > z):
         raise RecordFormatError(f"expansion needs x < y < z with x + y > z, "
@@ -669,23 +671,23 @@ def _check_expansion(rec: VerificationRecord,
     # the record claims that its interval holds the error, which is proved
     # only when the interval encloses a recomputed enclosure; one that
     # merely meets it is recomputed at twice the precision, up to the cap
-    fresh = checker.expansion_error(x, y, z, t)
-    for bits in precision_ladder(checker.precision_bits,
-                                 checker.max_precision_bits)[1:]:
+    fresh = expansion_error(x, y, z, t, precision_bits, max_precision_bits)
+    for bits in precision_ladder(precision_bits, max_precision_bits)[1:]:
         if recorded.encloses(fresh) or not fresh.intersects(recorded):
             break
-        fresh = expansion_error(x, y, z, t, bits, checker.max_precision_bits)
+        fresh = expansion_error(x, y, z, t, bits, max_precision_bits)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
                 "misses the recorded interval")
     if not recorded.encloses(fresh):
         raise PrecisionFailure(
             f"recomputed error at order {t} neither inside nor apart from "
-            f"the recorded interval within {checker.max_precision_bits} bits")
+            f"the recorded interval within {max_precision_bits} bits")
     if t >= 2:
-        prev = checker.expansion_error(x, y, z, t - 1)
+        prev = expansion_error(x, y, z, t - 1, precision_bits,
+                               max_precision_bits)
         (fresh_decreasing,), (fresh_ratio_ok,) = decay_verdicts(
-            x, (prev, fresh), checker.precision_bits)
+            x, (prev, fresh), precision_bits)
         if fresh_decreasing != decreasing:
             return f"decreasing verdict recomputes to {fresh_decreasing}"
         if fresh_ratio_ok != ratio_ok:
@@ -693,8 +695,8 @@ def _check_expansion(rec: VerificationRecord,
     return None
 
 
-def _check_search_summary(rec: VerificationRecord,
-                          checker: RecordChecker) -> str | None:
+def _check_search_summary(rec: VerificationRecord, precision_bits: int,
+                          max_precision_bits: int) -> str | None:
     mode, z_max, w_max, prune, count = rec.payload
     if mode == "search":
         used, unused = (z_max, prune), (w_max,)
@@ -722,9 +724,8 @@ _CHECKERS = {
     "lemma2": _check_lemma2,
     "constants": _recomputed(lambda rec, *_: constants_record(
         verify_numeric_window(rec.get("precision_bits")))),
-    "growth": _recomputed(lambda rec, checker: growth_record(verify_growth(
-        rec.get("n_max"), checker.precision_bits,
-        checker.max_precision_bits))),
+    "growth": _recomputed(lambda rec, *bits: growth_record(verify_growth(
+        rec.get("n_max"), *bits))),
     "field": _recomputed(
         lambda rec, *_: field_record(field_identity_report())),
     "expansion": _check_expansion,
@@ -738,52 +739,15 @@ def check_record(rec: VerificationRecord,
     """Re-derive the record's claim from scratch; (True, "ok") when the
     recomputation agrees.  Adaptive recomputations start at precision_bits,
     and one that reaches max_precision_bits undecided raises
-    PrecisionFailure."""
-    return RecordChecker(precision_bits, max_precision_bits).check(rec)
+    PrecisionFailure.
 
-
-class RecordChecker:
-    """``check_record`` for a run of records at one precision setting,
-    sharing work between them.
-
-    Search-summary records in mode search call ``search``, which shares
-    one sweep of the sequence within the process for both prune flags, so a
-    run of them costs one search at the largest z_max named, not one search
-    per record or per flag.  What that sweep keeps is bounded by
-    ``SEARCH_Z_MAX_CAP``.
-
-    Expansion records share the errors of the last index triple checked,
-    so a run of orders 0..t for one triple computes each order once, not
-    orders t and t - 1 per record.  That memo holds at most MAX_ORDER + 1
-    errors.
-
-    Prop1 records read one floor per z (``_prop1_floor``), which a
-    module-level cache shares within the process, so separate checkers, one
-    per ``check_record`` call, share it too.
+    Work that a run of records shares lives in module caches: ``search``
+    keeps one sweep of the sequence for both prune flags, bounded by
+    ``SEARCH_Z_MAX_CAP``; ``_prop1_floor`` keeps one floor per z; and
+    ``expansion_error`` keeps the last MAX_ORDER + 1 errors, so a run of
+    orders 0..t for one triple computes each order once.
     """
-
-    def __init__(self, precision_bits: int = DEFAULT_PRECISION,
-                 max_precision_bits: int = MAX_PRECISION):
-        self.precision_bits = precision_bits
-        self.max_precision_bits = max_precision_bits
-        self._expansion_triple: tuple[int, int, int] | None = None
-        self._expansion_errors: dict[int, Enclosure] = {}
-
-    def expansion_error(self, x: int, y: int, z: int, t: int) -> Enclosure:
-        """``expansion_error`` at this checker's precision setting,
-        remembered for the last index triple asked about."""
-        if self._expansion_triple != (x, y, z):
-            self._expansion_triple = (x, y, z)
-            self._expansion_errors = {}
-        errors = self._expansion_errors
-        if t not in errors:
-            errors[t] = expansion_error(x, y, z, t, self.precision_bits,
-                                        self.max_precision_bits)
-        return errors[t]
-
-    def check(self, rec: VerificationRecord) -> tuple[bool, str]:
-        """``check_record`` of rec at this checker's precision setting."""
-        problem = _CHECKERS[rec.kind](rec, self)
-        if problem is None:
-            return True, "ok"
-        return False, problem
+    problem = _CHECKERS[rec.kind](rec, precision_bits, max_precision_bits)
+    if problem is None:
+        return True, "ok"
+    return False, problem

@@ -34,7 +34,7 @@ to 3000: about 0.12 s on a shared 2-core VM with Python 3.11.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -408,24 +408,13 @@ class BinetConstants(NamedTuple):
     c: FieldElement
 
 
-_binet_lock = threading.Lock()
-_binet_cache: list[BinetConstants] = []
-_sqrt11_cache: list[FieldElement] = []
-
-
-def binet_constants() -> BinetConstants:
-    with _binet_lock:
-        if not _binet_cache:
-            _binet_cache.append(_build_binet())
-        return _binet_cache[0]
-
-
 def _check(cond: bool, what: str):
     if not cond:
         raise ArithmeticError(f"exact identity failed: {what}")
 
 
-def _build_binet() -> BinetConstants:
+@functools.cache
+def binet_constants() -> BinetConstants:
     alpha = ALPHA_K
     # beta = eps**3 - eps**2 + eps - 1 is the root that the module docstring
     # names, and the trace gives gamma; the checks below prove both roots
@@ -451,20 +440,15 @@ def _build_binet() -> BinetConstants:
     return BinetConstants(alpha, beta, gamma, a, b, c)
 
 
+@functools.cache
 def sqrt_minus_11() -> FieldElement:
     """A square root of -11 inside the field: half the product of root
     differences (the square root of the cubic's discriminant, -44)."""
-    with _binet_lock:
-        if _sqrt11_cache:
-            return _sqrt11_cache[0]
     bc = binet_constants()
     v = ((bc.alpha - bc.beta) * (bc.alpha - bc.gamma)
          * (bc.beta - bc.gamma)) * Fraction(1, 2)
     _check(v * v == FieldElement.from_rational(-11), "sqrt(-11)**2 = -11")
-    with _binet_lock:
-        if not _sqrt11_cache:
-            _sqrt11_cache.append(v)
-        return _sqrt11_cache[0]
+    return v
 
 
 # coordinate vectors of a and alpha*a over the common denominator 22

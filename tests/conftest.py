@@ -2,7 +2,17 @@
 
 import pytest
 
-from triboverify import triples
+from triboverify import expansion, triples
+
+
+@pytest.fixture(autouse=True)
+def _fresh_expansion_errors():
+    """No measured expansion error remembered from an earlier test, so a
+    test that patches what the error is computed from, or counts its
+    computations, sees them happen."""
+    expansion.expansion_error.cache_clear()
+    yield
+    expansion.expansion_error.cache_clear()
 
 
 @pytest.fixture

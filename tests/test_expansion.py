@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triboverify import cli, expansion, gcdbound
+from triboverify import cli, expansion
 from triboverify.constants import DEFAULT_PRECISION, alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    PrecisionFailure, integer_combination)
@@ -289,7 +289,7 @@ def _clear_shared_tables():
     for cached in (expansion.expansion_terms, expansion._coefficient_powers,
                    expansion._real_factor, expansion._complex_factor,
                    expansion._pair_factor, expansion._anchors,
-                   expansion._truncation_sums):
+                   expansion._truncation_sums, expansion.expansion_error):
         cached.cache_clear()
 
 
@@ -322,6 +322,7 @@ def test_factor_tables_stay_within_their_bound():
     # the real table overflowed, so the first triple's entries were
     # evicted and come back rebuilt to the same endpoints
     assert expansion._real_factor.cache_info().currsize == FACTOR_CACHE_SIZE
+    expansion.expansion_error.cache_clear()
     assert _endpoints(expansion_error(20, 25, 30, 4)) == first
 
 
@@ -388,10 +389,10 @@ def test_truncation_memo_stays_within_its_bound_and_clears():
     assert len(sums) == 0
 
 
-def test_truncation_memo_shared_between_threads(monkeypatch):
+def test_truncation_memo_shared_between_threads():
     # threads asking for the orders of one triple in different orders take
     # and put back the same memo entry; each sees the endpoints of a fresh
-    # run, and T_n - 1 grows its list under its lock meanwhile
+    # run
     runs = [(t, 192) for t in range(7)] + [(t, 256) for t in (2, 5)]
     _clear_shared_tables()
     fresh = {}
@@ -399,7 +400,6 @@ def test_truncation_memo_shared_between_threads(monkeypatch):
         _clear_shared_tables()
         fresh[run] = _endpoints(_truncation_value(20, 25, 30, *run))
     _clear_shared_tables()
-    monkeypatch.setattr(gcdbound, "_shifted_values", [])
     start = threading.Barrier(6)
     wrong = []
 
@@ -410,9 +410,6 @@ def test_truncation_memo_shared_between_threads(monkeypatch):
         for run in order:
             if _endpoints(_truncation_value(20, 25, 30, *run)) != fresh[run]:
                 wrong.append((seed, run))
-        for n in range(300, 4, -7):
-            if gcdbound._shifted(n) != trib(n) - 1:
-                wrong.append((seed, n))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -13,11 +13,11 @@ from triboverify.constants import (DEFAULT_PRECISION, Cmp, alpha_power,
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    PrecisionFailure, precision_ladder)
 from triboverify.gcdbound import (FactorBoundsReport, IntegrityError,
-                                  _alpha_power_coords, factor_bounds,
-                                  factor_sweep, gcd_shifted, in_regime,
-                                  index_pairs, norm_witness, norm_witnesses,
-                                  prop1_holds, prop1_results, prop1_threshold,
-                                  regime_pairs, regime_sample)
+                                  factor_bounds, factor_sweep, gcd_shifted,
+                                  in_regime, index_pairs, norm_witness,
+                                  norm_witnesses, prop1_holds, prop1_results,
+                                  prop1_threshold, regime_pairs,
+                                  regime_sample)
 from triboverify.splitfield import ALPHA_C, CubicElement, norm3, norm6
 from triboverify.tribonacci import cmp_alpha_power_trace, trib
 
@@ -25,15 +25,16 @@ from triboverify.tribonacci import cmp_alpha_power_trace, trib
 constants_module = importlib.import_module("triboverify.constants")
 
 
-def _alpha_cubic(k):
-    return CubicElement(_alpha_power_coords(k))
-
-
 def test_alpha_power_coords_match_generic_power():
-    for k in (0, 1, 2, 3, 7, 25, 60):
-        assert _alpha_cubic(k) == ALPHA_C ** k
+    # the coordinates of alpha**lam come off the sequence table; the field's
+    # own power must give the same eta at every lam up to 120
+    for lam in range(1, 121):
+        for y in (4, 9):
+            z = y + lam
+            expected = ALPHA_C ** lam * (trib(y) - 1) - (trib(z) - 1)
+            assert norm_witness(y, z).eta == expected, (y, z)
     with pytest.raises(ValueError):
-        _alpha_power_coords(-1)
+        norm_witness(9, 9)     # lam = 0 names no pair
 
 
 def test_gcd_shifted_values():
@@ -50,7 +51,7 @@ def test_gcd_shifted_values():
 def test_norm_witness_eta_is_the_field_expression():
     for z in range(5, 41):
         for y in range(4, z):
-            expected = (_alpha_cubic(z - y) * (trib(y) - 1)
+            expected = (ALPHA_C ** (z - y) * (trib(y) - 1)
                         - CubicElement.from_rational(trib(z) - 1))
             assert norm_witness(y, z).eta == expected, (y, z)
 
@@ -69,7 +70,7 @@ def test_norm_witness_frozen_values():
 
 def test_norm_witness_eta_construction():
     w = norm_witness(7, 10)
-    eta = _alpha_cubic(3) * (trib(7) - 1) - (trib(10) - 1)
+    eta = ALPHA_C ** 3 * (trib(7) - 1) - (trib(10) - 1)
     assert w.eta == eta
     assert norm3(eta) == w.norm3_value
     assert norm6(eta.to_field()) == Fraction(w.norm3_value) ** 2
@@ -115,7 +116,7 @@ def _oracle_factor_bounds(y, z, precision_bits=192,
     roots of alpha**z, a fresh beta power per call, Fraction endpoints,
     and the complex magnitude compared as a root.  The report holds it
     squared, as factor_bounds' own does."""
-    ty, tz = gcdbound._shifted(y), gcdbound._shifted(z)
+    ty, tz = gcdbound.trib(y) - 1, gcdbound.trib(z) - 1
     lam = z - y
     bits = precision_bits
     while True:
@@ -173,7 +174,7 @@ def test_factor_bounds_decides_next_to_each_bound(monkeypatch, scale, shift,
     ty = round(scale * Fraction(alpha ** y))
     tz = round(alpha_power(z - y, 192).mid() * ty
                + shift * Fraction(alpha ** (z / 4)))
-    monkeypatch.setattr(gcdbound, "_shifted", {y: ty, z: tz}.__getitem__)
+    monkeypatch.setattr(gcdbound, "trib", {y: ty + 1, z: tz + 1}.__getitem__)
     assert _same_verdict(y, z, 192) is ok
 
 
@@ -194,7 +195,7 @@ def test_factor_bounds_decides_next_to_the_complex_bound_at_1024_bits(
     target = (Fraction(6, 10) + margin) * alpha_power(z, bits).mid()
     ty = round(target / spread)
     tz = round(a_lam.mid() * ty)
-    monkeypatch.setattr(gcdbound, "_shifted", {y: ty, z: tz}.__getitem__)
+    monkeypatch.setattr(gcdbound, "trib", {y: ty + 1, z: tz + 1}.__getitem__)
     report = factor_bounds(y, z, bits)
     assert report.real_abs.hi < 1
     ratio = report.complex_abs.mid() / alpha_power(z, bits).mid()
@@ -261,11 +262,11 @@ def test_norm_by_power_sums_matches_norm3():
     # N(a alpha**lam - b) = a**3 - a**2 b s_(-lam) + a b**2 s_lam - b**3
     s = _power_sums(120)
     assert (s[-1], s[-2]) == (-1, -1)
+    alpha_pows = [ALPHA_C ** lam for lam in range(120)]
     for y, z in index_pairs(120, 5):
         lam = z - y
         a, b = trib(y) - 1, trib(z) - 1
-        c0, c1, c2 = _alpha_power_coords(lam)
-        eta = CubicElement((c0 * a - b, c1 * a, c2 * a))
+        eta = alpha_pows[lam] * a - b
         assert norm3(eta) == (a ** 3 - a * a * b * s[-lam]
                               + a * b * b * s[lam] - b ** 3), (y, z)
 

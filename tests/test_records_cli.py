@@ -22,7 +22,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from triboverify import gcdbound, records, splitfield, tribonacci
+from triboverify import (expansion, gcdbound, records, splitfield,
+                         tribonacci)
 from triboverify.cli import (RunConfig, UsageError, build_parser,
                              load_config, run)
 from triboverify.constants import (DEFAULT_PRECISION, Cmp, cmp_alpha_power,
@@ -1174,26 +1175,30 @@ def test_checking_expansion_records_computes_each_order_once(
         tmp_path, capsys, monkeypatch):
     first = expansion_records(decay_report(20, 25, 30, 4))
     second = expansion_records(decay_report(12, 14, 16, 2))
-    calls = []
-    true_expansion_error = records.expansion_error
+    run_of_records = [*first, *second, first[2]]
+    computed = []
+    true_truncation_value = expansion._truncation_value
 
-    def counting(x, y, z, t, *bits):
-        calls.append((x, y, z, t))
-        return true_expansion_error(x, y, z, t, *bits)
+    def counting(x, y, z, t, bits):
+        computed.append((x, y, z, t))
+        return true_truncation_value(x, y, z, t, bits)
 
-    monkeypatch.setattr(records, "expansion_error", counting)
+    monkeypatch.setattr(expansion, "_truncation_value", counting)
+    # each record reads orders t and t - 1, and the file comes back to the
+    # first triple: still every (x, y, z, t) is computed once, by
+    # check-records over the file and by check_record record by record
+    once = ([(20, 25, 30, t) for t in range(5)]
+            + [(12, 14, 16, t) for t in range(3)])
     path = tmp_path / "r.jsonl"
-    emit_records(path, first)
+    emit_records(path, run_of_records)
+    expansion.expansion_error.cache_clear()
     assert run(["check-records", str(path)]) == 0
-    assert calls == [(20, 25, 30, t) for t in range(5)]
-    # only the last triple is remembered: coming back to the first one
-    # recomputes the orders its record reads
-    calls.clear()
-    emit_records(path, [*first, *second, first[2]])
-    assert run(["check-records", str(path)]) == 0
-    assert calls == ([(20, 25, 30, t) for t in range(5)]
-                     + [(12, 14, 16, t) for t in range(3)]
-                     + [(20, 25, 30, 2), (20, 25, 30, 1)])
+    assert computed == once
+    computed.clear()
+    expansion.expansion_error.cache_clear()
+    assert [check_record(rec) for rec in run_of_records] == (
+        [(True, "ok")] * len(run_of_records))
+    assert computed == once
     capsys.readouterr()
 
 

@@ -2,6 +2,8 @@
 sums."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -104,6 +106,53 @@ def test_first_index_grows_the_table_only_as_far_as_it_must():
         t.first_index(value)
         first_at_least = next(n for n in range(400) if trib(n) >= value)
         assert len(t) == max(3, first_at_least + 1), value
+
+
+def test_a_table_shared_between_threads_agrees_with_matrix_powering():
+    # more threads than cores and a short switch interval; the threads
+    # start each fresh table together and grow it through all three of its
+    # entry points, each thread in its own order, and a lost or doubled
+    # append would shift every later value
+    top = 300
+    expected = [trib_fast(n) for n in range(top + 1)]
+    asks = ([("value", n) for n in range(0, top + 1, 7)]
+            + [("first_index", n) for n in range(4, top + 1, 11)]
+            + [("values_upto", n) for n in range(3, top + 1, 37)])
+    tables = [TribTable() for _ in range(20)]
+    wrong = []
+    start = threading.Barrier(6)
+
+    def agrees(table, kind, n):
+        if kind == "value":
+            return table.value(n) == expected[n]
+        if kind == "first_index":
+            return table.first_index(expected[n]) == n
+        return table.values_upto(expected[n]) == list(
+            enumerate(expected[:n + 1]))
+
+    def ask_all(seed):
+        rng = random.Random(seed)
+        for table in tables:
+            start.wait(timeout=60)
+            order = asks[:]
+            rng.shuffle(order)
+            for kind, n in order:
+                if not agrees(table, kind, n):
+                    wrong.append((seed, kind, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask_all, args=(seed,))
+                   for seed in range(start.parties)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_negative_handling():
