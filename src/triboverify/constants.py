@@ -103,6 +103,10 @@ class RealConstants(NamedTuple):
     c: ComplexEnclosure
 
 
+# The caches below take a lock only to add an entry, as
+# ``tribonacci.TribTable`` and ``triples.SearchSweep`` do: an entry is built
+# in full under the lock and only then stored, so a read that finds it takes
+# no lock, and a read that misses takes the lock and looks again.
 _constants_cache: dict[int, RealConstants] = {}
 _constants_lock = threading.Lock()
 
@@ -110,14 +114,14 @@ _constants_lock = threading.Lock()
 def constants(precision_bits: int = DEFAULT_PRECISION) -> RealConstants:
     if precision_bits < MIN_PRECISION:
         raise ValueError("precision_bits too small")
-    with _constants_lock:
-        hit = _constants_cache.get(precision_bits)
-    if hit is not None:
-        return hit
-    built = _build_constants(precision_bits)
-    with _constants_lock:
-        _constants_cache[precision_bits] = built
-    return built
+    hit = _constants_cache.get(precision_bits)
+    if hit is None:
+        with _constants_lock:
+            hit = _constants_cache.get(precision_bits)
+            if hit is None:
+                hit = _constants_cache[precision_bits] = _build_constants(
+                    precision_bits)
+    return hit
 
 
 def _build_constants(bits: int) -> RealConstants:
@@ -163,6 +167,8 @@ class _PowerTable:
 
     def power(self, p: int) -> Enclosure:
         tab, k = (self.pos, p) if p >= 0 else (self.neg, -p)
+        if k < len(tab):
+            return tab[k]
         with self.lock:
             if k < len(tab):
                 return tab[k]
@@ -177,6 +183,9 @@ class _PowerTable:
         """beta**k by square-and-multiply, low bits first: the product over
         the bits of k below j is beta**(k mod 2**j), so every prefix is
         itself a memoised power and each new power costs one product."""
+        hit = self.beta.get(k)
+        if hit is not None:
+            return hit
         work = self.bits + 32
         with self.lock:
             hit = self.beta.get(k)
@@ -202,11 +211,13 @@ _power_lock = threading.Lock()
 
 
 def _power_table(precision_bits: int) -> _PowerTable:
-    with _power_lock:
-        tab = _power_tables.get(precision_bits)
-        if tab is None:
-            tab = _PowerTable(precision_bits)
-            _power_tables[precision_bits] = tab
+    tab = _power_tables.get(precision_bits)
+    if tab is None:
+        with _power_lock:
+            tab = _power_tables.get(precision_bits)
+            if tab is None:
+                tab = _power_tables[precision_bits] = _PowerTable(
+                    precision_bits)
     return tab
 
 

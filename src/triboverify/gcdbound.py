@@ -46,6 +46,11 @@ isqrt(isqrt(floor(lo))) for the enclosure's lower end lo, so r_z**4 <
 alpha**(3*z): a d <= r_z passes by one integer comparison, and a larger d
 goes to ``_prop1_verdict``, which escalates as far as the precision cap.
 So a fault in one route shows up as a record that the other one fails.
+Neither route calls ``gcd_shifted``: the battery reads T_n - 1 from one
+list per run, and the checker reads T_y and T_z off the sequence table's
+own list.  In the package ``gcd_shifted`` serves ``prop1_holds`` and
+``norm_witness``, so the norms battery and the norm checker; outside it,
+the benchmark's record generator.
 
 Each battery has one generator, which yields one result per pair as it is
 computed, and the command line builds its records from it:
@@ -224,8 +229,11 @@ def in_regime(y: int, z: int) -> bool:
 
 
 def regime_pairs(z_max: int) -> list[tuple[int, int]]:
-    """The pairs 4 <= y < z <= z_max in the regime, in (z, y) order."""
-    return [(y, z) for y, z in index_pairs(z_max) if in_regime(y, z)]
+    """The pairs 4 <= y < z <= z_max in the regime, in (z, y) order: for
+    each z, y runs from the least integer above (3*z + 8)/4 (and from 4)
+    up to z - 1."""
+    return [(y, z) for z in range(5, z_max + 1)
+            for y in range(max(4, (3 * z + 8) // 4 + 1), z)]
 
 
 def regime_sample(z_max: int, samples: int) -> list[tuple[int, int]]:

@@ -31,7 +31,11 @@ run over a file holds one record at a time.
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  It is the one path for a
 single record and for a whole file alike: what a run of records shares
-lives in module caches.
+lives in module caches.  A prop1 check, most of the records of a
+``verify all`` file, is integer work: it reads T_y and T_z off the
+sequence table's own list (``TribTable.extend_to``), takes
+gcd(T_y - 1, T_z - 1) inline and compares it with one floor per z
+(``_prop1_floor``), escalating to an enclosure only above that floor.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import json
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 from typing import Any, Iterable, Iterator
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
@@ -49,7 +53,7 @@ from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
 from .enclosure import Enclosure, PrecisionFailure, precision_ladder
 from .expansion import (MAX_ORDER, DecayReport, decay_verdicts,
                         expansion_error)
-from .gcdbound import GcdWitness, _prop1_verdict, gcd_shifted, norm_witness
+from .gcdbound import GcdWitness, _prop1_verdict, norm_witness
 from .splitfield import (ALPHA_C, WITNESS_PRIME_BOUND, CubicElement,
                          FieldElement, SquareCertificate, _clear_denominators,
                          _legendre, field_identity_report, is_square_in_K)
@@ -207,10 +211,11 @@ LEMMA2_CASES = {
 # prune flags and a whole file, since ``search`` shares one sweep),
 # brute_force(10**6) about 1 ms, verify_numeric_window(4096) about 0.3 s
 # (16384 bits take about 5 s) and verify_growth(10**4) about 0.3 s.  A prop1
-# or norm pair with z <= 2000 checks in at most about 0.1 s in a fresh
-# process (z = 10**4 took 1.5 s), and an expansion record at order 8 with
-# z <= 100 in about 0.5 s (z = 150 took 0.7 s).  The CLI refuses to write
-# records past these.
+# record with z <= 2000 checks in at most about 50 ms in a fresh process,
+# nearly all of it the enclosure of alpha**(3*z) behind its floor (z = 10**4
+# took 1.0 s), a norm record in about 5 ms, and an expansion record at
+# order 8 with z <= 100 in about 0.5 s (z = 150 took 0.7 s).  The CLI
+# refuses to write records past these.
 SEARCH_Z_MAX_CAP = 1000
 BRUTE_W_MAX_CAP = 10 ** 6
 CONSTANTS_PRECISION_CAP = 4096
@@ -564,9 +569,12 @@ def _prop1_floor(z: int, precision_bits: int) -> int:
 
 def _check_prop1(rec: VerificationRecord, precision_bits: int,
                  max_precision_bits: int) -> str | None:
-    y, z = _pair_indices(rec)
-    recorded_gcd, recorded_ok = rec.payload[2:]
-    d = gcd_shifted(y, z)
+    y, z, recorded_gcd, recorded_ok = rec.payload
+    if not y < z:
+        raise RecordFormatError(f"prop1 needs y < z, got y={y}, z={z}")
+    # the sequence table's own list; the codec caps z at PAIR_Z_MAX_CAP
+    t = default_table().extend_to(z)
+    d = gcd(t[y] - 1, t[z] - 1)
     if d != recorded_gcd:
         return f"gcd({y},{z}) recomputes to {d}"
     # above the floor, the enclosure comparison of d**4 with alpha**(3*z)
@@ -743,9 +751,10 @@ def check_record(rec: VerificationRecord,
 
     Work that a run of records shares lives in module caches: ``search``
     keeps one sweep of the sequence for both prune flags, bounded by
-    ``SEARCH_Z_MAX_CAP``; ``_prop1_floor`` keeps one floor per z; and
-    ``expansion_error`` keeps the last MAX_ORDER + 1 errors, so a run of
-    orders 0..t for one triple computes each order once.
+    ``SEARCH_Z_MAX_CAP``; a prop1 record grows the sequence table to at
+    most index ``PAIR_Z_MAX_CAP``; ``_prop1_floor`` keeps one floor per z;
+    and ``expansion_error`` keeps the last MAX_ORDER + 1 errors, so a run
+    of orders 0..t for one triple computes each order once.
     """
     problem = _CHECKERS[rec.kind](rec, precision_bits, max_precision_bits)
     if problem is None:

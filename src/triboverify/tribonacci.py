@@ -37,11 +37,18 @@ class TribTable:
     def __len__(self):
         return len(self._vals)
 
-    def extend_to(self, n: int):
-        with self._lock:
-            v = self._vals
-            while len(v) <= n:
-                v.append(v[-1] + v[-2] + v[-3])
+    def extend_to(self, n: int) -> list[int]:
+        """The table's own list of values, T_0 .. T_m with m >= n.
+
+        The list is append-only and callers only read it: T_k is its
+        entry k.  The lock is taken only when the list is short of n.
+        """
+        v = self._vals
+        if len(v) <= n:
+            with self._lock:
+                while len(v) <= n:
+                    v.append(v[-1] + v[-2] + v[-3])
+        return v
 
     def value(self, n: int) -> int:
         if n < 0:
@@ -99,9 +106,7 @@ def alpha_power_trace(p: int) -> int:
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    v = _TABLE._vals
-    if p + 2 >= len(v):
-        _TABLE.extend_to(p + 2)
+    v = _TABLE.extend_to(p + 2)
     return 3 * v[p + 2] - 2 * v[p + 1] - v[p]
 
 

@@ -1,6 +1,10 @@
 """Certified constants for the cubic and alpha-power comparisons, checked
 against an mpmath oracle at high precision."""
 
+import importlib
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +16,8 @@ from triboverify.constants import (Cmp, alpha_power, beta_power,
 from triboverify.enclosure import ComplexEnclosure
 from triboverify.records import PAIR_Z_MAX_CAP
 from triboverify.tribonacci import cmp_alpha_power_trace
+
+constants_module = importlib.import_module("triboverify.constants")
 
 mpmath.mp.prec = 300
 MP_ALPHA = mpmath.findroot(lambda t: t ** 3 - t ** 2 - t - 1, 1.84)
@@ -158,6 +164,64 @@ def test_beta_power_relative_width():
         enc = beta_power(k, bits)
         width = max(enc.re.width(), enc.im.width())
         assert width * width * alpha_power(k, bits).hi <= Fraction(1, 4 ** bits)
+
+
+def _endpoints(enc):
+    if isinstance(enc, ComplexEnclosure):
+        return _endpoints(enc.re) + _endpoints(enc.im)
+    return enc.lo, enc.hi
+
+
+def test_power_caches_shared_between_threads(monkeypatch):
+    # more threads than cores and a short switch interval; the threads
+    # start each fresh precision together on empty caches, so they race on
+    # its constants, its power table and each power, and a read of an
+    # entry published before it was complete would change an endpoint
+    precisions = range(211, 219)
+    asks = ([("alpha", p) for p in range(-60, 61)]
+            + [("beta", k) for k in range(100)])
+
+    def answer(kind, n, bits):
+        power = alpha_power(n, bits) if kind == "alpha" else beta_power(
+            n, bits)
+        return _endpoints(power)
+
+    monkeypatch.setattr(constants_module, "_constants_cache", {})
+    monkeypatch.setattr(constants_module, "_power_tables", {})
+    reference = {(ask, bits): answer(*ask, bits)
+                 for bits in precisions for ask in asks}
+    monkeypatch.setattr(constants_module, "_constants_cache", {})
+    monkeypatch.setattr(constants_module, "_power_tables", {})
+    start = threading.Barrier(6)
+    wrong = []
+    seen = {bits: set() for bits in precisions}
+
+    def ask_all(seed):
+        rng = random.Random(seed)
+        for bits in precisions:
+            order = asks[:]
+            rng.shuffle(order)
+            start.wait(timeout=60)
+            for ask in order:
+                if answer(*ask, bits) != reference[ask, bits]:
+                    wrong.append((seed, ask, bits))
+            seen[bits].add(id(constants(bits)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask_all, args=(seed,))
+                   for seed in range(start.parties)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    # one build of each precision's constants, seen by every thread
+    assert all(len(ids) == 1 for ids in seen.values())
 
 
 def test_cmp_alpha_power_exactness():

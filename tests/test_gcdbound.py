@@ -343,6 +343,13 @@ def test_index_pairs_order_and_regime():
                                 for y in range(4, z) if 4 * y > 3 * z + 8]
 
 
+def test_regime_pairs_are_the_index_pairs_in_the_regime():
+    # index_pairs(z_max) is the run of index_pairs(300) with z <= z_max
+    regime = [(y, z) for y, z in index_pairs(300) if in_regime(y, z)]
+    for z_max in range(301):
+        assert regime_pairs(z_max) == [p for p in regime if p[1] <= z_max]
+
+
 def test_regime_sample_is_evenly_spaced():
     regime = regime_pairs(60)
     for samples in (1, 7, 25, len(regime) - 1, len(regime), 10 ** 6):

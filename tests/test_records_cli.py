@@ -15,6 +15,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,7 +46,7 @@ from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                                  search_summary_record)
 from triboverify.splitfield import (ALPHA_C, field_identity_report,
                                     is_square_in_K)
-from triboverify.tribonacci import trib
+from triboverify.tribonacci import trib, trib_fast
 from triboverify.triples import brute_force, search
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -1157,18 +1158,48 @@ def test_cli_check_records_refuses_every_forged_field(tmp_path, capsys,
 
 
 def test_checking_a_prop1_record_takes_its_gcd_once(monkeypatch):
+    # T_y and T_z come off the sequence table's list: one gcd, and no call
+    # to gcd_shifted or trib
     calls = []
-    true_gcd_shifted = gcdbound.gcd_shifted
+    d = gcd(trib_fast(40) - 1, trib_fast(45) - 1)
 
-    def counting(y, z):
-        calls.append((y, z))
-        return true_gcd_shifted(y, z)
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
 
-    monkeypatch.setattr(gcdbound, "gcd_shifted", counting)
-    monkeypatch.setattr(records, "gcd_shifted", counting)
-    assert check_record(prop1_record(40, 45, true_gcd_shifted(40, 45),
-                                     True)) == (True, "ok")
-    assert calls == [(40, 45)]
+    def refuse(*args):
+        raise AssertionError("the prop1 checker reads the sequence table")
+
+    monkeypatch.setattr(records, "gcd", counting)
+    monkeypatch.setattr(gcdbound, "gcd_shifted", refuse)
+    monkeypatch.setattr(gcdbound, "trib", refuse)
+    monkeypatch.setattr(tribonacci, "trib", refuse)
+    assert check_record(prop1_record(40, 45, d, True)) == (True, "ok")
+    assert calls == [(trib_fast(40) - 1, trib_fast(45) - 1)]
+
+
+def test_a_prop1_record_at_the_cap_grows_the_table_to_it(monkeypatch):
+    # the codec caps z, so a record never grows the table past index
+    # PAIR_Z_MAX_CAP
+    z = PAIR_Z_MAX_CAP
+    d = gcd(trib_fast(z - 7) - 1, trib_fast(z) - 1)
+    rec = VerificationRecord.from_line(
+        prop1_record(z - 7, z, d, gcdbound.prop1_holds(z - 7, z)).to_line())
+    table = tribonacci.TribTable()
+    monkeypatch.setattr(records, "default_table", lambda: table)
+    assert check_record(rec) == (True, "ok")
+    assert len(table) == PAIR_Z_MAX_CAP + 1
+
+
+def test_a_prop1_record_with_a_wrong_gcd_or_verdict_fails():
+    y, z = 40, 45
+    d = gcdbound.gcd_shifted(y, z)
+    assert check_record(prop1_record(y, z, d, True)) == (True, "ok")
+    for wrong in (d - 1, d + 1):
+        assert check_record(prop1_record(y, z, wrong, True)) == (
+            False, f"gcd({y},{z}) recomputes to {d}")
+    assert check_record(prop1_record(y, z, d, False)) == (
+        False, "bound verdict disagrees")
 
 
 def test_checking_expansion_records_computes_each_order_once(
