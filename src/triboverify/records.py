@@ -10,23 +10,20 @@ separators and never formats a float, so identical inputs give
 byte-identical files, and ``from_line`` accepts exactly the lines that
 ``to_line`` writes.
 
-A record's payload holds only the decoded values (ints, Fractions, tuples,
-bools), in ``_FIELDS`` order; the keys live in ``_FIELDS`` alone.
-``to_line`` and ``from_line`` are the only code that knows the wire format.
-``to_line`` writes every kind through one ``%`` format per kind, compiled
-from each codec's ``form``, the field's only spelling.  A field whose value
-is one token has one rule: a regex for its text, the function that reads
-the text, and the range of the value.  ``from_line`` reads the flat kinds
-(triple, prop1, norm, expansion, search-summary), whose every field is a
-token, with one pattern per kind built from those rules, and applies the
-ranges inline: a match is canonical by construction.  Any other line, or a
-value out of range or too long for ``int``, goes through ``json.loads``,
-where each token field applies the same rule to the JSON spelling of its
-value, and the line is accepted only when ``to_line`` writes it back
-unchanged.  ``read_records`` strips only the newline that ``emit_records``
-ends each line with, so a blank line, a carriage return or any other byte
-around a record is malformed; it yields each record as it reads it, so a
-run over a file holds one record at a time.
+A record's payload holds only the values (ints, Fractions, tuples, bools,
+a checks dict), in ``_FIELDS`` order; the keys live in ``_FIELDS`` alone.
+``to_line`` and ``from_line`` are the only code that knows the wire
+format, and a field's codec is its one rule for both: its ``form``, a
+regex for that text, the function that reads it, and the value's range.
+``from_line`` matches a line with its kind's pattern, built from those
+regexes, so a match is canonical by construction, and applies the ranges;
+for any other line it names the first field that departs from the form.
+Only a checks object, flat ``"key":true`` or ``false`` pairs by its
+pattern, goes through ``json.loads``, and it must write back unchanged.
+``read_records`` strips only the newline that ``emit_records`` ends each
+line with, so any other byte around a record, or a blank line, is
+malformed; it yields each record as it reads it, so a run over a file
+holds one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  It is the one path for a
@@ -68,19 +65,16 @@ class RecordFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# field codecs.  ``decode`` takes a parsed JSON value and returns the payload
-# value or raises RecordFormatError.  ``form`` is the field's one spelling, a
-# pair (piece, convert): piece is "%s", '"%s"' or "[%s]", and the value,
-# passed through convert unless that is None, fills it in.  A token field
-# (``_flat``) also has its rule: ``pattern``, a regex for its text inside the
-# piece, ``read``, which turns that text into the value or raises ValueError,
-# and ``bounds``, the (lo, hi) the value lies in, or None.  ``_template``
-# matches lines by the rule and the field's ``decode`` applies it to the
-# JSON value, so both parse routes accept the same values.
+# field codecs.  ``what`` names the field's values, for an error.  ``form``
+# is its one spelling, a pair (piece, convert): piece is "%s" or '"%s"', and
+# the value, passed through convert unless that is None, fills it in.
+# ``pattern``, a regex without groups, matches the text inside the piece,
+# ``read`` turns that text into the value or raises ValueError, and
+# ``bounds`` is the (lo, hi) the value lies in, or None.
 # ---------------------------------------------------------------------------
 
-_Codec = namedtuple("_Codec", "decode form pattern read bounds",
-                    defaults=(None, None, None))
+_Codec = namedtuple("_Codec", "what form pattern read bounds",
+                    defaults=(None,))
 
 # what "%s" is filled with: the value itself, with its str
 _AS_STR = ("%s", None)
@@ -90,9 +84,6 @@ _QUOTED = ('"%s"', None)
 # also match the other Unicode digits, which int() reads
 _INT_PATTERN = "0|-?[1-9][0-9]*"
 
-# the JSON values a token can hold
-_SCALARS = (str, int, bool, type(None))
-
 
 def _spelt(form, value) -> str:
     """The text of value in a field of the given form."""
@@ -100,41 +91,27 @@ def _spelt(form, value) -> str:
     return piece % (value if convert is None else convert(value),)
 
 
-def _group(form, pattern: str) -> str:
-    """The regex of a token field's text in its piece, the text captured."""
-    return form[0] % f"({pattern})"
+def _group(form, pattern: str, opening: str = "(") -> str:
+    """The regex of a field's text in its piece: captured, or "(?:"."""
+    return form[0] % f"{opening}{pattern})"
 
 
-def _flat(what: str, form, pattern: str, read, bounds=None) -> _Codec:
-    """A token field: the text that ``pattern`` matches inside the piece of
-    ``form``, which ``read`` turns into a value within ``bounds``.  Its
-    ``decode`` holds a JSON value to the same rule, spelt as JSON."""
-    group = _group(form, pattern)
-
-    def decode(v):
-        # a list or object never matches: json.dumps never walks one, however
-        # deeply nested
-        m = re.fullmatch(group, json.dumps(v)) if type(v) in _SCALARS else None
-        if m is not None:
-            try:
-                value = read(m[1])
-            except ValueError:
-                pass
-            else:
-                if bounds is None or bounds[0] <= value <= bounds[1]:
-                    return value
-        raise RecordFormatError(f"needs {what}, got {v!r}")
-    return _Codec(decode, form, pattern, read, bounds)
+def _value(codec: _Codec, text: str):
+    """The value of a field's text; ValueError also when out of bounds."""
+    value = codec.read(text)
+    if codec.bounds and not codec.bounds[0] <= value <= codec.bounds[1]:
+        raise ValueError(f"{text} is out of range")
+    return value
 
 
 def _int(lo: int, hi: float = float("inf")) -> _Codec:
-    return _flat(f"an integer {lo} <= n <= {hi}", _AS_STR, _INT_PATTERN, int,
-                 (lo, hi))
+    return _Codec(f"an integer {lo} <= n <= {hi}", _AS_STR, _INT_PATTERN, int,
+                  (lo, hi))
 
 
 def _one_of(*options: str) -> _Codec:
-    return _flat(f"one of {', '.join(options)}", _QUOTED,
-                 "|".join(map(re.escape, options)), str)
+    return _Codec(f"one of {', '.join(options)}", _QUOTED,
+                  "|".join(map(re.escape, options)), str)
 
 
 def _read_rational(text: str) -> Fraction:
@@ -148,50 +125,58 @@ def _read_rational(text: str) -> Fraction:
 
 
 def _nullable(codec: _Codec) -> _Codec:
-    """null, or a value of codec.  A token stays one: its pattern admits
-    null, and its read applies its bounds, since null has none.  Every
-    nullable token here is unquoted, so its piece stays "%s"."""
-    decode, form, pattern, read, bounds = codec
-
-    def read_nullable(text):
-        if text == "null":
-            return None
-        value = read(text)
-        if bounds is not None and not bounds[0] <= value <= bounds[1]:
-            raise ValueError(f"{text} is out of range")
-        return value
-    return _Codec((lambda v: None if v is None else decode(v)),
-                  ("%s", lambda v: "null" if v is None else _spelt(form, v)),
-                  pattern and f"null|{pattern}", read and read_nullable)
+    """null, or a value of codec, within its bounds.  Every nullable field
+    here is unquoted, so its piece stays "%s"."""
+    return _Codec(f"null or {codec.what}", ("%s", lambda v: (
+        "null" if v is None else _spelt(codec.form, v))),
+        f"null|{codec.pattern}",
+        lambda text: None if text == "null" else _value(codec, text))
 
 
 def _list(*codecs: _Codec) -> _Codec:
-    """A list of exactly len(codecs) items, decoded to a tuple."""
-    def decode(v):
-        if type(v) is not list or len(v) != len(codecs):
-            raise RecordFormatError(f"needs a list of {len(codecs)} items, "
-                                    f"got {v!r}")
-        return tuple(c.decode(x) for c, x in zip(codecs, v))
-    return _Codec(decode, ("[%s]", lambda v: ",".join(
-        _spelt(c.form, x) for c, x in zip(codecs, v))))
+    """A list of exactly len(codecs) items, read to a tuple."""
+    def items(opening):
+        return ",".join(_group(c.form, c.pattern, opening) for c in codecs)
+    captured = items("(")
+
+    def read(text):
+        # text has matched the pattern, so it matches with each item captured
+        return tuple(map(_value, codecs,
+                         re.fullmatch(captured, text[1:-1]).groups()))
+    return _Codec(f"a list of {len(codecs)} items",
+                  ("%s", lambda v: "[%s]" % ",".join(
+                      _spelt(c.form, x) for c, x in zip(codecs, v))),
+                  rf"\[{items('(?:')}\]", read)
 
 
 def _list_of(codec: _Codec) -> _Codec:
-    """A list of any length, decoded to a tuple."""
-    dec, form = codec.decode, codec.form
+    """A list of any length, read to a tuple."""
+    item, captured = (_group(codec.form, codec.pattern, opening)
+                      for opening in ("(?:", "("))
 
-    def decode(v):
-        if type(v) is not list:
-            raise RecordFormatError(f"needs a list, got {v!r}")
-        return tuple(dec(x) for x in v)
-    return _Codec(decode, ("[%s]", lambda v: ",".join(
-        _spelt(form, x) for x in v)))
+    def read(text):
+        # text has matched the pattern, so its items lie one comma apart and
+        # the search for each finds it where it starts
+        return tuple(_value(codec, m[1])
+                     for m in re.finditer(captured, text[1:-1]))
+    return _Codec(f"a list, each item {codec.what}",
+                  ("%s", lambda v: "[%s]" % ",".join(_spelt(codec.form, x)
+                                                     for x in v)),
+                  rf"\[(?:{item}(?:,{item})*)?\]", read)
 
 
-def _decode_checks(v):
-    if type(v) is dict and all(type(b) is bool for b in v.values()):
-        return v
-    raise RecordFormatError(f"needs an object of booleans, got {v!r}")
+_dump_checks = functools.partial(json.dumps, separators=(",", ":"))
+# "key":true or "key":false, the key any JSON string: no nesting, so
+# json.loads never recurses on a checks object
+_CHECK = r'"(?:[^"\\]|\\.)*":(?:true|false)'
+
+
+def _read_checks(text: str) -> dict[str, bool]:
+    """The checks object that text spells as ``_dump_checks`` writes it."""
+    checks = json.loads(text)
+    if _dump_checks(checks) != text:
+        raise ValueError(f"{text} is not in the form json.dumps writes")
+    return checks
 
 
 _A_COEFF = CubicElement((-1, -2, 3)).inv()
@@ -229,22 +214,22 @@ EXPANSION_INDEX_CAP = 100
 # RSS by 36 MB).
 TRIPLE_VALUE_CAP = trib_fast(SEARCH_Z_MAX_CAP)
 
-_BOOL = _flat("true or false",
-              ("%s", {True: "true", False: "false"}.__getitem__),
-              "true|false", "true".__eq__)
+_BOOL = _Codec("true or false",
+               ("%s", {True: "true", False: "false"}.__getitem__),
+               "true|false", "true".__eq__)
 _FLAG = _nullable(_BOOL)
-_DECIMAL = _flat("a decimal string", _QUOTED, _INT_PATTERN, int)
-_RATIONAL = _flat('a string "p" or "p/q" in lowest terms', _QUOTED,
-                  f"(?:{_INT_PATTERN})(?:/[1-9][0-9]*)?", _read_rational)
+_DECIMAL = _Codec("a decimal string", _QUOTED, _INT_PATTERN, int)
+_RATIONAL = _Codec('a string "p" or "p/q" in lowest terms', _QUOTED,
+                   f"(?:{_INT_PATTERN})(?:/[1-9][0-9]*)?", _read_rational)
 _INDEX = _int(0)
-_TRIPLE_VALUE = _flat(f"a decimal string for an integer "
-                      f"1 <= n < T_{SEARCH_Z_MAX_CAP}", _QUOTED, _INT_PATTERN,
-                      int, (1, TRIPLE_VALUE_CAP - 1))
+_TRIPLE_VALUE = _Codec(f"a decimal string for an integer "
+                       f"1 <= n < T_{SEARCH_Z_MAX_CAP}", _QUOTED,
+                       _INT_PATTERN, int, (1, TRIPLE_VALUE_CAP - 1))
 _FIRST_INDEX = _nullable(_INDEX)
 _PAIR_INDEX = _int(4, PAIR_Z_MAX_CAP)
 _EXPANSION_INDEX = _int(5, EXPANSION_INDEX_CAP)
-_CHECKS = _Codec(_decode_checks,
-                 ("%s", functools.partial(json.dumps, separators=(",", ":"))))
+_CHECKS = _Codec("an object of booleans", ("%s", _dump_checks),
+                 rf"\{{(?:{_CHECK}(?:,{_CHECK})*)?\}}", _read_checks)
 # (q, r): a witness prime q with a root r of the cubic mod q, q within the
 # bound the lemma2 battery searches
 _WITNESS = _nullable(_list(_int(3, WITNESS_PRIME_BOUND),
@@ -319,8 +304,23 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
 
     @classmethod
     def from_line(cls, line: str) -> "VerificationRecord":
-        rec = _from_template(line)
-        return rec if rec is not None else _from_json(line)
+        """The record of a line in the form ``to_line`` writes, every value
+        in range, or RecordFormatError naming where the line departs."""
+        # the kind's pattern checks the head, so a slice of any line will do
+        kind = line[len(_HEAD):line.find('"', len(_HEAD))]
+        if kind in _FIELDS:
+            fullmatch, reads, bounds = _template(kind)
+            m = fullmatch(line)
+            if m is not None:
+                try:
+                    values = [read(t) for read, t in zip(reads, m.groups())]
+                    for i, lo, hi in bounds:
+                        if not lo <= values[i] <= hi:
+                            raise ValueError(values[i])
+                    return _build(kind, *values)
+                except ValueError:
+                    pass
+        raise _rejection(line, kind)
 
 
 def _build(kind: str, *values) -> VerificationRecord:
@@ -345,16 +345,11 @@ def _format(kind: str):
 
 @functools.cache
 def _template(kind: str):
-    """(fullmatch, reads, bounds) for a kind whose every field is a token:
-    the pattern matches exactly the lines ``to_line`` writes for that kind,
-    with one group per field, its pattern inside its piece; reads[i] turns
-    field i's group into its value, and bounds holds (i, lo, hi) for each
-    field with bounds.  None for a kind with a list or object field.
-    Compiled on first use, so that a run which only writes records never
-    pays for it."""
+    """(fullmatch, reads, bounds) for a kind: the pattern matches exactly
+    the lines ``to_line`` writes for it, one group per field; reads[i]
+    reads group i, and bounds holds (i, lo, hi) for each field with bounds.
+    Compiled on first use, so that a run which only writes never pays."""
     fields = _FIELDS[kind]
-    if any(codec.pattern is None for _, codec in fields):
-        return None
     pattern = re.escape(f'{_HEAD}{kind}"') + "".join(
         re.escape(f',"{key}":') + _group(codec.form, codec.pattern)
         for key, codec in fields)
@@ -364,57 +359,42 @@ def _template(kind: str):
                   if codec.bounds is not None))
 
 
-def _from_template(line: str) -> VerificationRecord | None:
-    """The record of a line of a flat kind in canonical form, or None.  A
-    match is canonical by construction; a value out of range, or an integer
-    too long for ``int``, is left to ``_from_json`` to report."""
-    # the kind's pattern checks the head, so a slice of any line will do
-    kind = line[len(_HEAD):line.find('"', len(_HEAD))]
-    template = _template(kind) if kind in _FIELDS else None
-    if template is None:
-        return None
-    fullmatch, reads, bounds = template
-    m = fullmatch(line)
-    if m is None:
-        return None
-    try:
-        values = [read(text) for read, text in zip(reads, m.groups())]
-    except ValueError:
-        return None
-    for i, lo, hi in bounds:
-        if not lo <= values[i] <= hi:
-            return None
-    return _build(kind, *values)
-
-
-def _from_json(line: str) -> VerificationRecord:
-    """Parse any line through ``json.loads`` and accept it only when it is
-    the line ``to_line`` writes for the decoded values."""
-    try:
-        data = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise RecordFormatError(f"bad JSON: {exc}") from None
-    if type(data) is not dict:
-        raise RecordFormatError("record line is not an object")
-    schema, kind = data.get("schema"), data.get("kind")
-    if schema != SCHEMA_VERSION:
-        raise RecordFormatError(f"unsupported schema {schema!r}")
-    if type(kind) is not str or kind not in _FIELDS:
-        raise RecordFormatError(f"unknown record kind {kind!r}")
-    values = []
+def _rejection(line: str, kind: str) -> RecordFormatError:
+    """The error for a line of the given kind that ``from_line`` refuses:
+    its head, or the first field that departs from the form ``to_line``
+    writes, where a field's text must end at the next key or the brace."""
+    if not line.startswith(_HEAD) or kind not in _FIELDS:
+        return RecordFormatError(f"needs schema {SCHEMA_VERSION} and a record "
+                                 f'kind, as in {_HEAD}prop1", got '
+                                 f"{_excerpt(line)}")
+    pos = len(_HEAD) + len(kind) + 1
     for key, codec in _FIELDS[kind]:
+        sep = f',"{key}":'
+        if not line.startswith(sep, pos):
+            return RecordFormatError(f"{kind} {key}: missing or out of "
+                                     f"order, got {_excerpt(line[pos:])}")
+        pos += len(sep)
+        m = re.compile(_group(codec.form, codec.pattern)
+                       + r'(?=,"|\}?\Z)').match(line, pos)
         try:
-            values.append(codec.decode(data.get(key)))
-        except RecordFormatError as exc:
-            raise RecordFormatError(f"{kind} {key}: {exc}") from None
-    rec = _build(kind, *values)
-    # rejects what the decoded values cannot show: key order, missing or
-    # extra keys, spacing, escapes, a schema of 1.0, an integer spelt -0
-    canonical = rec.to_line()
-    if canonical != line:
-        raise RecordFormatError(f"line is not in the form to_line "
-                                f"writes: {canonical}")
-    return rec
+            if m is not None:
+                _value(codec, m[1])
+                pos = m.end()
+                continue
+        except ValueError:
+            pass
+        return RecordFormatError(f"{kind} {key}: needs {codec.what}, got "
+                                 f"{_excerpt(m[0] if m else line[pos:])}")
+    return RecordFormatError(f"{kind}: needs }} to end the line, got "
+                             f"{_excerpt(line[pos:])}")
+
+
+def _excerpt(text: str) -> str:
+    """text, cut to 60 characters, for an error message; quoted unless it
+    is printable, and neither empty nor spaced at an end."""
+    text = text if len(text) <= 60 else text[:57] + "..."
+    plain = text.isprintable() and text.strip() == text != ""
+    return text if plain else repr(text)
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +520,6 @@ def _recomputed(build):
     return check
 
 
-def _pair_indices(rec: VerificationRecord) -> tuple[int, int]:
-    """The record's (y, z), which must satisfy y < z."""
-    y, z = rec.get("y"), rec.get("z")
-    if not y < z:
-        raise RecordFormatError(f"{rec.kind} needs y < z, got y={y}, z={z}")
-    return y, z
-
-
 def _ordered_triple(rec: VerificationRecord, *_) -> VerificationRecord:
     """The membership record of the record's (u, v, w), which must satisfy
     u < v < w."""
@@ -588,15 +560,17 @@ def _check_prop1(rec: VerificationRecord, precision_bits: int,
 
 def _check_norm(rec: VerificationRecord, precision_bits: int,
                 max_precision_bits: int) -> str | None:
-    y, z = _pair_indices(rec)
+    y, z, d, norm3, divides, tight = rec.payload
+    if not y < z:
+        raise RecordFormatError(f"norm needs y < z, got y={y}, z={z}")
     w = norm_witness(y, z)
-    if w.d != rec.get("d"):
+    if w.d != d:
         return f"gcd recomputes to {w.d}"
-    if w.norm3_value != rec.get("norm3"):
+    if w.norm3_value != norm3:
         return f"norm recomputes to {w.norm3_value}"
-    if rec.get("divides") is not True:
+    if divides is not True:
         return "divides must hold in any witness"
-    if w.tight != rec.get("tight"):
+    if w.tight != tight:
         return "tightness flag disagrees"
     return None
 

@@ -841,40 +841,58 @@ def _genuine_line(kind: str) -> str:
                 if line.startswith(f'{{"schema":1,"kind":"{kind}"'))
 
 
-@pytest.mark.parametrize("kind, old, new", [
-    ("prop1", '"bound_ok":true', '"bound_ok":1'),
-    ("prop1", '"gcd":"6"', '"gcd":" 6"'),
-    ("prop1", '"gcd":"6"', '"gcd":"0_6"'),
-    ("prop1", '"gcd":"6"', '"gcd":"1' + "0" * 5000 + '"'),
-    ("prop1", '"z":7', '"z":1' + "0" * 5000),
-    ("prop1", '"kind":"prop1"', '"kind":["prop1"]'),
-    ("prop1", '"schema":1', '"schema":true'),
-    ("prop1", '"schema":1', '"schema":1.0'),
-    ("prop1", '"schema":1', '"schema":"1"'),
-    ("prop1", '"y":6', '"y":6,"y":6'),
-    ("prop1", '"y":6,"z":7', '"z":7,"y":6'),
-    ("prop1", ',"bound_ok":true', ''),
-    ("prop1", '"bound_ok":true', '"bound_ok":true,"extra":null'),
-    ("prop1", '"y":6', '"y": 6'),
-    ("norm", '"tight":true', '"tight":1'),
-    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7.9,3.2]'),
-    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7,3,99]'),
-    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7]'),
-    ("lemma2", '"witness_self":[7,3]', '"witness_self":["x",3]'),
-    ("lemma2", '"root":null', '"root":5'),
-    ("lemma2", '"coords":["1/22","9/22","-2/11"]', '"coords":5'),
-    ("lemma2", '"1/22"', '"2/44"'),
-    ("lemma2", '"1/22"', '"1/0"'),
-    ("lemma2", '"1/22"', '"1e9999"'),
-])
+_HEAD_ERROR = "needs schema 1 and a record kind"
+
+# (kind, old, new, what the error names): a genuine line of the kind with
+# old replaced by new, and the start of the message after "line 2: "
+_MALFORMED_FIELDS = [
+    ("prop1", '"bound_ok":true', '"bound_ok":1', "prop1 bound_ok"),
+    ("prop1", '"gcd":"6"', '"gcd":" 6"', "prop1 gcd"),
+    ("prop1", '"gcd":"6"', '"gcd":"0_6"', "prop1 gcd"),
+    ("prop1", '"gcd":"6"', '"gcd":"1' + "0" * 5000 + '"', "prop1 gcd"),
+    ("prop1", '"z":7', '"z":1' + "0" * 5000, "prop1 z"),
+    ("prop1", '"kind":"prop1"', '"kind":["prop1"]', _HEAD_ERROR),
+    ("prop1", '"schema":1', '"schema":true', _HEAD_ERROR),
+    ("prop1", '"schema":1', '"schema":1.0', _HEAD_ERROR),
+    ("prop1", '"schema":1', '"schema":"1"', _HEAD_ERROR),
+    ("prop1", '"y":6', '"y":6,"y":6', "prop1 z"),
+    ("prop1", '"y":6,"z":7', '"z":7,"y":6', "prop1 y"),
+    ("prop1", ',"bound_ok":true', '', "prop1 bound_ok"),
+    ("prop1", '"bound_ok":true', '"bound_ok":true,"extra":null',
+     "prop1: needs } to end the line"),
+    ("prop1", '"y":6', '"y": 6', "prop1 y"),
+    ("norm", '"tight":true', '"tight":1', "norm tight"),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7.9,3.2]',
+     "lemma2 witness_self"),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7,3,99]',
+     "lemma2 witness_self"),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":[7]',
+     "lemma2 witness_self"),
+    ("lemma2", '"witness_self":[7,3]', '"witness_self":["x",3]',
+     "lemma2 witness_self"),
+    ("lemma2", '"root":null', '"root":5', "lemma2 root"),
+    ("lemma2", '"coords":["1/22","9/22","-2/11"]', '"coords":5',
+     "lemma2 coords"),
+    ("lemma2", '"1/22"', '"2/44"', "lemma2 coords"),
+    ("lemma2", '"1/22"', '"1/0"', "lemma2 coords"),
+    ("lemma2", '"1/22"', '"1e9999"', "lemma2 coords"),
+    ("prop1", '"gcd":"6"', '"gcd":6',
+     "prop1 gcd: needs a decimal string, got 6,"),
+    ("prop1", '"z":7', '"z":2001',
+     "prop1 z: needs an integer 4 <= n <= 2000, got 2001\n"),
+]
+
+
+@pytest.mark.parametrize("kind, old, new, named", _MALFORMED_FIELDS,
+                         ids=["-".join(c[:3]) for c in _MALFORMED_FIELDS])
 def test_cli_check_records_rejects_malformed_field(tmp_path, capsys, kind,
-                                                   old, new):
+                                                   old, new, named):
     genuine = _genuine_line(kind)
     assert old in genuine
     path = tmp_path / "r.jsonl"
     path.write_text(genuine + "\n" + genuine.replace(old, new, 1) + "\n")
     assert run(["check-records", str(path)]) == 2
-    assert "error: line 2:" in capsys.readouterr().err
+    assert f"error: line 2: {named}" in capsys.readouterr().err
 
 
 def test_cli_check_records_rejects_non_utf8_line(tmp_path, capsys):
@@ -1415,27 +1433,37 @@ def _respelt_lines(draw) -> str:
     return line
 
 
-def _parsed(parse, line: str):
-    """(record, None) or (None, error message)."""
+def _within_caps(rec: VerificationRecord) -> bool:
+    """Whether every integer of rec lies within the caps of its field."""
+    caps = {**_INT_CAPS, **_OTHER_INT_CAPS}.get(rec.kind, {})
+    ints = [(rec.get(key), lo, hi) for key, (lo, hi) in caps.items()]
+    if rec.kind == "lemma2":
+        ints += [(n, lo, splitfield.WITNESS_PRIME_BOUND)
+                 for pair in rec.payload[4:] if pair is not None
+                 for n, lo in zip(pair, (3, 0))]
+    if rec.kind == "growth":
+        ints += [(n, 0, None) for n, _ in rec.get("failures")]
+    return all(n is None or ((lo is None or lo <= n)
+                             and (hi is None or n <= hi))
+               for n, lo, hi in ints)
+
+
+def _assert_parse_is_canonical(line: str) -> None:
+    """from_line accepts line only as the line to_line writes for a record
+    whose every integer lies within its caps, and refuses any other line
+    with RecordFormatError alone."""
     try:
-        return parse(line), None
-    except RecordFormatError as exc:
-        return None, str(exc)
+        rec = VerificationRecord.from_line(line)
+    except RecordFormatError:
+        return
+    assert rec.to_line() == line
+    assert _within_caps(rec), line
 
 
 @settings(max_examples=600, deadline=None)
 @given(line=_respelt_lines())
-def test_template_parse_agrees_with_json_route(line):
-    slow = _parsed(records._from_json, line)
-    fast = records._from_template(line)
-    if fast is not None:
-        assert fast == slow[0] and fast.to_line() == line
-    if slow[0] is not None and slow[0].kind in _FLAT_KINDS:
-        assert fast is not None, "a canonical flat line missed its template"
-    # the same record, or the same error, as the JSON route alone
-    assert _parsed(VerificationRecord.from_line, line) == slow
-    if slow[0] is not None:
-        assert slow[0].to_line() == line
+def test_parse_accepts_only_written_lines_within_caps(line):
+    _assert_parse_is_canonical(line)
 
 
 @pytest.fixture(scope="module")
@@ -1513,20 +1541,11 @@ def test_genuine_expansion_records_pass_without_escalating(
 
 
 def test_check_records_reads_flat_lines_by_template_and_one_floor_per_z(
-        capsys, monkeypatch, quick_file):
-    kinds = []
-    true_from_json = records._from_json
-
-    def from_json(line):
-        kinds.append(json.loads(line)["kind"])
-        return true_from_json(line)
-
-    monkeypatch.setattr(records, "_from_json", from_json)
+        capsys, quick_file):
     records._prop1_floor.cache_clear()
     capsys.readouterr()
     assert run(["check-records", str(quick_file)]) == 0
     assert "PASS  records=6210 failures=0" in capsys.readouterr().out
-    assert kinds and not set(kinds) & set(_FLAT_KINDS)
     prop1_z = {json.loads(line)["z"] for line in quick_file.open()
                if '"kind":"prop1"' in line}
     assert records._prop1_floor.cache_info().misses == len(prop1_z)
@@ -1544,6 +1563,12 @@ _INT_CAPS = {
                   "t": (0, MAX_ORDER)},
     "search-summary": {"z_max": (7, SEARCH_Z_MAX_CAP),
                        "w_max": (3, BRUTE_W_MAX_CAP), "count": (0, None)},
+}
+# the same of the other kinds, those of lemma2 witnesses and growth
+# failures aside
+_OTHER_INT_CAPS = {
+    "constants": {"precision_bits": (1, CONSTANTS_PRECISION_CAP)},
+    "growth": {"n_max": (2, GROWTH_N_MAX_CAP), "checked": (0, None)},
 }
 # one digit past int's default limit of 4300
 _LONG_DECIMAL = "1" + "0" * 4300
@@ -1579,10 +1604,8 @@ def _edge_lines(draw) -> str:
 
 @settings(max_examples=600, deadline=None)
 @given(line=_edge_lines())
-def test_template_parse_agrees_with_json_route_at_the_caps(line):
-    slow = _parsed(records._from_json, line)
-    assert _parsed(VerificationRecord.from_line, line) == slow
-    assert records._from_template(line) == slow[0]
+def test_parse_accepts_only_written_lines_within_caps_at_the_caps(line):
+    _assert_parse_is_canonical(line)
 
 
 def test_every_kind_has_a_compiled_format():
@@ -1615,12 +1638,10 @@ _VALID_VALUES = {
 
 @settings(max_examples=500, deadline=None)
 @given(data=st.data())
-def test_written_lines_parse_back_through_both_routes(data):
+def test_written_lines_parse_back(data):
     kind = data.draw(st.sampled_from(records.RECORD_KINDS))
     rec = VerificationRecord(kind, data.draw(_VALID_VALUES[kind]))
-    line = rec.to_line()
-    assert VerificationRecord.from_line(line) == rec
-    assert records._from_json(line) == rec
+    assert VerificationRecord.from_line(rec.to_line()) == rec
 
 
 def test_cli_check_records_rejects_a_deeply_nested_flat_field(tmp_path,
@@ -1630,6 +1651,27 @@ def test_cli_check_records_rejects_a_deeply_nested_flat_field(tmp_path,
     path.write_text(_PAIR_LINES["prop1"].replace('"6"', nested) + "\n")
     assert run(["check-records", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: line 1:")
+
+
+# 100,000 levels: a list of lists, and an object of objects under a key
+_NESTED = {"lists": "[" * 10 ** 5 + "]" * 10 ** 5,
+           "objects": '{"a":' * 10 ** 5 + "true" + "}" * 10 ** 5}
+
+
+@pytest.mark.parametrize("nested", sorted(_NESTED))
+@pytest.mark.parametrize("kind", ["constants", "field"])
+def test_cli_check_records_rejects_a_deeply_nested_checks_object(
+        tmp_path, capsys, kind, nested):
+    # the checks pattern admits only "key":true|false pairs, so json.loads
+    # never meets the nesting
+    genuine = _genuine_line(kind)
+    checks = genuine[genuine.index('"checks":') + len('"checks":'):-1]
+    path = tmp_path / "r.jsonl"
+    path.write_text(genuine.replace(checks, _NESTED[nested]) + "\n")
+    assert run(["check-records", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: line 1: {kind} checks:")
+    assert "Traceback" not in out + err
 
 
 # ---------------------------------------------------------------------------
