@@ -18,12 +18,14 @@ one for the imaginary part).
 The hot loops of the interval batteries call integer kernels here rather
 than chains of enclosure operations, so that no other module reads the
 numerators: ``Enclosure.cmp_abs_power`` compares a power of |x| with a
-bound, ``Enclosure.affine_abs`` gives |m*x - c| and
-``ComplexEnclosure.affine_abs2`` gives |m*z - c|**2 for integers m and c,
-and ``IntegerCombination`` keeps an integer combination of enclosures as a
+bound, ``affine_abs`` gives both |m*x - c| and |m*w - c|**2 for an
+interval x, a rectangle w and integers m and c in one pass, and
+``IntegerCombination`` keeps an integer combination of enclosures as a
 running exact sum whose weights may change (``integer_combination`` is its
 one-shot form).  Each returns exactly what the chain of operations it
-replaces would give.
+replaces would give: the same numerators over the same denominator.
+``_scaled`` multiplies an enclosure by a rational given as two integers,
+with no ``Fraction`` built.
 
 ``cmp_abs_power`` decides |x|**k against a bound as the integer comparison
 M**k * e < b * d**k of numerators M, b over denominators d, e.  It filters
@@ -253,6 +255,13 @@ def _enc(n0: int, n1: int, d: int) -> "Enclosure":
     return out
 
 
+def _scaled(x: "Enclosure", p: int, q: int) -> "Enclosure":
+    """x * (p/q) for integers p >= 0 and q > 0, with no Fraction: the
+    numerators times p over the denominator times q, which is what
+    ``x * Fraction(p, q)`` gives when p/q is in lowest terms."""
+    return _enc(x._n0 * p, x._n1 * p, x._d * q)
+
+
 def _dyadic(q0: int, s0: int, q1: int, s1: int) -> "Enclosure":
     """[q0 * 2**-s0, q1 * 2**-s1] over the denominator 2**max(s0, s1, 0)."""
     s = max(s0, s1, 0)
@@ -444,7 +453,9 @@ class Enclosure:
         dspan = k if d & (d - 1) else 0
         el = e.bit_length()
         if b0 > 0:
-            big = max(-n0, n1)
+            # max(-n0, n1) is n1 when n0 >= 0, as for every magnitude;
+            # the builtin call costs half of a decided comparison
+            big = n1 if n0 >= 0 else max(-n0, n1)
             if not big:
                 return -1
             top = k * big.bit_length() + el
@@ -466,22 +477,6 @@ class Enclosure:
         if top < rhs:
             return 0
         return 1 if least ** k * e > _scale_pow(b1, d, k) else 0
-
-    def affine_abs(self, m: int, c: int) -> "Enclosure":
-        """|m*x - c| for integers m and c: the enclosure that
-        ``(self * m - c).abs()`` gives, computed on the numerators with no
-        intermediate enclosure."""
-        d = self._d
-        cd = c * d
-        if m >= 0:
-            r0, r1 = self._n0 * m - cd, self._n1 * m - cd
-        else:
-            r0, r1 = self._n1 * m - cd, self._n0 * m - cd
-        if r0 >= 0:
-            return _enc(r0, r1, d)
-        if r1 <= 0:
-            return _enc(-r1, -r0, d)
-        return _enc(0, max(-r0, r1), d)
 
     def abs(self) -> "Enclosure":
         if self._n0 >= 0:
@@ -610,23 +605,6 @@ class ComplexEnclosure(_Frozen):
     def abs2(self) -> Enclosure:
         return self.re.square() + self.im.square()
 
-    def affine_abs2(self, m: int, c: int) -> Enclosure:
-        """|m*self - c|**2 for integers m and c: the enclosure that
-        ``(self * m - c).abs2()`` gives, computed on the numerators with no
-        intermediate rectangle.  The real and imaginary parts keep their
-        own denominators until the final sum aligns them."""
-        re, im = self.re, self.im
-        d, e = re._d, im._d
-        if m >= 0:
-            r0, r1, i0, i1 = re._n0 * m, re._n1 * m, im._n0 * m, im._n1 * m
-        else:
-            r0, r1, i0, i1 = re._n1 * m, re._n0 * m, im._n1 * m, im._n0 * m
-        cd = c * d
-        a0, a1 = _square_ends(r0 - cd, r1 - cd)
-        b0, b1 = _square_ends(i0, i1)
-        a0, a1, b0, b1, den = _align(a0, a1, d * d, b0, b1, e * e)
-        return _enc(a0 + b0, a1 + b1, den)
-
     def abs(self, bits: int) -> Enclosure:
         return self.abs2().sqrt(bits)
 
@@ -652,6 +630,58 @@ class ComplexEnclosure(_Frozen):
     def __repr__(self):
         return (f"ComplexEnclosure({float(self.re.mid()):.17g} "
                 f"{float(self.im.mid()):+.17g}j)")
+
+
+def affine_abs(x: Enclosure, w: ComplexEnclosure, m: int,
+               c: int) -> tuple[Enclosure, Enclosure]:
+    """|m*x - c| and |m*w - c|**2 for integers m and c, in one pass over
+    the numerators: the enclosures that ``(x * m - c).abs()`` and
+    ``(w * m - c).abs2()`` give, with no intermediate enclosure or
+    rectangle.  Each part of m*w - c is squared inline, from 0 when it
+    straddles 0; the two squares meet over one denominator as ``_align``
+    puts them, by a shift when both parts' denominators are powers of
+    two."""
+    n0, n1, d = x._n0, x._n1, x._d
+    re, im = w.re, w.im
+    p0, p1, e = re._n0, re._n1, re._d
+    q0, q1, f = im._n0, im._n1, im._d
+    if m < 0:
+        n0, n1, p0, p1, q0, q1 = n1, n0, p1, p0, q1, q0
+    cd = c * d
+    r0, r1 = n0 * m - cd, n1 * m - cd
+    if r0 >= 0:
+        real = _enc(r0, r1, d)
+    elif r1 <= 0:
+        real = _enc(-r1, -r0, d)
+    else:
+        real = _enc(0, max(-r0, r1), d)
+    ce = cd if e == d else c * e
+    r0, r1 = p0 * m - ce, p1 * m - ce
+    if r0 >= 0:
+        a0, a1 = r0 * r0, r1 * r1
+    elif r1 <= 0:
+        a0, a1 = r1 * r1, r0 * r0
+    else:
+        a0, a1 = 0, max(-r0, r1) ** 2
+    r0, r1 = q0 * m, q1 * m
+    if r0 >= 0:
+        b0, b1 = r0 * r0, r1 * r1
+    elif r1 <= 0:
+        b0, b1 = r1 * r1, r0 * r0
+    else:
+        b0, b1 = 0, max(-r0, r1) ** 2
+    if e == f:
+        den = e * e
+    elif not (e & (e - 1) or f & (f - 1)):
+        k = 2 * (f.bit_length() - e.bit_length())
+        if k > 0:
+            a0, a1, den = a0 << k, a1 << k, f * f
+        else:
+            b0, b1, den = b0 << -k, b1 << -k, e * e
+    else:
+        ee, ff = e * e, f * f
+        a0, a1, b0, b1, den = a0 * ff, a1 * ff, b0 * ee, b1 * ee, ee * ff
+    return real, _enc(a0 + b0, a1 + b1, den)
 
 
 def sqrt_split(z: ComplexEnclosure, bits: int) -> tuple[Enclosure, Enclosure]:

@@ -19,18 +19,18 @@ pair, ``factor_bounds`` certifies the embedding bounds, and ``prop1_holds``
 checks the headline inequality itself.  ``factor_bounds`` takes no root: it
 decides the real bound in fourth powers, |eta_alpha|**4 < (13/10)**4 *
 alpha**z, and the complex one in squares, |eta_beta|**2 < (9/25) *
-alpha**(2*z), with |eta_beta|**2 taken from the memoised beta**lam of
-``constants.beta_power`` by ``ComplexEnclosure.affine_abs2``.  The two
-bounds depend on (z, bits) alone and come from a bounded cache; the real
-magnitude |alpha**lam * (T_y - 1) - (T_z - 1)| is one
-``Enclosure.affine_abs``, and both tests are ``Enclosure.cmp_abs_power``,
-which settles most comparisons by bit lengths and raises an endpoint to its
-power only when they leave the comparison open.  T_n - 1 is read as
-``trib(n) - 1`` from the sequence's one memo table, and so are the integer
-coordinates of alpha**lam in the basis 1, alpha, alpha**2: (T_(lam+2) -
-T_(lam+1) - T_lam, T_(lam+1) - T_lam, T_lam), by induction on lam from
-alpha**0 = 1, since one multiplication by alpha sends (c0, c1, c2) to (c2,
-c0 + c2, c1 + c2).
+alpha**(2*z).  The two bounds depend on (z, bits) alone: they are scaled on
+the numerators of alpha**z and its square, with no Fraction, and come from
+a bounded cache.  Both magnitudes, |alpha**lam * (T_y - 1) - (T_z - 1)|
+and |eta_beta|**2 from the memoised beta**lam of ``constants.beta_power``,
+come from one integer pass, ``enclosure.affine_abs``, and both tests are
+``Enclosure.cmp_abs_power``, which settles most comparisons by bit lengths
+and raises an endpoint to its power only when they leave the comparison
+open.  T_n - 1 is read as ``trib(n) - 1`` from the sequence's one memo
+table, and so are the integer coordinates of alpha**lam in the basis 1,
+alpha, alpha**2: (T_(lam+2) - T_(lam+1) - T_lam, T_(lam+1) - T_lam,
+T_lam), by induction on lam from alpha**0 = 1, since one multiplication by
+alpha sends (c0, c1, c2) to (c2, c0 + c2, c1 + c2).
 
 The headline inequality has two routes.  The prop1 battery
 (``prop1_results``) decides it against one integer threshold per z:
@@ -38,12 +38,12 @@ m_z = ``prop1_threshold(z)`` is the largest m with m**4 < alpha**(3*z),
 read off the integer power sum s_p = alpha**p + beta**p + gamma**p, which
 lies within 1 of alpha**p (``tribonacci.cmp_alpha_power_trace``), so each
 pair costs one gcd and one integer comparison d <= m_z.  ``prop1_holds``
-and the record checker enclose alpha**(3*z) itself, and never read a power
-sum.  ``prop1_holds`` compares d**4 with that enclosure
+and the record checker enclose powers of alpha, and never read a power
+sum.  ``prop1_holds`` compares d**4 with the enclosure of alpha**(3*z)
 (``_prop1_verdict`` through ``constants.cmp_alpha_power``).  The checker
-(``records._check_prop1``) takes one floor per z from it, r_z =
-isqrt(isqrt(floor(lo))) for the enclosure's lower end lo, so r_z**4 <
-alpha**(3*z): a d <= r_z passes by one integer comparison, and a larger d
+(``records._check_prop1``) takes one floor per z from the enclosure of
+alpha**z, r_z = isqrt(isqrt(floor(lo**3))) for its lower end lo, so r_z**4
+< alpha**(3*z): a d <= r_z passes by one integer comparison, and a larger d
 goes to ``_prop1_verdict``, which escalates as far as the precision cap.
 So a fault in one route shows up as a record that the other one fails.
 Neither route calls ``gcd_shifted``: the battery reads T_n - 1 from one
@@ -64,14 +64,14 @@ every regime pair into one report.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
 from .constants import (_GREATER, DEFAULT_PRECISION, MAX_PRECISION,
                         alpha_power, beta_power, cmp_alpha_power)
-from .enclosure import Enclosure, PrecisionFailure, precision_ladder
+from .enclosure import (Enclosure, PrecisionFailure, _scaled, affine_abs,
+                        precision_ladder)
 from .splitfield import CubicElement, norm3, norm6
 from .tribonacci import alpha_power_trace, cmp_alpha_power_trace, trib
 
@@ -183,9 +183,13 @@ EMBEDDING_BOUND_CACHE_SIZE = 64
 @lru_cache(maxsize=EMBEDDING_BOUND_CACHE_SIZE)
 def _embedding_bounds(z: int, bits: int) -> tuple[Enclosure, Enclosure]:
     """(13/10)**4 * alpha**z and (6/10)**2 * alpha**(2*z): the bounds of
-    ``factor_bounds`` in fourth powers and in squares."""
+    ``factor_bounds`` in fourth powers and in squares, scaled on the
+    numerators of alpha**z."""
     alpha_z = alpha_power(z, bits)
-    return alpha_z * Fraction(28561, 10000), alpha_z.square() * Fraction(9, 25)
+    return _scaled(alpha_z, 28561, 10000), _scaled(alpha_z.square(), 9, 25)
+
+
+_report = tuple.__new__
 
 
 def factor_bounds(y: int, z: int,
@@ -201,18 +205,20 @@ def factor_bounds(y: int, z: int,
     lam = z - y
     for bits in precision_ladder(precision_bits, max_precision_bits):
         bound_r4, bound_c2 = _embedding_bounds(z, bits)
-        # embedding fixing alpha, against 1.3*alpha**(z/4) in fourth powers
-        real_abs = alpha_power(lam, bits).affine_abs(ty, tz)
+        # the embedding fixing alpha, and the one sending alpha to beta
+        # (the gamma one its conjugate), in one pass
+        real_abs, cplx2 = affine_abs(alpha_power(lam, bits),
+                                     beta_power(lam, bits), ty, tz)
+        # against 1.3*alpha**(z/4) in fourth powers and 0.6*alpha**z in
+        # squares, so no root is taken
         real = real_abs.cmp_abs_power(4, bound_r4)
-        # embedding sending alpha to beta, the gamma one its conjugate;
-        # against 0.6*alpha**z in squares, so no root is taken
-        cplx2 = beta_power(lam, bits).affine_abs2(ty, tz)
         cplx = cplx2.cmp_abs_power(1, bound_c2)
-        if real < 0 and cplx < 0:
-            return FactorBoundsReport(y, z, lam, real_abs, cplx2, True, bits)
+        ok = real < 0 and cplx < 0
         # distinguish a genuine violation from insufficient precision
-        if real > 0 or cplx > 0:
-            return FactorBoundsReport(y, z, lam, real_abs, cplx2, False, bits)
+        if ok or real > 0 or cplx > 0:
+            # the NamedTuple's own __new__, less its argument handling
+            return _report(FactorBoundsReport,
+                           (y, z, lam, real_abs, cplx2, ok, bits))
     raise PrecisionFailure(f"factor bounds unresolved at ({y},{z})")
 
 

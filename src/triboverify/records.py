@@ -196,9 +196,9 @@ LEMMA2_CASES = {
 # prune flags and a whole file, since ``search`` shares one sweep),
 # brute_force(10**6) about 1 ms, verify_numeric_window(4096) about 0.3 s
 # (16384 bits take about 5 s) and verify_growth(10**4) about 0.3 s.  A prop1
-# record with z <= 2000 checks in at most about 50 ms in a fresh process,
-# nearly all of it the enclosure of alpha**(3*z) behind its floor (z = 10**4
-# took 1.0 s), a norm record in about 5 ms, and an expansion record at
+# record with z <= 2000 checks in about 10 ms in a fresh process, nearly
+# all of it the enclosure of alpha**z behind its floor (z = 10**4 took
+# 0.09 s), a norm record in about 5 ms, and an expansion record at
 # order 8 with z <= 100 in about 0.5 s (z = 150 took 0.7 s).  The CLI
 # refuses to write records past these.
 SEARCH_Z_MAX_CAP = 1000
@@ -532,11 +532,13 @@ def _ordered_triple(rec: VerificationRecord, *_) -> VerificationRecord:
 
 @functools.lru_cache(maxsize=PAIR_Z_MAX_CAP)
 def _prop1_floor(z: int, precision_bits: int) -> int:
-    """r_z = floor(lo**(1/4)), for lo the lower end of the enclosure of
-    alpha**(3*z) at precision_bits.  r_z**4 <= lo <= alpha**(3*z), which is
-    irrational, so d**4 < alpha**(3*z) for every d <= r_z.  The cache has
-    room for every z a record can name at one precision."""
-    return isqrt(isqrt(floor(alpha_power(3 * z, precision_bits).lo)))
+    """r_z = floor((lo**3)**(1/4)), for lo the lower end of the enclosure
+    of alpha**z at precision_bits.  lo < alpha**z, which is irrational,
+    and 0 < lo, so r_z**4 <= lo**3 < alpha**(3*z) and d**4 < alpha**(3*z)
+    for every d <= r_z.  alpha**z is a third of the products that
+    alpha**(3*z) would take from the power table.  The cache has room for
+    every z a record can name at one precision."""
+    return isqrt(isqrt(floor(alpha_power(z, precision_bits).lo ** 3)))
 
 
 def _check_prop1(rec: VerificationRecord, precision_bits: int,

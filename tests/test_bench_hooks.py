@@ -160,8 +160,14 @@ def test_deep_numerics_ops_are_one_call_each(monkeypatch):
     monkeypatch.setattr(expansion, "expansion_error",
                         counting("expansion_error",
                                  expansion.expansion_error))
-    sweep = gcdbound.factor_sweep(40)
-    assert calls["factor_bounds"] == len(gcdbound.regime_pairs(40)) \
-        == len(sweep.reports) > 0
+    # the workload's two sweeps at their full sizes: 612 pairs at the
+    # default precision and 180 at 1024 bits
+    for z_max, kwargs, pairs in ((80, {}, 612),
+                                 (48, {"precision_bits": 1024}, 180)):
+        calls.clear()
+        sweep = gcdbound.factor_sweep(z_max, **kwargs)
+        assert calls["factor_bounds"] == len(gcdbound.regime_pairs(z_max)) \
+            == len(sweep.reports) == pairs
     report = expansion.decay_report(20, 25, 30, 6)
     assert calls["expansion_error"] == len(report.errors) == 7
+

@@ -14,7 +14,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ from triboverify import gcdbound, splitfield
 from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
                                    IntegerCombination, PrecisionFailure,
-                                   _enc, integer_combination,
+                                   _enc, affine_abs, integer_combination,
                                    precision_ladder, round_down, round_up,
                                    sqrt_split)
 from triboverify.splitfield import CubicElement
@@ -380,22 +380,78 @@ def test_reweighed_combination_matches_a_fresh_one(terms, rng):
 
 
 @_props
-@given(_pairs, _bound_factor, _pairs, _bound_factor, _multiplier,
-       _multiplier)
+@given(_pairs, _bound_factor, _pairs, _bound_factor, _pairs, _bound_factor,
+       _multiplier, _multiplier)
 @example((_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1,
+         (_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1,
          (_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1, -7, 10 ** 12)
-@example((Enclosure(Fraction(-5, 32), Fraction(3, 32)),
+@example((Enclosure(Fraction(1, 3), Fraction(2, 3)),
+          FractionEnclosure(Fraction(1, 3), Fraction(2, 3))), 1,
+         (Enclosure(Fraction(-5, 32), Fraction(3, 32)),
           FractionEnclosure(Fraction(-5, 32), Fraction(3, 32))),
          Fraction(28561, 10000),
          (Enclosure(Fraction(1, 3), Fraction(2, 3)),
           FractionEnclosure(Fraction(1, 3), Fraction(2, 3))), 1, 5, -2)
-def test_affine_abs2_matches_oracle(real, real_factor, imag, imag_factor,
-                                   m, c):
-    (x, ox), (y, oy) = _scaled(real, real_factor), _scaled(imag, imag_factor)
-    rect = ComplexEnclosure(x, y)
-    got = rect.affine_abs2(m, c)
-    _same(got, (ox * m - c).square() + (oy * m).square())
-    assert got == (rect * m - c).abs2()
+def test_affine_abs_matches_oracle(point, point_factor, real, real_factor,
+                                   imag, imag_factor, m, c):
+    x, ox = _scaled(point, point_factor)
+    (u, ou), (v, ov) = _scaled(real, real_factor), _scaled(imag, imag_factor)
+    rect = ComplexEnclosure(u, v)
+    got, got2 = affine_abs(x, rect, m, c)
+    _same(got, (ox * m - c).abs())
+    _same(got2, (ou * m - c).square() + (ov * m).square())
+    assert got == (x * m - c).abs()
+    assert got2 == (rect * m - c).abs2()
+
+
+# affine_abs on raw numerators: each of the interval and the rectangle's
+# two parts over its own power-of-two or odd denominator, unreduced, so
+# the parts' squares meet over equal denominators, by a shift or by
+# cross-multiplying; m of either sign, and c drawn near m times a
+# midpoint, so that m*x - c and m*re - c straddle or touch 0
+@st.composite
+def _affine_case(draw):
+    def interval(den):
+        n0 = draw(st.integers(-10 ** 40, 10 ** 40))
+        n1 = draw(st.sampled_from([n0, -n0, 0])
+                  | st.integers(n0, n0 + 10 ** 40))
+        return _enc(min(n0, n1), max(n0, n1), den)
+
+    d = draw(_denominator)
+    e = draw(st.just(d) | _denominator)
+    f = draw(st.just(e) | _denominator)
+    x, re, im = interval(d), interval(e), interval(f)
+    m = draw(st.sampled_from([0, 1, -1]) | _multiplier)
+    near = draw(st.sampled_from([x, re]))
+    c = draw(st.integers(-10 ** 60, 10 ** 60)
+             | st.integers(-2, 2).map(lambda k: floor(m * near.mid()) + k))
+    return x, ComplexEnclosure(re, im), m, c
+
+
+def _raw(x: Enclosure) -> tuple[int, int, int]:
+    return x._n0, x._n1, x._d
+
+
+@settings(max_examples=500, deadline=None)
+@given(_affine_case())
+# m*x - c straddles 0, with ends of unequal size either way round
+@example((_enc(-3, 5, 4), ComplexEnclosure(_enc(1, 2, 3), _enc(-1, 1, 5)),
+          -3, 1))
+@example((_enc(3, 7, 4), ComplexEnclosure(_enc(1, 3, 8), _enc(2, 3, 32)),
+          5, 6))
+# m*re - c ends on 0 exactly, below and above
+@example((_enc(1, 2, 1), ComplexEnclosure(_enc(4, 6, 2), _enc(-3, -1, 2)),
+          1, 2))
+@example((_enc(1, 2, 1), ComplexEnclosure(_enc(2, 4, 2), _enc(-3, -1, 2)),
+          1, 2))
+def test_affine_abs_matches_the_chain_on_numerators(case):
+    x, w, m, c = case
+    real, cplx2 = affine_abs(x, w, m, c)
+    want, want2 = (x * m - c).abs(), (w * m - c).abs2()
+    assert real == want and cplx2 == want2
+    # not only the values: the numerators and denominators the chain of
+    # operations gives, so the kernel moves no enclosure a test freezes
+    assert _raw(real) == _raw(want) and _raw(cplx2) == _raw(want2)
 
 
 @_props

@@ -319,10 +319,14 @@ def test_embedding_bounds_cache_is_bounded_and_recomputes_alike():
     cached = gcdbound._embedding_bounds
     size = gcdbound.EMBEDDING_BOUND_CACHE_SIZE
     cached.cache_clear()
+    # the bounds scaled on the numerators are the Fraction products
+    for bits in (64, 192, 1024):
+        for z in (5, 20, 47, 80, 333):
+            alpha_z = alpha_power(z, bits)
+            assert cached(z, bits) == (alpha_z * Fraction(28561, 10000),
+                                       alpha_z.square() * Fraction(9, 25))
+    cached.cache_clear()
     first = cached(20, 64)
-    alpha_z = alpha_power(20, 64)
-    assert first == (alpha_z * Fraction(28561, 10000),
-                     alpha_z.square() * Fraction(9, 25))
     for z in range(21, 21 + size):
         cached(z, 64)
     info = cached.cache_info()
@@ -507,7 +511,7 @@ def test_prop1_threshold_tie_at_the_cap_is_exit_3(monkeypatch, tmp_path,
 def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,
                                                    capsys):
     # the battery decides by power sums; the checker reads one enclosure of
-    # alpha**(3*z) per z for its floor, and no genuine pair gets past it to
+    # alpha**z per z for its floor, and no genuine pair gets past it to
     # cmp_alpha_power
     powers, compared, betas = [], [], []
 
@@ -532,7 +536,7 @@ def test_prop1_battery_never_encloses_alpha_powers(monkeypatch, tmp_path,
     records._prop1_floor.cache_clear()
     assert cli.run(["check-records", str(out)]) == 0
     capsys.readouterr()
-    assert powers == [(3 * z, DEFAULT_PRECISION) for z in range(5, 31)]
+    assert powers == [(z, DEFAULT_PRECISION) for z in range(5, 31)]
     assert compared == betas == []
     # the same binding does see the per-pair enclosure route
     assert prop1_holds(12, 18)

@@ -1476,8 +1476,9 @@ def quick_file(tmp_path_factory):
 
 def test_flat_kinds_parse_without_json(tmp_path, capsys, monkeypatch,
                                        quick_file):
-    # a template that no longer matches sends every line down json.loads;
-    # the results stay right, only the time is lost, so refuse that route
+    # a flat kind's line is read by its template alone: json.loads reads
+    # only a checks object, so it never sees a flat line, and a template
+    # that no longer matched its own lines would reject them
     path = tmp_path / "all.jsonl"
     path.write_bytes(quick_file.read_bytes())
     capsys.readouterr()
