@@ -20,10 +20,9 @@ than chains of enclosure operations, so that no other module reads the
 numerators: ``Enclosure.cmp_abs_power`` compares a power of |x| with a
 bound, ``affine_abs`` gives both |m*x - c| and |m*w - c|**2 for an
 interval x, a rectangle w and integers m and c in one pass, and
-``IntegerCombination`` keeps an integer combination of enclosures as a
-running exact sum whose weights may change (``integer_combination`` is its
-one-shot form).  Each returns exactly what the chain of operations it
-replaces would give: the same numerators over the same denominator.
+``integer_combination`` sums enclosures at integer weights in one pass
+over their numerators.  Each returns exactly what the chain of operations
+it replaces would give: the same numerators over the same denominator.
 ``_scaled`` multiplies an enclosure by a rational given as two integers,
 with no ``Fraction`` built.
 
@@ -187,60 +186,26 @@ def _scale_pow(b: int, d: int, k: int) -> int:
 
 
 def integer_combination(pairs) -> "Enclosure":
-    """The exact enclosure of sum(n * e) over the (e, n) pairs, n integers:
-    one ``IntegerCombination`` given every weight at once."""
-    acc = IntegerCombination()
-    acc.reweigh((e, 0, n) for e, n in pairs)
-    return acc.enclosure()
+    """The exact enclosure of sum(n * e) over the (e, n) pairs, n integers.
 
-
-class IntegerCombination:
-    """A running exact sum(n * e) of enclosures e with integer weights n,
-    whose weights can change: the carried form of ``integer_combination``.
-
-    The sum is held as two integer numerators over one denominator.  A new
-    denominator is aligned as ``_align`` does, so terms over powers of two
-    add up over the largest of them by shifts alone.  n * e contributes
-    n * lo to the lower numerator for n >= 0 and n * hi for n < 0, so
-    changing a weight subtracts the old contribution exactly and adds the
-    new one, each by the sign of its own weight.  After any sequence of
-    ``reweigh`` calls the numerators and the denominator are those that
-    ``integer_combination`` gives over every enclosure named so far, at
-    its final weight, when the denominators are powers of two, and the
-    same rational otherwise.  An enclosure whose weight returns to 0 still
-    counts towards the denominator, as it does in ``integer_combination``.
-    """
-
-    __slots__ = ("_n0", "_n1", "_d")
-
-    def __init__(self):
-        self._n0 = self._n1 = 0
-        self._d = 1
-
-    def reweigh(self, changes) -> None:
-        """Move each enclosure e of the (e, old, new) triples from weight
-        old to weight new; old is 0 for an enclosure not yet in the sum."""
-        lo, hi, d = self._n0, self._n1, self._d
-        for e, old, new in changes:
-            n0, n1 = e._n0, e._n1
-            if new >= 0:
-                a, b = n0 * new, n1 * new
-            else:
-                a, b = n1 * new, n0 * new
-            if old > 0:
-                a -= n0 * old
-                b -= n1 * old
-            elif old < 0:
-                a -= n1 * old
-                b -= n0 * old
-            if e._d != d:
-                lo, hi, a, b, d = _align(lo, hi, d, a, b, e._d)
-            lo += a
-            hi += b
-        self._n0, self._n1, self._d = lo, hi, d
-
-    def enclosure(self) -> "Enclosure":
-        return _enc(self._n0, self._n1, self._d)
+    The sum is kept as two integer numerators over one denominator: n * e
+    adds n * lo to the lower numerator for n >= 0 and n * hi for n < 0,
+    and a new denominator is aligned as ``_align`` does, so terms over
+    powers of two add up over the largest of them by shifts alone, in any
+    order of the pairs.  A pair of weight 0 still counts towards the
+    denominator."""
+    lo = hi = 0
+    d = 1
+    for e, n in pairs:
+        if n >= 0:
+            a, b = e._n0 * n, e._n1 * n
+        else:
+            a, b = e._n1 * n, e._n0 * n
+        if e._d != d:
+            lo, hi, a, b, d = _align(lo, hi, d, a, b, e._d)
+        lo += a
+        hi += b
+    return _enc(lo, hi, d)
 
 
 _new = object.__new__

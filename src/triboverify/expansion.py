@@ -46,23 +46,20 @@ This is checked exactly, and the pair then adds up to the real number
 construction rather than by an interval straddling the real axis.
 
 The kept terms of order t are those of order t - 1 followed by a shell,
-so the exact group sums are carried from order to order rather than
-summed again (``_GroupSums``): a bounded memo keyed by (x, y, z, bits)
-keeps each group's exact (pa, A.v) weights and its
-``IntegerCombination``, and order t adds only its shell.  This leaves
-every enclosure bit-identical.  An integer combination over power-of-two
-denominators is fixed by its entries and their final weights alone: each
-entry adds n * lo or n * hi, by the sign of its own weight, shifted to the
-largest denominator of the group.  A shell moves each weight it touches
-from its old value to its new one, subtracting the old contribution and
-adding the new one, each by its own sign, so the carried sum has the two
-numerators and the denominator that summing the whole group afresh
-gives.  Nothing carried is rounded; each order rounds the exact sum, as
-before.  A memo entry is used only while the kept terms asked for start
-with the terms it has summed; otherwise, as for a lower order or a
-patched ``expansion_terms``, the sums start afresh.  The enclosures of u
-and of the prefactor sqrt(a) * alpha^((x+y-z)/2) are taken once per key
-as well.
+so the exact group weights are carried from order to order rather than
+summed again (``_GroupSums``): a bounded memo keyed by (x, y, z) keeps
+each group's exact (pa, A.v) weights, and order t adds only its shell.
+The weights do not depend on the precision, so one entry serves every
+precision a caller climbs to.  Each order then sums each group it reads
+once, as one ``integer_combination`` of the real factors at their
+weights, and rounds it as before; over power-of-two denominators an
+integer combination is fixed by its entries and weights alone, so every
+enclosure is bit-identical to summing the whole group afresh.  A memo
+entry is used only while the kept terms asked for start with the terms
+it has summed; otherwise, as for a lower order or a patched
+``expansion_terms``, the sums start afresh.  The enclosures of u and of
+the prefactor sqrt(a) * alpha^((x+y-z)/2) are taken once per (x, y, z,
+bits).
 
 The error of the truncation is not estimated a priori: it is the measured
 gap |u - truncation|, both sides evaluated in certified interval
@@ -84,8 +81,8 @@ from typing import NamedTuple
 
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         beta_power, constants)
-from .enclosure import (ComplexEnclosure, Enclosure, IntegerCombination,
-                        PrecisionFailure, precision_ladder)
+from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
+                        integer_combination, precision_ladder)
 from .tribonacci import trib
 
 MAX_ORDER = 8
@@ -237,11 +234,9 @@ def _pair_factor(pb: int, mb: int, pc: int, mc: int,
 
 
 class _GroupSums:
-    """The kept terms summed so far at one (x, y, z, bits).  The terms at
+    """The kept terms summed so far at one (x, y, z).  The terms at
     v = (x, y, z) are grouped by (pb, B.v, pc, C.v); each group maps to
-    its exact weights, (pa, A.v) to the sum of its q scaled by Q_SCALE,
-    and to the ``IntegerCombination`` of the real factors R(pa, A.v) at
-    those weights."""
+    its exact weights, (pa, A.v) to the sum of its q scaled by Q_SCALE."""
 
     __slots__ = ("kept", "groups")
 
@@ -249,35 +244,25 @@ class _GroupSums:
         self.kept: tuple[ExpansionTerm, ...] = ()
         self.groups: dict = {}
 
-    def extend(self, terms, v: tuple[int, int, int], bits: int) -> None:
+    def extend(self, terms, v: tuple[int, int, int]) -> None:
         """Add the terms past the kept prefix, which terms must start
-        with.  Each term moves one weight from its old value to its new
-        one; the moves of a group go to its combination in one call."""
+        with, each to its weight."""
         x, y, z = v
         groups = self.groups
-        touched: dict = {}
         for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms[
                 len(self.kept):]:
             pb, pc = b0 + b1 + b2, c0 + c1 + c2
             key = (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z)
-            moves = touched.get(key)
-            if moves is None:
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = ({}, IntegerCombination())
-                moves = touched[key] = (*group, [])
-            weights, _, changes = moves
-            pa, ma = -a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z
-            old = weights.get((pa, ma), 0)
-            weights[pa, ma] = old + n
-            changes.append((_real_factor(pa, ma, bits), old, old + n))
-        for _, combination, changes in touched.values():
-            combination.reweigh(changes)
+            weights = groups.get(key)
+            if weights is None:
+                weights = groups[key] = {}
+            entry = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
+            weights[entry] = weights.get(entry, 0) + n
         self.kept = terms
 
 
 class _SumsMemo:
-    """A bounded, locked map from (x, y, z, bits) to ``_GroupSums``.
+    """A bounded, locked map from (x, y, z) to ``_GroupSums``.
 
     A caller takes an entry out, extends it and puts it back, so no
     caller sees an entry half extended, and one whose extension raises
@@ -311,8 +296,8 @@ class _SumsMemo:
             self._entries.clear()
 
 
-# A decay report, or check-records on one triple, reads one key per
-# precision it climbs to.
+# The weights are exact, so a decay report, or check-records on one
+# triple, reads one key whatever precision it climbs to.
 TRUNCATION_SUMS_SIZE = 8
 _truncation_sums = _SumsMemo(TRUNCATION_SUMS_SIZE)
 
@@ -338,29 +323,29 @@ def _truncation_value(x: int, y: int, z: int, order: int,
     the same exact inner sums, which is what makes the sum real.
     """
     work = bits + 32
-    memo_key = (x, y, z, bits)
+    memo_key = (x, y, z)
     terms = expansion_terms(order, bits).terms
     sums = _truncation_sums.take(memo_key)
     if sums is None or terms[:len(sums.kept)] != sums.kept:
         if sums is not None:
             _truncation_sums.put(memo_key, sums)
         sums = _GroupSums()
-    sums.extend(terms, (x, y, z), bits)
+    sums.extend(terms, memo_key)
     groups = sums.groups
     total = Enclosure.point(0)
-    for key, (weights, combination) in groups.items():
+    for key, weights in groups.items():
         pb, mb, pc, mc = key
         mirror = (pc, mc, pb, mb)
-        other = groups.get(mirror)
-        if other is None or other[0] != weights:
+        if groups.get(mirror) != weights:
             raise ArithmeticError(
                 f"kept-term sum failed to be real: group {key} has no "
                 "mirror with the same exact coefficients")
         if mirror < key:
             continue  # added with its mirror
+        inner = integer_combination((_real_factor(pa, ma, bits), n)
+                                    for (pa, ma), n in weights.items())
         total = total + (_pair_factor(pb, mb, pc, mc, bits)
-                         * combination.enclosure().rounded(work)
-                         ).rounded(work)
+                         * inner.rounded(work)).rounded(work)
     _truncation_sums.put(memo_key, sums)
     prefactor = _anchors(x, y, z, bits)[1]
     return (total * prefactor * Fraction(1, Q_SCALE)).rounded(work)

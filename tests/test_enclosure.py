@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from triboverify import gcdbound, splitfield
 from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
-                                   IntegerCombination, PrecisionFailure,
-                                   _enc, affine_abs, integer_combination,
+                                   PrecisionFailure, _enc, affine_abs,
+                                   integer_combination,
                                    precision_ladder, round_down, round_up,
                                    sqrt_split)
 from triboverify.splitfield import CubicElement
@@ -353,30 +353,44 @@ def test_filtered_cmp_abs_power_matches_exact_oracle(case):
     assert x.cmp_abs_power(k, bound) == _cmp_abs_power_oracle(x, k, bound)
 
 
+def _raw(x: Enclosure) -> tuple[int, int, int]:
+    return x._n0, x._n1, x._d
+
+
+# the enclosures an integer combination meets: those of the oracle tests,
+# over any denominator, and unreduced ones over a few powers of two, as
+# the rounded factors of the truncated series are
+_summand = st.one_of(
+    st.tuples(_pairs, _bound_factor).map(lambda t: _scaled(*t)[0]),
+    st.builds(lambda n, w, j: _enc(n, n + w, 1 << j), _big,
+              st.integers(0, 10 ** 40), st.integers(0, 6)))
+
+
 @_props
-@given(st.lists(st.tuples(_pairs, _bound_factor,
-                          st.lists(_multiplier, min_size=1, max_size=4)),
-                max_size=6), st.randoms(use_true_random=False))
-def test_reweighed_combination_matches_a_fresh_one(terms, rng):
-    # each weight moves in steps, in shuffled order and across zero; the
-    # running sum ends where integer_combination at the final weights
-    # does: the same numerators over the same denominator when every
-    # denominator is a power of two, the same rational otherwise
-    encs = [_scaled(pair, factor)[0] for pair, factor, _ in terms]
-    moves = [(i, step) for i, (_, _, steps) in enumerate(terms)
-             for step in steps]
-    rng.shuffle(moves)
-    acc = IntegerCombination()
-    weights = [0] * len(encs)
-    for i, step in moves:
-        old = weights[i]
-        weights[i] = old + step
-        acc.reweigh([(encs[i], old, weights[i])])
-    got = acc.enclosure()
-    want = integer_combination(zip(encs, weights))
+@given(st.lists(st.tuples(_summand, _multiplier), max_size=6), _summand,
+       st.randoms(use_true_random=False))
+# the pair of weight 0 is over 8, the one it joins over 2
+@example([(_enc(1, 3, 2), 1)], _enc(5, 7, 8), random.Random(0))
+# over 2, 4 and 2 the order decides where denominators are met, so a sum
+# that cross-multiplied powers of two would depend on it
+@example([(_enc(1, 3, 2), 1), (_enc(1, 3, 4), -1), (_enc(1, 1, 2), 5)],
+         _enc(0, 0, 1), random.Random(0))
+def test_integer_combination_is_independent_of_the_order_of_its_pairs(
+        pairs, zero, rng):
+    # summed in any order, the pairs give the same numerators over the
+    # same denominator when every denominator is a power of two, and the
+    # same rational otherwise; a pair of weight 0 changes no value but
+    # still counts towards the denominator
+    want = integer_combination(pairs)
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    got = integer_combination(shuffled)
     assert got == want
-    if not any(e._d & (e._d - 1) for e in encs):
-        assert (got._n0, got._n1, got._d) == (want._n0, want._n1, want._d)
+    if not any(e._d & (e._d - 1) for e, _ in pairs):
+        assert _raw(got) == _raw(want)
+    padded = integer_combination(pairs + [(zero, 0)])
+    assert padded == want
+    assert padded._d % zero._d == 0 and padded._d % want._d == 0
 
 
 @_props
@@ -426,10 +440,6 @@ def _affine_case(draw):
     c = draw(st.integers(-10 ** 60, 10 ** 60)
              | st.integers(-2, 2).map(lambda k: floor(m * near.mid()) + k))
     return x, ComplexEnclosure(re, im), m, c
-
-
-def _raw(x: Enclosure) -> tuple[int, int, int]:
-    return x._n0, x._n1, x._d
 
 
 @settings(max_examples=500, deadline=None)

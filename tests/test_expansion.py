@@ -298,8 +298,10 @@ def _endpoints(enc):
 
 
 def test_shared_tables_are_keyed_by_precision():
-    # the factor tables outlive a call; an entry built at one precision
-    # must never serve another, and no order may see another's residue
+    # the factor tables outlive a call and are keyed by precision, so an
+    # entry built at one precision must never serve another; the carried
+    # weights are exact and serve every precision, and no order may see
+    # another's residue
     runs = [(6, 192), (2, 256), (2, 192)]
     _clear_shared_tables()
     mixed = [_truncation_value(20, 25, 30, order, bits)
@@ -376,6 +378,32 @@ def test_carried_sums_are_bit_identical_in_any_order(xyz, runs):
         _clear_shared_tables()
         assert _endpoints(expansion_error(*xyz, t, bits)) == err
         assert _endpoints(_regrouped_truncation(*xyz, t, bits)) == trunc
+
+
+def test_truncation_memo_is_keyed_by_triple_alone(monkeypatch):
+    # the carried weights are exact, so a second precision reads the
+    # entry the first left, with no term added, and both errors are those
+    # of fresh runs
+    runs = [(20, 25, 30, 6, 192), (20, 25, 30, 6, 256)]
+    fresh = []
+    for run in runs:
+        _clear_shared_tables()
+        fresh.append(_endpoints(expansion_error(*run)))
+    _clear_shared_tables()
+    added = []
+    extend = expansion._GroupSums.extend
+
+    def counted(self, terms, v):
+        added.append(len(terms) - len(self.kept))
+        extend(self, terms, v)
+
+    monkeypatch.setattr(expansion._GroupSums, "extend", counted)
+    assert _endpoints(expansion_error(*runs[0])) == fresh[0]
+    assert added[0] == TERM_COUNTS[6] and not any(added[1:])
+    added.clear()
+    assert _endpoints(expansion_error(*runs[1])) == fresh[1]
+    assert added and not any(added)
+    assert len(expansion._truncation_sums) == 1
 
 
 def test_truncation_memo_stays_within_its_bound_and_clears():

@@ -786,21 +786,41 @@ def test_cli_check_records_rejects_out_of_range_witness_prime(
     assert "witness_twisted" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label, edits", [
+_NEEDS_PRIME = "needs a prime q other than 2 and 11 and 0 <= r < q"
+# (label, edits, the message the checker gives)
+_UNSOUND_LEMMA2 = [
     # 49 and 91 are composite: Euler's criterion proves nothing mod them
     ("alpha^2", {"square": False, "root": None, "witness_self": [49, 17],
-                 "witness_twisted": [49, 17]}),
-    ("a", {"witness_self": [91, 59]}),
-    ("a", {"witness_self": [11, 3]}),
-    ("a", {"witness_self": [7, 10]}),
-    ("a", {"square": True}),
-    ("a", {"root": ["1", "0", "0", "0", "0", "0"]}),
-    ("alpha^2", {"witness_self": [7, 3]}),
-])
+                 "witness_twisted": [49, 17]},
+     "the element alpha^2 has square=True"),
+    ("a", {"witness_self": [91, 59]}, f"witness_self: (91,59) {_NEEDS_PRIME}"),
+    ("a", {"witness_self": [11, 3]}, f"witness_self: (11,3) {_NEEDS_PRIME}"),
+    ("a", {"witness_self": [7, 10]}, f"witness_self: (7,10) {_NEEDS_PRIME}"),
+    ("a", {"square": True}, "the element a has square=False"),
+    ("a", {"root": ["1", "0", "0", "0", "0", "0"]},
+     "a non-square verdict carries no root"),
+    ("alpha^2", {"witness_self": [7, 3]},
+     "a square verdict carries a root and no witnesses"),
+    ("alpha^2", {"root": ["1", "0", "0", "0", "0", "0"]},
+     "root does not square back to the element"),
+    ("a", {"witness_self": None}, "negative verdict requires witness_self"),
+    # 0 is no root of x^3 - x^2 - x - 1 mod 7, which 3 is
+    ("a", {"witness_self": [7, 0]},
+     "witness_self: 0 is not a root of the cubic mod 7"),
+    # (17, 14) refutes the twisted element a * -11, not a itself
+    ("a", {"witness_self": [17, 14]},
+     "witness_self: residue check fails at (17,14)"),
+]
+
+
+# each case is named by its label and its index, not by its message
+@pytest.mark.parametrize("label, edits, message", _UNSOUND_LEMMA2, ids=[
+    f"{label}-edits{i}" for i, (label, _, _) in enumerate(_UNSOUND_LEMMA2)])
 def test_cli_check_records_flags_unsound_lemma2_certificate(
-        tmp_path, capsys, lemma2_lines, label, edits):
+        tmp_path, capsys, lemma2_lines, label, edits, message):
     assert _check_edited(tmp_path, lemma2_lines[label], **edits) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"record 1 (lemma2): {message}\n" in out and "FAIL" in out
 
 
 @pytest.mark.parametrize("label, key, value", [
