@@ -413,9 +413,8 @@ class Enclosure:
         # top = k*len(a) + len(e), and for b >= 1, b * d**k lies in
         # [2**(rhs - 1), 2**(rhs + dspan)) with rhs = len(b) + dlo, since
         # log2(d**k) lies in [dlo, dlo + dspan], exactly dlo for a power
-        # of two
+        # of two.  dspan is taken only when top < rhs leaves the test open
         dlo = k * (d.bit_length() - 1)
-        dspan = k if d & (d - 1) else 0
         el = e.bit_length()
         if b0 > 0:
             # max(-n0, n1) is n1 when n0 >= 0, as for every magnitude;
@@ -427,6 +426,7 @@ class Enclosure:
             rhs = b0.bit_length() + dlo
             if top < rhs:
                 return -1
+            dspan = k if d & (d - 1) else 0
             if (top - k - 1 < rhs + dspan
                     and big ** k * e < _scale_pow(b0, d, k)):
                 return -1
@@ -437,10 +437,11 @@ class Enclosure:
             return 0
         top = k * least.bit_length() + el
         rhs = b1.bit_length() + dlo
-        if top - k - 1 >= rhs + dspan:
-            return 1
         if top < rhs:
             return 0
+        dspan = k if d & (d - 1) else 0
+        if top - k - 1 >= rhs + dspan:
+            return 1
         return 1 if least ** k * e > _scale_pow(b1, d, k) else 0
 
     def abs(self) -> "Enclosure":

@@ -22,8 +22,10 @@ Only a checks object, flat ``"key":true`` or ``false`` pairs by its
 pattern, goes through ``json.loads``, and it must write back unchanged.
 ``read_records`` strips only the newline that ``emit_records`` ends each
 line with, so any other byte around a record, or a blank line, is
-malformed; it yields each record as it reads it, so a run over a file
-holds one record at a time.
+malformed.  It reads its file in blocks of whole lines and matches each
+line with the same pattern and reads as ``from_line``, which takes every
+line the scan does not; it yields each record as it reads it, so a run
+over a file holds one block of lines and one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  It is the one path for a
@@ -38,6 +40,7 @@ gcd(T_y - 1, T_z - 1) inline and compares it with one floor per z
 from __future__ import annotations
 
 import functools
+import io
 import json
 import re
 from collections import namedtuple
@@ -309,15 +312,11 @@ class VerificationRecord(namedtuple("VerificationRecord", "kind payload")):
         # the kind's pattern checks the head, so a slice of any line will do
         kind = line[len(_HEAD):line.find('"', len(_HEAD))]
         if kind in _FIELDS:
-            fullmatch, reads, bounds = _template(kind)
+            fullmatch, record = _template(kind)
             m = fullmatch(line)
             if m is not None:
                 try:
-                    values = [read(t) for read, t in zip(reads, m.groups())]
-                    for i, lo, hi in bounds:
-                        if not lo <= values[i] <= hi:
-                            raise ValueError(values[i])
-                    return _build(kind, *values)
+                    return record(m)
                 except ValueError:
                     pass
         raise _rejection(line, kind)
@@ -345,18 +344,31 @@ def _format(kind: str):
 
 @functools.cache
 def _template(kind: str):
-    """(fullmatch, reads, bounds) for a kind: the pattern matches exactly
-    the lines ``to_line`` writes for it, one group per field; reads[i]
-    reads group i, and bounds holds (i, lo, hi) for each field with bounds.
-    Compiled on first use, so that a run which only writes never pays."""
+    """(fullmatch, record) for a kind: the pattern matches exactly the
+    lines ``to_line`` writes for it, one group per field, and record(m) is
+    the record of a match m, each group read by its field's codec, or
+    ValueError, also for a value out of its bounds.  Compiled on first
+    use, so that a run which only writes never pays."""
     fields = _FIELDS[kind]
     pattern = re.escape(f'{_HEAD}{kind}"') + "".join(
         re.escape(f',"{key}":') + _group(codec.form, codec.pattern)
         for key, codec in fields)
-    return (re.compile(pattern + "}").fullmatch,
-            tuple(codec.read for _, codec in fields),
-            tuple((i, *codec.bounds) for i, (_, codec) in enumerate(fields)
-                  if codec.bounds is not None))
+    # record is built from source, as namedtuple builds its __new__: one
+    # call per line, where a loop over the fields took 1.4 to 2.1 times as
+    # long (prop1, norm and triple lines, Python 3.10 to 3.12); the source
+    # holds only indices, and the codecs are bound by name
+    names = {"new": tuple.__new__, "cls": VerificationRecord, "kind": kind}
+    reads, tests = [], ["True"]
+    for i, (_, codec) in enumerate(fields):
+        names[f"read{i}"] = codec.read
+        reads.append(f"read{i}(g[{i}]), ")
+        if codec.bounds is not None:
+            names[f"lo{i}"], names[f"hi{i}"] = codec.bounds
+            tests.append(f"lo{i} <= v[{i}] <= hi{i}")
+    exec(f"def record(m):\n g = m.groups()\n v = ({''.join(reads)})\n"
+         f" if {' and '.join(tests)}:\n  return new(cls, (kind, v))\n"
+         " raise ValueError(v)", names)
+    return re.compile(pattern + "}").fullmatch, names["record"]
 
 
 def _rejection(line: str, kind: str) -> RecordFormatError:
@@ -486,19 +498,103 @@ def emit_records(path, records: Iterable[VerificationRecord]) -> None:
             fh.write("\n")
 
 
+# bytes that read_records takes from its file at a time: blocks of 16 KB
+# to 1 MB read the full verify-all file equally fast, but 1 MB blocks
+# raised the peak RSS of reading it 7 MB above the import's, and 64 KB
+# ones by 0.1 MB at most
+_BLOCK = 1 << 16
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The bytes of a binary file in blocks of whole lines: each read of
+    ``_BLOCK`` bytes is cut after its last newline, and a line longer than
+    a block is gathered from its chunks and joined once.  Only the last
+    block may lack a final newline."""
+    line = []
+    while chunk := fh.read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            line.append(chunk[:cut])
+            yield b"".join(line)
+            line = [chunk[cut:]]
+        else:
+            line.append(chunk)
+    if tail := b"".join(line):
+        yield tail
+
+
+def _line_record(line, lineno: int) -> VerificationRecord:
+    """``from_line`` of one line, in bytes with its newline or in text
+    without, with its line number on an error.  Bytes are decoded with
+    their newline, as a file read line by line decodes them, so that a
+    multibyte sequence the newline cuts short gets the same error."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8").removesuffix("\n")
+        return VerificationRecord.from_line(line)
+    except (UnicodeDecodeError, RecordFormatError) as exc:
+        raise RecordFormatError(f"line {lineno}: {exc}") from exc
+
+
 def read_records(path) -> Iterator[VerificationRecord]:
     """The records of a file, one at a time as they are read, so that a
-    caller holds only the record in hand."""
+    caller holds one block of lines and the record in hand.
+
+    Lines end at "\\n" alone, so any other byte around a record, or a
+    blank line, is malformed.  Each block is decoded once and scanned by
+    ``_scan``; a block that is not UTF-8 goes through ``from_line`` a line
+    at a time, so that the error names the line."""
+    lineno = 0   # lines before the block
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        for block in _blocks(fh):
             try:
-                # only the newline emit_records writes; any other byte
-                # around a record, or a blank line, is malformed
-                line = raw.decode("utf-8").removesuffix("\n")
-                rec = VerificationRecord.from_line(line)
-            except (UnicodeDecodeError, RecordFormatError) as exc:
-                raise RecordFormatError(f"line {lineno}: {exc}") from exc
-            yield rec
+                text = block.decode("utf-8")
+            except UnicodeDecodeError:
+                # lines split at "\n" alone, each with its newline
+                lines = io.BytesIO(block)
+                for lineno, line in enumerate(lines, lineno + 1):
+                    yield _line_record(line, lineno)
+            else:
+                yield from _scan(text, lineno)
+                lineno += text.count("\n")
+
+
+def _scan(text: str, lineno: int) -> Iterator[VerificationRecord]:
+    """The records of the lines of text, the first of them line lineno + 1
+    of its file.  Each line is matched whole with the pattern of the kind
+    before it, and its record read from the match, as ``from_line`` does
+    both; a line of another kind switches the pattern.  A line the scan
+    does not take goes through ``from_line``, so the records, the errors
+    and their line numbers are those of one ``from_line`` call per line."""
+    pos, size = 0, len(text)
+    kind = fullmatch = None
+    while pos < size:
+        end = text.find("\n", pos)
+        if end < 0:
+            end = size
+        # up to the newline alone: a checks key may hold a raw "\n"
+        m = fullmatch and fullmatch(text, pos, end)
+        if m:
+            try:
+                rec = record(m)
+            except ValueError:
+                pass
+            else:
+                yield rec
+                pos = end + 1
+                continue
+        else:
+            # the kind the line names, if its head has room for one; the
+            # pattern checks the head itself
+            head = pos + len(_HEAD)
+            new = text[head:max(head, text.find('"', head, end))]
+            if new != kind and new in _FIELDS:
+                kind = new
+                fullmatch, record = _template(kind)
+                continue
+        yield _line_record(text[pos:end],
+                           lineno + text.count("\n", 0, pos) + 1)
+        pos = end + 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from triboverify import (expansion, gcdbound, records, splitfield,
@@ -146,7 +146,7 @@ def test_emit_and_read(tmp_path):
     path.write_text(text + "garbage\n")
     with pytest.raises(RecordFormatError) as err:
         list(read_records(path))
-    assert "6" in str(err.value)   # line number of the bad row
+    assert str(err.value).startswith("line 6: ")
 
 
 def test_load_config_env_and_flags():
@@ -1296,6 +1296,148 @@ def test_cli_check_records_rejects_a_file_without_records(tmp_path, capsys):
     path.write_bytes(b"\n \n")
     assert run(["check-records", str(path)]) == 2
     assert "error: line 1:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the reader it replaced: one line at a time, each
+# through from_line
+# ---------------------------------------------------------------------------
+
+def _read_line_by_line(path):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").removesuffix("\n")
+                rec = VerificationRecord.from_line(line)
+            except (UnicodeDecodeError, RecordFormatError) as exc:
+                raise RecordFormatError(f"line {lineno}: {exc}") from exc
+            yield rec
+
+
+def _outcome(reader, path):
+    """The records a reader yields from path, then its error or None."""
+    recs = []
+    try:
+        for rec in reader(path):
+            recs.append(rec)
+    except RecordFormatError as exc:
+        return recs, str(exc)
+    return recs, None
+
+
+# what str.splitlines would also end a line at
+_LINE_BREAKS = ["\r", "\x85", "\u2028"]
+
+
+@st.composite
+def _record_lines(draw) -> bytes:
+    """One line of a records file, mostly genuine, else one that
+    from_line refuses or whose bytes around a record it must refuse."""
+    line = draw(st.sampled_from(_genuine_lines()))
+    how = draw(st.sampled_from(["genuine"] * 6 + [
+        "forged", "blank", "cr", "spaced", "not utf-8", "split key",
+        "joined"]))
+    if how == "forged":
+        line = draw(_mutated_lines())
+    elif how == "blank":
+        line = ""
+    elif how == "cr":
+        line += "\r"
+    elif how == "spaced":
+        space = draw(st.sampled_from(["\t", " ", "\u3000", "\xa0"]))
+        line = space + line if draw(st.booleans()) else line + space
+    elif how == "not utf-8":
+        cut = draw(st.integers(0, len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\xe2\x82", b"\xc3"]))
+        return line[:cut].encode() + bad + line[cut:].encode()
+    elif how == "split key":
+        # a checks key with a raw newline in it: two lines, neither a record
+        line = draw(st.sampled_from([_genuine_line("constants"),
+                                     _genuine_line("field")]))
+        key = line.index('"checks":{"') + len('"checks":{"')
+        cut = draw(st.integers(key, line.index('"', key)))
+        line = line[:cut] + "\n" + line[cut:]
+    elif how == "joined":
+        line += draw(st.sampled_from(_LINE_BREAKS)) + draw(
+            st.sampled_from(_genuine_lines()))
+    return line.encode()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_record_lines(), max_size=12), final=st.booleans(),
+       block=st.sampled_from([1, 7, 64, records._BLOCK]))
+# a multibyte sequence cut short by the newline: decoded with the newline it
+# is an invalid continuation byte, without it an unexpected end of data
+@example(lines=[b"\xe2\x82"], final=True, block=1)
+@example(lines=[b"\xc3", b"\xc3"], final=False, block=records._BLOCK)
+def test_block_reader_agrees_with_reading_line_by_line(tmp_path, monkeypatch,
+                                                       lines, final, block):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b"\n".join(lines) + (b"\n" if final and lines else b""))
+    expected = _outcome(_read_line_by_line, path)
+    monkeypatch.setattr(records, "_BLOCK", block)
+    assert _outcome(read_records, path) == expected
+
+
+# a last line that is not UTF-8 sends a block through from_line line by line
+@pytest.mark.parametrize("last", [b"", b"\xff\n"], ids=["utf-8", "not"])
+@pytest.mark.parametrize("block", [1, 7, 64, records._BLOCK])
+@pytest.mark.parametrize("brk", _LINE_BREAKS)
+def test_a_line_break_other_than_newline_joins_two_records(
+        tmp_path, monkeypatch, block, brk, last):
+    line = _PAIR_LINES["prop1"]
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(f"{line}\n{line}{brk}{line}\n{line}\n".encode() + last)
+    monkeypatch.setattr(records, "_BLOCK", block)
+    recs, error = _outcome(read_records, path)
+    assert (recs, error) == _outcome(_read_line_by_line, path)
+    assert len(recs) == 1 and error.startswith(
+        "line 2: prop1 bound_ok: needs true or false")
+
+
+def test_block_scan_calls_a_pattern_once_per_line_and_per_kind_change(
+        tmp_path, monkeypatch):
+    lines = [_PAIR_LINES["prop1"], _PAIR_LINES["norm"]] * 40 + [
+        _PAIR_LINES["norm"]] * 20
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    expected = [VerificationRecord.from_line(line) for line in lines]
+    changes = 1 + sum(a != b for a, b in zip(lines, lines[1:]))
+    calls = Counter()
+    template = records._template
+
+    def counted(kind):
+        fullmatch, record = template(kind)
+
+        def match(*args):
+            calls[kind] += 1
+            return fullmatch(*args)
+        return match, record
+
+    monkeypatch.setattr(records, "_template", counted)
+    assert list(read_records(path)) == expected
+    assert sum(calls.values()) <= len(lines) + changes
+
+
+def test_a_line_longer_than_a_block_is_joined_once(tmp_path, monkeypatch):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"schema":1,"kind":"prop1"' + "x" * (8 << 20))
+    monkeypatch.setattr(records, "_BLOCK", 4096)
+    joins = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__self__", None) == b"":
+            joins.append(arg.__name__)
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        recs, error = _outcome(read_records, path)
+    finally:
+        sys.setprofile(before)
+    assert recs == [] and error.startswith("line 1: prop1 y: missing")
+    assert joins == ["join"]
 
 
 def test_record_payload_holds_only_values():
