@@ -26,6 +26,21 @@ it replaces would give: the same numerators over the same denominator.
 ``_scaled`` multiplies an enclosure by a rational given as two integers,
 with no ``Fraction`` built.
 
+A product of two enclosures (``_product``) forms two end products, not
+four, unless both intervals straddle 0.  The least and the greatest of
+a*c, a*d, b*c, b*d for [a, b] times [c, d] are fixed by the signs of the
+ends (Moore's sign rule; R. E. Moore, *Interval Analysis*, 1966): for
+a >= 0 they are a*c and b*d when c >= 0, b*c and a*d when d <= 0, and b*c
+and b*d when [c, d] straddles 0, and likewise for the other signs; only
+two straddling intervals need min(a*d, b*c) and max(a*c, b*d).  The
+denominators multiply by a shift when either is a power of two, as that of
+every rounded enclosure is, and ``square`` squares its denominator the
+same way.  The integers are those the four products and their min and max
+give, so every enclosure is bit for bit the same.  ``ComplexEnclosure``
+multiplies in one pass: both parts come from this kernel on the
+numerators, each pair of products aligned by ``_align`` as their
+difference or sum as enclosures would be.
+
 ``cmp_abs_power`` decides |x|**k against a bound as the integer comparison
 M**k * e < b * d**k of numerators M, b over denominators d, e.  It filters
 by bit length first: a positive integer a lies in [2**(len(a) - 1),
@@ -167,6 +182,36 @@ def _align(n0: int, n1: int, d: int,
             return n0 << k, n1 << k, m0, m1, e
         return n0, n1, m0 << -k, m1 << -k, d
     return n0 * e, n1 * e, m0 * d, m1 * d, d * e
+
+
+def _product(x: "Enclosure", y: "Enclosure") -> tuple[int, int, int]:
+    """The numerators and the denominator of x * y, by the sign rule and
+    the shift that the module docstring states."""
+    a, b, c, d = x._n0, x._n1, y._n0, y._n1
+    e, f = x._d, y._d
+    if not f & (f - 1):
+        den = e << f.bit_length() - 1
+    elif not e & (e - 1):
+        den = f << e.bit_length() - 1
+    else:
+        den = e * f
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d, den
+        if d <= 0:
+            return b * c, a * d, den
+        return b * c, b * d, den
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c, den
+        if d <= 0:
+            return b * d, a * c, den
+        return a * d, a * c, den
+    if c >= 0:
+        return a * d, b * d, den
+    if d <= 0:
+        return b * c, a * c, den
+    return min(a * d, b * c), max(a * c, b * d), den
 
 
 def _square_ends(n0: int, n1: int) -> tuple[int, int]:
@@ -361,10 +406,13 @@ class Enclosure:
         return (-self) + other
 
     def __mul__(self, other) -> "Enclosure":
+        """The exact product.  Of two enclosures, only the two end products
+        that the signs of the ends select are formed, all four only when
+        both straddle 0 (Moore's sign rule), and the denominators multiply
+        by a shift when either is a power of two; the result is the
+        min/max of all four over the product of the denominators."""
         if isinstance(other, Enclosure):
-            a, b, c, d = self._n0, self._n1, other._n0, other._n1
-            p = (a * c, a * d, b * c, b * d)
-            return _enc(min(p), max(p), self._d * other._d)
+            return _enc(*_product(self, other))
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
             if p >= 0:
@@ -394,8 +442,11 @@ class Enclosure:
 
     def square(self) -> "Enclosure":
         """Tight [lo, hi]**2; unlike self*self this maps 0-straddling
-        intervals to [0, max**2]."""
-        return _enc(*_square_ends(self._n0, self._n1), self._d * self._d)
+        intervals to [0, max**2].  A power-of-two denominator is squared
+        by a shift."""
+        d = self._d
+        return _enc(*_square_ends(self._n0, self._n1),
+                    d * d if d & (d - 1) else d << d.bit_length() - 1)
 
     def cmp_abs_power(self, k: int, bound: "Enclosure") -> int:
         """-1 if |x|**k lies below every value of ``bound`` for every x in
@@ -552,10 +603,17 @@ class ComplexEnclosure(_Frozen):
 
     def __mul__(self, other) -> "ComplexEnclosure":
         if isinstance(other, ComplexEnclosure):
-            return ComplexEnclosure(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            # re*re' - im*im' and re*im' + im*re', each part's two
+            # products aligned as the sum or difference of enclosures
+            a, b, c, d = self.re, self.im, other.re, other.im
+            p0, p1, e = _product(a, c)
+            q0, q1, f = _product(b, d)
+            p0, p1, q0, q1, e = _align(p0, p1, e, q0, q1, f)
+            re = _enc(p0 - q1, p1 - q0, e)
+            p0, p1, e = _product(a, d)
+            q0, q1, f = _product(b, c)
+            p0, p1, q0, q1, e = _align(p0, p1, e, q0, q1, f)
+            return ComplexEnclosure(re, _enc(p0 + q0, p1 + q1, e))
         if isinstance(other, (int, Fraction, Enclosure)):
             return ComplexEnclosure(self.re * other, self.im * other)
         return NotImplemented

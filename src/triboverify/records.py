@@ -197,12 +197,13 @@ LEMMA2_CASES = {
 # Largest sizes a record may ask check-records to re-run, timed on a shared
 # 2-core VM with Python 3.11: search(1000) takes about 0.27 s (once for both
 # prune flags and a whole file, since ``search`` shares one sweep),
-# brute_force(10**6) about 1 ms, verify_numeric_window(4096) about 0.3 s
-# (16384 bits take about 5 s) and verify_growth(10**4) about 0.3 s.  A prop1
-# record with z <= 2000 checks in about 10 ms in a fresh process, nearly
-# all of it the enclosure of alpha**z behind its floor (z = 10**4 took
-# 0.09 s), a norm record in about 5 ms, and an expansion record at
-# order 8 with z <= 100 in about 0.5 s (z = 150 took 0.7 s).  The CLI
+# brute_force(10**6) about 1 ms, verify_numeric_window(4096) about 0.03 s
+# (16384 bits take about 0.3 s) and verify_growth(10**4) about 0.3 s.  A
+# prop1 record with z <= 2000 checks in about 10 ms in a fresh process,
+# nearly all of it the enclosure of alpha**z behind its floor (z = 10**4
+# took 0.09 s), a norm record in about 5 ms, and an expansion record at
+# order 8 with z <= 100 in about 0.12 s (z = 150 took 0.1 s); the window
+# and expansion figures are medians of six fresh processes.  The CLI
 # refuses to write records past these.
 SEARCH_Z_MAX_CAP = 1000
 BRUTE_W_MAX_CAP = 10 ** 6
@@ -751,10 +752,20 @@ def _check_expansion(rec: VerificationRecord, precision_bits: int,
     # the record claims that its interval holds the error, which is proved
     # only when the interval encloses a recomputed enclosure; one that
     # merely meets it is recomputed at twice the precision, up to the cap
-    fresh = expansion_error(x, y, z, t, precision_bits, max_precision_bits)
-    for bits in precision_ladder(precision_bits, max_precision_bits)[1:]:
-        if recorded.encloses(fresh) or not fresh.intersects(recorded):
+    # and at most two rungs past the first recomputation narrower than the
+    # record, where the genuine records tested are enclosed already; an
+    # endpoint forged within 2^-b of the error costs the climb to the
+    # record's own width and two rungs, not b bits
+    bits = precision_bits
+    fresh = expansion_error(x, y, z, t, bits, max_precision_bits)
+    past = 0
+    for rung in precision_ladder(precision_bits, max_precision_bits)[1:]:
+        if (recorded.encloses(fresh) or not fresh.intersects(recorded)
+                or past == 2):
             break
+        if past or fresh.width() < recorded.width():
+            past += 1
+        bits = rung
         fresh = expansion_error(x, y, z, t, bits, max_precision_bits)
     if not fresh.intersects(recorded):
         return (f"recomputed error [{float(fresh.lo)}, {float(fresh.hi)}] "
@@ -762,7 +773,7 @@ def _check_expansion(rec: VerificationRecord, precision_bits: int,
     if not recorded.encloses(fresh):
         raise PrecisionFailure(
             f"recomputed error at order {t} neither inside nor apart from "
-            f"the recorded interval within {max_precision_bits} bits")
+            f"the recorded interval within {bits} bits")
     if t >= 2:
         prev = expansion_error(x, y, z, t - 1, precision_bits,
                                max_precision_bits)

@@ -464,6 +464,68 @@ def test_affine_abs_matches_the_chain_on_numerators(case):
     assert _raw(real) == _raw(want) and _raw(cplx2) == _raw(want2)
 
 
+# The product kernel on raw numerators: intervals on either side of 0,
+# straddling it, with an end at 0 or equal to it, each over a power-of-two
+# or an odd denominator, unreduced, so that every sign case of the rule
+# and both ways of forming the denominator are met
+@st.composite
+def _signed_interval(draw):
+    a, b = sorted((draw(st.integers(0, 10 ** 40)),
+                   draw(st.integers(0, 10 ** 40))))
+    n0, n1 = draw(st.sampled_from([(a, b), (-b, -a), (-a, b), (-b, a),
+                                   (0, b), (-b, 0), (0, 0)]))
+    return _enc(n0, n1, draw(_denominator))
+
+
+def _four_products(x: Enclosure, y: Enclosure) -> tuple[int, int, int]:
+    """The oracle product: the least and the greatest of all four end
+    products, over d * e."""
+    p = (x._n0 * y._n0, x._n0 * y._n1, x._n1 * y._n0, x._n1 * y._n1)
+    return min(p), max(p), x._d * y._d
+
+
+# one small interval of each sign case, three of them with an end at 0,
+# where end products tie, met by every drawn interval on either side
+_EDGES = [_enc(0, 3, 1), _enc(-3, 0, 1), _enc(0, 0, 1), _enc(2, 5, 4),
+          _enc(-5, -2, 3), _enc(-2, 5, 1), _enc(-5, 2, 8)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_signed_interval(), _signed_interval())
+@example(_enc(-2, 5, 1), _enc(-7, 3, 1))
+@example(_enc(-7, 3, 1), _enc(-2, 5, 1))
+def test_product_matches_the_four_product_oracle(x, y):
+    assert _raw(x * y) == _four_products(x, y)
+    for edge in _EDGES:
+        assert _raw(x * edge) == _four_products(x, edge)
+        assert _raw(edge * x) == _four_products(edge, x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_signed_interval(), _signed_interval(), _signed_interval(),
+       _signed_interval())
+def test_complex_product_matches_the_six_operation_chain(a, b, c, d):
+    # re*re' - im*im' and re*im' + im*re', each product formed by the
+    # four-product oracle and the two combined by Enclosure - and +
+    got = ComplexEnclosure(a, b) * ComplexEnclosure(c, d)
+
+    def product(x, y):
+        return _enc(*_four_products(x, y))
+
+    assert _raw(got.re) == _raw(product(a, c) - product(b, d))
+    assert _raw(got.im) == _raw(product(a, d) + product(b, c))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_signed_interval())
+def test_square_matches_the_product_of_denominators(x):
+    n0, n1, d = _raw(x)
+    ends = sorted((n0 * n0, n1 * n1))
+    if n0 <= 0 <= n1:
+        ends[0] = 0
+    assert _raw(x.square()) == (*ends, d * d)
+
+
 @_props
 @given(st.lists(st.tuples(_pairs, _bound_factor, _multiplier), max_size=6))
 @example([((_WIDE, FractionEnclosure(-10 ** 30, 10 ** 30)), 1, -3),

@@ -529,6 +529,42 @@ def test_cli_check_records_rejects_an_only_meeting_interval_at_the_cap(
     assert "inconclusive:" in captured.err and "PASS" not in captured.out
 
 
+def test_cli_check_records_stops_two_rungs_past_a_narrower_recomputation(
+        tmp_path, capsys, monkeypatch, expansion_lines):
+    # err_lo lies 2^-3000 (relative) above the error, so only about 3000
+    # bits could tell the interval from the error; the recomputation is
+    # narrower than the record from the first rung on, so the checker
+    # stops two rungs later, inconclusive, instead of climbing to the cap
+    record = expansion_lines[2]
+    error = expansion_error(record["x"], record["y"], record["z"],
+                            record["t"], 8192, 8192)
+    lo = error.hi * (1 + Fraction(1, 2 ** 3000))
+    forged = {**record, "err_lo": str(lo),
+              "err_hi": str(lo * (1 + Fraction(1, 2 ** 13)))}
+    seen = _recording_expansion_error(monkeypatch)
+    t0 = time.perf_counter()
+    assert _check_edited(tmp_path, forged) == 3
+    assert time.perf_counter() - t0 < 1
+    assert seen == [DEFAULT_PRECISION, 2 * DEFAULT_PRECISION,
+                    4 * DEFAULT_PRECISION]
+    captured = capsys.readouterr()
+    assert "inconclusive:" in captured.err and "PASS" not in captured.out
+
+
+def test_cli_check_records_passes_a_record_written_at_higher_precision(
+        tmp_path, capsys, monkeypatch):
+    # a 1024-bit record is narrower than every recomputation below 1024
+    # bits, so the climb is not cut short before it reaches the record
+    path = tmp_path / "expansion.jsonl"
+    assert run(["verify", "expansion", "--x", "20", "--y", "25", "--z", "30",
+                "--t-max", "2", "--precision-bits", "1024",
+                "--out", str(path)]) == 0
+    seen = _recording_expansion_error(monkeypatch)
+    assert run(["check-records", str(path)]) == 0
+    assert seen[0] == DEFAULT_PRECISION and max(seen) > 1024
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", ["decreasing", "ratio_ok"])
 def test_cli_check_records_flags_forged_expansion_verdict(
         tmp_path, capsys, expansion_lines, flag):
