@@ -329,10 +329,6 @@ class Enclosure:
     def mid(self) -> Fraction:
         return Fraction(self._n0 + self._n1, 2 * self._d)
 
-    def contains(self, v: Rat) -> bool:
-        p, q = _num_den(v)
-        return self._n0 * q <= p * self._d <= self._n1 * q
-
     def intersects(self, other: "Enclosure") -> bool:
         a0, a1, b0, b1, _ = _align(self._n0, self._n1, self._d,
                                    other._n0, other._n1, other._d)
@@ -568,10 +564,6 @@ class ComplexEnclosure(_Frozen):
     @classmethod
     def point(cls, re: Rat, im: Rat = 0) -> "ComplexEnclosure":
         return cls(Enclosure.point(re), Enclosure.point(im))
-
-    @classmethod
-    def real(cls, enc: Enclosure) -> "ComplexEnclosure":
-        return cls(enc, Enclosure.point(0))
 
     def conj(self) -> "ComplexEnclosure":
         return ComplexEnclosure(self.re, -self.im)

@@ -46,20 +46,17 @@ This is checked exactly, and the pair then adds up to the real number
 construction rather than by an interval straddling the real axis.
 
 The kept terms of order t are those of order t - 1 followed by a shell,
-so the exact group weights are carried from order to order rather than
-summed again (``_GroupSums``): a bounded memo keyed by (x, y, z) keeps
-each group's exact (pa, A.v) weights, and order t adds only its shell.
-The weights do not depend on the precision, so one entry serves every
-precision a caller climbs to.  Each order then sums each group it reads
-once, as one ``integer_combination`` of the real factors at their
-weights, and rounds it as before; over power-of-two denominators an
-integer combination is fixed by its entries and weights alone, so every
-enclosure is bit-identical to summing the whole group afresh.  A memo
-entry is used only while the kept terms asked for start with the terms
-it has summed; otherwise, as for a lower order or a patched
-``expansion_terms``, the sums start afresh.  The enclosures of u and of
-the prefactor sqrt(a) * alpha^((x+y-z)/2) are taken once per (x, y, z,
-bits).
+so the exact group weights are built from order to order rather than
+summed again (``_group_weights``): a bounded cache keyed by (x, y, z, t)
+holds each order's weights, and order t copies those of order t - 1 and
+adds only its shell.  The weights do not depend on the precision, so one
+entry serves every precision a caller climbs to.  Each order then sums
+each group it reads once, as one ``integer_combination`` of the real
+factors at their weights, and rounds it as before; over power-of-two
+denominators an integer combination is fixed by its entries and weights
+alone, so every enclosure is bit-identical to summing the whole group
+afresh.  The enclosures of u and of the prefactor
+sqrt(a) * alpha^((x+y-z)/2) are taken once per (x, y, z, bits).
 
 The error of the truncation is not estimated a priori: it is the measured
 gap |u - truncation|, both sides evaluated in certified interval
@@ -72,7 +69,6 @@ order once.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -233,73 +229,40 @@ def _pair_factor(pb: int, mb: int, pc: int, mc: int,
     return re_part.rounded(bits + 32)
 
 
-class _GroupSums:
-    """The kept terms summed so far at one (x, y, z).  The terms at
-    v = (x, y, z) are grouped by (pb, B.v, pc, C.v); each group maps to
-    its exact weights, (pa, A.v) to the sum of its q scaled by Q_SCALE."""
-
-    __slots__ = ("kept", "groups")
-
-    def __init__(self):
-        self.kept: tuple[ExpansionTerm, ...] = ()
-        self.groups: dict = {}
-
-    def extend(self, terms, v: tuple[int, int, int]) -> None:
-        """Add the terms past the kept prefix, which terms must start
-        with, each to its weight."""
-        x, y, z = v
-        groups = self.groups
-        for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in terms[
-                len(self.kept):]:
-            pb, pc = b0 + b1 + b2, c0 + c1 + c2
-            key = (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z)
-            weights = groups.get(key)
-            if weights is None:
-                weights = groups[key] = {}
-            entry = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
-            weights[entry] = weights.get(entry, 0) + n
-        self.kept = terms
-
-
-class _SumsMemo:
-    """A bounded, locked map from (x, y, z) to ``_GroupSums``.
-
-    A caller takes an entry out, extends it and puts it back, so no
-    caller sees an entry half extended, and one whose extension raises
-    leaves none behind.  Of two entries for one key the one with more
-    kept terms stays; past ``maxsize`` keys the oldest goes.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def take(self, key) -> _GroupSums | None:
-        with self._lock:
-            return self._entries.pop(key, None)
-
-    def put(self, key, sums: _GroupSums) -> None:
-        with self._lock:
-            held = self._entries.pop(key, None)
-            if held is not None and len(held.kept) > len(sums.kept):
-                sums = held
-            self._entries[key] = sums
-            while len(self._entries) > self.maxsize:
-                del self._entries[next(iter(self._entries))]
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
 # The weights are exact, so a decay report, or check-records on one
-# triple, reads one key whatever precision it climbs to.
+# triple, reads the same entries whatever precision it climbs to.
 TRUNCATION_SUMS_SIZE = 8
-_truncation_sums = _SumsMemo(TRUNCATION_SUMS_SIZE)
+
+
+@lru_cache(maxsize=TRUNCATION_SUMS_SIZE * (MAX_ORDER + 1))
+def _group_weights(x: int, y: int, z: int, order: int) -> dict:
+    """The kept terms of the order at v = (x, y, z), grouped by
+    (pb, B.v, pc, C.v); each group maps (pa, A.v) to the sum of its q
+    scaled by Q_SCALE.  Order t copies the weights of order t - 1 and adds
+    its shell.  The cached dict is shared, so it is never changed.
+
+    Raises ArithmeticError unless every group has a mirror with the same
+    exact weights, which is what makes the kept sum real.
+    """
+    groups = {}
+    shell = _symbolic_terms(order)
+    if order:
+        groups = {key: dict(weights) for key, weights
+                  in _group_weights(x, y, z, order - 1).items()}
+        shell = shell[len(_symbolic_terms(order - 1)):]
+    for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in shell:
+        pb, pc = b0 + b1 + b2, c0 + c1 + c2
+        weights = groups.setdefault(
+            (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z), {})
+        entry = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
+        weights[entry] = weights.get(entry, 0) + n
+    for key, weights in groups.items():
+        pb, mb, pc, mc = key
+        if groups.get((pc, mc, pb, mb)) != weights:
+            raise ArithmeticError(
+                f"kept-term sum failed to be real: group {key} has no "
+                "mirror with the same exact coefficients")
+    return groups
 
 
 @lru_cache(maxsize=TRUNCATION_SUMS_SIZE)
@@ -319,34 +282,18 @@ def _truncation_value(x: int, y: int, z: int, order: int,
                       bits: int) -> Enclosure:
     """Enclosure of sqrt(a) * alpha^((x+y-z)/2) * (kept-term sum).
 
-    Raises ArithmeticError unless every group of terms has a mirror with
-    the same exact inner sums, which is what makes the sum real.
+    Raises ArithmeticError, from ``_group_weights``, unless every group of
+    terms has a mirror with the same exact inner sums.
     """
     work = bits + 32
-    memo_key = (x, y, z)
-    terms = expansion_terms(order, bits).terms
-    sums = _truncation_sums.take(memo_key)
-    if sums is None or terms[:len(sums.kept)] != sums.kept:
-        if sums is not None:
-            _truncation_sums.put(memo_key, sums)
-        sums = _GroupSums()
-    sums.extend(terms, memo_key)
-    groups = sums.groups
     total = Enclosure.point(0)
-    for key, weights in groups.items():
-        pb, mb, pc, mc = key
-        mirror = (pc, mc, pb, mb)
-        if groups.get(mirror) != weights:
-            raise ArithmeticError(
-                f"kept-term sum failed to be real: group {key} has no "
-                "mirror with the same exact coefficients")
-        if mirror < key:
+    for (pb, mb, pc, mc), weights in _group_weights(x, y, z, order).items():
+        if (pc, mc, pb, mb) < (pb, mb, pc, mc):
             continue  # added with its mirror
         inner = integer_combination((_real_factor(pa, ma, bits), n)
                                     for (pa, ma), n in weights.items())
         total = total + (_pair_factor(pb, mb, pc, mc, bits)
                          * inner.rounded(work)).rounded(work)
-    _truncation_sums.put(memo_key, sums)
     prefactor = _anchors(x, y, z, bits)[1]
     return (total * prefactor * Fraction(1, Q_SCALE)).rounded(work)
 

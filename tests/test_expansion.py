@@ -25,6 +25,7 @@ from triboverify.expansion import (FACTOR_CACHE_SIZE, MAX_ORDER, Q_SCALE,
                                    expansion_terms)
 from triboverify.tribonacci import trib
 
+from enclosure_queries import real
 from test_constants import _cpow
 
 mpmath.mp.prec = 240
@@ -156,52 +157,47 @@ def test_each_order_extends_the_last():
         assert _symbolic_terms(order)[:len(prev)] == prev
 
 
+def _lopsided(past):
+    """A stand-in for _symbolic_terms with the q of the first term at or
+    past index ``past`` that has pb != pc doubled, in every order that
+    keeps it, so that term's group no longer equals its mirror."""
+    terms = list(_symbolic_terms(MAX_ORDER))
+    i = next(i for i, t in enumerate(terms)
+             if i >= past and sum(t.b_vec) != sum(t.c_vec))
+    terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
+    return lambda order: tuple(terms[:TERM_COUNTS[order]])
+
+
 def test_term_without_equal_mirror_is_refused(monkeypatch):
     # doubling one q with pb != pc leaves its group unlike its mirror, so
     # the kept sum is not real and no interval check is needed to see it
-    params = expansion_terms(2)
-    i = next(i for i, t in enumerate(params.terms)
-             if sum(t.b_vec) != sum(t.c_vec))
-    terms = list(params.terms)
-    terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
-    lopsided = params._replace(terms=tuple(terms))
-    monkeypatch.setattr(expansion, "expansion_terms",
-                        lambda order, bits: lopsided)
+    _clear_shared_tables()
+    monkeypatch.setattr(expansion, "_symbolic_terms", _lopsided(0))
     with pytest.raises(ArithmeticError, match="failed to be real"):
         _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
+    _clear_shared_tables()
 
 
-def _lopsided(order, past):
-    """expansion_terms(order) with the q of its first term past index
-    ``past`` that has pb != pc doubled, so that term's group no longer
-    equals its mirror."""
-    params = expansion_terms(order)
-    i = next(i for i, t in enumerate(params.terms)
-             if i >= past and sum(t.b_vec) != sum(t.c_vec))
-    terms = list(params.terms)
-    terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
-    return params._replace(terms=tuple(terms))
-
-
-@pytest.mark.parametrize("memo_order, past", [(1, 0), (1, 13), (6, 0)])
 def test_term_without_equal_mirror_is_refused_over_a_genuine_memo(
-        monkeypatch, memo_order, past):
-    # the memo holds the genuine sums of another order; the lopsided terms
-    # break its prefix (past 0), or extend it with a lopsided shell (past
-    # 13, the size of order 1), or are shorter than it (order 6): each is
-    # refused, and the genuine sums come back unchanged afterwards
+        monkeypatch):
+    # the genuine weights of order 1 are cached; a lopsided shell of order
+    # 2 on top of them is refused and leaves no entry behind, and the
+    # genuine order 2 comes back unchanged afterwards
     _clear_shared_tables()
     genuine = _endpoints(_truncation_value(20, 25, 30, 2, DEFAULT_PRECISION))
     _clear_shared_tables()
-    _truncation_value(20, 25, 30, memo_order, DEFAULT_PRECISION)
-    lopsided = _lopsided(2, past)
+    _truncation_value(20, 25, 30, 1, DEFAULT_PRECISION)
+    weights = expansion._group_weights
+    assert weights.cache_info().currsize == 2
     with monkeypatch.context() as patch:
-        patch.setattr(expansion, "expansion_terms",
-                      lambda order, bits: lopsided)
+        patch.setattr(expansion, "_symbolic_terms",
+                      _lopsided(TERM_COUNTS[1]))
         with pytest.raises(ArithmeticError, match="failed to be real"):
             _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
+    assert weights.cache_info().currsize == 2
     assert _endpoints(
         _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)) == genuine
+    assert weights.cache_info().currsize == 3
 
 
 def _coefficient(params, term) -> ComplexEnclosure:
@@ -249,7 +245,7 @@ def _oracle_truncation(x, y, z, order, bits):
     total = ComplexEnclosure.point(0)
     for term in params.terms:
         _, a_vec, b_vec, c_vec = term
-        val = ComplexEnclosure.real(alpha_power(_dot(a_vec, v), bits))
+        val = real(alpha_power(_dot(a_vec, v), bits))
         val = (val * _coefficient(params, term).rounded(work)).rounded(work)
         mb = _dot(b_vec, v)
         if mb:
@@ -289,7 +285,7 @@ def _clear_shared_tables():
     for cached in (expansion.expansion_terms, expansion._coefficient_powers,
                    expansion._real_factor, expansion._complex_factor,
                    expansion._pair_factor, expansion._anchors,
-                   expansion._truncation_sums, expansion.expansion_error):
+                   expansion._group_weights, expansion.expansion_error):
         cached.cache_clear()
 
 
@@ -367,7 +363,7 @@ def _regrouped_truncation(x, y, z, order, bits):
            [192, 256])), min_size=2, max_size=6))
 @example((20, 25, 30), [(8, 192), (0, 192), (3, 256), (4, 256), (2, 192)])
 def test_carried_sums_are_bit_identical_in_any_order(xyz, runs):
-    # orders asked for in any order, each carried on from whatever the memo
+    # orders asked for in any order, each built on whatever the cache
     # holds, give the endpoints of a run with every memo cleared, and the
     # truncations those of summing each group afresh
     _clear_shared_tables()
@@ -380,9 +376,9 @@ def test_carried_sums_are_bit_identical_in_any_order(xyz, runs):
         assert _endpoints(_regrouped_truncation(*xyz, t, bits)) == trunc
 
 
-def test_truncation_memo_is_keyed_by_triple_alone(monkeypatch):
-    # the carried weights are exact, so a second precision reads the
-    # entry the first left, with no term added, and both errors are those
+def test_truncation_memo_is_keyed_by_triple_alone():
+    # the weights are exact, so a second precision reads the entries the
+    # first left, with no weights built again, and both errors are those
     # of fresh runs
     runs = [(20, 25, 30, 6, 192), (20, 25, 30, 6, 256)]
     fresh = []
@@ -390,36 +386,31 @@ def test_truncation_memo_is_keyed_by_triple_alone(monkeypatch):
         _clear_shared_tables()
         fresh.append(_endpoints(expansion_error(*run)))
     _clear_shared_tables()
-    added = []
-    extend = expansion._GroupSums.extend
-
-    def counted(self, terms, v):
-        added.append(len(terms) - len(self.kept))
-        extend(self, terms, v)
-
-    monkeypatch.setattr(expansion._GroupSums, "extend", counted)
+    weights = expansion._group_weights
     assert _endpoints(expansion_error(*runs[0])) == fresh[0]
-    assert added[0] == TERM_COUNTS[6] and not any(added[1:])
-    added.clear()
+    # orders 0..6 of the one triple, each built once
+    assert weights.cache_info().misses == weights.cache_info().currsize == 7
     assert _endpoints(expansion_error(*runs[1])) == fresh[1]
-    assert added and not any(added)
-    assert len(expansion._truncation_sums) == 1
+    assert weights.cache_info().misses == weights.cache_info().currsize == 7
 
 
 def test_truncation_memo_stays_within_its_bound_and_clears():
     _clear_shared_tables()
-    for x in range(20, 20 + 2 * TRUNCATION_SUMS_SIZE):
+    bound = TRUNCATION_SUMS_SIZE * (MAX_ORDER + 1)
+    # orders 0..3 of a triple take four entries, so these fill twice the
+    # bound
+    for x in range(20, 20 + bound // 2):
         expansion_error(x, x + 1, x + 2, 3)
-    sums = expansion._truncation_sums
-    assert sums.maxsize == TRUNCATION_SUMS_SIZE
-    assert len(sums) == TRUNCATION_SUMS_SIZE
+    info = expansion._group_weights.cache_info()
+    assert info.maxsize == bound
+    assert info.currsize == bound
     _clear_shared_tables()
-    assert len(sums) == 0
+    assert expansion._group_weights.cache_info().currsize == 0
 
 
 def test_truncation_memo_shared_between_threads():
-    # threads asking for the orders of one triple in different orders take
-    # and put back the same memo entry; each sees the endpoints of a fresh
+    # threads asking for the orders of one triple in different orders, at
+    # two precisions, share one cache; each sees the endpoints of a fresh
     # run
     runs = [(t, 192) for t in range(7)] + [(t, 256) for t in (2, 5)]
     _clear_shared_tables()
@@ -452,7 +443,6 @@ def test_truncation_memo_shared_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(expansion._truncation_sums) <= 2
 
 
 def test_error_ladder_frozen():

@@ -1750,6 +1750,41 @@ def test_check_records_reads_flat_lines_by_template_and_one_floor_per_z(
     assert records._prop1_floor.cache_info().misses == len(prop1_z)
 
 
+class _BatteryRoute(Exception):
+    """Raised by a battery function that a checker must not call."""
+
+
+# the battery's own route for prop1 and growth: integer thresholds and
+# comparisons of alpha**p read off power sums
+_BATTERY_ROUTE = ("prop1_results", "prop1_threshold", "verify_growth_trace",
+                  "cmp_alpha_power_trace", "alpha_power_trace")
+
+
+def test_prop1_and_growth_checks_avoid_the_battery_route(
+        capsys, monkeypatch, quick_file):
+    # the prop1 and growth checks decide on enclosures, a second route to
+    # the battery's verdicts: with every binding of the battery's
+    # functions raising, the batteries fail and the quick file passes
+    def battery_route(*args, **kwargs):
+        raise _BatteryRoute
+
+    rebound = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "triboverify":
+            for attr in _BATTERY_ROUTE:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, battery_route)
+                    rebound.add(attr)
+    assert rebound == set(_BATTERY_ROUTE)
+    for battery in (["prop1", "--z-max", "8"], ["growth", "--n-max", "8"]):
+        with pytest.raises(_BatteryRoute):
+            run(["verify", *battery])
+    records._prop1_floor.cache_clear()
+    capsys.readouterr()
+    assert run(["check-records", str(quick_file)]) == 0
+    assert "PASS  records=6210 failures=0" in capsys.readouterr().out
+
+
 # the caps of each integer field of the flat kinds, None where unbounded
 _INT_CAPS = {
     "triple": {**dict.fromkeys("uvw", (1, TRIPLE_VALUE_CAP - 1)),
