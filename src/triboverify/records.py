@@ -22,10 +22,11 @@ Only a checks object, flat ``"key":true`` or ``false`` pairs by its
 pattern, goes through ``json.loads``, and it must write back unchanged.
 ``read_records`` strips only the newline that ``emit_records`` ends each
 line with, so any other byte around a record, or a blank line, is
-malformed.  It reads its file in blocks of whole lines and matches each
-line with the same pattern and reads as ``from_line``, which takes every
-line the scan does not; it yields each record as it reads it, so a run
-over a file holds one block of lines and one record at a time.
+malformed.  It reads its file as text, in blocks of whole lines, and
+matches each line with the same pattern and reads as ``from_line``,
+which takes every line the scan does not, a line with a byte that is not
+UTF-8 among them; it yields each record as it reads it, so a run over a
+file holds one block of lines and one record at a time.
 
 Each record is a self-describing certificate: ``check_record`` re-derives
 its claim from scratch and reports agreement.  It is the one path for a
@@ -40,7 +41,6 @@ gcd(T_y - 1, T_z - 1) inline and compares it with one floor per z
 from __future__ import annotations
 
 import functools
-import io
 import json
 import re
 from collections import namedtuple
@@ -499,40 +499,24 @@ def emit_records(path, records: Iterable[VerificationRecord]) -> None:
             fh.write("\n")
 
 
-# bytes that read_records takes from its file at a time: blocks of 16 KB
-# to 1 MB read the full verify-all file equally fast, but 1 MB blocks
-# raised the peak RSS of reading it 7 MB above the import's, and 64 KB
-# ones by 0.1 MB at most
+# characters that read_records asks of its file at a time, before it reads
+# on to the end of the line (bytes, in an ASCII file): blocks of 16 KB to
+# 1 MB read the full verify-all file equally fast, but 1 MB blocks raised
+# the peak RSS of reading it 7 MB above the import's, and 64 KB ones by
+# 0.1 MB at most
 _BLOCK = 1 << 16
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """The bytes of a binary file in blocks of whole lines: each read of
-    ``_BLOCK`` bytes is cut after its last newline, and a line longer than
-    a block is gathered from its chunks and joined once.  Only the last
-    block may lack a final newline."""
-    line = []
-    while chunk := fh.read(_BLOCK):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            line.append(chunk[:cut])
-            yield b"".join(line)
-            line = [chunk[cut:]]
-        else:
-            line.append(chunk)
-    if tail := b"".join(line):
-        yield tail
-
-
-def _line_record(line, lineno: int) -> VerificationRecord:
-    """``from_line`` of one line, in bytes with its newline or in text
-    without, with its line number on an error.  Bytes are decoded with
-    their newline, as a file read line by line decodes them, so that a
-    multibyte sequence the newline cuts short gets the same error."""
+def _line_record(line: str, lineno: int) -> VerificationRecord:
+    """``from_line`` of one line, given with its newline if it has one,
+    with its line number on an error.  A line that is not ASCII is encoded
+    back to its bytes (``read_records`` reads a byte that is not UTF-8 as a
+    lone surrogate) and decoded strictly with its newline, as a file read
+    line by line decodes it, so a bad byte gets the same error."""
     try:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8").removesuffix("\n")
-        return VerificationRecord.from_line(line)
+        if not line.isascii():
+            line = line.encode("utf-8", "surrogateescape").decode("utf-8")
+        return VerificationRecord.from_line(line.removesuffix("\n"))
     except (UnicodeDecodeError, RecordFormatError) as exc:
         raise RecordFormatError(f"line {lineno}: {exc}") from exc
 
@@ -542,22 +526,17 @@ def read_records(path) -> Iterator[VerificationRecord]:
     caller holds one block of lines and the record in hand.
 
     Lines end at "\\n" alone, so any other byte around a record, or a
-    blank line, is malformed.  Each block is decoded once and scanned by
-    ``_scan``; a block that is not UTF-8 goes through ``from_line`` a line
-    at a time, so that the error names the line."""
+    blank line, is malformed.  Each block is ``_BLOCK`` characters and the
+    rest of the line they end in, so a line longer than a block is read in
+    one pass, and every block is scanned by ``_scan``.  A byte that is not
+    UTF-8 is decoded to a lone surrogate, which no record's codec takes, so
+    its line goes to ``_line_record`` and the error names the line."""
     lineno = 0   # lines before the block
-    with open(path, "rb") as fh:
-        for block in _blocks(fh):
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError:
-                # lines split at "\n" alone, each with its newline
-                lines = io.BytesIO(block)
-                for lineno, line in enumerate(lines, lineno + 1):
-                    yield _line_record(line, lineno)
-            else:
-                yield from _scan(text, lineno)
-                lineno += text.count("\n")
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline="\n") as fh:
+        while text := fh.read(_BLOCK) + fh.readline():
+            yield from _scan(text, lineno)
+            lineno += text.count("\n")
 
 
 def _scan(text: str, lineno: int) -> Iterator[VerificationRecord]:
@@ -593,7 +572,7 @@ def _scan(text: str, lineno: int) -> Iterator[VerificationRecord]:
                 kind = new
                 fullmatch, record = _template(kind)
                 continue
-        yield _line_record(text[pos:end],
+        yield _line_record(text[pos:end + 1],
                            lineno + text.count("\n", 0, pos) + 1)
         pos = end + 1
 

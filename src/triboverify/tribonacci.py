@@ -17,7 +17,7 @@ enclosures of alpha**p, and the record checker takes that route.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 from .constants import (_GREATER, _LESS, DEFAULT_PRECISION, MAX_PRECISION,
                         Cmp, GrowthReport, beta_power, cmp_alpha_power)
@@ -59,14 +59,9 @@ class TribTable:
 
     def values_upto(self, bound: int) -> list[tuple[int, int]]:
         """All (n, T_n) with T_n <= bound, in index order."""
-        out = []
-        n = 0
-        while True:
-            t = self.value(n)
-            if t > bound:
-                return out
-            out.append((n, t))
-            n += 1
+        self.first_index(bound + 1)
+        v = self._vals
+        return list(enumerate(v[:bisect_right(v, bound)]))
 
     def first_index(self, value: int) -> int | None:
         """Smallest n with T_n = value, or None.

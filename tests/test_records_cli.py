@@ -44,8 +44,8 @@ from triboverify.records import (BRUTE_W_MAX_CAP, CONSTANTS_PRECISION_CAP,
                                  lemma2_record, membership_triple_record,
                                  norm_record, prop1_record, read_records,
                                  search_summary_record)
-from triboverify.splitfield import (ALPHA_C, field_identity_report,
-                                    is_square_in_K)
+from triboverify.splitfield import (ALPHA_C, CubicElement,
+                                    field_identity_report, is_square_in_K)
 from triboverify.tribonacci import trib, trib_fast
 from triboverify.triples import brute_force, search
 
@@ -859,6 +859,16 @@ def test_cli_check_records_flags_unsound_lemma2_certificate(
     assert f"record 1 (lemma2): {message}\n" in out and "FAIL" in out
 
 
+def test_lemma2_witness_prime_that_meets_a_denominator_is_refused():
+    # no element a lemma2 record may name has a denominator a witness prime
+    # can meet, so the rule is reached by a direct call: 3 is a root of the
+    # cubic mod 7, and 7 divides the denominator of 1/7
+    element = CubicElement((Fraction(1, 7), 1, 0))
+    assert records._lemma2_certificate_problem(
+        element, False, None, [(7, 3), (7, 3)]) == (
+        "witness_self: prime 7 meets a denominator")
+
+
 @pytest.mark.parametrize("label, key, value", [
     ("alpha^2", "root", "negated"),
     ("-11", "root", "negated"),
@@ -1407,6 +1417,15 @@ def _record_lines(draw) -> bytes:
 # is an invalid continuation byte, without it an unexpected end of data
 @example(lines=[b"\xe2\x82"], final=True, block=1)
 @example(lines=[b"\xc3", b"\xc3"], final=False, block=records._BLOCK)
+# a multibyte sequence cut short by the end of the file
+@example(lines=[_PAIR_LINES["prop1"].encode(), b"\xe2\x82"], final=False,
+         block=7)
+# a byte that is not UTF-8 far past the first block of the line
+@example(lines=[b'{"schema":1,"kind":"prop1","y":' + b"6" * 95 + b"\xff"],
+         final=True, block=7)
+# a checks key that is UTF-8 but not ASCII: a format error, not a decode one
+@example(lines=['{"schema":1,"kind":"field","ok":true,"checks":{"caf\xe9":'
+                'true}}'.encode()], final=True, block=7)
 def test_block_reader_agrees_with_reading_line_by_line(tmp_path, monkeypatch,
                                                        lines, final, block):
     path = tmp_path / "r.jsonl"
@@ -1416,7 +1435,7 @@ def test_block_reader_agrees_with_reading_line_by_line(tmp_path, monkeypatch,
     assert _outcome(read_records, path) == expected
 
 
-# a last line that is not UTF-8 sends a block through from_line line by line
+# a last line that is not UTF-8 reaches the scan as lone surrogates
 @pytest.mark.parametrize("last", [b"", b"\xff\n"], ids=["utf-8", "not"])
 @pytest.mark.parametrize("block", [1, 7, 64, records._BLOCK])
 @pytest.mark.parametrize("brk", _LINE_BREAKS)
@@ -1456,24 +1475,35 @@ def test_block_scan_calls_a_pattern_once_per_line_and_per_kind_change(
     assert sum(calls.values()) <= len(lines) + changes
 
 
-def test_a_line_longer_than_a_block_is_joined_once(tmp_path, monkeypatch):
+def test_a_line_longer_than_a_block_is_read_in_one_pass(tmp_path,
+                                                       monkeypatch):
     path = tmp_path / "r.jsonl"
     path.write_text('{"schema":1,"kind":"prop1"' + "x" * (8 << 20))
     monkeypatch.setattr(records, "_BLOCK", 4096)
-    joins = []
+    calls = Counter()
 
-    def profile(frame, event, arg):
-        if event == "c_call" and getattr(arg, "__self__", None) == b"":
-            joins.append(arg.__name__)
+    class Counted:
+        """The file read_records opens, counting its reads by method."""
 
-    before = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        recs, error = _outcome(read_records, path)
-    finally:
-        sys.setprofile(before)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(records, "open", lambda *args, **kwargs: Counted(
+        open(*args, **kwargs)), raising=False)
+    recs, error = _outcome(read_records, path)
     assert recs == [] and error.startswith("line 1: prop1 y: missing")
-    assert joins == ["join"]
+    # the line is one block: 4096 characters and one readline for the rest
+    assert calls == {"read": 1, "readline": 1}
 
 
 def test_record_payload_holds_only_values():
