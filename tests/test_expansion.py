@@ -535,6 +535,27 @@ def test_band_decay_reports_are_frozen():
     assert digest.hexdigest() == BAND_DECAY_SHA256
 
 
+# sha256 of the decay_report(x, y, z, 8, bits) enclosures and verdicts at
+# two higher rungs, each triple at both; order 8 and these precisions are
+# beyond the band digest and the ladder above
+HIGH_RUNG_TRIPLES = [(19, 20, 21), (20, 25, 30), (21, 25, 26),
+                     (51, 99, 100)]
+HIGH_RUNG_DECAY_SHA256 = (
+    "7809ddd697152f496c8a4f4783b31dcc353984645b89a2ff7b718b4a26e16340")
+
+
+def test_order_eight_decay_at_higher_rungs_is_frozen():
+    digest = hashlib.sha256()
+    for x, y, z in HIGH_RUNG_TRIPLES:
+        for bits in (384, 1024):
+            rep = decay_report(x, y, z, 8, bits)
+            for t, err in enumerate(rep.errors):
+                digest.update(
+                    f"{x} {y} {z} {bits} {t} {err.lo} {err.hi}\n".encode())
+            digest.update(f"{rep.decreasing} {rep.ratio_ok}\n".encode())
+    assert digest.hexdigest() == HIGH_RUNG_DECAY_SHA256
+
+
 def test_expansion_records_are_frozen(tmp_path, capsys):
     out = tmp_path / "expansion.jsonl"
     assert cli.run(["verify", "expansion", "--x", "20", "--y", "25",
