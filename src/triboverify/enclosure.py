@@ -19,10 +19,13 @@ The hot loops of the interval batteries call integer kernels here rather
 than chains of enclosure operations, so that no other module reads the
 numerators: ``Enclosure.cmp_abs_power`` compares a power of |x| with a
 bound, ``affine_abs`` gives both |m*x - c| and |m*w - c|**2 for an
-interval x, a rectangle w and integers m and c in one pass, and
+interval x, a rectangle w and integers m and c in one pass,
 ``integer_combination`` sums enclosures at integer weights in one pass
-over their numerators.  Each returns exactly what the chain of operations
-it replaces would give: the same numerators over the same denominator.
+over their numerators, and ``_add_rounded_product`` adds
+(f * x.rounded(bits)).rounded(bits) into a running sum, rounding on the
+numerators with no enclosure built but the rounded x.  Each returns
+exactly what the chain of operations it replaces would give: the same
+numerators over the same denominator.
 ``_scaled`` multiplies an enclosure by a rational given as two integers,
 with no ``Fraction`` built.
 
@@ -251,6 +254,24 @@ def integer_combination(pairs) -> "Enclosure":
         lo += a
         hi += b
     return _enc(lo, hi, d)
+
+
+def _add_rounded_product(total: "Enclosure", factor: "Enclosure",
+                         x: "Enclosure", bits: int) -> "Enclosure":
+    """total + (factor * x.rounded(bits)).rounded(bits) in one pass: the
+    ends of x rounded by ``_round_int``, the product by ``_product``, its
+    ends rounded again and added into the numerators of total, aligned as
+    ``_align`` aligns a sum.  The numerators and the denominator are those
+    of the chain of enclosure operations; only the rounded x is built."""
+    q0, s0 = _round_int(*_reduced(x._n0, x._d), bits, False)
+    q1, s1 = _round_int(*_reduced(x._n1, x._d), bits, True)
+    lo, hi, d = _product(factor, _dyadic(q0, s0, q1, s1))
+    q0, s0 = _round_int(*_reduced(lo, d), bits, False)
+    q1, s1 = _round_int(*_reduced(hi, d), bits, True)
+    s = max(s0, s1, 0)
+    n0, n1, p0, p1, d = _align(total._n0, total._n1, total._d,
+                               q0 << s - s0, q1 << s - s1, 1 << s)
+    return _enc(n0 + p0, n1 + p1, d)
 
 
 _new = object.__new__

@@ -29,15 +29,22 @@ q * R(pa, A.v) * P(pb, B.v) * conj(P(pc, C.v)) with the real table
 R(p, m) = a1^p alpha^m and the complex table P(p, m) = b1^p beta^m.  The
 evaluation groups the kept monomials at v by (pb, B.v, pc, C.v) and sums
 their exact q by (pa, A.v) inside each group, so interval work is spent
-only on the two small tables and on one product per group.  A group's
-inner sum, the R(pa, A.v) weighted by their integer q * Q_SCALE, is an
-exact integer combination: integer numerators summed over the largest
-power-of-two denominator of its entries, the same rational that a chain of
-enclosure products and sums gives.
-The table entries depend on (p, m) and the precision alone, so they are
-memoised per precision in bounded caches that every order and every
-triple shares: a decay report builds each entry once, not once per order.
-So is each mirror pair's rounded real factor (``_pair_factor``).
+only on the two small tables and on one product per group.  The table
+entries depend on (p, m) and the precision alone, so they are memoised per
+precision in bounded caches that every order and every triple shares: a
+decay report builds each entry once, not once per order.  So is each
+mirror pair's rounded real factor (``_pair_factor``).
+
+The kept set is enumerated once, as blocks (``_shell_blocks``).  A block
+is one kept choice of outer powers (k1, k2, k3) and mixed counts: its
+scale, the scaled half-binomials, and one list of splits (nb, nc,
+multinomial) per index; each choice of one split per index is one kept
+term.  A block's terms share A, and pa + pb + pc = k1 + k2 + k3 with
+pb + pc its mixed count, so they share the entry (pa, A.v) as well.
+``_group_weights`` walks each block's splits in nested loops that carry
+pb, pc, B.v, C.v and the product of the weights as partial sums, and
+builds no term; ``_symbolic_terms``, which ``expansion_terms`` returns,
+is the same blocks expanded term by term.
 
 Swapping B with C maps the kept set onto itself with equal q, so every
 group has a mirror (pc, C.v, pb, B.v) with identical exact inner sums.
@@ -47,16 +54,20 @@ construction rather than by an interval straddling the real axis.
 
 The kept terms of order t are those of order t - 1 followed by a shell,
 so the exact group weights are built from order to order rather than
-summed again (``_group_weights``): a bounded cache keyed by (x, y, z, t)
-holds each order's weights, and order t copies those of order t - 1 and
-adds only its shell.  The weights do not depend on the precision, so one
-entry serves every precision a caller climbs to.  Each order then sums
-each group it reads once, as one ``integer_combination`` of the real
-factors at their weights, and rounds it as before; over power-of-two
-denominators an integer combination is fixed by its entries and weights
-alone, so every enclosure is bit-identical to summing the whole group
-afresh.  The enclosures of u and of the prefactor
-sqrt(a) * alpha^((x+y-z)/2) are taken once per (x, y, z, bits).
+summed again: a bounded cache keyed by (x, y, z, t) holds each order's
+weights, and order t copies those of order t - 1 and adds only the blocks
+of its shell.  The weights do not depend on the precision, so one entry
+serves every precision a caller climbs to.  Each order then makes one
+integer pass per group and its mirror.  The inner sum, the R(pa, A.v) at
+their integer weights q * Q_SCALE, is one ``integer_combination``:
+integer numerators over the largest power-of-two denominator of its
+entries, fixed by the entries and weights alone.  ``_add_rounded_product``
+rounds it, multiplies it by the pair's real factor, rounds again and adds
+the result into the numerators of the running sum, which are those the
+chain total + (factor * inner.rounded).rounded of enclosures gives.  So
+every enclosure is bit-identical to summing each group afresh.  The
+enclosures of u and of the prefactor sqrt(a) * alpha^((x+y-z)/2) are taken
+once per (x, y, z, bits).
 
 The error of the truncation is not estimated a priori: it is the measured
 gap |u - truncation|, both sides evaluated in certified interval
@@ -78,7 +89,8 @@ from typing import NamedTuple
 from .constants import (DEFAULT_PRECISION, MAX_PRECISION, alpha_power,
                         beta_power, constants)
 from .enclosure import (ComplexEnclosure, Enclosure, PrecisionFailure,
-                        integer_combination, precision_ladder)
+                        _add_rounded_product, integer_combination,
+                        precision_ladder)
 from .tribonacci import trib
 
 MAX_ORDER = 8
@@ -129,8 +141,11 @@ _NEG_HALF = tuple((-1) ** k * comb(2 * k, k) for k in range(MAX_ORDER + 1))
 
 
 @lru_cache(maxsize=None)
-def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
-    """Exact kept terms: those of order - 1, then the new shell.
+def _shell_blocks(order: int) -> tuple[tuple, ...]:
+    """The shell of the order, the kept terms that order - 1 lacks, as
+    blocks (scale, (k1, k2, k3), splits1, splits2, splits3): one block per
+    kept choice of outer powers and mixed counts, and one kept term per
+    choice of one split (nb, nc, multinomial) from each splits list.
 
     Outer powers (k1, k2, k3) each run to the truncation order; with m the
     mixed count sum B + sum C, a monomial survives when
@@ -138,11 +153,11 @@ def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
     magnitude-ceiling cut.  Order - 1 kept exactly the monomials with every
     k below the order and 2*(k1+k2+k3) + m <= 2*order, so the shell is
     the rest.  A term's q is binom(1/2, k1) binom(1/2, k2) binom(-1/2, k3)
-    times three multinomials, so q * Q_SCALE is the product of the scaled
-    half-binomials, 4^(MAX_ORDER + 1 - k1 - k2 - k3) and the multinomials,
-    all integers.
+    times three multinomials, so q * Q_SCALE is the block's scale, the
+    product of the scaled half-binomials and 4^(MAX_ORDER + 1 - k1 - k2 -
+    k3), times the three multinomials, all integers.
     """
-    out = list(_symbolic_terms(order - 1)) if order else []
+    out = []
     for k1 in range(order + 1):
         for k2 in range(min(order, order + 1 - k1) + 1):
             for k3 in range(min(order, order + 1 - k1 - k2) + 1):
@@ -150,16 +165,26 @@ def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
                 least = 0 if order in (k1, k2, k3) else room - 1
                 scale = (_HALF[k1] * _HALF[k2] * _NEG_HALF[k3]
                          << 2 * (MAX_ORDER + 1 - k1 - k2 - k3))
-                a_vec = (-k1, -k2, -k3)
                 for m1, m2, m3 in product(range(k1 + 1), range(k2 + 1),
                                           range(k3 + 1)):
-                    if not least <= m1 + m2 + m3 <= room:
-                        continue
-                    for (b1, c1, w1), (b2, c2, w2), (b3, c3, w3) in product(
-                            _SPLITS[k1][m1], _SPLITS[k2][m2],
-                            _SPLITS[k3][m3]):
-                        out.append(ExpansionTerm(scale * w1 * w2 * w3, a_vec,
-                                                 (b1, b2, b3), (c1, c2, c3)))
+                    if least <= m1 + m2 + m3 <= room:
+                        out.append((scale, (k1, k2, k3), _SPLITS[k1][m1],
+                                    _SPLITS[k2][m2], _SPLITS[k3][m3]))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _symbolic_terms(order: int) -> tuple[ExpansionTerm, ...]:
+    """Exact kept terms: those of order - 1, then the new shell, each
+    block of ``_shell_blocks`` expanded split by split."""
+    out = list(_symbolic_terms(order - 1)) if order else []
+    for scale, (k1, k2, k3), splits1, splits2, splits3 in _shell_blocks(
+            order):
+        a_vec = (-k1, -k2, -k3)
+        for (b1, c1, w1), (b2, c2, w2), (b3, c3, w3) in product(
+                splits1, splits2, splits3):
+            out.append(ExpansionTerm(scale * w1 * w2 * w3, a_vec,
+                                     (b1, b2, b3), (c1, c2, c3)))
     return tuple(out)
 
 
@@ -239,23 +264,38 @@ def _group_weights(x: int, y: int, z: int, order: int) -> dict:
     """The kept terms of the order at v = (x, y, z), grouped by
     (pb, B.v, pc, C.v); each group maps (pa, A.v) to the sum of its q
     scaled by Q_SCALE.  Order t copies the weights of order t - 1 and adds
-    its shell.  The cached dict is shared, so it is never changed.
+    its shell block by block: a block's terms share A, and pa + pb + pc =
+    k1 + k2 + k3 with pb + pc its mixed count, so they share one entry
+    (pa, A.v), while the nested split loops carry pb, pc, B.v, C.v and the
+    product of the weights as partial sums.  Groups and entries come in
+    the order of the terms of ``_symbolic_terms``.  The cached dict is
+    shared, so it is never changed.
 
     Raises ArithmeticError unless every group has a mirror with the same
     exact weights, which is what makes the kept sum real.
     """
     groups = {}
-    shell = _symbolic_terms(order)
     if order:
         groups = {key: dict(weights) for key, weights
                   in _group_weights(x, y, z, order - 1).items()}
-        shell = shell[len(_symbolic_terms(order - 1)):]
-    for n, (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) in shell:
-        pb, pc = b0 + b1 + b2, c0 + c1 + c2
-        weights = groups.setdefault(
-            (pb, b0 * x + b1 * y + b2 * z, pc, c0 * x + c1 * y + c2 * z), {})
-        entry = (-a0 - a1 - a2 - pb - pc, a0 * x + a1 * y + a2 * z)
-        weights[entry] = weights.get(entry, 0) + n
+    for scale, (k1, k2, k3), splits1, splits2, splits3 in _shell_blocks(
+            order):
+        # each splits list starts at nb = 0, so its nc is the mixed count
+        mixed = splits1[0][1] + splits2[0][1] + splits3[0][1]
+        entry = (k1 + k2 + k3 - mixed, -(k1 * x + k2 * y + k3 * z))
+        for b1, c1, w1 in splits1:
+            n1 = scale * w1
+            for b2, c2, w2 in splits2:
+                pb2, mb2 = b1 + b2, b1 * x + b2 * y
+                pc2, mc2 = c1 + c2, c1 * x + c2 * y
+                n2 = n1 * w2
+                for b3, c3, w3 in splits3:
+                    key = (pb2 + b3, mb2 + b3 * z, pc2 + c3, mc2 + c3 * z)
+                    weights = groups.get(key)
+                    if weights is None:
+                        groups[key] = {entry: n2 * w3}
+                    else:
+                        weights[entry] = weights.get(entry, 0) + n2 * w3
     for key, weights in groups.items():
         pb, mb, pc, mc = key
         if groups.get((pc, mc, pb, mb)) != weights:
@@ -292,8 +332,8 @@ def _truncation_value(x: int, y: int, z: int, order: int,
             continue  # added with its mirror
         inner = integer_combination((_real_factor(pa, ma, bits), n)
                                     for (pa, ma), n in weights.items())
-        total = total + (_pair_factor(pb, mb, pc, mc, bits)
-                         * inner.rounded(work)).rounded(work)
+        total = _add_rounded_product(
+            total, _pair_factor(pb, mb, pc, mc, bits), inner, work)
     prefactor = _anchors(x, y, z, bits)[1]
     return (total * prefactor * Fraction(1, Q_SCALE)).rounded(work)
 

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from triboverify import gcdbound, splitfield
 from triboverify.constants import cmp_alpha_power, constants
 from triboverify.enclosure import (ComplexEnclosure, Enclosure,
-                                   PrecisionFailure, _enc, affine_abs,
-                                   integer_combination,
+                                   PrecisionFailure, _add_rounded_product,
+                                   _enc, affine_abs, integer_combination,
                                    precision_ladder, round_down, round_up,
                                    sqrt_split)
 from triboverify.splitfield import CubicElement
@@ -471,12 +471,12 @@ def test_affine_abs_matches_the_chain_on_numerators(case):
 # or an odd denominator, unreduced, so that every sign case of the rule
 # and both ways of forming the denominator are met
 @st.composite
-def _signed_interval(draw):
+def _signed_interval(draw, denominator=_denominator):
     a, b = sorted((draw(st.integers(0, 10 ** 40)),
                    draw(st.integers(0, 10 ** 40))))
     n0, n1 = draw(st.sampled_from([(a, b), (-b, -a), (-a, b), (-b, a),
                                    (0, b), (-b, 0), (0, 0)]))
-    return _enc(n0, n1, draw(_denominator))
+    return _enc(n0, n1, draw(denominator))
 
 
 def _four_products(x: Enclosure, y: Enclosure) -> tuple[int, int, int]:
@@ -526,6 +526,40 @@ def test_square_matches_the_product_of_denominators(x):
     if n0 <= 0 <= n1:
         ends[0] = 0
     assert _raw(x.square()) == (*ends, d * d)
+
+
+# intervals of every sign case over 2**j, from 1 to far past the working
+# precisions drawn below, unreduced, as the memoised factors, the group
+# sums and the running total of a truncation are
+_dyadic_interval = _signed_interval(st.integers(0, 160).map(lambda j: 1 << j))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_dyadic_interval,
+       st.lists(st.tuples(_dyadic_interval, st.lists(
+           st.tuples(_dyadic_interval, st.sampled_from([0, 1, -1])
+                     | _multiplier), min_size=1, max_size=4)),
+           min_size=1, max_size=4),
+       st.integers(1, 200))
+# a factor and an inner sum that both straddle 0, the sum from a negative
+# weight over 8 and a positive one over 2
+@example(_enc(0, 0, 1),
+         [(_enc(-3, 5, 4), [(_enc(-7, 2, 8), -3), (_enc(1, 9, 2), 5)])], 3)
+# ends that round to 0, and a running total over a finer grid than both
+@example(_enc(-1, 1, 1 << 90),
+         [(_enc(-1, 0, 1 << 60), [(_enc(1, 1, 1 << 70), -1)]),
+          (_enc(2, 3, 1), [(_enc(-5, -3, 4), 7), (_enc(0, 0, 1 << 9), -2)])],
+         1)
+def test_add_rounded_product_matches_the_chain_on_numerators(start, groups,
+                                                             bits):
+    # the truncation's pass, group by group: the kernel gives the
+    # numerators and the denominator of the chain it replaces
+    got = want = start
+    for factor, pairs in groups:
+        inner = integer_combination(pairs)
+        got = _add_rounded_product(got, factor, inner, bits)
+        want = want + (factor * inner.rounded(bits)).rounded(bits)
+        assert _raw(got) == _raw(want)
 
 
 @_props

@@ -158,21 +158,28 @@ def test_each_order_extends_the_last():
 
 
 def _lopsided(past):
-    """A stand-in for _symbolic_terms with the q of the first term at or
-    past index ``past`` that has pb != pc doubled, in every order that
-    keeps it, so that term's group no longer equals its mirror."""
-    terms = list(_symbolic_terms(MAX_ORDER))
-    i = next(i for i, t in enumerate(terms)
-             if i >= past and sum(t.b_vec) != sum(t.c_vec))
-    terms[i] = terms[i]._replace(q_scaled=2 * terms[i].q_scaled)
-    return lambda order: tuple(terms[:TERM_COUNTS[order]])
+    """A stand-in for _shell_blocks with one block more: the first term at
+    or past index ``past`` that has pb != pc, alone, right after its own
+    block, so its q counts twice in every order that keeps it and its
+    group no longer equals its mirror."""
+    index = 0
+    for order in range(MAX_ORDER + 1):
+        blocks = list(expansion._shell_blocks(order))
+        for i, (scale, ks, *splits) in enumerate(blocks):
+            for s1, s2, s3 in product(*splits):
+                if index >= past and s1[0] + s2[0] + s3[0] != (
+                        s1[1] + s2[1] + s3[1]):
+                    blocks.insert(i + 1, (scale, ks, (s1,), (s2,), (s3,)))
+                    return lambda t, genuine=expansion._shell_blocks: (
+                        tuple(blocks) if t == order else genuine(t))
+                index += 1
 
 
 def test_term_without_equal_mirror_is_refused(monkeypatch):
     # doubling one q with pb != pc leaves its group unlike its mirror, so
     # the kept sum is not real and no interval check is needed to see it
     _clear_shared_tables()
-    monkeypatch.setattr(expansion, "_symbolic_terms", _lopsided(0))
+    monkeypatch.setattr(expansion, "_shell_blocks", _lopsided(0))
     with pytest.raises(ArithmeticError, match="failed to be real"):
         _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
     _clear_shared_tables()
@@ -190,8 +197,7 @@ def test_term_without_equal_mirror_is_refused_over_a_genuine_memo(
     weights = expansion._group_weights
     assert weights.cache_info().currsize == 2
     with monkeypatch.context() as patch:
-        patch.setattr(expansion, "_symbolic_terms",
-                      _lopsided(TERM_COUNTS[1]))
+        patch.setattr(expansion, "_shell_blocks", _lopsided(TERM_COUNTS[1]))
         with pytest.raises(ArithmeticError, match="failed to be real"):
             _truncation_value(20, 25, 30, 2, DEFAULT_PRECISION)
     assert weights.cache_info().currsize == 2
@@ -324,11 +330,8 @@ def test_factor_tables_stay_within_their_bound():
     assert _endpoints(expansion_error(20, 25, 30, 4)) == first
 
 
-def _regrouped_truncation(x, y, z, order, bits):
-    """The truncation with every group summed afresh at this order: the
-    whole kept set grouped at once, each group's inner sum one
-    integer_combination, and each pair's real factor built in place."""
-    work = bits + 32
+def _regrouped_weights(x, y, z, order):
+    """The whole kept set of the order grouped at once, term by term."""
     v = (x, y, z)
     groups = {}
     for n, a_vec, b_vec, c_vec in _symbolic_terms(order):
@@ -337,8 +340,21 @@ def _regrouped_truncation(x, y, z, order, bits):
                                   {})
         entry = (-sum(a_vec) - pb - pc, _dot(a_vec, v))
         inner[entry] = inner.get(entry, 0) + n
+    return groups
+
+
+def _in_order(groups):
+    return [(key, list(weights.items())) for key, weights in groups.items()]
+
+
+def _regrouped_truncation(x, y, z, order, bits):
+    """The truncation with every group summed afresh at this order: the
+    whole kept set grouped at once, each group's inner sum one
+    integer_combination, and each pair's real factor built in place."""
+    work = bits + 32
     total = Enclosure.point(0)
-    for (pb, mb, pc, mc), inner in groups.items():
+    for (pb, mb, pc, mc), inner in _regrouped_weights(x, y, z,
+                                                      order).items():
         if (pc, mc, pb, mb) < (pb, mb, pc, mc):
             continue
         inner_sum = integer_combination(
@@ -365,11 +381,16 @@ def _regrouped_truncation(x, y, z, order, bits):
 def test_carried_sums_are_bit_identical_in_any_order(xyz, runs):
     # orders asked for in any order, each built on whatever the cache
     # holds, give the endpoints of a run with every memo cleared, and the
-    # truncations those of summing each group afresh
+    # truncations those of summing each group afresh; the carried weights
+    # are those of grouping the kept terms one by one, down to the order
+    # of the groups and of their entries
     _clear_shared_tables()
     carried = [(_endpoints(expansion_error(*xyz, t, bits)),
                 _endpoints(_truncation_value(*xyz, t, bits)))
                for t, bits in runs]
+    for t, _ in runs:
+        assert _in_order(expansion._group_weights(*xyz, t)) == _in_order(
+            _regrouped_weights(*xyz, t))
     for (t, bits), (err, trunc) in zip(runs, carried):
         _clear_shared_tables()
         assert _endpoints(expansion_error(*xyz, t, bits)) == err
