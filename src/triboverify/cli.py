@@ -9,17 +9,16 @@ Exit codes: 0 all checks passed (or searches came back empty as expected);
 1 a check failed or a triple was found; 2 usage or configuration error;
 3 a precision or certificate search hit its cap without a conclusion.
 
-The settings are the ``RunConfig`` fields.  Each command takes a flag for
-just the settings it reads (``_BATTERIES`` lists them for the ``verify``
-batteries), and any other settings flag is a usage error.  Configuration
-resolves flags over environment over defaults; every command reads and
-validates all of TRIBOVERIFY_<NAME> from the environment.
+The settings are ``_SETTINGS``; every command's namespace holds all three,
+at their defaults unless a flag sets them, so a run depends on its
+arguments alone.  Each command takes a flag for just the settings it reads
+(``_BATTERIES`` lists them for the ``verify`` batteries), and any other
+settings flag is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -47,51 +46,20 @@ class UsageError(Exception):
 
 
 _PRECISION = ("precision_bits", "max_precision_bits")
-
-
-class RunConfig(NamedTuple):
-    precision_bits: int = DEFAULT_PRECISION
-    max_precision_bits: int = MAX_PRECISION
-    out: str | None = None
-
-    def validate(self) -> "RunConfig":
-        if self.precision_bits < MIN_PRECISION:
-            raise UsageError(f"precision_bits must be >= {MIN_PRECISION}")
-        if self.precision_bits > self.max_precision_bits:
-            raise UsageError("precision_bits exceeds max_precision_bits")
-        return self
-
-
-def load_config(args: argparse.Namespace, environ=None) -> RunConfig:
-    """Flags override environment overrides defaults."""
-    env = os.environ if environ is None else environ
-    config = RunConfig()
-    for name in _PRECISION:
-        raw = env.get("TRIBOVERIFY_" + name.upper())
-        if raw is not None:
-            try:
-                config = config._replace(**{name: int(raw)})
-            except ValueError:
-                raise UsageError(
-                    f"TRIBOVERIFY_{name.upper()}={raw!r} is not an integer")
-    if env.get("TRIBOVERIFY_OUT"):
-        config = config._replace(out=env["TRIBOVERIFY_OUT"])
-    for name in _PRECISION + ("out",):
-        value = getattr(args, name, None)
-        if value is not None:
-            config = config._replace(**{name: value})
-    return config.validate()
+_SETTINGS = _PRECISION + ("out",)
 
 
 def _leaf(sub, name: str, text: str, settings: tuple[str, ...], **defaults):
-    """A subcommand with one flag per RunConfig field it reads."""
+    """A subcommand with one flag per setting it reads; its namespace holds
+    every setting, at its default unless a flag sets it."""
     p = sub.add_parser(name, help=text)
     for setting in settings:
         p.add_argument("--" + setting.replace("_", "-"), dest=setting,
                        type=int if setting in _PRECISION else str,
                        help="write JSONL records here"
                        if setting == "out" else None)
-    p.set_defaults(**defaults)
+    p.set_defaults(precision_bits=DEFAULT_PRECISION,
+                   max_precision_bits=MAX_PRECISION, out=None, **defaults)
     return p
 
 
@@ -129,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                            required=default is None)
 
     p = _leaf(vsub, "all", "every battery at standard budgets",
-              RunConfig._fields, func=_cmd_verify,
+              _SETTINGS, func=_cmd_verify,
               battery=_battery_all)
     p.add_argument("--quick", action="store_true",
                    help="reduced sweeps (z <= 100, n <= 500)")
@@ -140,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(config: RunConfig, records) -> None:
-    if config.out:
-        emit_records(config.out, records)
+def _write(args, records) -> None:
+    if args.out:
+        emit_records(args.out, records)
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -158,7 +126,7 @@ def _triple_records(found) -> list:
 # plain subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen(args, config: RunConfig) -> int:
+def _cmd_gen(args) -> int:
     if not 0 <= args.max_index <= GROWTH_N_MAX_CAP:
         raise UsageError(f"--max-index must lie in 0..{GROWTH_N_MAX_CAP}")
     table = default_table()
@@ -167,7 +135,7 @@ def _cmd_gen(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_member(args, config: RunConfig) -> int:
+def _cmd_member(args) -> int:
     for value in args.values:
         if value < 0:
             raise UsageError("membership queries take nonnegative values")
@@ -176,46 +144,46 @@ def _cmd_member(args, config: RunConfig) -> int:
     return 0
 
 
-def _report_found(config: RunConfig, header: str, summary, found) -> int:
+def _report_found(args, header: str, summary, found) -> int:
     print(header)
     triples = _triple_records(found)
     for rec in triples:
         print(rec.to_line())
-    _write(config, [summary] + triples)
+    _write(args, [summary] + triples)
     return 1 if found else 0
 
 
-def _cmd_search(args, config: RunConfig) -> int:
+def _cmd_search(args) -> int:
     if not 7 <= args.z_max <= SEARCH_Z_MAX_CAP:
         raise UsageError(f"--z-max must lie in 7..{SEARCH_Z_MAX_CAP}")
     found = search(args.z_max, args.use_gcd_prune)
     summary = search_summary_record("search", len(found), z_max=args.z_max,
                                     use_gcd_prune=args.use_gcd_prune)
-    return _report_found(config, f"search z <= {args.z_max} prune="
+    return _report_found(args, f"search z <= {args.z_max} prune="
                          f"{args.use_gcd_prune}: {len(found)} candidate(s)",
                          summary, found)
 
 
-def _cmd_brute(args, config: RunConfig) -> int:
+def _cmd_brute(args) -> int:
     if not 3 <= args.w_max <= BRUTE_W_MAX_CAP:
         raise UsageError(f"--w-max must lie in 3..{BRUTE_W_MAX_CAP}")
     found = brute_force(args.w_max)
     summary = search_summary_record("brute", len(found), w_max=args.w_max)
-    return _report_found(config, f"brute w <= {args.w_max}: "
+    return _report_found(args, f"brute w <= {args.w_max}: "
                          f"{len(found)} candidate(s)", summary, found)
 
 
 # ---------------------------------------------------------------------------
-# verify batteries; each takes (args, config) and returns (exit_code, records)
+# verify batteries; each takes args and returns (exit_code, records)
 # ---------------------------------------------------------------------------
 
-def _battery_prop1(args, config: RunConfig):
+def _battery_prop1(args):
     if not 5 <= args.z_max <= PAIR_Z_MAX_CAP:
         raise UsageError(f"--z-max must lie in 5..{PAIR_Z_MAX_CAP}")
     records = []
     failures = 0
-    for y, z, d, ok in prop1_results(args.z_max, config.precision_bits,
-                                     config.max_precision_bits):
+    for y, z, d, ok in prop1_results(args.z_max, args.precision_bits,
+                                     args.max_precision_bits):
         records.append(prop1_record(y, z, d, ok))
         failures += not ok
     _verdict(f"prop1 z <= {args.z_max}", failures == 0,
@@ -223,7 +191,7 @@ def _battery_prop1(args, config: RunConfig):
     return (0 if failures == 0 else 1), records
 
 
-def _battery_norms(args, config: RunConfig):
+def _battery_norms(args):
     if not 6 <= args.z_max <= PAIR_Z_MAX_CAP:
         raise UsageError(f"--z-max must lie in 6..{PAIR_Z_MAX_CAP}")
     if args.samples < 0:
@@ -240,8 +208,8 @@ def _battery_norms(args, config: RunConfig):
     if picked:
         bad = 0
         for y, z in picked:
-            rep = factor_bounds(y, z, config.precision_bits,
-                                config.max_precision_bits)
+            rep = factor_bounds(y, z, args.precision_bits,
+                                args.max_precision_bits)
             bad += not rep.ok
         _verdict(f"embedding bounds ({len(picked)} sampled pairs)", bad == 0)
         if bad:
@@ -249,28 +217,28 @@ def _battery_norms(args, config: RunConfig):
     return 0, records
 
 
-def _battery_constants(args, config: RunConfig):
-    if config.precision_bits > CONSTANTS_PRECISION_CAP:
+def _battery_constants(args):
+    if args.precision_bits > CONSTANTS_PRECISION_CAP:
         raise UsageError("verify constants needs --precision-bits <= "
                          f"{CONSTANTS_PRECISION_CAP}")
-    report = verify_numeric_window(config.precision_bits)
+    report = verify_numeric_window(args.precision_bits)
     for c in report.checks:
         _verdict(f"constants {c.name}", c.ok, c.detail)
     return (0 if report.all_ok else 1), [constants_record(report)]
 
 
-def _battery_growth(args, config: RunConfig):
+def _battery_growth(args):
     if not 2 <= args.n_max <= GROWTH_N_MAX_CAP:
         raise UsageError(f"--n-max must lie in 2..{GROWTH_N_MAX_CAP}")
     # by power sums; check-records re-derives the record on enclosures
-    report = verify_growth_trace(args.n_max, config.precision_bits,
-                                 config.max_precision_bits)
+    report = verify_growth_trace(args.n_max, args.precision_bits,
+                                 args.max_precision_bits)
     _verdict(f"growth n <= {args.n_max}", report.all_ok,
              f"checked={report.checked} failures={len(report.failures)}")
     return (0 if report.all_ok else 1), [growth_record(report)]
 
 
-def _battery_field(args, config: RunConfig):
+def _battery_field(args):
     checks = field_identity_report()
     for name, ok in checks.items():
         _verdict(f"field {name}", ok)
@@ -278,12 +246,12 @@ def _battery_field(args, config: RunConfig):
     return (0 if ok else 1), [field_record(checks)]
 
 
-def _battery_lemma2(args, config: RunConfig):
+def _battery_lemma2(args):
     records = []
     code = 0
     for label, (element, expected) in LEMMA2_CASES.items():
-        cert = is_square_in_K(element, config.precision_bits,
-                              config.max_precision_bits)
+        cert = is_square_in_K(element, args.precision_bits,
+                              args.max_precision_bits)
         records.append(lemma2_record(label, cert))
         ok = cert.verdict == expected
         detail = (f"square={cert.verdict} witnesses="
@@ -294,15 +262,15 @@ def _battery_lemma2(args, config: RunConfig):
     return code, records
 
 
-def _battery_expansion(args, config: RunConfig):
+def _battery_expansion(args):
     x, y, z, t_max = args.x, args.y, args.z, args.t_max
     if not (5 <= x < y < z <= EXPANSION_INDEX_CAP and x + y > z):
         raise UsageError(f"need 5 <= x < y < z <= {EXPANSION_INDEX_CAP} "
                          "with x + y > z")
     if not 2 <= t_max <= MAX_ORDER:
         raise UsageError(f"--t-max must lie in 2..{MAX_ORDER}")
-    report = decay_report(x, y, z, t_max, config.precision_bits,
-                          config.max_precision_bits)
+    report = decay_report(x, y, z, t_max, args.precision_bits,
+                          args.max_precision_bits)
     for t, err in enumerate(report.errors):
         print(f"expansion ({x},{y},{z}) t={t}: "
               f"error ~ {float(err.mid()):.6e}")
@@ -313,7 +281,7 @@ def _battery_expansion(args, config: RunConfig):
     return (0 if report.all_ok else 1), expansion_records(report)
 
 
-def _battery_search(args, config: RunConfig):
+def _battery_search(args):
     found = search(args.z_max, False)
     found_pruned = search(args.z_max, True)
     agree = found == found_pruned
@@ -336,7 +304,7 @@ class _Battery(NamedTuple):
     # None: no ``verify`` subcommand of its own (``search`` and ``brute``
     # run its sweeps one at a time)
     help: str | None
-    settings: tuple[str, ...]        # the RunConfig fields it reads
+    settings: tuple[str, ...]        # the _SETTINGS it reads
     args: tuple[tuple[str, int | None], ...] = ()   # (int flag, default)
     quick: dict = {}                 # its arguments under verify all --quick
     full: dict = {}                  # ... and under verify all
@@ -374,34 +342,34 @@ _BATTERIES = {
 }
 
 
-def _battery_all(args, config: RunConfig):
+def _battery_all(args):
     code = 0
     records = []
     for battery in _BATTERIES.values():
         budget = battery.quick if args.quick else battery.full
-        step_code, step_records = battery.run(argparse.Namespace(**budget),
-                                              config)
+        step_code, step_records = battery.run(
+            argparse.Namespace(**{**vars(args), **budget}))
         code = max(code, step_code)
         records.extend(step_records)
     _verdict("verify all", code == 0)
     return code, records
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
-    code, records = args.battery(args, config)
-    _write(config, records)
+def _cmd_verify(args) -> int:
+    code, records = args.battery(args)
+    _write(args, records)
     return code
 
 
-def _cmd_check_records(args, config: RunConfig) -> int:
+def _cmd_check_records(args) -> int:
     # each record is checked as it is read: a malformed line exits 2 after
     # the failures of the lines before it, and an unreadable file exits 2
     # through run()
     count = bad = 0
     for count, rec in enumerate(read_records(args.path), 1):
         try:
-            ok, message = check_record(rec, config.precision_bits,
-                                       config.max_precision_bits)
+            ok, message = check_record(rec, args.precision_bits,
+                                       args.max_precision_bits)
         except RecordFormatError as exc:
             # a broken cross-field rule, reported at its line as a parse
             # error is; every line holds one record, so count is the line
@@ -428,8 +396,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = load_config(args)
-        return args.func(args, config)
+        if args.precision_bits < MIN_PRECISION:
+            raise UsageError(f"precision_bits must be >= {MIN_PRECISION}")
+        if args.precision_bits > args.max_precision_bits:
+            raise UsageError("precision_bits exceeds max_precision_bits")
+        return args.func(args)
     except (UsageError, RecordFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

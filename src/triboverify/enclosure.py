@@ -167,8 +167,11 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 
 def _num_den(v) -> tuple[int, int]:
+    """Numerator and denominator of an exact endpoint; a float, a string or
+    any other value is refused, so nothing reaches an interval inexactly."""
     if not isinstance(v, (int, Fraction)):
-        v = Fraction(v)
+        raise TypeError(f"an endpoint must be an int or a Fraction, "
+                        f"not {type(v).__name__}")
     return v.numerator, v.denominator
 
 

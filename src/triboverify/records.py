@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
+import stat
 from collections import namedtuple
 from fractions import Fraction
 from math import floor, gcd, isqrt
@@ -492,11 +494,24 @@ def search_summary_record(mode: str, count: int, z_max: int | None = None,
 # ---------------------------------------------------------------------------
 
 def emit_records(path, records: Iterable[VerificationRecord]) -> None:
-    """Write records as UTF-8 JSONL, one per line, in the given order."""
+    """Write records as UTF-8 JSONL, one per line, in the given order.
+
+    A write cut short by any exception, ``KeyboardInterrupt`` included,
+    empties a regular file before the exception goes on, so no prefix of
+    the records is left to pass ``check-records``.  Any other output (a
+    FIFO, a terminal, ``/dev/null``) is left as it is, and the file is
+    written in place, never renamed over ``path``, which could be a device
+    node."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(rec.to_line())
-            fh.write("\n")
+        try:
+            for rec in records:
+                fh.write(rec.to_line())
+                fh.write("\n")
+        except BaseException:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.seek(0)
+                fh.truncate()
+            raise
 
 
 # characters that read_records asks of its file at a time, before it reads

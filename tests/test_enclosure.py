@@ -783,6 +783,13 @@ def test_point_and_comparisons():
     assert p.definitely_lt(4)
     assert p.definitely_gt(3)
     assert not p.definitely_lt(Fraction(7, 2))
+    # endpoints are exact values only: a float or a string is refused
+    with pytest.raises(TypeError):
+        Enclosure(0.1, "1/3")
+    with pytest.raises(TypeError):
+        Enclosure.point(0.5)
+    with pytest.raises(TypeError):
+        p.definitely_lt(2.5)
 
 
 def test_complex_mul_encloses():

@@ -1,5 +1,5 @@
 """Record format: byte-stable lines, round trips, independent re-checking;
-CLI: exit codes, env/flag config, frozen record bytes."""
+CLI: exit codes, settings from the arguments alone, frozen record bytes."""
 
 import argparse
 import functools
@@ -25,8 +25,7 @@ from hypothesis import strategies as st
 
 from triboverify import (expansion, gcdbound, records, splitfield,
                          tribonacci)
-from triboverify.cli import (RunConfig, UsageError, build_parser,
-                             load_config, run)
+from triboverify.cli import build_parser, run
 from triboverify.constants import (DEFAULT_PRECISION, Cmp, cmp_alpha_power,
                                    verify_growth, verify_numeric_window)
 from triboverify.enclosure import Enclosure, precision_ladder
@@ -149,36 +148,58 @@ def test_emit_and_read(tmp_path):
     assert str(err.value).startswith("line 6: ")
 
 
-def test_load_config_env_and_flags():
-    ns = argparse.Namespace(precision_bits=None, max_precision_bits=None)
-    config = load_config(ns, environ={"TRIBOVERIFY_PRECISION_BITS": "256"})
-    assert config.precision_bits == 256
+def test_an_interrupted_write_leaves_no_file_that_passes(tmp_path, capsys,
+                                                          monkeypatch):
+    # a Ctrl-C at the 3000th record of verify all --quick must not leave
+    # the 2999 records before it, which check-records would pass
+    to_line = VerificationRecord.to_line
+    calls = 0
 
-    ns = argparse.Namespace(precision_bits=512, max_precision_bits=None)
-    config = load_config(ns, environ={"TRIBOVERIFY_PRECISION_BITS": "256"})
-    assert config.precision_bits == 512   # flag wins
+    def interrupted(rec):
+        nonlocal calls
+        calls += 1
+        if calls == 3000:
+            raise KeyboardInterrupt
+        return to_line(rec)
 
-    with pytest.raises(UsageError):
-        load_config(argparse.Namespace(),
-                    environ={"TRIBOVERIFY_MAX_PRECISION_BITS": "banana"})
-    with pytest.raises(UsageError):
-        load_config(argparse.Namespace(precision_bits=-8), environ={})
+    monkeypatch.setattr(VerificationRecord, "to_line", interrupted)
+    out = tmp_path / "quick.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        run(["verify", "all", "--quick", "--out", str(out)])
+    monkeypatch.undo()
+    assert calls == 3000 and out.read_bytes() == b""
+    capsys.readouterr()
+    assert run(["check-records", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no records in {out}\n"
+
+    # an output that is not a regular file is left alone, and the
+    # interrupt still goes on
+    def cut_short():
+        yield prop1_record(6, 7, 6, True)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        emit_records(os.devnull, cut_short())
 
 
-def test_run_config_validation():
-    with pytest.raises(UsageError):
-        RunConfig(max_precision_bits=0).validate()
-    with pytest.raises(UsageError):
-        RunConfig(precision_bits=64, max_precision_bits=32).validate()
-    with pytest.raises(UsageError):
-        RunConfig(precision_bits=7, max_precision_bits=7).validate()
-    RunConfig(precision_bits=8, max_precision_bits=8).validate()
+def test_run_config_validation(capsys):
+    for bits, max_bits, message in (
+            (None, 0, "precision_bits exceeds max_precision_bits"),
+            (64, 32, "precision_bits exceeds max_precision_bits"),
+            (7, 7, "precision_bits must be >= 8")):
+        argv = ["verify", "norms", "--z-max", "20",
+                "--max-precision-bits", str(max_bits)]
+        if bits is not None:
+            argv += ["--precision-bits", str(bits)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["verify", "norms", "--z-max", "20", "--precision-bits", "8",
+                "--max-precision-bits", "8"]) == 0
 
 
-def test_cli_refuses_precision_below_floor(tmp_path, capsys, monkeypatch):
+def test_cli_refuses_precision_below_floor(tmp_path, capsys):
     # constants() needs at least 8 bits; below that every battery that
     # builds them used to die with a traceback
-    monkeypatch.delenv("TRIBOVERIFY_PRECISION_BITS", raising=False)
     path = tmp_path / "r.jsonl"
     emit_records(path, [prop1_record(6, 7, 6, True)])
     for argv in (["verify", "norms", "--z-max", "20"],
@@ -190,13 +211,8 @@ def test_cli_refuses_precision_below_floor(tmp_path, capsys, monkeypatch):
                            "--max-precision-bits", "8"]) == 0
         capsys.readouterr()
 
-    monkeypatch.setenv("TRIBOVERIFY_PRECISION_BITS", "4")
-    assert run(["verify", "prop1", "--z-max", "20"]) == 2
-    assert "precision_bits must be >= 8" in capsys.readouterr().err
-
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("TRIBOVERIFY_PRECISION_BITS", raising=False)
     assert run(["gen", "--max-index", "10"]) == 0
     assert run(["member", "81", "82"]) == 0
     assert run(["search", "--z-max", "10"]) == 0
@@ -208,8 +224,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["check-records", str(tmp_path / "missing.jsonl")]) == 2
     capsys.readouterr()
 
+    # the settings come from the arguments alone
     monkeypatch.setenv("TRIBOVERIFY_PRECISION_BITS", "banana")
-    assert run(["verify", "field"]) == 2
+    assert run(["verify", "field"]) == 0
     capsys.readouterr()
 
 
